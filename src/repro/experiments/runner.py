@@ -26,6 +26,7 @@ fuses shard outputs into a result cache.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -231,8 +232,6 @@ def _pipeline_from_args(
             fault = parse_fault_plan(fault_spec)
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
-    trace = _trace_from_args(args, argv)
-    metrics = MetricsRegistry()
     shard = _shard_args(args)
     if shard is not None:
         if args.cache_dir is not None or args.no_cache:
@@ -243,6 +242,22 @@ def _pipeline_from_args(
                 "the shard writes to --shard-dir (merge the shards, then run "
                 "with --cache-dir on the merged directory)"
             )
+        cache_dir = args.shard_dir
+    else:
+        cache_dir = None if args.no_cache else args.cache_dir
+    run_id = getattr(args, "run_id", None)
+    if run_id is None and getattr(args, "resume", False):
+        raise SystemExit("--resume requires --run-id (whose manifest to resume)")
+    if run_id is not None and cache_dir is None:
+        raise SystemExit(
+            "--run-id needs a result cache (--cache-dir or --shard-dir): the "
+            "manifest journals point fates; the cache holds the values a "
+            "resume reuses"
+        )
+    # Every flag is checked above: only from here on may the invocation
+    # touch the disk (the trace writer opens its file).
+    executor = None
+    if shard is not None:
         index, count = shard
         claim_ttl = getattr(args, "claim_ttl", None)
         if claim_ttl is None:
@@ -255,24 +270,15 @@ def _pipeline_from_args(
             claim_dir=args.claim_dir,
             claim_ttl=claim_ttl if claim_ttl > 0 else None,
         )
-        pipeline = SimulationPipeline(
-            executor=executor,
-            cache_dir=args.shard_dir,
-            max_inflight=max_inflight,
-            fault=fault,
-            trace=trace,
-            metrics=metrics,
-        )
-    else:
-        cache_dir = None if args.no_cache else args.cache_dir
-        pipeline = SimulationPipeline(
-            jobs=jobs,
-            cache_dir=cache_dir,
-            max_inflight=max_inflight,
-            fault=fault,
-            trace=trace,
-            metrics=metrics,
-        )
+    pipeline = SimulationPipeline(
+        jobs=jobs,
+        executor=executor,
+        cache_dir=cache_dir,
+        max_inflight=max_inflight,
+        fault=fault,
+        trace=_trace_from_args(args, argv),
+        metrics=MetricsRegistry(),
+    )
     if fault is not None and pipeline.cache is not None:
         hurt = fault.corrupt_cache(pipeline.cache)
         if hurt is not None:
@@ -403,7 +409,9 @@ def _recorder_from_args(
     """The durable-run journal implied by ``--run-id``/``--resume``.
 
     Must be called *after* staging (a resume validates the manifest
-    against the pipeline's pending plan keys).  ``pre_validate`` runs
+    against the pipeline's pending plan keys), on a pipeline built by
+    :func:`_pipeline_from_args`, which already refused journal flags
+    without a result cache.  ``pre_validate`` runs
     between loading a resumed manifest and the validation pass — the
     adaptive engine uses it to replay journaled waves onto the
     pipeline, so the resumed plan covers every key of the original
@@ -413,15 +421,7 @@ def _recorder_from_args(
     run_id = getattr(args, "run_id", None)
     resume = getattr(args, "resume", False)
     if run_id is None:
-        if resume:
-            raise SystemExit("--resume requires --run-id (whose manifest to resume)")
         return None
-    if pipeline.cache is None:
-        raise SystemExit(
-            "--run-id needs a result cache (--cache-dir or --shard-dir): the "
-            "manifest journals point fates; the cache holds the values a "
-            "resume reuses"
-        )
     runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
     try:
         if not resume:
@@ -454,6 +454,11 @@ def _recorder_from_args(
         print(line, file=sys.stderr)
     recorder.write()
     return recorder
+
+
+def _journal(recorder: RunRecorder | None):
+    """Context that compacts ``recorder``'s journal on any exit."""
+    return recorder if recorder is not None else contextlib.nullcontext()
 
 
 def _finish_recorder(
@@ -515,6 +520,17 @@ def _print_dry_run(pipeline: SimulationPipeline, stream=None) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a simulation budget: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_sim_options(
     sub: argparse.ArgumentParser,
     seed_default: int | None = DEFAULT_SEED,
@@ -527,9 +543,12 @@ def _add_sim_options(
         action="store_true",
         help="full-fidelity simulation (500 runs x 500 patterns)",
     )
-    sub.add_argument("--runs", type=int, default=None, help="override Monte-Carlo runs")
     sub.add_argument(
-        "--patterns", type=int, default=None, help="override patterns per run"
+        "--runs", type=_positive_int, default=None, help="override Monte-Carlo runs"
+    )
+    sub.add_argument(
+        "--patterns", type=_positive_int, default=None,
+        help="override patterns per run",
     )
     sub.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     sub.add_argument(
@@ -589,7 +608,7 @@ def _add_sim_options(
         default=None,
         metavar="ID",
         help="journal this invocation as a durable run: every resolved "
-        "point's fate is written atomically to a manifest under "
+        "point's fate is appended (fsynced) to the run's journal under "
         "--runs-dir, so an interrupted run can be resumed "
         "(`repro-experiments resume ID`); requires a result cache "
         "(--cache-dir or --shard-dir)",
@@ -1076,9 +1095,10 @@ def _write_report(
         recorder.on_event if recorder is not None else None,
         _progress_printer(staged, pipeline) if args.progress else None,
     )
-    _resolve_and_emit(staged, pipeline, emitter=None, collect=collected,
-                      on_event=on_event)
-    _finish_recorder(recorder, pipeline)
+    with _journal(recorder):
+        _resolve_and_emit(staged, pipeline, emitter=None, collect=collected,
+                          on_event=on_event)
+        _finish_recorder(recorder, pipeline)
     # Re-group per study (fig2 --all-platforms stages one study per
     # platform but the report keeps one section per figure).
     sections: list[tuple[str, list[FigureResult]]] = []
@@ -1480,30 +1500,31 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
             run.on_event if run is not None else None,
         )
         on_round = run.on_round if run is not None else None
-        if args.scenario_command == "report":
-            emitter = BandedEmitter(csv_dir=args.csv, trace=pipeline.trace)
-            _resolve_and_emit(
-                families, pipeline, emitter=emitter, on_event=on_event,
-                on_round=on_round,
-            )
-            if run is not None:
-                run.finalize()
-        else:
-            pipeline.resolve(on_event=on_event, on_round=on_round)
-            if run is not None:
-                run.finalize()
-                path = write_member_results(
-                    args.out, sset, families, band=run.band,
-                    adaptive=run.journal,
+        with _journal(recorder):
+            if args.scenario_command == "report":
+                emitter = BandedEmitter(csv_dir=args.csv, trace=pipeline.trace)
+                _resolve_and_emit(
+                    families, pipeline, emitter=emitter, on_event=on_event,
+                    on_round=on_round,
                 )
+                if run is not None:
+                    run.finalize()
             else:
-                path = write_member_results(args.out, sset, families)
-            print(
-                f"[scenario] wrote {run.n_members if run is not None else len(members)} "
-                f"member result files -> {path.parent}",
-                file=sys.stderr,
-            )
-        _finish_recorder(recorder, pipeline)
+                pipeline.resolve(on_event=on_event, on_round=on_round)
+                if run is not None:
+                    run.finalize()
+                    path = write_member_results(
+                        args.out, sset, families, band=run.band,
+                        adaptive=run.journal,
+                    )
+                else:
+                    path = write_member_results(args.out, sset, families)
+                print(
+                    f"[scenario] wrote {run.n_members if run is not None else len(members)} "
+                    f"member result files -> {path.parent}",
+                    file=sys.stderr,
+                )
+            _finish_recorder(recorder, pipeline)
         if pipeline.cache is not None:
             hits, misses = pipeline.cache_stats
             print(
@@ -1636,8 +1657,9 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
                 recorder.on_event if recorder is not None else None,
                 _progress_printer(staged, pipeline) if args.progress else None,
             )
-            _resolve_and_emit(staged, pipeline, emitter=emitter, on_event=on_event)
-            _finish_recorder(recorder, pipeline)
+            with _journal(recorder):
+                _resolve_and_emit(staged, pipeline, emitter=emitter, on_event=on_event)
+                _finish_recorder(recorder, pipeline)
         if sharded:
             index, count = _shard_args(args)
             print(

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from ...exceptions import InvalidParameterError, ReproError
 from ..common import FigureResult, SimSettings
-from ..spec import StagedStudy, stage_study
+from ..spec import StagedStudy, ready_prefix, stage_study
 from .aggregate import BandSpec, FamilyAccumulator, adaptive_notes
 from .scenario_set import ScenarioMember, ScenarioSet, _resolve_member
 from .transforms import Variant, derive_variants, replicate_seed, split_replicates
@@ -115,9 +115,12 @@ class AdaptiveWave:
     members: list[ScenarioMember] = field(default_factory=list)
     staged: list[StagedStudy] = field(default_factory=list)
     tables: list[list[FigureResult]] | None = None
+    #: Leading members known resolved (see :func:`ready_prefix`).
+    _ready_upto: int = field(default=0, init=False, repr=False, compare=False)
 
     def ready(self) -> bool:
-        return all(stage.ready() for stage in self.staged)
+        self._ready_upto = ready_prefix(self.staged, self._ready_upto)
+        return self._ready_upto == len(self.staged)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from ...platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, get_platform
 from ...sim.rng import DEFAULT_SEED
 from ..common import FigureResult, SimSettings
 from ..pipeline import SimulationPipeline
-from ..spec import StagedStudy, StudySpec, stage_study
+from ..spec import StagedStudy, StudySpec, ready_prefix, stage_study
 from .aggregate import BandSpec, FamilyAccumulator, adaptive_notes, band_tables
 from .transforms import GridTransform, Perturbation, Variant, derive_variants
 
@@ -128,9 +128,12 @@ class ScenarioFamily:
     band: BandSpec
     panel_columns: tuple[tuple[str, ...], ...] | None
     provenance: tuple[str, ...] = ()
+    #: Leading members known resolved (see :func:`ready_prefix`).
+    _ready_upto: int = field(default=0, init=False, repr=False, compare=False)
 
     def ready(self) -> bool:
-        return all(stage.ready() for stage in self.staged)
+        self._ready_upto = ready_prefix(self.staged, self._ready_upto)
+        return self._ready_upto == len(self.staged)
 
     def member_results(self) -> list[list[FigureResult]]:
         """Every member's assembled tables, in derive order."""

@@ -395,6 +395,31 @@ def slope_fit_notes(
 # -- staged execution --------------------------------------------------------
 
 
+def _iter_deferreds(obj):
+    """Every :class:`Deferred` inside nested tuples, lists and dicts."""
+    if isinstance(obj, Deferred):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _iter_deferreds(value)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _iter_deferreds(value)
+
+
+def ready_prefix(stages: Sequence[StagedStudy], cursor: int) -> int:
+    """Advance ``cursor`` past the leading ready ``stages``.
+
+    Readiness only goes from false to true, so a family of staged
+    studies keeps the returned cursor and resumes from it on the next
+    probe (the sequence may grow in between): the family is ready when
+    the cursor reaches ``len(stages)``.
+    """
+    while cursor < len(stages) and stages[cursor].ready():
+        cursor += 1
+    return cursor
+
+
 @dataclass
 class StagedStudy:
     """A study after its declare phase: resolve the pipeline, then finish."""
@@ -407,19 +432,26 @@ class StagedStudy:
     #: progress/dry-run attribution tells replicates apart).
     group: str = ""
 
+    #: The state's Deferreds in scan order (flattened by the first
+    #: :meth:`ready` probe), and how many leading ones have resolved.
+    _deferreds: list | None = field(default=None, init=False, repr=False, compare=False)
+    _resolved: int = field(default=0, init=False, repr=False, compare=False)
+
     def ready(self) -> bool:
-        """Whether every deferred point of this study has resolved."""
+        """Whether every deferred point of this study has resolved.
 
-        def _scan(obj) -> bool:
-            if isinstance(obj, Deferred):
-                return obj.ready
-            if isinstance(obj, (tuple, list)):
-                return all(_scan(v) for v in obj)
-            if isinstance(obj, dict):
-                return all(_scan(v) for v in obj.values())
-            return True
-
-        return _scan(self.state)
+        A Deferred only ever goes from pending to resolved, so the
+        first probe flattens the state once and each probe advances a
+        cursor past the resolved prefix: all probes of a round together
+        cost O(points), not O(points) each.
+        """
+        if self._deferreds is None:
+            self._deferreds = list(_iter_deferreds(self.state))
+        deferreds, i = self._deferreds, self._resolved
+        while i < len(deferreds) and deferreds[i].ready:
+            i += 1
+        self._resolved = i
+        return i == len(deferreds)
 
     def finish(self) -> list[FigureResult]:
         """Assemble the study's tables (requires the pipeline resolved)."""

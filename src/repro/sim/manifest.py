@@ -1,4 +1,4 @@
-"""Durable runs: an atomically-journaled manifest per CLI invocation.
+"""Durable runs: a checkpointed, append-only journal per CLI invocation.
 
 A killed ``all``/``scenario run`` used to restart from whatever the
 npz cache happened to hold — the cache deduplicates work, but nothing
@@ -11,25 +11,36 @@ story:
   config hash over the result-relevant arguments,
   :data:`repro.sim.plan.BACKEND_VERSION`, and a journal of plan keys
   with their fates (``computed`` / ``served`` / ``skipped``);
-* a :class:`RunRecorder` updates the manifest **atomically** (temp
-  file + ``os.replace`` + fsync) as the event-driven scheduler
-  delivers points, so the on-disk manifest is always a consistent
-  prefix of the run — a ``kill -9`` at any instant leaves a loadable
-  checkpoint;
+* a :class:`RunRecorder` journals each fate the event-driven scheduler
+  delivers as one fsynced ``[key, fate]`` JSON line appended to
+  ``<run>/fates.log`` — O(1) per point, whatever the run's size.
+  ``manifest.json`` is the compacted checkpoint: rewritten atomically
+  (temp file + fsync + ``os.replace``) when the run is created or
+  resumed, when the adaptive engine journals a decision, at
+  :meth:`~RunRecorder.finish` and when the recorder closes (any
+  Python-level exit, an injected crash included, leaves ``status``
+  ``running`` unless the run finished).  Each compaction folds the log
+  into the checkpoint and deletes it.  A ``kill -9`` at any instant
+  leaves checkpoint + log, and :meth:`RunManifest.load` replays the
+  log over the checkpoint to recover exactly the delivered prefix.  A
+  torn or unparsable line (a write the kill interrupted) ends the
+  replay: it and anything after it are never trusted, so those points
+  recompute;
 * on resume (``repro-experiments resume <run-id>``),
   :func:`validate_resume` re-derives the plan from the *current*
   world and checks every journaled fate against it — the REQ-10
   "checkpoint recovery integrity" pattern: a checkpoint faithfully
   restores internal state, but the world may have moved on.  A fate
   whose plan key still exists in the new plan and whose cache entry
-  verifies is **reused**; a key the new plan no longer produces
-  (code/config drift, ``BACKEND_VERSION`` bump) is **stale**; a key
-  whose cache entry is missing or corrupt is **invalidated** (the
-  corrupt entry is deleted so it reads as a clean miss).  Only
-  invalidated/stale work is recomputed, through the same event-driven
-  round — resumed output is byte-identical to an uninterrupted run
-  because the cache-served values are the very estimates the
-  interrupted run computed.
+  verifies is **reused** (served from the payload the verification
+  already read, so each reused entry is read from disk once); a key
+  the new plan no longer produces (code/config drift,
+  ``BACKEND_VERSION`` bump) is **stale**; a key whose cache entry is
+  missing or corrupt is **invalidated** (the corrupt entry is deleted
+  so it reads as a clean miss).  Only invalidated/stale work is
+  recomputed, through the same event-driven round — resumed output is
+  byte-identical to an uninterrupted run because the cache-served
+  values are the very estimates the interrupted run computed.
 
 The manifest never stores results — those live in the
 content-addressed :class:`~repro.sim.plan.ResultCache`, which is why
@@ -56,6 +67,7 @@ __all__ = [
     "manifest_path",
     "DEFAULT_RUNS_DIR",
     "MANIFEST_NAME",
+    "FATES_LOG_NAME",
 ]
 
 #: Default directory run manifests live under (one subdirectory per
@@ -64,6 +76,12 @@ __all__ = [
 DEFAULT_RUNS_DIR = ".repro-runs"
 
 MANIFEST_NAME = "manifest.json"
+
+#: Append-only fate log beside the manifest: one ``[key, fate]`` JSON
+#: line per delivered fate since the last compaction.
+FATES_LOG_NAME = "fates.log"
+
+_FATES = ("computed", "served", "skipped")
 
 #: Current manifest schema version (bumped on incompatible changes; a
 #: mismatched manifest refuses to resume rather than misvalidating).
@@ -114,6 +132,32 @@ def config_hash(argv: list[str] | tuple[str, ...]) -> str:
 
 def manifest_path(runs_dir: str | Path, run_id: str) -> Path:
     return Path(runs_dir) / run_id / MANIFEST_NAME
+
+
+def _read_fates_log(path: Path) -> dict[str, str]:
+    """The fates of the log's valid prefix, in append order (last wins).
+
+    Every complete line ends in a newline, so the text after the last
+    newline is a torn write and is dropped.  Replay also stops at the
+    first line that does not parse as ``[key, fate]``: a fate read from
+    a damaged log is never trusted, so those points recompute.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}
+    except OSError as exc:
+        raise ReproError(f"unreadable fate log {path}: {exc}") from None
+    fates: dict[str, str] = {}
+    for line in data.split(b"\n")[:-1]:
+        try:
+            key, fate = json.loads(line)
+        except (ValueError, TypeError):
+            break
+        if not isinstance(key, str) or fate not in _FATES:
+            break
+        fates[key] = fate
+    return fates
 
 
 @dataclass
@@ -203,6 +247,7 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
+        """The checkpoint at ``path`` with its fate log replayed over it."""
         path = Path(path)
         try:
             data = json.loads(path.read_text())
@@ -210,22 +255,31 @@ class RunManifest:
             raise ReproError(f"no run manifest at {path}") from None
         except (OSError, json.JSONDecodeError) as exc:
             raise ReproError(f"unreadable run manifest {path}: {exc}") from None
-        return cls.from_json(data)
+        manifest = cls.from_json(data)
+        manifest.fates.update(_read_fates_log(path.with_name(FATES_LOG_NAME)))
+        return manifest
 
 
 class RunRecorder:
-    """Journals a run's point fates into its manifest, atomically.
+    """Journals a run's point fates: an fsynced log line per fate.
 
     Designed as a ``SimulationPipeline.resolve`` ``on_event`` callback:
     every delivered :class:`~repro.experiments.pipeline.PointEvent`
-    carrying a plan key updates the fate map and rewrites the manifest
-    via temp file + ``os.replace`` (with an fsync), so a crash between
-    any two events leaves a consistent, loadable journal of exactly
-    the delivered prefix.
+    carrying a plan key that changes the fate map appends one
+    ``[key, fate]`` line to ``fates.log`` and fsyncs it, so a crash
+    between any two events leaves checkpoint + log holding exactly the
+    delivered prefix.  :meth:`write` compacts: it rewrites
+    ``manifest.json`` atomically and deletes the folded log.
+
+    Use the recorder as a context manager: leaving the block by any
+    route (an exception or an injected crash included) compacts the
+    journal, with ``status`` still ``running`` unless :meth:`finish`
+    ran.
     """
 
     def __init__(self, path: str | Path, manifest: RunManifest, metrics=None):
         self.path = Path(path)
+        self.log_path = self.path.with_name(FATES_LOG_NAME)
         self.manifest = manifest
         #: The invocation's metrics registry: the reused/recomputed
         #: counters live here (``resume_points{outcome}``); the
@@ -237,8 +291,17 @@ class RunRecorder:
         #: Fates journaled by previous (interrupted) rounds — the
         #: baseline the reused/recomputed accounting compares against.
         self._prior = dict(manifest.fates)
+        #: Append handle of the fate log; ``None`` while every journaled
+        #: fate is already in the checkpoint.
+        self._log = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.write()
+
+    def __enter__(self) -> "RunRecorder":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- construction ------------------------------------------------------
 
@@ -293,7 +356,7 @@ class RunRecorder:
         key = getattr(event, "key", None)
         if key is None:
             return
-        first = key not in self.manifest.fates or self.manifest.fates[key] != event.status
+        changed = self.manifest.fates.get(key) != event.status
         self.manifest.fates[key] = event.status
         prior = self._prior.get(key)
         if event.status == "computed" and prior == "computed":
@@ -303,8 +366,16 @@ class RunRecorder:
         elif event.status == "served" and prior in ("computed", "served"):
             self.manifest.reused += 1
             self._count("reused")
-        if first or event.status == "computed":
-            self.write()
+        if changed:
+            self._append(key, event.status)
+
+    def _append(self, key: str, fate: str) -> None:
+        """One durable log line: write, flush, fsync."""
+        if self._log is None:
+            self._log = open(self.log_path, "a")
+        self._log.write(json.dumps([key, fate]) + "\n")
+        self._log.flush()
+        os.fsync(self._log.fileno())
 
     def record_adaptive(self, journal: dict) -> None:
         """Journal the adaptive engine's staging/stopping decisions.
@@ -323,8 +394,18 @@ class RunRecorder:
         self.manifest.status = status
         self.write()
 
+    def close(self) -> None:
+        """Compact fates logged since the last checkpoint (status kept)."""
+        if self._log is not None:
+            self.write()
+
     def write(self) -> None:
-        """Atomic rewrite: temp + fsync + ``os.replace``."""
+        """Compact: atomic checkpoint rewrite, then delete the folded log.
+
+        The checkpoint (temp + fsync + ``os.replace``) lands before the
+        log goes, so a crash in between leaves a log whose fates the
+        checkpoint already holds — replaying it changes nothing.
+        """
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         payload = json.dumps(self.manifest.to_json(), indent=1, sort_keys=True)
         with open(tmp, "w") as handle:
@@ -332,6 +413,13 @@ class RunRecorder:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+        try:
+            self.log_path.unlink()
+        except FileNotFoundError:
+            pass
 
 
 @dataclass(frozen=True)
@@ -404,7 +492,7 @@ def validate_resume(
         if key not in pending_keys:
             stale.append(key)
             continue
-        ok, reason = cache.verify_entry(key)
+        ok, reason = cache.verify_entry(key, retain=True)
         if ok:
             reusable.append(key)
         elif reason == "missing":

@@ -495,6 +495,10 @@ class ResultCache:
         # attaches its trace writer and metrics registry.
         self.trace = None
         self.metrics = None
+        #: key -> payload that :meth:`verify_entry` read with
+        #: ``retain=True``; the next get serves (and drops) it instead
+        #: of reading the file a second time.
+        self._verified: dict[str, dict] = {}
 
     def bind_obs(self, trace, metrics) -> None:
         """Attach a run's trace writer / metrics registry to this cache.
@@ -517,17 +521,23 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.npz"
 
+    @staticmethod
+    def _read(path: Path) -> dict:
+        """Every array of one entry, force-read (a truncated payload raises)."""
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name][()] for name in data.files}
+
     def _load(self, key: str, kind: str) -> dict | None:
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if str(data["kind"][()]) != kind:
-                    return None
-                return {name: data[name][()] for name in data.files}
-        except Exception:
-            return None  # corrupt or foreign file: treat as a miss
+        data = self._verified.pop(key, None)
+        if data is None:
+            path = self._path(key)
+            if not path.exists():
+                return None
+            try:
+                data = self._read(path)
+            except Exception:
+                return None  # corrupt or foreign file: treat as a miss
+        return data if str(data.get("kind")) == kind else None
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists for ``key`` (no hit/miss accounting).
@@ -542,14 +552,17 @@ class ResultCache:
     #: Entry kinds this cache writes (anything else is a foreign file).
     _KINDS = ("estimate", "value")
 
-    def verify_entry(self, key: str) -> tuple[bool, str]:
+    def verify_entry(self, key: str, retain: bool = False) -> tuple[bool, str]:
         """Integrity-check one entry without hit/miss accounting.
 
         Returns ``(True, "ok")`` for a fully readable entry,
         ``(False, "missing")`` when no file exists, and
         ``(False, <reason>)`` for a truncated/corrupt/foreign file.
         Every array is force-read, so a file truncated mid-payload is
-        caught, not just a mangled header.
+        caught, not just a mangled header.  With ``retain`` a good
+        entry's payload is kept for the next get of ``key``, which
+        serves it without reading the file again (a resume verifies
+        every entry it is about to serve).
         """
         path = self._path(key)
         if not path.exists():
@@ -557,16 +570,16 @@ class ResultCache:
         if path.stat().st_size == 0:
             return False, "empty file"
         try:
-            with np.load(path, allow_pickle=False) as data:
-                kind = str(data["kind"][()])
-                if kind not in self._KINDS:
-                    return False, f"unknown entry kind {kind!r}"
-                for name in data.files:
-                    data[name]  # force-read: catches truncated payloads
+            data = self._read(path)
+            kind = str(data["kind"])
         except KeyError:
             return False, "no 'kind' field (foreign file)"
         except Exception as exc:
             return False, f"unreadable ({type(exc).__name__}: {exc})"
+        if kind not in self._KINDS:
+            return False, f"unknown entry kind {kind!r}"
+        if retain:
+            self._verified[key] = data
         return True, "ok"
 
     def verify(self) -> tuple[list["CacheEntry"], list[tuple["CacheEntry", str]]]:
@@ -588,6 +601,7 @@ class ResultCache:
 
     def invalidate(self, key: str) -> bool:
         """Delete one entry (a corrupt checkpoint must read as a miss)."""
+        self._verified.pop(key, None)
         try:
             self._path(key).unlink()
             return True

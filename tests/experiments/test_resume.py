@@ -11,13 +11,20 @@ exactly the affected keys.  Everything here drives the real CLI
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 import repro.sim.manifest as manifest_mod
 import repro.sim.plan as plan_mod
 from repro.experiments.runner import main
 from repro.sim.faults import CRASH_EXIT_CODE
+from repro.sim.manifest import FATES_LOG_NAME, RunRecorder
 
 #: Tiny but non-trivial fidelity: enough points for a mid-run crash.
 FAST_ARGS = ["--runs", "4", "--patterns", "3"]
@@ -33,6 +40,10 @@ def _strip_volatile(text: str) -> str:
 
 def _manifest(runs_dir, run_id) -> dict:
     return json.loads((runs_dir / run_id / "manifest.json").read_text())
+
+
+def _run_files(tmp_path, run_id="r1") -> list[str]:
+    return sorted(p.name for p in (tmp_path / "runs" / run_id).iterdir())
 
 
 def _run_args(tmp_path, run_id="r1"):
@@ -57,6 +68,8 @@ class TestCrashResume:
         manifest = _manifest(tmp_path / "runs", "r1")
         assert manifest["status"] == "running"
         assert len(manifest["fates"]) == 3  # exactly the delivered prefix
+        # The crash compacted the fate log into the checkpoint on exit.
+        assert _run_files(tmp_path) == ["manifest.json"]
 
         # Resume through the dedicated command: replays the stored argv
         # (minus the one-shot fault plan) with --resume appended.
@@ -70,6 +83,7 @@ class TestCrashResume:
         assert manifest["status"] == "complete"
         assert manifest["recomputed"] == 0  # zero duplicate computations
         assert manifest["reused"] == 3  # the crashed run's work, reused
+        assert _run_files(tmp_path) == ["manifest.json"]
 
     def test_clean_second_resume_recomputes_nothing(self, tmp_path, capsys):
         assert main(_run_args(tmp_path)) == 0
@@ -117,6 +131,75 @@ class TestCrashResume:
         # top of a journaled computed fate) — rebuilding an invalidated
         # entry is that, and it is the only one.
         assert manifest["recomputed"] == 1
+
+
+class TestHardKill:
+    """A kill -9 skips every exit path: no compaction, only the fate log."""
+
+    def _hard_killed(self, tmp_path, monkeypatch, crash_after=3):
+        with monkeypatch.context() as patch:
+            patch.setattr(RunRecorder, "close", lambda self: None)
+            assert main(_run_args(tmp_path)
+                        + ["--fault-plan", f"crash-after={crash_after}"]) \
+                == CRASH_EXIT_CODE
+        checkpoint = _manifest(tmp_path / "runs", "r1")
+        assert checkpoint["status"] == "running"
+        assert checkpoint["fates"] == {}  # nothing compacted since create
+        return tmp_path / "runs" / "r1" / FATES_LOG_NAME
+
+    def test_resumes_byte_identical_from_checkpoint_plus_log(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert main(["fig5", *FAST_ARGS]) == 0
+        golden = _strip_volatile(capsys.readouterr().out)
+        log = self._hard_killed(tmp_path, monkeypatch)
+        assert len(log.read_text().splitlines()) == 3
+        capsys.readouterr()
+        assert main(["resume", "r1", "--runs-dir", str(tmp_path / "runs")]) == 0
+        captured = capsys.readouterr()
+        assert "3 reusable from cache" in captured.err
+        assert _strip_volatile(captured.out) == golden
+        manifest = _manifest(tmp_path / "runs", "r1")
+        assert manifest["status"] == "complete"
+        assert (manifest["reused"], manifest["recomputed"]) == (3, 0)
+        assert _run_files(tmp_path) == ["manifest.json"]
+
+    def test_torn_tail_is_not_trusted(self, tmp_path, capsys, monkeypatch):
+        assert main(["fig5", *FAST_ARGS]) == 0
+        golden = _strip_volatile(capsys.readouterr().out)
+        log = self._hard_killed(tmp_path, monkeypatch)
+        data = log.read_bytes()
+        log.write_bytes(data[: len(data) - 6])  # tear the last line
+        capsys.readouterr()
+        assert main(_run_args(tmp_path) + ["--resume"]) == 0
+        captured = capsys.readouterr()
+        assert "2 reusable from cache" in captured.err
+        assert _strip_volatile(captured.out) == golden
+        manifest = _manifest(tmp_path / "runs", "r1")
+        assert (manifest["reused"], manifest["recomputed"]) == (2, 0)
+
+
+class TestResumeReads:
+    def test_each_reusable_entry_is_read_once(self, tmp_path, capsys, monkeypatch):
+        assert main(_run_args(tmp_path) + ["--fault-plan", "crash-after=3"]) \
+            == CRASH_EXIT_CODE
+        journaled = set(_manifest(tmp_path / "runs", "r1")["fates"])
+        loads: dict[str, int] = {}
+        real = np.load
+
+        def counting(file, *args, **kwargs):
+            stem = Path(file).stem
+            loads[stem] = loads.get(stem, 0) + 1
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(plan_mod.np, "load", counting)
+        capsys.readouterr()
+        assert main(_run_args(tmp_path) + ["--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "3 reusable from cache" in err
+        # Verified once, then served from the verified payload.
+        assert loads == {key: 1 for key in journaled}
+        assert _manifest(tmp_path / "runs", "r1")["reused"] == 3
 
 
 class TestBackendBumpInvalidation:
@@ -190,6 +273,29 @@ class TestCliValidation:
         with pytest.raises(SystemExit, match="needs a result cache"):
             main(["fig5", *FAST_ARGS, "--run-id", "x",
                   "--runs-dir", str(tmp_path / "runs")])
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--no-cache", "--run-id", "q", "--trace"],
+             "--run-id needs a result cache"),
+            (["--cache-dir", "c", "--resume", "--trace"],
+             "--resume requires --run-id"),
+        ],
+    )
+    def test_journal_flag_errors_fail_before_any_side_effect(
+        self, tmp_path, flags, message
+    ):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "fig5", *FAST_ARGS, *flags],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.strip().startswith(message)
+        assert result.stdout == ""  # refused before declaring any study
+        assert list(tmp_path.iterdir()) == []  # no cache, runs dir or trace
 
     def test_rerun_without_resume_refuses(self, tmp_path, capsys):
         assert main(_run_args(tmp_path)) == 0

@@ -30,6 +30,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig2", "--platform", "Summit"])
 
+    @pytest.mark.parametrize("flag", ["--runs", "--patterns"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["fig5"], ["scenario", "report", "x.toml"]])
+    def test_rejects_non_positive_budgets(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith(
+            f"error: argument {flag}: must be a positive integer, got {int(value)}"
+        )
+
 
 class TestExecution:
     def test_tables_output(self, capsys):

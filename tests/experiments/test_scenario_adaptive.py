@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.experiments.common import FigureResult
+from repro.experiments.pipeline import Deferred
 from repro.experiments.runner import main
 from repro.experiments.scenarios import (
     AdaptivePolicy,
@@ -35,6 +37,8 @@ from repro.experiments.scenarios import (
     aggregate_results,
 )
 from repro.experiments.scenarios.transforms import Jitter
+from repro.experiments.spec import StagedStudy
+from repro.sim.executors import Executor, JobFuture
 from repro.sim.faults import CRASH_EXIT_CODE
 
 GOLDEN = Path(__file__).parent / "goldens" / "scenario_fig5_adaptive_bands.txt"
@@ -495,3 +499,123 @@ class TestAdaptiveEngine:
         # band_tol=1e9 converges everything at the first delta: wave 1
         # is the last, and every row stopped there.
         assert set(family.converged.values()) == {1}
+
+
+# -- incremental emit readiness ----------------------------------------------
+
+
+def _scan_ready(obj) -> bool:
+    """Reference probe: rescan the whole state, as ready() once did."""
+    if isinstance(obj, Deferred):
+        return obj.ready
+    if isinstance(obj, (tuple, list)):
+        return all(_scan_ready(v) for v in obj)
+    if isinstance(obj, dict):
+        return all(_scan_ready(v) for v in obj.values())
+    return True
+
+
+class _ShuffledExecutor(Executor):
+    """Completes submitted jobs in seeded random order."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._waiting: list[JobFuture] = []
+
+    def submit(self, fn, item, tag=None):
+        future = JobFuture(fn, item, tag)
+        self._waiting.append(future)
+        return future
+
+    def next_completed(self):
+        if not self._waiting:
+            return None
+        future = self._waiting.pop(int(self._rng.integers(len(self._waiting))))
+        future._run_inline()
+        return future
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestIncrementalReadiness:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_staged_study_flips_exactly_on_the_last_deferred(self, seed):
+        values = [Deferred() for _ in range(10)]
+        state = {
+            "rows": [values[0], (values[1], 2.5)],
+            "panel": {"cells": values[2:6], "note": "x"},
+            "tail": tuple(values[6:]),
+        }
+        study = StagedStudy(ctx=None, state=state, n_pending=len(values))
+        order = np.random.default_rng(seed).permutation(len(values))
+        for step, index in enumerate(order):
+            assert not study.ready()
+            values[index]._set(float(index))
+            assert study.ready() == _scan_ready(state) == (step == len(values) - 1)
+        assert study.ready()
+
+    def test_a_state_without_deferreds_is_ready(self):
+        assert StagedStudy(ctx=None, state={"rows": [(1.0, "a")]}, n_pending=0).ready()
+
+    def _pipeline(self, seed):
+        from repro.experiments.pipeline import SimulationPipeline
+
+        return SimulationPipeline(executor=_ShuffledExecutor(seed), max_inflight=4)
+
+    def _settings(self):
+        from repro.experiments.common import SimSettings
+        from repro.sim.montecarlo import Fidelity
+
+        return SimSettings(fidelity=Fidelity(n_runs=3, n_patterns=4))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fixed_families_match_a_full_rescan(self, seed):
+        from repro.experiments.registry import REGISTRY
+
+        sset = ScenarioSet("tiny", REGISTRY["fig5"], [Resample(3)])
+        flips = []
+        with self._pipeline(seed) as pipe:
+            (family,) = sset.stage(pipe, self._settings())
+
+            def on_event(event):
+                for stage in family.staged:
+                    assert stage.ready() == _scan_ready(stage.state)
+                expected = all(_scan_ready(s.state) for s in family.staged)
+                assert family.ready() == expected
+                flips.append(expected)
+
+            pipe.resolve(on_event=on_event)
+        # Ready exactly once the last point landed, never before.
+        assert flips[-1] and not any(flips[:-1])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_adaptive_waves_staged_mid_round_match_a_full_rescan(self, seed):
+        from repro.experiments.registry import REGISTRY
+        from repro.experiments.scenarios import AdaptiveRun
+
+        policy = AdaptivePolicy(min_replicates=2, max_replicates=4, wave=1,
+                                band_tol=1e-12, stable_waves=3)
+        sset = ScenarioSet("tiny", REGISTRY["fig5"], [Resample(4)])
+        probes = 0
+        with self._pipeline(seed) as pipe:
+            run = AdaptiveRun(sset, policy, pipe, self._settings())
+            run.stage_initial()
+
+            def on_event(event):
+                nonlocal probes
+                for family in run.families:
+                    for wave in family.waves:
+                        for stage in wave.staged:
+                            assert stage.ready() == _scan_ready(stage.state)
+                        assert wave.ready() == all(
+                            _scan_ready(s.state) for s in wave.staged
+                        )
+                        probes += 1
+                run.on_event(event)
+
+            pipe.resolve(on_event=on_event, on_round=run.on_round)
+            run.finalize()
+        (family,) = run.families
+        assert len(family.waves) == 3  # waves 1 and 2 were staged mid-round
+        assert all(wave.ready() for wave in family.waves) and probes

@@ -1,15 +1,19 @@
-"""Run manifests: atomic journaling, config hashing, resume validation."""
+"""Run manifests: checkpoint + fate log, config hashing, resume validation."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
 from repro.sim import plan as plan_mod
+from repro.sim.faults import SimulatedCrash
 from repro.sim.manifest import (
     DEFAULT_RUNS_DIR,
+    FATES_LOG_NAME,
     RunManifest,
     RunRecorder,
     config_hash,
@@ -17,6 +21,7 @@ from repro.sim.manifest import (
     validate_resume,
 )
 from repro.sim.plan import ResultCache
+from repro.sim.results import OverheadEstimate
 
 
 class _Event:
@@ -125,13 +130,97 @@ class TestRecorder:
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         recorder = RunRecorder.create(tmp_path, "r1", ["cmd"])
+        run_dir = recorder.path.parent
+
+        def siblings():
+            return sorted(p.name for p in run_dir.iterdir() if p != recorder.path)
+
         for i in range(5):
             recorder.on_event(_Event(f"k{i}", "computed"))
-        leftovers = [
-            p for p in recorder.path.parent.iterdir() if p.name != recorder.path.name
-        ]
-        assert leftovers == []
+            assert siblings() == [FATES_LOG_NAME]  # the log, never a temp
+        recorder.record_adaptive({"policy": {}})  # a mid-run compaction
+        assert siblings() == []
+        recorder.on_event(_Event("k5", "computed"))
+        assert siblings() == [FATES_LOG_NAME]
+        recorder.finish()
+        assert siblings() == []
         json.loads(recorder.path.read_text())  # always valid JSON
+
+    def test_one_log_line_per_fate_change(self, tmp_path):
+        recorder = RunRecorder.create(tmp_path, "r1", ["cmd"])
+        checkpoint = recorder.path.read_bytes()
+        for status in ("computed", "computed", "served", "served"):
+            recorder.on_event(_Event("k1", status))
+        lines = (recorder.path.parent / FATES_LOG_NAME).read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            ["k1", "computed"], ["k1", "served"],
+        ]
+        # Journaling a fate appends; it never rewrites the checkpoint.
+        assert recorder.path.read_bytes() == checkpoint
+        recorder.close()
+
+
+class TestFateLog:
+    def _abandoned(self, tmp_path, n):
+        """A run hard-killed after ``n`` fates: no close, no compaction."""
+        recorder = RunRecorder.create(tmp_path, "r1", ["cmd"])
+        for i in range(n):
+            recorder.on_event(_Event(f"k{i}", "computed"))
+        recorder._log.close()  # the kill: the handle dies, nothing compacts
+        return recorder.path
+
+    def test_hard_kill_recovers_the_delivered_prefix(self, tmp_path):
+        path = self._abandoned(tmp_path, 4)
+        assert json.loads(path.read_text())["fates"] == {}  # checkpoint only
+        loaded = RunManifest.load(path)
+        assert loaded.fates == {f"k{i}": "computed" for i in range(4)}
+        assert loaded.status == "running"
+
+    def test_resume_compacts_a_hard_killed_log(self, tmp_path):
+        path = self._abandoned(tmp_path, 3)
+        resumed = RunRecorder.resume(tmp_path, "r1", ["cmd"])
+        assert not (path.parent / FATES_LOG_NAME).exists()
+        assert json.loads(path.read_text())["fates"] == resumed.manifest.fates
+        resumed.on_event(_Event("k0", "served"))
+        assert resumed.manifest.reused == 1
+        resumed.close()
+
+    @pytest.mark.parametrize("tail", [b'["k3", "comp', b'["k3", "computed"]'])
+    def test_torn_last_line_is_ignored(self, tmp_path, tail):
+        path = self._abandoned(tmp_path, 3)
+        with open(path.parent / FATES_LOG_NAME, "ab") as handle:
+            handle.write(tail)  # no newline: the kill tore this write
+        loaded = RunManifest.load(path)
+        assert loaded.fates == {"k0": "computed", "k1": "computed", "k2": "computed"}
+
+    def test_unparsable_line_ends_the_replay(self, tmp_path):
+        path = self._abandoned(tmp_path, 1)
+        with open(path.parent / FATES_LOG_NAME, "ab") as handle:
+            handle.write(b'garbage\n["k9", "computed"]\n["k8", "bogus"]\n')
+        assert RunManifest.load(path).fates == {"k0": "computed"}
+
+    def test_crash_inside_the_block_compacts_as_running(self, tmp_path):
+        with pytest.raises(SimulatedCrash):
+            with RunRecorder.create(tmp_path, "r1", ["cmd"]) as recorder:
+                recorder.on_event(_Event("k1", "computed"))
+                raise SimulatedCrash("injected")
+        assert [p.name for p in recorder.path.parent.iterdir()] == ["manifest.json"]
+        on_disk = json.loads(recorder.path.read_text())
+        assert on_disk["status"] == "running"
+        assert on_disk["fates"] == {"k1": "computed"}
+
+    def test_finish_then_close_writes_once(self, tmp_path, monkeypatch):
+        writes = []
+        with RunRecorder.create(tmp_path, "r1", ["cmd"]) as recorder:
+            monkeypatch.setattr(
+                RunRecorder, "write",
+                lambda self, _w=RunRecorder.write: (writes.append(1), _w(self)),
+            )
+            recorder.on_event(_Event("k1", "computed"))
+            recorder.finish()
+        assert len(writes) == 1  # closing a finished journal is free
+        assert [p.name for p in recorder.path.parent.iterdir()] == ["manifest.json"]
+        assert RunManifest.load(recorder.path).status == "complete"
 
 
 class TestValidateResume:
@@ -186,6 +275,65 @@ class TestValidateResume:
         cache = ResultCache(tmp_path)
         report = validate_resume(self._manifest({}), [], cache)
         assert all(line.startswith("[resume]") for line in report.lines())
+
+
+class TestVerifyOnceServe:
+    """A resume reads each reusable entry once: verify, then serve."""
+
+    def _loads(self, monkeypatch) -> list[str]:
+        loads: list[str] = []
+        real = np.load
+
+        def counting(file, *args, **kwargs):
+            loads.append(Path(file).stem)
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(plan_mod.np, "load", counting)
+        return loads
+
+    def _cache(self, tmp_path) -> ResultCache:
+        cache = ResultCache(tmp_path)
+        cache.put_estimate("est", OverheadEstimate(
+            mean=1.5, std=0.1, stderr=0.01, ci_low=1.4, ci_high=1.6, n_runs=4))
+        cache.put_value("val", 2.0)
+        cache.put_value("bad", 3.0)
+        cache._path("bad").write_bytes(b"torn")
+        return cache
+
+    def test_reusable_entries_are_served_without_a_second_read(
+        self, tmp_path, monkeypatch
+    ):
+        cache = self._cache(tmp_path)
+        manifest = RunManifest(run_id="r", argv=("cmd",))
+        manifest.fates.update(est="computed", val="computed", bad="computed")
+        loads = self._loads(monkeypatch)
+        report = validate_resume(manifest, ["est", "val", "bad"], cache)
+        assert report.reusable == ("est", "val")
+        assert sorted(loads) == ["bad", "est", "val"]  # the verification reads
+        loads.clear()
+        assert cache.get_estimate("est").mean == 1.5
+        assert cache.get_value("val") == 2.0
+        assert cache.get_value("bad") is None  # invalidated: a clean miss
+        assert loads == []
+        assert (cache.hits, cache.misses) == (2, 1)
+        # Each payload is dropped on first serve: the next get reads disk.
+        assert cache.get_value("val") == 2.0
+        assert loads == ["val"]
+
+    def test_cache_verify_retains_nothing(self, tmp_path, monkeypatch):
+        cache = self._cache(tmp_path)
+        ok, corrupt = cache.verify()
+        assert [entry.key for entry, _ in corrupt] == ["bad"]
+        loads = self._loads(monkeypatch)
+        assert cache.get_estimate("est").mean == 1.5
+        assert cache.get_value("val") == 2.0
+        assert sorted(loads) == ["est", "val"]
+
+    def test_a_retained_payload_keeps_its_kind(self, tmp_path):
+        cache = self._cache(tmp_path)
+        assert cache.verify_entry("val", retain=True) == (True, "ok")
+        assert cache.get_estimate("val") is None  # a value is not an estimate
+        assert cache.misses == 1
 
 
 def test_default_runs_dir_is_hidden():
