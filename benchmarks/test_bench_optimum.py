@@ -10,9 +10,11 @@ cross-replicate memo that serves repeated cells without recompute.
 
 The acceptance workload is the Figure 5 scenario-family analytic pass
 (3 resampled replicates of the 27-cell error-rate grid, no
-simulation): the batched+memoized engine must beat the scalar path
-(``REPRO_ANALYTIC_BATCH=0``) by ``REPRO_BENCH_OPTIMUM_FLOOR`` (default
-5x; the measured gain is ~3x memo x ~4x batch).  The workload is pure
+simulation): the batched+memoized engine must beat the historical
+scalar loop (one ``optimal_pattern`` + ``optimize_allocation`` per
+cell, no memo — installed by :func:`_forced_scalar`) by
+``REPRO_BENCH_OPTIMUM_FLOOR`` (default 5x; the measured gain is ~3x
+memo x ~4x batch).  The workload is pure
 single-process compute, so the bench is 1-CPU-safe: the gain measures
 vectorization and dedup, not parallelism.  An exact assertion pins the
 emitted tables of both modes byte-identical — the engine trades only
@@ -24,14 +26,21 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 
+from repro.core import optimal_pattern
+from repro.exceptions import ValidityError
+from repro.experiments.analytic import AnalyticPoint
 from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
+from repro.experiments.runner import main
 from repro.experiments.scenarios import Resample, ScenarioSet
 from repro.experiments.spec import run_study
+from repro.optimize.allocation import optimize_allocation
 
 #: Batched-over-scalar floor on the analytic pass (measured ~12x; the
 #: floor derates for noisy CI hardware while still catching a broken
@@ -82,19 +91,35 @@ def _timed(fn, repeats: int = 2):
     return best, payload
 
 
+def _scalar_point(model) -> AnalyticPoint:
+    """One cell through the scalar optimisers (the baseline's unit of work)."""
+    try:
+        fo = optimal_pattern(model)
+    except ValidityError:
+        fo = None
+    num = optimize_allocation(model)
+    return AnalyticPoint(
+        P_fo=fo.processors if fo is not None else None,
+        T_fo=fo.period if fo is not None else None,
+        H_pred_fo=fo.overhead if fo is not None else None,
+        P_num=num.processors,
+        T_num=num.period,
+        H_pred_num=num.overhead,
+    )
+
+
 def _forced_scalar(fn):
-    """Run ``fn`` with the batch engine switched off."""
+    """Run ``fn`` with the scalar loop in place of the batch engine + memo."""
 
     def wrapped():
-        previous = os.environ.get("REPRO_ANALYTIC_BATCH")
-        os.environ["REPRO_ANALYTIC_BATCH"] = "0"
+        engine = SimulationPipeline.evaluate_analytic
+        SimulationPipeline.evaluate_analytic = (
+            lambda self, models: [_scalar_point(m) for m in models]
+        )
         try:
             return fn()
         finally:
-            if previous is None:
-                del os.environ["REPRO_ANALYTIC_BATCH"]
-            else:
-                os.environ["REPRO_ANALYTIC_BATCH"] = previous
+            SimulationPipeline.evaluate_analytic = engine
 
     return wrapped
 
@@ -106,8 +131,9 @@ def test_batched_analytic_pass_speedup(wallclock_assertions):
 
     # Exact: the engine changes wall-clock only, never a table byte.
     assert batch_tables == scalar_tables
-    # The scalar path bypasses the engine entirely; the batch path
-    # evaluates each unique cell once and memo-serves the replicates.
+    # The scalar loop bypasses the engine and its memo entirely; the
+    # batch path evaluates each unique cell once and memo-serves the
+    # replicates.
     assert scalar_counts == {"evaluated": 0, "served": 0}
     assert batch_counts == {"evaluated": 27, "served": 54}
 
@@ -146,3 +172,17 @@ def test_single_study_engine_gain():
         f"\n  single fig5 grid: scalar {t_scalar * 1e3:.0f} ms, "
         f"batched {t_batch * 1e3:.0f} ms, gain {t_scalar / t_batch:.2f}x"
     )
+
+
+def test_all_no_sim_wallclock(wallclock_assertions):
+    """Record the analytic-only full evaluation (the CLI's fast path)."""
+    start = time.perf_counter()
+    with redirect_stdout(StringIO()) as out:
+        code = main(["all", "--no-sim"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "[done in" in out.getvalue()
+    RESULTS["all_no_sim_seconds"] = elapsed
+    print(f"\n  all --no-sim: {elapsed:.2f} s")
+    # Generous ceiling: catches pathological regressions, not noise.
+    assert elapsed < 60.0

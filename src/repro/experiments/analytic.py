@@ -17,16 +17,14 @@ repeats without recompute, within one run (always) and across runs
 (persisted to ``analytic_memo.json`` inside the pipeline's cache
 directory, so ``--no-cache`` also disables persistence).
 
-``REPRO_ANALYTIC_BATCH=0`` forces the historical per-point scalar path
-(no batching, no memo) — the benchmark baseline and the CI parity smoke
-flip this switch to prove the default path changes nothing but speed.
+The per-cell scalar optimisers remain the parity oracle: the test suite
+checks every study's ``--no-sim`` tables against them byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,28 +32,21 @@ from pathlib import Path
 import numpy as np
 
 from ..core.costs import CheckpointCost, VerificationCost
-from ..core.first_order import optimal_pattern, optimal_pattern_batch
+from ..core.first_order import optimal_pattern_batch
 from ..core.speedup import AmdahlSpeedup
-from ..exceptions import ValidityError
-from ..optimize.allocation import optimize_allocation, optimize_allocation_batch
+from ..optimize.allocation import optimize_allocation_batch
 
 __all__ = [
     "ANALYTIC_VERSION",
     "AnalyticPoint",
     "AnalyticMemo",
     "model_key",
-    "batch_enabled",
     "evaluate_analytic",
 ]
 
 #: Bump when the optimisers' numerics change: persisted memo entries
 #: from another version are discarded wholesale on load.
 ANALYTIC_VERSION = 1
-
-
-def batch_enabled() -> bool:
-    """Whether the batched analytic engine is on (default: yes)."""
-    return os.environ.get("REPRO_ANALYTIC_BATCH", "1") != "0"
 
 
 @dataclass(frozen=True)
@@ -194,26 +185,7 @@ class AnalyticMemo:
         self._dirty = False
 
 
-def _scalar_point(model) -> AnalyticPoint:
-    """Historical per-cell evaluation (the ``REPRO_ANALYTIC_BATCH=0`` path)."""
-    try:
-        fo = optimal_pattern(model)
-    except ValidityError:
-        fo = None
-    num = optimize_allocation(model)
-    return AnalyticPoint(
-        P_fo=fo.processors if fo is not None else None,
-        T_fo=fo.period if fo is not None else None,
-        H_pred_fo=fo.overhead if fo is not None else None,
-        P_num=num.processors,
-        T_num=num.period,
-        H_pred_num=num.overhead,
-    )
-
-
 def _evaluate_models(models) -> list[AnalyticPoint]:
-    if not batch_enabled():
-        return [_scalar_point(m) for m in models]
     fos = optimal_pattern_batch(models)
     nums = optimize_allocation_batch(models)
     return [
@@ -236,8 +208,7 @@ def evaluate_analytic(
 
     Models are deduplicated by :func:`model_key` both against ``memo``
     and within the call, then the remaining unique models go through
-    the batch engine in one sweep (or the scalar loop when
-    ``REPRO_ANALYTIC_BATCH=0``).
+    the batch engine in one sweep.
 
     Returns
     -------

@@ -40,7 +40,6 @@ class SimSettings:
     fidelity: Fidelity = FAST
     seed: int = DEFAULT_SEED
     method: str = "auto"
-    workers: int | None = None
 
     def budget(self) -> tuple[int, int]:
         return self.fidelity.n_runs, self.fidelity.n_patterns
@@ -68,7 +67,6 @@ def simulate_mean(
         n_patterns=n_patterns,
         seed=settings.seed,
         method=settings.method,
-        workers=settings.workers,
     )
     return est.mean
 

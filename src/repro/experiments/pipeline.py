@@ -3,7 +3,7 @@
 Figure modules used to call :func:`repro.experiments.common.simulate_mean`
 once per (scenario, x-point) — hundreds of small, strictly sequential
 ``simulate_overhead`` calls per full evaluation, each paying its own
-chunk-plan and (with ``--workers``) process-pool setup.  This module
+chunk-plan setup and none of them shared or cached.  This module
 batches them:
 
 * a figure declares every Monte-Carlo point of its sweep up front by
@@ -128,16 +128,14 @@ class PointEvent:
     key: str | None = None
 
 
-def private_pipeline(settings: "SimSettings") -> "SimulationPipeline":
+def private_pipeline() -> "SimulationPipeline":
     """A figure module's fallback pipeline when none was passed in.
 
-    Sized from ``settings.workers`` so a direct ``run(...)`` call with
-    ``SimSettings(workers=N)`` keeps its pre-pipeline parallelism (one
-    pool for the whole sweep instead of one per point); serial
-    otherwise.  The creator must :meth:`SimulationPipeline.close` it
-    after resolving.
+    Serial and uncached; callers wanting a process pool or a disk
+    cache pass their own :class:`SimulationPipeline`.  The creator must
+    :meth:`SimulationPipeline.close` it after resolving.
     """
-    return SimulationPipeline(jobs=settings.workers if settings.workers else 1)
+    return SimulationPipeline()
 
 
 def materialize(obj):
@@ -151,6 +149,11 @@ def materialize(obj):
     if isinstance(obj, dict):
         return {k: materialize(v) for k, v in obj.items()}
     return obj
+
+
+def _point_key(kind: str, item) -> str:
+    """The plan key of one pending declaration (request or call)."""
+    return request_key(item) if kind == "request" else call_key(*item)
 
 
 class SimulationPipeline:
@@ -231,24 +234,12 @@ class SimulationPipeline:
         #: Label attached to subsequently declared points (the staging
         #: engine sets it to the study name around each declare phase).
         self.current_group: str | None = None
-        self.points_submitted = 0
-        self.points_computed = 0
-        self.points_skipped = 0
         #: Scheduling rounds resolved so far (trace round numbering).
         self._rounds = 0
 
     @property
-    def pool(self):
-        """The executor's pool (or the executor itself when serial).
-
-        Kept for callers sized off ``pipeline.pool.workers``; dispatch
-        goes through :attr:`executor`.
-        """
-        return getattr(self.executor, "pool", self.executor)
-
-    @property
     def pending_points(self) -> int:
-        """Declared-but-unresolved points (see :meth:`resolve`'s ``count``)."""
+        """Declared-but-unresolved points."""
         return len(self._pending)
 
     # -- declaring work ----------------------------------------------------
@@ -273,11 +264,9 @@ class SimulationPipeline:
             n_patterns=n_patterns,
             seed=settings.seed,
             method=settings.method,
-            workers=settings.workers,
         )
         deferred = Deferred()
         self._pending.append(("request", request, deferred, self.current_group))
-        self.points_submitted += 1
         return deferred
 
     def call(self, fn: Callable, *args, **kwargs) -> Deferred:
@@ -290,7 +279,6 @@ class SimulationPipeline:
         """
         deferred = Deferred()
         self._pending.append(("call", (fn, args, kwargs), deferred, self.current_group))
-        self.points_submitted += 1
         return deferred
 
     def evaluate_analytic(self, models) -> list:
@@ -331,11 +319,7 @@ class SimulationPipeline:
         keys: list[str] = []
         seen: set[str] = set()
         for kind, item, _, _ in self._pending:
-            if kind == "request":
-                key = request_key(item)
-            else:
-                fn, args, kwargs = item
-                key = call_key(fn, args, kwargs)
+            key = _point_key(kind, item)
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
@@ -400,11 +384,7 @@ class SimulationPipeline:
         for kind, item, _, group in self._pending:
             entry = _entry(group if group is not None else "(ungrouped)")
             entry["points"].inc()
-            if kind == "request":
-                key = request_key(item)
-            else:
-                fn, args, kwargs = item
-                key = call_key(fn, args, kwargs)
+            key = _point_key(kind, item)
             if key in served:
                 # A later declaration of an already-classified key: it
                 # shares its representative's fate, whichever study
@@ -436,7 +416,6 @@ class SimulationPipeline:
 
     def resolve(
         self,
-        count: int | None = None,
         max_inflight: int | None = None,
         on_event: Callable[[PointEvent], None] | None = None,
         on_round: Callable[[], object] | None = None,
@@ -444,11 +423,9 @@ class SimulationPipeline:
         """Schedule pending points; deferreds fill as futures complete.
 
         Incremental: only points declared since the last resolve run;
-        the executor and caches persist across rounds.  ``count``
-        restricts the round to the first ``count`` pending points (in
-        declaration order) — kept for wave-style callers; the CLI
-        runner schedules *everything* in one round and relies on
-        ``on_event`` firing per resolved declaration to stream output.
+        the executor and caches persist across rounds.  ``on_event``
+        fires once per resolved declaration — the CLI runner streams
+        its output from it.
 
         ``on_round`` turns one resolve call into a *staging loop*:
         callbacks (``on_event`` handlers, or ``on_round`` itself) may
@@ -462,62 +439,68 @@ class SimulationPipeline:
         points are pending.  Without ``on_round`` the behaviour is the
         single-round one, unchanged.
         """
-        self._resolve_round(count, max_inflight, on_event)
+        self._resolve_round(max_inflight, on_event)
         if on_round is None:
             return
         while True:
             progressed = bool(on_round())
             if self._pending:
-                self._resolve_round(None, max_inflight, on_event)
+                self._resolve_round(max_inflight, on_event)
                 continue
             if not progressed:
                 return
 
     def _resolve_round(
         self,
-        count: int | None = None,
         max_inflight: int | None = None,
         on_event: Callable[[PointEvent], None] | None = None,
     ) -> None:
-        """One scheduling round over the currently-pending points."""
+        """One scheduling round over the currently-pending points.
+
+        Requests and calls share one path: a point per unique key (the
+        plan's unique requests, then the first-seen calls), one
+        serve/claim/expand pass, one scheduler drain.  They differ only
+        in their payload — a request carries an
+        :class:`~repro.sim.results.OverheadEstimate` whose mean its
+        deferreds receive, a call the job's value itself.
+        """
         if not self._pending:
             return
         self._rounds += 1
         round_no = self._rounds
-        if count is None:
-            pending, self._pending = self._pending, []
-        else:
-            pending, self._pending = self._pending[:count], self._pending[count:]
+        pending, self._pending = self._pending, []
 
-        requests = [item for kind, item, _, _ in pending if kind == "request"]
-        plan = plan_simulations(requests)
+        plan = plan_simulations(
+            [item for kind, item, _, _ in pending if kind == "request"]
+        )
+        calls: list[tuple[str, tuple]] = []  # first-seen (key, job) pairs
+        call_points: dict[str, int] = {}
+        # Which deferreds each point fans out to (duplicates share one
+        # computation).
+        decls: dict[int, list[tuple[Deferred, str | None]]] = {}
+        slots = iter(plan.slots)
+        for kind, item, deferred, group in pending:
+            if kind == "request":
+                i = next(slots)
+            else:
+                key = _point_key(kind, item)
+                i = call_points.get(key)
+                if i is None:
+                    i = call_points[key] = plan.n_unique + len(calls)
+                    calls.append((key, item))
+            decls.setdefault(i, []).append((deferred, group))
+        keys = plan.keys + tuple(key for key, _ in calls)
 
         # Cache-serve short-circuit + one batched claim + tagged
         # expansion (slowest backend first, as always).
-        estimates, tagged_jobs, books = claim_serve_expand(
-            plan, self.cache, self._memo, executor=self.executor
+        values, tagged_jobs, books = claim_serve_expand(
+            plan, self.cache, self._memo, executor=self.executor, calls=calls
         )
 
-        # Declaration bookkeeping: which deferreds each unique request /
-        # call key fans out to (duplicates share one computation).
-        point_decls: dict[int, list[tuple[Deferred, str | None]]] = {}
-        call_decls: dict[str, list[tuple[Deferred, str | None]]] = {}
-        call_items: list[tuple[str, tuple]] = []  # first-seen call keys
-        slot_iter = iter(plan.slots)
-        for kind, item, deferred, group in pending:
-            if kind == "request":
-                point_decls.setdefault(next(slot_iter), []).append((deferred, group))
-            else:
-                fn, args, kwargs = item
-                key = call_key(fn, args, kwargs)
-                if key not in call_decls:
-                    call_items.append((key, item))
-                call_decls.setdefault(key, []).append((deferred, group))
-
-        def deliver(decls, value, status, key=None) -> None:
-            for deferred, group in decls:
-                if status == "skipped":
-                    self.points_skipped += 1
+        def deliver(i: int, value, status: str) -> None:
+            if value is not None and i < plan.n_unique:
+                value = value.mean
+            for deferred, group in decls[i]:
                 self.metrics.counter(
                     "points",
                     study=group if group is not None else "(ungrouped)",
@@ -525,50 +508,22 @@ class SimulationPipeline:
                 ).inc()
                 deferred._set(value)
                 if self.trace.enabled:
-                    self.trace.event("point", study=group, status=status, key=key)
+                    self.trace.event("point", study=group, status=status, key=keys[i])
                 if on_event is not None:
-                    on_event(PointEvent(group=group, status=status, key=key))
+                    on_event(PointEvent(group=group, status=status, key=keys[i]))
 
-        # Serve/skip calls: memo, disk cache, then one claim batch for
-        # the rest (mirrors the request path; a work-stealing shard
-        # claims exclusively in its deterministic claim order).
-        call_jobs: list[tuple[str, tuple]] = []
-        unserved_calls: list[tuple[str, tuple]] = []
-        for key, item in call_items:
-            if key in self._memo:
-                deliver(call_decls[key], self._memo[key], "served", key)
-                continue
-            if self.cache is not None:
-                hit = self.cache.get_value(key)
-                if hit is not None:
-                    self._memo[key] = hit
-                    deliver(call_decls[key], hit, "served", key)
-                    continue
-            unserved_calls.append((key, item))
-        claimed_calls = set(self.executor.claim([key for key, _ in unserved_calls]))
-        for key, item in unserved_calls:
-            if key in claimed_calls:
-                call_jobs.append((key, item))
-            else:
-                deliver(call_decls[key], None, "skipped", key)
-
-        # Serve/skip requests whose value needs no job this round.
-        for i, decls in point_decls.items():
-            if i in books:
-                continue  # computing: delivered on its last completion
-            estimate = estimates[i]
-            if estimate is None:
-                deliver(decls, None, "skipped", plan.keys[i])
-            else:
-                deliver(decls, estimate.mean, "served", plan.keys[i])
+        # Serve/skip the points whose value needs no job this round.
+        for i in decls:
+            if i not in books:
+                deliver(i, values[i], "skipped" if values[i] is None else "served")
 
         if self.trace.enabled:
             self.trace.event(
                 "plan",
                 round=round_no,
                 points=len(pending),
-                unique=len(plan.keys) + len(call_items),
-                jobs=len(tagged_jobs) + len(call_jobs),
+                unique=len(keys),
+                jobs=len(tagged_jobs),
             )
 
         # Event-driven dispatch: one global in-flight window over the
@@ -583,32 +538,23 @@ class SimulationPipeline:
         )
         for job, tag in tagged_jobs:
             scheduler.add(job, tag)
-        for key, item in call_jobs:
-            scheduler.add(item, ("call", key))
         try:
             with self.trace.span("execute", round=round_no):
-                for tag, result in scheduler.events():
-                    self.points_computed += 1
-                    if tag[0] == "call":
-                        key = tag[1]
-                        self._memo[key] = result
-                        if self.cache is not None:
-                            self.cache.put_value(key, float(result))
-                        deliver(call_decls[key], result, "computed", key)
-                        continue
-                    i, part = tag
+                for (i, part), result in scheduler.events():
                     if not books[i].deliver(part, result):
                         continue
-                    estimate = merge_request_results(
-                        plan.requests[i], plan.methods[i], books[i].parts
-                    )
-                    estimates[i] = estimate
-                    self._memo[plan.keys[i]] = estimate
-                    if self.cache is not None:
-                        self.cache.put_estimate(plan.keys[i], estimate)
-                    deliver(
-                        point_decls.get(i, ()), estimate.mean, "computed", plan.keys[i]
-                    )
+                    if i < plan.n_unique:
+                        value = merge_request_results(
+                            plan.requests[i], plan.methods[i], books[i].parts
+                        )
+                        if self.cache is not None:
+                            self.cache.put_estimate(keys[i], value)
+                    else:
+                        value = result
+                        if self.cache is not None:
+                            self.cache.put_value(keys[i], float(value))
+                    self._memo[keys[i]] = value
+                    deliver(i, value, "computed")
         except BaseException:
             # A failed job must not leak worker processes: shut the
             # executor down (cancelling queued pool work) on the way out.

@@ -138,7 +138,6 @@ def _settings_from_args(args: argparse.Namespace) -> SimSettings:
         fidelity=fidelity,
         seed=args.seed,
         method=args.method,
-        workers=args.workers,
     )
 
 
@@ -208,11 +207,8 @@ def _pipeline_from_args(
 ) -> SimulationPipeline:
     """One shared pipeline (executor + caches) for a whole CLI invocation.
 
-    ``--jobs`` defaults to ``--workers`` so a worker request keeps its
-    pre-pipeline wall-clock meaning (parallel simulation), now served
-    by one executor shared across every figure instead of one pool per
-    simulated point; with neither flag the pipeline runs serially.
-    Shard flags wrap the executor in a
+    ``--jobs`` sizes the one process pool shared by every figure;
+    without it the pipeline runs serially.  Shard flags wrap the executor in a
     :class:`~repro.sim.executors.ShardedExecutor` and point the result
     cache at the shard output directory.  Every pipeline carries one
     :class:`~repro.obs.metrics.MetricsRegistry` and (with ``--trace``)
@@ -220,8 +216,7 @@ def _pipeline_from_args(
     spine the progress printer, dry-run report, resume summary and
     manifest snapshot all read.
     """
-    jobs = args.jobs if args.jobs is not None else args.workers
-    jobs = 1 if jobs is None else jobs
+    jobs = 1 if args.jobs is None else args.jobs
     max_inflight = getattr(args, "max_inflight", None)
     if max_inflight is not None and max_inflight < 1:
         raise SystemExit("--max-inflight must be >= 1")
@@ -559,17 +554,11 @@ def _add_sim_options(
         "budgets, batch below; des is the slow event-driven reference",
     )
     sub.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the vectorized backend's chunk dispatch",
-    )
-    sub.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="worker processes of the fused simulation pipeline's shared "
-        "pool (default: the --workers value, else serial)",
+        "pool (default: serial)",
     )
     sub.add_argument(
         "--max-inflight",
@@ -1662,10 +1651,15 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
                 _finish_recorder(recorder, pipeline)
         if sharded:
             index, count = _shard_args(args)
+            metrics = pipeline.metrics
+            skipped = sum(
+                metric.value
+                for labels, metric in metrics.labeled("points")
+                if labels["status"] == "skipped"
+            )
             print(
-                f"[shard {index}/{count}] {pipeline.points_computed} jobs "
-                f"computed, {pipeline.points_skipped} points skipped "
-                f"-> {args.shard_dir}"
+                f"[shard {index}/{count}] {metrics.value('scheduler_jobs')} jobs "
+                f"computed, {skipped} points skipped -> {args.shard_dir}"
             )
         if pipeline.cache is not None:
             hits, misses = pipeline.cache_stats

@@ -282,9 +282,7 @@ class ScenarioSet:
     ) -> list[ScenarioFamily]:
         """Stage, resolve and return the families (library entry point)."""
         own = pipeline is None
-        pipe = pipeline if pipeline is not None else SimulationPipeline(
-            jobs=settings.workers if settings.workers else 1
-        )
+        pipe = pipeline if pipeline is not None else SimulationPipeline()
         try:
             families = self.stage(pipe, settings)
             pipe.resolve()

@@ -36,13 +36,10 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from ..analysis.asymptotics import fit_loglog_slope
-from ..core.first_order import optimal_pattern
-from ..exceptions import InvalidParameterError, ValidityError
-from ..optimize.allocation import optimize_allocation
+from ..exceptions import InvalidParameterError
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import SCENARIO_IDS, build_model
-from .analytic import AnalyticPoint
-from .analytic import batch_enabled as analytic_batch_enabled
+from .analytic import evaluate_analytic
 from .common import FigureResult, SimSettings
 from .pipeline import Deferred, SimulationPipeline, materialize, private_pipeline
 
@@ -214,24 +211,12 @@ def pattern_point(
     ``analytic`` carries the cell's pre-computed
     :class:`~repro.experiments.analytic.AnalyticPoint` when the sweep
     engine resolved the study column through the batch engine; without
-    it the evaluator computes the optima inline (custom ``point_eval``
-    hooks delegating here keep working unchanged).
+    it (custom ``point_eval`` hooks delegating here) the cell goes
+    through the same engine on its own.
     """
     out: dict[str, Any] = {}
     if analytic is None:
-        try:
-            fo = optimal_pattern(model)
-        except ValidityError:
-            fo = None
-        num = optimize_allocation(model)
-        analytic = AnalyticPoint(
-            P_fo=fo.processors if fo is not None else None,
-            T_fo=fo.period if fo is not None else None,
-            H_pred_fo=fo.overhead if fo is not None else None,
-            P_num=num.processors,
-            T_num=num.period,
-            H_pred_num=num.overhead,
-        )
+        analytic = evaluate_analytic([model])[0][0]
     out["P_fo"] = analytic.P_fo
     out["T_fo"] = analytic.T_fo
     out["H_pred_fo"] = analytic.H_pred_fo
@@ -259,8 +244,8 @@ def _sweep_declare(ctx: StudyContext) -> dict:
     column, memo-served across scenario-family replicates), then walk
     the grid in the historical order so simulation declarations — and
     therefore plan keys, seeds and progress events — are unchanged.
-    Custom ``point_eval`` / ``scenario_eval`` hooks keep the scalar
-    path.
+    Custom ``point_eval`` / ``scenario_eval`` hooks evaluate cell by
+    cell.
     """
     spec = ctx.spec
     needed = spec.needed_columns()
@@ -283,7 +268,7 @@ def _sweep_declare(ctx: StudyContext) -> dict:
     else:
         cells = [(sc, x) for x in ctx.grid for sc in ctx.scenarios]
     models = [ctx.build(sc, x) for sc, x in cells]
-    if evaluate is pattern_point and analytic_batch_enabled():
+    if evaluate is pattern_point:
         points = ctx.pipeline.evaluate_analytic(models)
         for (sc, _), model, point in zip(cells, models, points):
             _store(sc, pattern_point(ctx, model, needed, analytic=point))
@@ -529,11 +514,10 @@ def run_study(
 ) -> list[FigureResult]:
     """Declare, resolve and assemble one study (the ``run()`` backbone).
 
-    With no ``pipeline``, a private one sized from ``settings.workers``
-    is created and closed, exactly like the historical per-figure
-    ``run(...)`` path.
+    With no ``pipeline``, a private serial one is created and closed,
+    exactly like the historical per-figure ``run(...)`` path.
     """
-    pipe = pipeline if pipeline is not None else private_pipeline(settings)
+    pipe = pipeline if pipeline is not None else private_pipeline()
     try:
         staged = stage_study(
             spec,

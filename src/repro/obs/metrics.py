@@ -1,7 +1,7 @@
 """A labeled metrics registry shared by every layer of one invocation.
 
 The pipeline, scheduler, caches and adaptive engine used to keep their
-own private tallies (``points_computed`` attributes, ``Counter`` dicts
+own private tallies (per-pipeline point counts, ``Counter`` dicts
 inside the progress printer, hand-rolled ``reused``/``recomputed``
 ints on the run manifest).  This module replaces them with one
 :class:`MetricsRegistry` of labeled counters, gauges and histograms:

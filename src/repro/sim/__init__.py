@@ -8,7 +8,7 @@ Three simulators, one distribution:
     Vectorised closed-form sampler (~1000x faster than the reference).
 ``vectorized``
     Whole-budget aggregated sampler (negative-binomial failure counts,
-    chunked/multiprocess dispatch; the paper-fidelity hot path).
+    chunked dispatch; the paper-fidelity hot path).
 
 Plus the :class:`~repro.sim.engine.EventEngine` kernel, reproducible
 RNG streams, estimators, and the high-level
@@ -50,8 +50,6 @@ from .plan import (
     ResultCache,
     SimRequest,
     SimulationPlan,
-    WorkerPool,
-    execute_plan,
     plan_simulations,
     simulate_requests,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "BACKEND_VERSION",
     "SimRequest",
     "SimulationPlan",
-    "WorkerPool",
     "ResultCache",
     "Executor",
     "SerialExecutor",
@@ -102,7 +99,6 @@ __all__ = [
     "make_executor",
     "merge_shard_dirs",
     "plan_simulations",
-    "execute_plan",
     "simulate_requests",
     "simulate_run_renewal",
     "NodePool",

@@ -35,15 +35,14 @@ The scalar protocol rates (:class:`PatternRates`) and the per-failure
 cost sampler (:func:`sample_failure_costs`) are shared with the
 aggregated backend in :mod:`repro.sim.vectorized`, which collapses the
 per-pattern geometric draws into one negative-binomial draw per run.
-This module also hosts the chunked/multiprocess dispatch helpers
-(:func:`plan_chunks`, :func:`dispatch_chunks`, :func:`merge_batch_stats`,
-:func:`simulate_batch_chunked`) both array backends use to run the
-paper's 500 x 500 protocol with bounded memory.
+This module also hosts the chunking helpers (:func:`plan_chunks`,
+:func:`plan_chunk_jobs`, :func:`merge_batch_stats`,
+:func:`simulate_batch_chunked`) both array backends use to run giant
+budgets with bounded memory.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,7 +60,6 @@ __all__ = [
     "truncated_exponential",
     "plan_chunks",
     "plan_chunk_jobs",
-    "dispatch_chunks",
     "merge_batch_stats",
     "run_chunked",
 ]
@@ -303,14 +301,14 @@ def simulate_batch(
     )
 
 
-# -- chunked / multiprocess dispatch -----------------------------------------
+# -- chunked dispatch --------------------------------------------------------
 
 
 def plan_chunks(n_runs: int, chunk_runs: int) -> list[int]:
     """Split ``n_runs`` into consecutive chunks of at most ``chunk_runs``.
 
     The plan is a pure function of its arguments, so a fixed master seed
-    reproduces the same result whatever the worker count.
+    reproduces the same result wherever the chunks run.
     """
     if n_runs <= 0:
         raise SimulationError(f"n_runs must be positive, got {n_runs!r}")
@@ -318,36 +316,6 @@ def plan_chunks(n_runs: int, chunk_runs: int) -> list[int]:
         raise SimulationError(f"chunk_runs must be positive, got {chunk_runs!r}")
     full, rest = divmod(n_runs, chunk_runs)
     return [chunk_runs] * full + ([rest] if rest else [])
-
-
-def dispatch_chunks(
-    worker: Callable[..., BatchStats],
-    jobs: Sequence[tuple],
-    workers: int | None = None,
-) -> list[BatchStats]:
-    """Run ``worker(*job)`` for every job, serially or on a process pool.
-
-    ``workers=None`` auto-sizes to the machine (serial on a single-core
-    box, one process per core otherwise, capped by the job count); any
-    pool failure — a sandbox refusing to fork, a worker dying — falls
-    back to the serial path so results are always produced.
-    """
-    if workers is None:
-        workers = min(os.cpu_count() or 1, len(jobs))
-    if workers > 1 and len(jobs) > 1:
-        # Only pool-infrastructure failures (no fork in a sandbox, an
-        # unpicklable worker, a killed child) fall back to the serial
-        # path; an exception raised *inside* a worker propagates as-is.
-        try:
-            import pickle
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(worker, *zip(*jobs)))
-        except (ImportError, OSError, pickle.PicklingError, BrokenProcessPool):
-            pass  # pragma: no cover - depends on host sandboxing
-    return [worker(*job) for job in jobs]
 
 
 def merge_batch_stats(parts: Sequence[BatchStats]) -> BatchStats:
@@ -388,26 +356,20 @@ def plan_chunk_jobs(
     n_patterns: int,
     seed,
     chunk_runs: int | None,
-    workers: int | None,
 ) -> tuple[list[int], list[np.random.SeedSequence]]:
     """The chunk plan and its spawned seed streams, as pure functions.
 
     This is the single source of the chunk policy — the memory-bounded
-    default size, the ``workers > 1`` refinement, and the per-chunk
-    seed spawning — shared by :func:`run_chunked` (sequential dispatch)
-    and the fused planner in :mod:`repro.sim.plan`, so the two can
-    never drift apart (which would break the planner's bit-identity
-    guarantee and poison its cache keys).
+    default size and the per-chunk seed spawning — shared by
+    :func:`run_chunked` (sequential dispatch) and the fused planner in
+    :mod:`repro.sim.plan`, so the two can never drift apart (which
+    would break the planner's bit-identity guarantee and poison its
+    cache keys).
     """
     from .rng import spawn_seed_sequences
 
     if chunk_runs is None:
         chunk_runs = default_chunk_runs(n_runs, n_patterns)
-        if workers is not None and workers > 1:
-            # An explicit worker request must actually produce enough
-            # chunks to feed the pool, even for budgets small enough to
-            # fit one memory-bounded chunk.
-            chunk_runs = min(chunk_runs, -(-n_runs // workers))
     plan = plan_chunks(n_runs, chunk_runs)
     return plan, spawn_seed_sequences(len(plan), seed)
 
@@ -419,26 +381,24 @@ def run_chunked(
     n_patterns: int,
     seed: int | np.random.SeedSequence | None,
     chunk_runs: int | None,
-    workers: int | None,
 ) -> BatchStats:
     """Shared chunk orchestration for the array backends.
 
     Plans the run chunks via :func:`plan_chunk_jobs`, spawns one
     independent child stream per chunk from ``seed``, runs
-    ``worker(rates, chunk_runs, n_patterns, seed)`` per chunk (serially
-    or on a process pool) and merges.  The chunk plan — and therefore
-    the sampled numbers — is a pure function of the call arguments (an
-    explicit ``workers`` request refines the default plan so the pool
-    has chunks to chew on); whether the pool actually starts never
-    changes the results, only the wall-clock.
+    ``worker(rates, chunk_runs, n_patterns, seed)`` per chunk and
+    merges.  The chunk plan — and therefore the sampled numbers — is a
+    pure function of the call arguments.  Parallelism lives one level
+    up: the fused planner ships the same chunks as separate jobs.
     """
     if n_runs <= 0 or n_patterns <= 0:
         raise SimulationError("n_runs and n_patterns must be positive")
-    plan, seeds = plan_chunk_jobs(n_runs, n_patterns, seed, chunk_runs, workers)
+    plan, seeds = plan_chunk_jobs(n_runs, n_patterns, seed, chunk_runs)
     if len(plan) == 1:
         return worker(rates, n_runs, n_patterns, seeds[0])
-    jobs = [(rates, c, n_patterns, s) for c, s in zip(plan, seeds)]
-    return merge_batch_stats(dispatch_chunks(worker, jobs, workers))
+    return merge_batch_stats(
+        [worker(rates, c, n_patterns, s) for c, s in zip(plan, seeds)]
+    )
 
 
 def simulate_batch_chunked(
@@ -450,9 +410,8 @@ def simulate_batch_chunked(
     seed: int | np.random.SeedSequence | None = None,
     *,
     chunk_runs: int | None = None,
-    workers: int | None = None,
 ) -> BatchStats:
-    """Chunked (and optionally multiprocess) :func:`simulate_batch`.
+    """Chunked :func:`simulate_batch`.
 
     Splits the runs into chunks of ``chunk_runs`` (default: sized so a
     chunk stays under :data:`MAX_CHUNK_ELEMENTS` cells), bounding the
@@ -465,5 +424,4 @@ def simulate_batch_chunked(
         n_patterns,
         seed,
         chunk_runs,
-        workers,
     )

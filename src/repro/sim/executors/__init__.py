@@ -7,8 +7,8 @@ jobs are pure functions of their arguments, so the executor choice
 changes wall-clock and placement only, never the sampled numbers.
 
 * :class:`SerialExecutor` — in-process, no pool.  The default.
-* :class:`PoolExecutor` — one shared :class:`~repro.sim.plan.WorkerPool`
-  (today's ``--jobs`` behaviour), with a real async ``submit`` path.
+* :class:`PoolExecutor` — one process pool shared by every scheduling
+  round (the ``--jobs`` behaviour).
 * :class:`ShardedExecutor` — computes a subset of the planned points
   and skips the rest, so a sweep can be split across machines; each
   shard writes its results into a content-addressed shard directory
@@ -16,10 +16,9 @@ changes wall-clock and placement only, never the sampled numbers.
   is either the static ``shard_of`` key hash or a work-stealing claim
   over a shared :class:`ClaimBoard`.
 
-Every executor speaks both dispatch dialects: the blocking
-order-preserving :meth:`~repro.sim.executors.base.Executor.map`, and
-the event-driven :meth:`~repro.sim.executors.base.Executor.submit` /
-:meth:`~repro.sim.executors.base.Executor.as_completed` pair consumed
+Every executor speaks one dispatch dialect: the event-driven
+:meth:`~repro.sim.executors.base.Executor.submit` /
+:meth:`~repro.sim.executors.base.Executor.next_completed` pair consumed
 by :class:`repro.sim.scheduler.Scheduler`.
 """
 
@@ -52,8 +51,8 @@ def make_executor(
 ) -> Executor:
     """Build the executor implied by the CLI flags.
 
-    ``jobs`` follows :class:`~repro.sim.plan.WorkerPool` semantics
-    (``None`` auto-sizes, ``<= 1`` is serial); shard flags wrap the
+    ``jobs`` follows :class:`PoolExecutor` semantics (``None``
+    auto-sizes, ``<= 1`` is serial); shard flags wrap the
     resulting executor in a :class:`ShardedExecutor` (``shard_mode``
     picks the static partition or work stealing over ``claim_dir``;
     ``claim_ttl`` is the lease TTL in seconds after which a dead

@@ -1,18 +1,13 @@
 """The executor protocol shared by serial, pooled and sharded dispatch.
 
-Two dispatch surfaces coexist on the protocol:
-
-* the historical blocking :meth:`Executor.map` (order-preserving, one
-  barrier per call) — kept for library callers and the plan-level
-  :func:`repro.sim.plan.execute_plan`;
-* the event-driven pair :meth:`Executor.submit` /
-  :meth:`Executor.as_completed` used by
-  :class:`repro.sim.scheduler.Scheduler`: jobs enter one at a time and
-  complete out of order, so a slow chunk never barriers the rest of the
-  sweep.  The base implementation runs each submitted job inline and
-  queues its (already resolved) :class:`JobFuture` FIFO — exactly
-  serial semantics — so every executor is schedulable even before it
-  overrides anything.
+Dispatch is event-driven: :meth:`Executor.submit` /
+:meth:`Executor.next_completed`, driven by
+:class:`repro.sim.scheduler.Scheduler`.  Jobs enter one at a time and
+complete out of order, so a slow chunk never barriers the rest of the
+sweep.  The base implementation runs each submitted job inline and
+queues its (already resolved) :class:`JobFuture` FIFO — exactly serial
+semantics — so every executor is schedulable even before it overrides
+anything.
 
 :meth:`Executor.claim` is the partitioning hook: given the plan keys
 that still need computing, it returns the subset this executor will
@@ -98,9 +93,7 @@ class JobFuture:
 class Executor:
     """Where the planned chunk jobs of a simulation batch run.
 
-    Blocking surface: :meth:`map` mirrors
-    :meth:`repro.sim.plan.WorkerPool.map` (order-preserving).  Async
-    surface: :meth:`submit` returns a :class:`JobFuture` and
+    :meth:`submit` returns a :class:`JobFuture` and
     :meth:`next_completed` / :meth:`as_completed` drain completions in
     whatever order they land.  :meth:`claim` / :meth:`owns` are the
     partitioning hooks — the pipeline never expands a point whose plan
@@ -127,12 +120,6 @@ class Executor:
         this with an exclusive claim in deterministic steal order.
         """
         return [key for key in keys if self.owns(key)]
-
-    # -- blocking dispatch -------------------------------------------------
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Order-preserving map of ``fn`` over ``items``."""
-        raise NotImplementedError
 
     # -- event-driven dispatch ---------------------------------------------
 

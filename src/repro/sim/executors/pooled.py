@@ -1,11 +1,12 @@
-"""Process-pool executor wrapping the shared :class:`WorkerPool`."""
+"""Process-pool executor: one pool, created once, shared by every round."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import os
+import pickle
+from typing import Callable
 
 from ...exceptions import SimulationError
-from ..plan import WorkerPool
 from .base import Executor, JobFuture
 
 __all__ = ["PoolExecutor"]
@@ -14,34 +15,63 @@ __all__ = ["PoolExecutor"]
 class PoolExecutor(Executor):
     """Dispatch jobs over one shared process pool.
 
-    Accepts either a worker count (``None`` auto-sizes, like
-    :class:`~repro.sim.plan.WorkerPool`) or an existing pool to share.
-    The pool is created lazily on the first parallel dispatch and
-    reused until :meth:`close`.
+    ``workers=None`` auto-sizes to the machine; ``workers <= 1`` (or a
+    single-core box) runs serially in-process.  The pool is created
+    lazily on the first submission and reused until :meth:`close`.
 
-    Both surfaces degrade to serial without changing results:
-    :meth:`map` via the pool's own fallback, :meth:`submit` by running
-    the job inline when the pool is unavailable — and a pool that
-    breaks *mid-flight* (a killed worker, a sandbox revoking fork)
-    re-runs the lost jobs inline, which is safe because every job is a
-    pure function of its arguments.
+    Pool-infrastructure failures — a sandbox refusing to fork, an
+    unpicklable job, a killed child — permanently fall back to serial:
+    :meth:`submit` runs the job inline when the pool is unavailable,
+    and a pool that breaks *mid-flight* re-runs the lost jobs inline.
+    Because every job is a pure function of its arguments, the fallback
+    changes wall-clock only, never results.
     """
 
-    def __init__(self, workers: int | WorkerPool | None = None):
-        self.pool = workers if isinstance(workers, WorkerPool) else WorkerPool(workers)
+    def __init__(self, workers: int | None = None):
+        if workers is None:
+            workers = os.cpu_count() or 1
+        self.workers = max(1, int(workers))
+        self._pool = None
+        self._broken = False
         #: stdlib future -> JobFuture for jobs genuinely on the pool.
         self._inflight: dict = {}
 
-    @property
-    def workers(self) -> int:  # type: ignore[override]
-        return self.pool.workers
+    def _ensure_pool(self):
+        """The live process pool, or ``None`` (pool impossible here)."""
+        if self.workers <= 1 or self._broken:
+            return None
+        if self._pool is None:
+            try:
+                from concurrent.futures import ProcessPoolExecutor
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return self.pool.map(fn, items)
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            except (ImportError, OSError):  # pragma: no cover - host sandboxing
+                self._mark_broken()
+        return self._pool
+
+    def _mark_broken(self) -> None:
+        """Permanently fall back to serial dispatch (infra failure)."""
+        self._broken = True
+        self._shutdown_pool()
+
+    def _shutdown_pool(self) -> None:
+        if self._pool is not None:
+            # cancel_futures: a job exception aborts the dispatch loop
+            # mid-run, and queued-but-unstarted jobs must not keep the
+            # worker processes alive after the executor is closed.
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
     def submit(self, fn: Callable, item, tag=None) -> JobFuture:
         future = JobFuture(fn, item, tag)
-        inner = self.pool.submit(fn, item)
+        pool = self._ensure_pool()
+        inner = None
+        if pool is not None:
+            try:
+                inner = pool.submit(fn, item)
+            except (OSError, pickle.PicklingError, RuntimeError):
+                # pragma: no cover - depends on host sandboxing
+                self._mark_broken()
         if inner is None:  # pool unavailable: permanent serial fallback
             future._run_inline()
             self._completed.append(future)
@@ -54,7 +84,6 @@ class PoolExecutor(Executor):
             return self._completed.popleft()
         if not self._inflight:
             return None
-        import pickle
         from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
         from concurrent.futures.process import BrokenProcessPool
 
@@ -69,7 +98,7 @@ class PoolExecutor(Executor):
                 # BaseException, so it needs naming here), not the job:
                 # fall back to serial and replay the pure job for the
                 # identical result.
-                self.pool.mark_broken()
+                self._mark_broken()
                 future._run_inline()
             except Exception as exc:
                 future._fail(exc)
@@ -84,7 +113,7 @@ class PoolExecutor(Executor):
         # whose tags would collide with the next round's.
         self._inflight.clear()
         self._completed.clear()
-        self.pool.close()
+        self._shutdown_pool()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PoolExecutor(workers={self.pool.workers})"
+        return f"PoolExecutor(workers={self.workers})"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from .base import Executor
 
 __all__ = ["SerialExecutor"]
@@ -13,9 +11,6 @@ class SerialExecutor(Executor):
     """Run every job in the calling process, in submission order."""
 
     workers = 1
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return [fn(item) for item in items]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"

@@ -232,9 +232,6 @@ class ShardedExecutor(Executor):
         ordered = claim_order(keys, self.shard_index, self.shard_count)
         return [key for key in ordered if self.board.try_claim(key, self.owner_id)]
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return self.inner.map(fn, items)
-
     def submit(self, fn: Callable, item, tag=None) -> JobFuture:
         return self.inner.submit(fn, item, tag=tag)
 

@@ -102,7 +102,6 @@ def simulate_overhead(
     n_patterns: int = FAST.n_patterns,
     seed: int | None = None,
     method: str = "auto",
-    workers: int | None = None,
 ) -> OverheadEstimate:
     """Estimate the expected execution overhead of PATTERN(T, P) by simulation.
 
@@ -123,13 +122,10 @@ def simulate_overhead(
         :data:`VECTORIZED_THRESHOLD` cells and ``"batch"`` below;
         ``"des"`` is the event-driven reference (~1000x slower, for
         validation).
-    workers:
-        Worker-process count for the chunk dispatch of the array
-        backends (``"des"`` ignores it).  An explicit ``workers > 1``
-        refines the chunk plan, so it selects a different (equally
-        valid) sample stream: results are reproducible for fixed call
-        arguments, and whether the pool actually starts never changes
-        the numbers — only the wall-clock.
+
+    One call runs in-process; to spread many points over worker
+    processes, batch them through :func:`repro.sim.plan.simulate_requests`
+    with a :class:`~repro.sim.executors.PoolExecutor` (bit-identical).
     """
     method = resolve_method(method, n_runs, n_patterns)
     if method == "batch":
@@ -137,16 +133,12 @@ def simulate_overhead(
             # Bound the per-pattern transient arrays of giant custom
             # budgets; below the cap the single-pass sampler keeps its
             # historical RNG stream.
-            stats = simulate_batch_chunked(
-                model, T, P, n_runs, n_patterns, seed, workers=workers
-            )
+            stats = simulate_batch_chunked(model, T, P, n_runs, n_patterns, seed)
         else:
             stats = simulate_batch(model, T, P, n_runs, n_patterns, make_rng(seed))
         return overhead_estimate(model, T, P, stats)
     if method == "vectorized":
-        stats = simulate_vectorized(
-            model, T, P, n_runs, n_patterns, seed, workers=workers
-        )
+        stats = simulate_vectorized(model, T, P, n_runs, n_patterns, seed)
         return overhead_estimate(model, T, P, stats)
     rngs = spawn_rngs(n_runs, seed)
     runs = [simulate_run(model, T, P, n_patterns, rng) for rng in rngs]

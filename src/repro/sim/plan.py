@@ -3,28 +3,26 @@
 The experiment harness evaluates *sweeps*: dozens of ``(model, T, P)``
 points per figure, hundreds per full evaluation.  Calling
 :func:`repro.sim.montecarlo.simulate_overhead` once per point is
-correct but wasteful — every call re-derives its own chunk plan and
-(with ``workers > 1``) spins up and tears down its own process pool,
-which at FAST fidelity costs an order of magnitude more than the
-sampling itself.  This module amortises that:
+correct but wasteful — every call re-derives its own chunk plan, and
+nothing is shared or cached across points.  This module amortises that:
 
 * a :class:`SimRequest` names one simulation point with its full budget
-  (model, ``T``, ``P``, runs x patterns, seed, backend, workers);
+  (model, ``T``, ``P``, runs x patterns, seed, backend);
 * :func:`plan_simulations` fuses a list of requests into one
   :class:`SimulationPlan` — deduplicating identical points and grouping
   the rest by resolved backend;
 * :func:`request_jobs` expands a request into the **exact chunk jobs
   the sequential path would run**: the same chunk plan, the same
   spawned ``SeedSequence`` children, the same per-chunk workers
-  (reusing :func:`repro.sim.batch.plan_chunks` /
-  :func:`~repro.sim.batch.default_chunk_runs` and the module-level
+  (reusing :func:`repro.sim.batch.plan_chunk_jobs` and the module-level
   chunk workers).  Results are therefore **bit-identical** to per-point
-  ``simulate_overhead`` calls with the same arguments, whatever the
-  pool width;
-* :func:`execute_plan` runs all jobs of all points through one shared
-  :class:`WorkerPool` (created once, reused across figures) and merges
-  the chunks back into per-point
-  :class:`~repro.sim.results.OverheadEstimate` values;
+  ``simulate_overhead`` calls with the same arguments, whatever
+  executor runs the jobs;
+* :func:`claim_serve_expand` serves cached points, claims the rest for
+  an executor and tags their jobs for the event-driven
+  :class:`repro.sim.scheduler.Scheduler`; :func:`merge_request_results`
+  folds a point's completed jobs back into one
+  :class:`~repro.sim.results.OverheadEstimate`;
 * :class:`ResultCache` is a content-addressed on-disk cache (one
   ``.npz`` per point under a cache directory, keyed by a stable SHA-256
   over the model parameters, pattern, budget, seed, backend and a
@@ -34,7 +32,8 @@ sampling itself.  This module amortises that:
 
 The experiment-facing wrapper (deferred values, generic DES jobs for
 the extension studies, CLI flags) lives in
-:mod:`repro.experiments.pipeline`.
+:mod:`repro.experiments.pipeline`; :func:`simulate_requests` is the
+same path for library callers holding a plain list of requests.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .batch import (
     merge_batch_stats,
     plan_chunk_jobs,
 )
+from .executors import SerialExecutor
 from .montecarlo import FAST, resolve_method
 from .protocol import simulate_run
 from .results import OverheadEstimate, overhead_estimate
@@ -67,7 +67,6 @@ __all__ = [
     "BACKEND_VERSION",
     "SimRequest",
     "SimulationPlan",
-    "WorkerPool",
     "ResultCache",
     "CacheEntry",
     "canonical_signature",
@@ -76,11 +75,8 @@ __all__ = [
     "request_jobs",
     "merge_request_results",
     "run_job",
-    "serve_or_expand",
     "PointJobs",
     "claim_serve_expand",
-    "merge_spans",
-    "execute_plan",
     "simulate_requests",
     "DISPATCH_ORDER",
 ]
@@ -118,7 +114,6 @@ class SimRequest:
     n_patterns: int = FAST.n_patterns
     seed: int | None = None
     method: str = "auto"
-    workers: int | None = None
 
     @property
     def n_cells(self) -> int:
@@ -161,31 +156,12 @@ def _digest(payload: tuple) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
-def _plan_workers(request: SimRequest, method: str) -> int | None:
-    """The ``workers`` value iff it enters the chunk plan, else ``None``.
-
-    ``des`` ignores workers entirely, and ``batch`` at or below
-    :data:`repro.sim.batch.MAX_CHUNK_ELEMENTS` takes the single-pass
-    branch; in both cases (and for ``workers <= 1``) the sampled
-    numbers are independent of the worker count, so it must not enter
-    the cache key.
-    """
-    if method == "des":
-        return None
-    if method == "batch" and request.n_cells <= _batch.MAX_CHUNK_ELEMENTS:
-        return None
-    if request.workers is None or request.workers <= 1:
-        return None
-    return request.workers
-
-
 def request_key(request: SimRequest) -> str:
     """Content address of a request's result (hex SHA-256).
 
     Two requests share a key iff the sequential path would produce the
     same numbers for both: same model parameters, pattern, budget,
-    seed, resolved backend, chunk-plan-relevant worker count (only
-    where it actually refines the chunk plan), and backend version.
+    seed, resolved backend, and backend version.
     """
     method = request.resolved_method
     return _digest(
@@ -199,7 +175,8 @@ def request_key(request: SimRequest) -> str:
             request.n_patterns,
             DEFAULT_SEED if request.seed is None else request.seed,
             method,
-            _plan_workers(request, method),
+            # Former worker-count slot, kept so existing keys stay valid.
+            None,
         )
     )
 
@@ -353,9 +330,7 @@ def request_jobs(request: SimRequest, method: str | None = None) -> list[tuple]:
         # Single-pass sampler with its historical RNG stream.
         return [(_batch_single_job, (rates, n_runs, n_patterns, request.seed), {})]
     worker = _batch_chunk_worker if method == "batch" else simulate_chunk
-    chunk_plan, seeds = plan_chunk_jobs(
-        n_runs, n_patterns, request.seed, None, request.workers
-    )
+    chunk_plan, seeds = plan_chunk_jobs(n_runs, n_patterns, request.seed, None)
     if len(chunk_plan) == 1:
         return [(worker, (rates, n_runs, n_patterns, seeds[0]), {})]
     return [
@@ -374,104 +349,6 @@ def merge_request_results(
         return overhead_estimate(request.model, request.T, request.P, runs)
     stats = parts[0] if len(parts) == 1 else merge_batch_stats(list(parts))
     return overhead_estimate(request.model, request.T, request.P, stats)
-
-
-# -- shared worker pool ------------------------------------------------------
-
-
-class WorkerPool:
-    """A process pool created once and shared across all dispatches.
-
-    ``workers=None`` auto-sizes to the machine; ``workers <= 1`` (or a
-    single-core box) runs serially in-process.  Pool-infrastructure
-    failures — a sandbox refusing to fork, an unpicklable job, a killed
-    child — permanently fall back to the serial path, mirroring
-    :func:`repro.sim.batch.dispatch_chunks`; because jobs are pure
-    functions of their arguments, the fallback changes wall-clock only,
-    never results.
-    """
-
-    def __init__(self, workers: int | None = None):
-        self.workers = (os.cpu_count() or 1) if workers is None else max(1, int(workers))
-        self._pool = None
-        self._broken = False
-
-    @property
-    def parallel(self) -> bool:
-        """Whether dispatches may actually use worker processes."""
-        return self.workers > 1 and not self._broken
-
-    def _ensure_pool(self):
-        """The live process pool, or ``None`` (pool impossible here)."""
-        if not self.parallel:
-            return None
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-        except ImportError:  # pragma: no cover - exotic stdlib builds
-            self._broken = True
-            return None
-        try:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            return self._pool
-        except OSError:  # pragma: no cover - depends on host sandboxing
-            self.mark_broken()
-            return None
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Order-preserving map over the pool (serial when unavailable)."""
-        items = list(items)
-        if self.parallel and len(items) > 1:
-            import pickle
-            from concurrent.futures.process import BrokenProcessPool
-
-            pool = self._ensure_pool()
-            if pool is not None:
-                try:
-                    chunksize = max(1, len(items) // (self.workers * 4))
-                    return list(pool.map(fn, items, chunksize=chunksize))
-                except (OSError, pickle.PicklingError, BrokenProcessPool):
-                    # pragma: no cover - depends on host sandboxing
-                    self.mark_broken()
-        return [fn(item) for item in items]
-
-    def submit(self, fn: Callable, item):
-        """Schedule one job on the pool; ``None`` when unavailable.
-
-        A ``None`` return tells the caller to run the job inline (the
-        permanent serial fallback, mirroring :meth:`map`).  Submission
-        failures mark the pool broken exactly like map failures.
-        """
-        import pickle
-
-        pool = self._ensure_pool()
-        if pool is None:
-            return None
-        try:
-            return pool.submit(fn, item)
-        except (OSError, pickle.PicklingError, RuntimeError):
-            # pragma: no cover - depends on host sandboxing
-            self.mark_broken()
-            return None
-
-    def mark_broken(self) -> None:
-        """Permanently fall back to serial dispatch (infra failure)."""
-        self._broken = True
-        self.close()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            # cancel_futures: a job exception aborts the dispatch loop
-            # mid-run, and queued-but-unstarted jobs must not keep the
-            # worker processes alive after the executor is closed.
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # -- on-disk result cache ----------------------------------------------------
@@ -762,52 +639,9 @@ class CacheEntry:
 # -- execution ---------------------------------------------------------------
 
 
-def serve_or_expand(
-    plan: SimulationPlan,
-    cache: ResultCache | None = None,
-    memo: dict | None = None,
-    owned: Callable[[str], bool] | None = None,
-) -> tuple[list, list[tuple], list[tuple[int, int, int]]]:
-    """Serve cached points; expand the rest into one fused job list.
-
-    Returns ``(estimates, jobs, spans)``: per-unique-request estimates
-    (``None`` where a job span must still run), the fused job list in
-    :meth:`SimulationPlan.dispatch_order` (slowest backend first), and
-    ``(request_index, start, stop)`` spans into the job list.  Callers
-    may append further jobs before dispatch — the spans stay valid.
-
-    ``owned`` is the sharding hook (see
-    :class:`repro.sim.executors.ShardedExecutor`): a point whose key it
-    rejects is neither expanded nor computed and its estimate stays
-    ``None`` — cache and memo hits are still served, so a merged cache
-    resolves every shard's points.
-    """
-    estimates: list[OverheadEstimate | None] = [None] * plan.n_unique
-    jobs: list[tuple] = []
-    spans: list[tuple[int, int, int]] = []
-    for i in plan.dispatch_order():
-        key = plan.keys[i]
-        if memo is not None and key in memo:
-            estimates[i] = memo[key]
-            continue
-        if cache is not None:
-            hit = cache.get_estimate(key)
-            if hit is not None:
-                estimates[i] = hit
-                if memo is not None:
-                    memo[key] = hit
-                continue
-        if owned is not None and not owned(key):
-            continue
-        expanded = request_jobs(plan.requests[i], plan.methods[i])
-        spans.append((i, len(jobs), len(jobs) + len(expanded)))
-        jobs.extend(expanded)
-    return estimates, jobs, spans
-
-
 @dataclass
 class PointJobs:
-    """In-flight bookkeeping of one unique request's chunk jobs.
+    """In-flight bookkeeping of one point's jobs.
 
     The event-driven scheduler completes jobs out of order; each
     completion is delivered into its part slot, and the point merges
@@ -831,100 +665,87 @@ def claim_serve_expand(
     cache: ResultCache | None = None,
     memo: dict | None = None,
     executor=None,
+    calls: Sequence[tuple[str, tuple]] = (),
 ) -> tuple[list, list[tuple], dict[int, "PointJobs"]]:
     """Cache-serve short-circuit, batch claim, and tagged expansion.
 
-    The event-driven counterpart of :func:`serve_or_expand`: memo and
-    disk hits are served immediately (they never touch the scheduler),
-    the keys still needing compute are offered to the executor's
+    A round's points are the plan's unique requests (indices below
+    ``plan.n_unique``; payload: an :class:`OverheadEstimate`) followed
+    by ``calls``, the ``(key, job)`` pairs of generic value points
+    (payload: the job's float; one job each).  Memo and disk hits are
+    served immediately — they never touch the scheduler; the keys still
+    needing compute are offered to the executor's
     :meth:`~repro.sim.executors.Executor.claim` in **one batch** (so a
     work-stealing shard sees the whole round and applies its claim
     order), and each claimed point expands into ``(job, (index, part))``
-    tagged jobs in :meth:`SimulationPlan.dispatch_order`.
+    tagged jobs: requests in :meth:`SimulationPlan.dispatch_order`
+    (slowest backend first), then calls.
 
-    Returns ``(estimates, tagged_jobs, books)``: per-unique-request
-    estimates (``None`` where jobs must run or the point is unclaimed),
-    the tagged job list, and a :class:`PointJobs` book per expanded
-    unique index (a point with no book and no estimate was unclaimed).
+    Returns ``(values, tagged_jobs, books)``: the served payload per
+    point (``None`` where jobs must run or the point is unclaimed), the
+    tagged job list, and a :class:`PointJobs` book per expanded point
+    (a point with no book and no value was unclaimed).
     """
-    estimates: list[OverheadEstimate | None] = [None] * plan.n_unique
+    n = plan.n_unique
+    keys = plan.keys + tuple(key for key, _ in calls)
+    values: list = [None] * len(keys)
     needing: list[int] = []
-    for i in plan.dispatch_order():
-        key = plan.keys[i]
+    for i in plan.dispatch_order() + list(range(n, len(keys))):
+        key = keys[i]
         if memo is not None and key in memo:
-            estimates[i] = memo[key]
+            values[i] = memo[key]
             continue
         if cache is not None:
-            hit = cache.get_estimate(key)
+            hit = cache.get_estimate(key) if i < n else cache.get_value(key)
             if hit is not None:
-                estimates[i] = hit
+                values[i] = hit
                 if memo is not None:
                     memo[key] = hit
                 continue
         needing.append(i)
     if executor is not None:
-        claimed = set(executor.claim([plan.keys[i] for i in needing]))
-        needing = [i for i in needing if plan.keys[i] in claimed]
+        claimed = set(executor.claim([keys[i] for i in needing]))
+        needing = [i for i in needing if keys[i] in claimed]
     tagged: list[tuple] = []
     books: dict[int, PointJobs] = {}
     for i in needing:
-        expanded = request_jobs(plan.requests[i], plan.methods[i])
-        books[i] = PointJobs(index=i, parts=[None] * len(expanded), remaining=len(expanded))
-        for part, job in enumerate(expanded):
-            tagged.append((job, (i, part)))
-    return estimates, tagged, books
-
-
-def merge_spans(
-    plan: SimulationPlan,
-    estimates: list,
-    spans: Sequence[tuple[int, int, int]],
-    results: Sequence,
-    cache: ResultCache | None = None,
-    memo: dict | None = None,
-) -> list[OverheadEstimate]:
-    """Merge job results back into ``estimates`` (cache/memo write-back)."""
-    for i, start, stop in spans:
-        estimate = merge_request_results(
-            plan.requests[i], plan.methods[i], results[start:stop]
-        )
-        estimates[i] = estimate
-        if memo is not None:
-            memo[plan.keys[i]] = estimate
-        if cache is not None:
-            cache.put_estimate(plan.keys[i], estimate)
-    return estimates
-
-
-def execute_plan(
-    plan: SimulationPlan,
-    pool: WorkerPool | None = None,
-    cache: ResultCache | None = None,
-    memo: dict | None = None,
-) -> list[OverheadEstimate]:
-    """Run every unique request of ``plan`` and return aligned estimates.
-
-    Cached points are served from ``cache`` (and ``memo``) without
-    touching the pool; the remaining points expand into chunk jobs that
-    are all dispatched in **one** fused map over the shared pool, then
-    merged per point and written back to the caches.
-    """
-    estimates, jobs, spans = serve_or_expand(plan, cache, memo)
-    results = pool.map(run_job, jobs) if pool is not None else [run_job(j) for j in jobs]
-    return merge_spans(plan, estimates, spans, results, cache, memo)
+        if i < n:
+            jobs = request_jobs(plan.requests[i], plan.methods[i])
+        else:
+            jobs = [calls[i - n][1]]
+        books[i] = PointJobs(index=i, parts=[None] * len(jobs), remaining=len(jobs))
+        tagged.extend((job, (i, part)) for part, job in enumerate(jobs))
+    return values, tagged, books
 
 
 def simulate_requests(
     requests: Sequence[SimRequest],
-    pool: WorkerPool | None = None,
+    executor=None,
     cache: ResultCache | None = None,
-) -> list[OverheadEstimate]:
-    """Plan, execute and fan out: one estimate per *submitted* request.
+) -> list[OverheadEstimate | None]:
+    """Plan, schedule and fan out: one estimate per *submitted* request.
 
-    Bit-identical to calling
+    The experiment pipeline's path without its deferred values: plan,
+    :func:`claim_serve_expand`, the event-driven scheduler, and
+    :func:`merge_request_results`.  Bit-identical to calling
     :func:`repro.sim.montecarlo.simulate_overhead` once per request
-    with the same arguments, for any pool width and cache state.
+    with the same arguments, for any executor and cache state.
+    ``executor`` defaults to serial and stays open (the caller owns
+    it); a point a sharded executor does not claim comes back ``None``.
     """
+    from .scheduler import Scheduler  # the scheduler imports this module
+
     plan = plan_simulations(requests)
-    estimates = execute_plan(plan, pool=pool, cache=cache)
+    executor = executor if executor is not None else SerialExecutor()
+    estimates, tagged, books = claim_serve_expand(plan, cache, executor=executor)
+    scheduler = Scheduler(executor)
+    for job, tag in tagged:
+        scheduler.add(job, tag)
+    for (i, part), result in scheduler.events():
+        if books[i].deliver(part, result):
+            estimates[i] = merge_request_results(
+                plan.requests[i], plan.methods[i], books[i].parts
+            )
+            if cache is not None:
+                cache.put_estimate(plan.keys[i], estimates[i])
     return [estimates[slot] for slot in plan.slots]

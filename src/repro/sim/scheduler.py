@@ -6,8 +6,7 @@ so a single slow chunk stalled every figure behind it.  This module
 replaces the barrier with a :class:`Scheduler` that treats *all*
 queued jobs — across every study of an invocation — as one stream:
 
-* jobs join the queue in plan dispatch order (slowest backend first,
-  exactly the order the blocking path used);
+* jobs join the queue in plan dispatch order (slowest backend first);
 * the scheduler keeps at most ``max_inflight`` jobs outstanding on the
   executor's :meth:`~repro.sim.executors.base.Executor.submit` /
   :meth:`~repro.sim.executors.base.Executor.next_completed` surface,
@@ -61,10 +60,8 @@ __all__ = [
 
 
 def _tag_str(tag) -> str:
-    """A tag's stable trace label (``"3.1"`` / ``"call:ab12cd34"``)."""
+    """A tag's stable trace label (``(3, 1)`` -> ``"3.1"``)."""
     if isinstance(tag, tuple):
-        if tag and tag[0] == "call":
-            return f"call:{str(tag[1])[:8]}"
         return ".".join(str(part) for part in tag)
     return str(tag)
 

@@ -29,10 +29,10 @@ workloads that is a 10-50x speedup (see
 paper-fidelity sweeps routine instead of overnight jobs.
 
 Budgets larger than :data:`repro.sim.batch.MAX_CHUNK_ELEMENTS` cells
-(or any budget when ``workers > 1`` is requested) are split into run
-chunks with independent spawned seed streams and optionally dispatched
-to a process pool; the result is a pure function of the call
-arguments — whether the pool actually starts only affects wall-clock.
+are split into run chunks with independent spawned seed streams; the
+result is a pure function of the call arguments.  The fused planner
+(:mod:`repro.sim.plan`) ships the same chunks to a process pool as
+separate jobs, so where they run only affects wall-clock.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ def simulate_chunk(
 ) -> BatchStats:
     """Simulate one chunk of runs from scalar rates.
 
-    Module-level and picklable-argument-only, so
-    :func:`repro.sim.batch.dispatch_chunks` can ship it to worker
-    processes.
+    Module-level and picklable-argument-only, so the scheduler can
+    ship it to worker processes.
     """
     if n_runs <= 0 or n_patterns <= 0:
         raise SimulationError("n_runs and n_patterns must be positive")
@@ -146,7 +145,6 @@ def simulate_vectorized(
     seed: int | np.random.SeedSequence | None = None,
     *,
     chunk_runs: int | None = None,
-    workers: int | None = None,
 ) -> BatchStats:
     """Simulate the whole ``(n_runs x n_patterns)`` budget as arrays.
 
@@ -167,12 +165,6 @@ def simulate_vectorized(
     chunk_runs:
         Runs per chunk (default: sized to keep a chunk under
         :data:`repro.sim.batch.MAX_CHUNK_ELEMENTS` cells).
-    workers:
-        Process-pool width (default: auto — serial on a single-core
-        machine).  Requesting ``workers > 1`` refines the default
-        chunk plan so every worker gets chunks; for fixed call
-        arguments the sampled numbers are deterministic, and pool
-        availability only ever affects the wall-clock.
     """
     return run_chunked(
         simulate_chunk,
@@ -181,5 +173,4 @@ def simulate_vectorized(
         n_patterns,
         seed,
         chunk_runs,
-        workers,
     )

@@ -7,27 +7,25 @@ import json
 import pytest
 
 from repro.core import (
-    AmdahlSpeedup,
     GustafsonSpeedup,
     PatternModel,
+    optimal_pattern,
     stack_models,
 )
+from repro.exceptions import ValidityError
+from repro.experiments import analytic
 from repro.experiments.analytic import (
     ANALYTIC_VERSION,
     AnalyticMemo,
     AnalyticPoint,
-    batch_enabled,
     evaluate_analytic,
     model_key,
 )
-from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import main
-from repro.experiments.spec import run_study
+from repro.optimize.allocation import optimize_allocation
 from repro.platforms import build_model
-
-NO_SIM = SimSettings(simulate=False)
 
 
 class TestModelKey:
@@ -148,21 +146,40 @@ class TestEvaluateAnalytic:
         assert report["studyA"]["analytic_served"] == 2
 
 
+def _scalar_point(model) -> AnalyticPoint:
+    """The per-cell scalar optimisers: the batch engine's parity oracle."""
+    try:
+        fo = optimal_pattern(model)
+    except ValidityError:
+        fo = None
+    num = optimize_allocation(model)
+    return AnalyticPoint(
+        P_fo=fo.processors if fo is not None else None,
+        T_fo=fo.period if fo is not None else None,
+        H_pred_fo=fo.overhead if fo is not None else None,
+        P_num=num.processors,
+        T_num=num.period,
+        H_pred_num=num.overhead,
+    )
+
+
+def _no_sim_tables(name: str, capsys) -> str:
+    assert main(["sweep", name, "--no-sim"]) == 0
+    out = capsys.readouterr().out
+    return "\n".join(l for l in out.splitlines() if not l.startswith("[done in"))
+
+
 class TestSweepEngineParity:
-    def test_batch_flag_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYTIC_BATCH", raising=False)
-        assert batch_enabled()
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        assert not batch_enabled()
+    def test_sweep_tables_identical_with_engine_off(self, monkeypatch, capsys):
+        """Every study's --no-sim tables, batch engine vs scalar oracle."""
+        batch = {name: _no_sim_tables(name, capsys) for name in REGISTRY}
+        def oracle(models):
+            return [_scalar_point(m) for m in models]
 
-    def test_sweep_tables_identical_with_engine_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
-        batch = run_study(REGISTRY["fig5"], settings=NO_SIM)
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        scalar = run_study(REGISTRY["fig5"], settings=NO_SIM)
-        assert [r.table() for r in batch] == [r.table() for r in scalar]
-
-
+        monkeypatch.setattr(analytic, "_evaluate_models", oracle)
+        for name in REGISTRY:
+            assert _no_sim_tables(name, capsys) == batch[name], name
+        assert len(REGISTRY) == 10
 class TestCacheStatsCLI:
     def test_reports_analytic_memo(self, tmp_path, capsys):
         memo = AnalyticMemo(tmp_path / "analytic_memo.json")

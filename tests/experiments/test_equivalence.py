@@ -269,6 +269,25 @@ class TestShardCLI:
         assert strip_volatile(merged_tables) == strip_volatile(fresh_tables)
         assert "0 misses" in merged_tables
 
+    def test_shard_summary_line_is_pinned(self, tmp_path, capsys):
+        """The shard summary reads the metrics registry: jobs from
+        ``scheduler_jobs``, skips from ``points{status=skipped}``."""
+        lines = []
+        for index in ("0", "1"):
+            shard_dir = tmp_path / f"s{index}"
+            assert main(
+                ["sweep", "fig5", "--shard-index", index, "--shard-count", "2",
+                 "--shard-dir", str(shard_dir)]
+            ) == 0
+            lines += [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[shard")
+            ]
+        assert lines == [
+            f"[shard 0/2] 28 jobs computed, 26 points skipped -> {tmp_path / 's0'}",
+            f"[shard 1/2] 26 jobs computed, 28 points skipped -> {tmp_path / 's1'}",
+        ]
+
     def test_shard_flags_validated(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fig5", "--shard-count", "2"])  # no --shard-dir
@@ -295,12 +314,18 @@ class TestShardCLI:
         with SimulationPipeline(executor=executor, cache_dir=tmp_path) as pipe:
             stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
             stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
+            submitted = pipe.pending_points
             pipe.resolve()
             # The duplicate study re-declares every point; skipped counts
             # declarations, so both copies of a foreign point count.
-            assert pipe.points_submitted == 2 * 54
-            assert 0 < pipe.points_skipped < pipe.points_submitted
-            served = pipe.points_submitted - pipe.points_skipped
+            skipped = sum(
+                metric.value
+                for labels, metric in pipe.metrics.labeled("points")
+                if labels["status"] == "skipped"
+            )
+            assert submitted == 2 * 54
+            assert 0 < skipped < submitted
+            served = submitted - skipped
             owned_unique = len(list(tmp_path.glob("*.npz")))
             # Each owned unique point serves both of its declarations.
             assert served == 2 * owned_unique
@@ -321,12 +346,13 @@ class TestStreamingAll:
 
         with SimulationPipeline(jobs=1) as pipe:
             first = stage_study(REGISTRY["fig2"], settings=SETTINGS, pipeline=pipe)
+            pipe.resolve()
+            # fig5 is staged only after fig2's round resolved.
             later = stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
             buffer = io.StringIO()
             emitter = StreamingEmitter(stream=buffer)
             emitter.add(first)
             emitter.add(later)
-            pipe.resolve(count=first.n_pending)
             emitter.pump()
             assert "Figure 2" in buffer.getvalue()
             assert "Figure 5" not in buffer.getvalue()

@@ -88,10 +88,10 @@ class TestTableDeterminism:
     def test_repeated_run_on_one_pipeline_hits_the_memo(self):
         with SimulationPipeline(jobs=1) as pipe:
             first = fig2_scenarios.run(scenarios=(1,), settings=SETTINGS, pipeline=pipe)
-            computed = pipe.points_computed
+            computed = pipe.metrics.value("scheduler_jobs")
             second = fig2_scenarios.run(scenarios=(1,), settings=SETTINGS, pipeline=pipe)
             assert second == first
-            assert pipe.points_computed == computed  # no recomputation
+            assert pipe.metrics.value("scheduler_jobs") == computed  # no recomputation
 
 
 class TestPointDeterminism:
@@ -108,49 +108,25 @@ class TestPointDeterminism:
             pipe.resolve()
         assert [d.value for d in deferred] == sequential
 
-    def test_workers_setting_preserved_through_pipeline(self):
-        settings = SimSettings(
-            fidelity=Fidelity(n_runs=50, n_patterns=100),
-            seed=9,
-            method="vectorized",
-            workers=2,
-        )
-        model = build_model("Hera", 1)
-        sequential = simulate_mean(model, 6000.0, 256.0, settings)
-        with SimulationPipeline(jobs=2) as pipe:
-            d = pipe.simulate_mean(model, 6000.0, 256.0, settings)
-            pipe.resolve()
-        assert d.value == sequential
-
     def test_duplicate_points_share_one_computation(self):
         model = build_model("Hera", 1)
         with SimulationPipeline(jobs=1) as pipe:
             a = pipe.simulate_mean(model, 6000.0, 256.0, SETTINGS)
             b = pipe.simulate_mean(model, 6000.0, 256.0, SETTINGS)
+            assert pipe.pending_points == 2
             pipe.resolve()
             assert a.value == b.value
-            assert pipe.points_submitted == 2
-            assert pipe.points_computed == 1
+            assert pipe.metrics.value("scheduler_jobs") == 1
 
 
 class TestPrivatePipeline:
-    def test_sized_from_settings_workers(self):
+    def test_private_pipeline_is_serial(self):
         from repro.experiments.pipeline import private_pipeline
+        from repro.sim.executors import SerialExecutor
 
-        assert private_pipeline(SETTINGS).pool.workers == 1
-        sized = private_pipeline(
-            SimSettings(fidelity=SETTINGS.fidelity, seed=1, workers=3)
-        )
-        assert sized.pool.workers == 3
-        sized.close()
-
-    def test_direct_run_with_workers_still_bit_identical(self):
-        # A library caller passing SimSettings(workers=2) and no
-        # pipeline gets a private 2-worker pool — same numbers.
-        settings = SimSettings(fidelity=SETTINGS.fidelity, seed=42, workers=2)
-        baseline = fig2_scenarios.run(scenarios=(1,), settings=settings)
-        rerun = fig2_scenarios.run(scenarios=(1,), settings=settings)
-        assert baseline == rerun
+        with private_pipeline() as pipe:
+            assert isinstance(pipe.executor, SerialExecutor)
+            assert pipe.cache is None
 
 
 class TestDeferredSemantics:
@@ -177,7 +153,7 @@ class TestDeferredSemantics:
             results = fig2_scenarios.run(
                 scenarios=(1,), settings=SimSettings(simulate=False), pipeline=pipe
             )
-            assert pipe.points_submitted == 0
+            assert pipe.metrics.labeled("points") == []
         assert results[0].column("H_optimal_sim") == [None]
 
 

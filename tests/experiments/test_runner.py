@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.experiments.runner import build_parser, main, print_input_tables
 
 
@@ -70,27 +76,34 @@ class TestExecution:
 
 
 class TestPipelineFlags:
-    def test_jobs_defaults_to_workers(self):
+    def test_jobs_sizes_the_pool(self):
         from repro.experiments.runner import _pipeline_from_args
 
-        args = build_parser().parse_args(["fig2", "--workers", "3"])
+        args = build_parser().parse_args(["fig2", "--jobs", "3"])
         with _pipeline_from_args(args) as pipe:
-            assert pipe.pool.workers == 3
+            assert pipe.executor.workers == 3
 
     def test_flagless_default_is_serial(self):
         from repro.experiments.runner import _pipeline_from_args
 
         args = build_parser().parse_args(["fig2"])
         with _pipeline_from_args(args) as pipe:
-            assert pipe.pool.workers == 1
+            assert pipe.executor.workers == 1
             assert pipe.cache is None
 
-    def test_jobs_overrides_workers(self):
-        from repro.experiments.runner import _pipeline_from_args
-
-        args = build_parser().parse_args(["fig2", "--workers", "3", "--jobs", "2"])
-        with _pipeline_from_args(args) as pipe:
-            assert pipe.pool.workers == 2
+    def test_removed_workers_flag_is_refused(self, tmp_path):
+        """--jobs is the only parallelism option: --workers exits 2
+        (argparse) before anything is written."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "fig5", "--workers", "2"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --workers 2" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_cache_bypasses_cache_dir(self, tmp_path):
         from repro.experiments.runner import _pipeline_from_args

@@ -19,9 +19,8 @@ from repro.sim.executors import (
 from repro.sim.plan import (
     ResultCache,
     SimRequest,
-    WorkerPool,
-    plan_simulations,
     request_key,
+    simulate_requests,
 )
 
 
@@ -50,13 +49,9 @@ class TestShardOf:
 
 
 class TestSerialExecutor:
-    def test_order_preserving_map(self):
-        ex = SerialExecutor()
-        assert ex.map(_double, [3, 1, 2]) == [6, 2, 4]
-        assert ex.workers == 1
-
     def test_owns_everything(self):
         assert SerialExecutor().owns("deadbeef")
+        assert SerialExecutor().workers == 1
 
 
 class TestPoolExecutor:
@@ -64,12 +59,7 @@ class TestPoolExecutor:
         with PoolExecutor(3) as ex:
             assert ex.workers == 3
             assert ex.owns("deadbeef")
-            assert ex.map(_double, [5, 7]) == [10, 14]
-
-    def test_accepts_existing_pool(self):
-        pool = WorkerPool(2)
-        with PoolExecutor(pool) as ex:
-            assert ex.pool is pool
+        assert PoolExecutor(0).workers == 1  # clamps to serial
 
 
 class TestShardedExecutor:
@@ -87,11 +77,6 @@ class TestShardedExecutor:
             ShardedExecutor(-1, 2)
         with pytest.raises(SimulationError):
             ShardedExecutor(0, 0)
-
-    def test_delegates_map_to_inner(self):
-        ex = ShardedExecutor(0, 2, inner=SerialExecutor())
-        assert ex.map(_double, [1, 2]) == [2, 4]
-        assert ex.workers == 1
 
 
 class TestMakeExecutor:
@@ -152,57 +137,43 @@ class TestMergeShardDirs:
 
 class TestShardedPlanExecution:
     def test_foreign_points_stay_unresolved_and_cache_covers(self, tmp_path):
-        """serve_or_expand skips foreign keys; a merged cache serves them."""
-        from repro.sim.plan import merge_spans, run_job, serve_or_expand
-
+        """A shard skips foreign keys; its cache then serves its own."""
         requests = fig_requests(6)
-        plan = plan_simulations(requests)
-        ex0 = ShardedExecutor(0, 2)
         cache0 = ResultCache(tmp_path / "s0")
-        estimates, jobs, spans = serve_or_expand(plan, cache0, None, owned=ex0.owns)
-        results = [run_job(j) for j in jobs]
-        merge_spans(plan, estimates, spans, results, cache0, None)
+        estimates = simulate_requests(requests, ShardedExecutor(0, 2), cache0)
         owned = [i for i, e in enumerate(estimates) if e is not None]
         foreign = [i for i, e in enumerate(estimates) if e is None]
         assert owned and foreign  # both sides non-trivial for this grid
-        assert all(ShardedExecutor(0, 2).owns(plan.keys[i]) for i in owned)
-        assert not any(ShardedExecutor(0, 2).owns(plan.keys[i]) for i in foreign)
+        keys = [request_key(r) for r in requests]
+        assert all(ShardedExecutor(0, 2).owns(keys[i]) for i in owned)
+        assert not any(ShardedExecutor(0, 2).owns(keys[i]) for i in foreign)
         # The same cache dir now serves the owned points without jobs.
-        again, jobs2, _ = serve_or_expand(plan, ResultCache(tmp_path / "s0"), None,
-                                          owned=ex0.owns)
+        warm = ResultCache(tmp_path / "s0")
+        again = simulate_requests(requests, ShardedExecutor(0, 2), warm)
         assert [i for i, e in enumerate(again) if e is not None] == owned
-        assert jobs2 == []
+        assert (warm.hits, warm.misses) == (len(owned), len(foreign))
 
     def test_sharded_means_equal_serial_means(self, tmp_path):
         """Union of shard results == serial results, bit for bit."""
-        from repro.sim.plan import execute_plan
-
         requests = fig_requests(5)
-        plan = plan_simulations(requests)
-        serial = execute_plan(plan)
+        serial = simulate_requests(requests)
         for index in (0, 1, 2):
             cache = ResultCache(tmp_path / f"s{index}")
-            ex = ShardedExecutor(index, 3)
-            from repro.sim.plan import merge_spans, run_job, serve_or_expand
-
-            estimates, jobs, spans = serve_or_expand(plan, cache, None, owned=ex.owns)
-            merge_spans(plan, estimates, spans, [run_job(j) for j in jobs], cache, None)
+            simulate_requests(requests, ShardedExecutor(index, 3), cache)
         merge_shard_dirs(
             [tmp_path / f"s{i}" for i in range(3)], tmp_path / "merged"
         )
-        merged = execute_plan(plan, cache=ResultCache(tmp_path / "merged"))
+        merged = simulate_requests(requests, cache=ResultCache(tmp_path / "merged"))
         assert [e.mean for e in merged] == [e.mean for e in serial]
         assert [e.std for e in merged] == [e.std for e in serial]
 
 
 class TestNumericalStability:
     def test_pool_and_serial_identical(self):
-        from repro.sim.plan import execute_plan
-
-        plan = plan_simulations(fig_requests(4))
-        serial = execute_plan(plan)
-        with WorkerPool(2) as pool:
-            pooled = execute_plan(plan, pool=pool)
+        requests = fig_requests(4)
+        serial = simulate_requests(requests)
+        with PoolExecutor(2) as executor:
+            pooled = simulate_requests(requests, executor)
         assert np.array_equal(
             [e.mean for e in serial], [e.mean for e in pooled]
         )
@@ -276,7 +247,7 @@ class TestLifecycleUnderFailure:
     """A failing job must never leak pool processes (satellite: __exit__)."""
 
     def test_pipeline_failure_closes_shared_pool(self):
-        """A job exception mid-run shuts the WorkerPool down."""
+        """A job exception mid-run shuts the process pool down."""
         from repro.experiments.pipeline import SimulationPipeline
 
         with SimulationPipeline(jobs=2) as pipe:
@@ -286,7 +257,7 @@ class TestLifecycleUnderFailure:
                 pipe.resolve()
             # resolve() closed the executor on the way out: no live
             # process pool survives the exception.
-            assert pipe.executor.pool._pool is None
+            assert pipe.executor._pool is None
 
     def test_serial_exit_is_idempotent(self):
         ex = SerialExecutor()
@@ -298,7 +269,7 @@ class TestLifecycleUnderFailure:
         ex = PoolExecutor(2)
         with ex:
             ex.submit(_double, 1)  # completion never consumed
-        assert ex.pool._pool is None
+        assert ex._pool is None
         assert ex._inflight == {}
         ex.close()  # idempotent
 
@@ -306,15 +277,15 @@ class TestLifecycleUnderFailure:
         ex = PoolExecutor(2)
         with pytest.raises(RuntimeError):
             with ex:
-                ex.map(_double, [1, 2])
+                ex.submit(_double, 1)
                 raise RuntimeError("body failed")
-        assert ex.pool._pool is None
+        assert ex._pool is None
 
     def test_sharded_exit_closes_inner(self):
         inner = PoolExecutor(2)
         with ShardedExecutor(0, 2, inner=inner) as ex:
-            ex.map(_double, [1, 2])
-        assert inner.pool._pool is None
+            ex.submit(_double, 1)
+        assert inner._pool is None
 
     def test_cancelled_inner_future_replays_inline(self):
         """A broken pool's cancelled jobs re-run inline, not crash."""
@@ -348,10 +319,12 @@ class TestLifecycleUnderFailure:
             assert deferred.value == 42
 
     def test_worker_pool_close_cancels_queued_futures(self):
-        pool = WorkerPool(2)
-        futures = [pool.submit(_double, i) for i in range(64)]
-        assert all(f is not None for f in futures)
-        pool.close()  # must not hang, must not leak
-        assert pool._pool is None
+        ex = PoolExecutor(2)
+        for i in range(64):
+            ex.submit(_double, i)
+        futures = list(ex._inflight)
+        assert len(futures) == 64  # every job went to the pool
+        ex.close()  # must not hang, must not leak
+        assert ex._pool is None
         for f in futures:
             assert f.cancelled() or f.done()

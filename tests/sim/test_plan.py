@@ -1,4 +1,4 @@
-"""Fused simulation planning: requests, keys, cache, shared-pool dispatch."""
+"""Fused simulation planning: requests, keys, cache, scheduled dispatch."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim.montecarlo import simulate_overhead
+from repro.platforms import build_model
+from repro.sim.executors import PoolExecutor
+from repro.sim.montecarlo import FAST, PAPER, simulate_overhead
 from repro.sim.plan import (
     BACKEND_VERSION,
     ResultCache,
     SimRequest,
-    WorkerPool,
     canonical_signature,
-    execute_plan,
     plan_simulations,
     request_jobs,
     request_key,
@@ -60,27 +60,18 @@ class TestRequestKey:
         keys = {base} | {request_key(v) for v in variants}
         assert len(keys) == len(variants) + 1
 
-    def test_workers_in_key_only_where_it_refines_the_chunk_plan(self, hera_sc1):
-        # des and single-pass batch ignore workers: same numbers, same key.
-        small = SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3)
-        assert request_key(small) == request_key(
-            SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3, workers=4)
+    def test_keys_are_pinned(self):
+        """Plan keys are the cache's and the run journal's addresses:
+        they must not move, or existing caches and manifests stop
+        resuming.  Values recorded with v1.10.0."""
+        model = build_model("Hera", 1)
+        fast = SimRequest(model, 6000.0, 256.0, FAST.n_runs, FAST.n_patterns)
+        paper = SimRequest(model, 6000.0, 256.0, PAPER.n_runs, PAPER.n_patterns, seed=7)
+        assert request_key(fast) == (
+            "7886a48cc654be476da3f8d3a9cb39256270928875e951c7f0cf616ff4287caf"
         )
-        des = SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3, method="des")
-        assert request_key(des) == request_key(
-            SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3, method="des", workers=4)
-        )
-        # Chunked vectorized: workers refines the plan and the stream.
-        vec = SimRequest(hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized")
-        vec4 = SimRequest(
-            hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized", workers=4
-        )
-        assert request_key(vec) != request_key(vec4)
-        # workers=1 never refines: identical to None everywhere.
-        assert request_key(vec) == request_key(
-            SimRequest(
-                hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized", workers=1
-            )
+        assert request_key(paper) == (
+            "588720ce6f37dfaccfbabee64d24b2d26cdd1428ae9043611187964c490f2097"
         )
 
     def test_auto_resolves_to_concrete_backend(self, hera_sc1):
@@ -123,12 +114,6 @@ class TestRequestJobs:
     def test_small_batch_is_one_job(self, request_):
         assert len(request_jobs(request_)) == 1
 
-    def test_workers_refine_vectorized_chunks(self, hera_sc1):
-        req = SimRequest(
-            hera_sc1, 6000.0, 256.0, 50, 100, seed=3, method="vectorized", workers=2
-        )
-        assert len(request_jobs(req)) == 2
-
     def test_des_slices_cover_all_runs(self, hera_sc1):
         req = SimRequest(hera_sc1, 6000.0, 256.0, 20, 5, seed=3, method="des")
         jobs = request_jobs(req)
@@ -145,31 +130,38 @@ class TestBitIdentity:
     """The fused path must equal per-point simulate_overhead bit for bit."""
 
     @pytest.mark.parametrize("method", ["batch", "vectorized", "des"])
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_matches_sequential(self, hera_sc1, hera_sc3, method, workers):
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_matches_sequential(self, hera_sc1, hera_sc3, method, jobs):
         n_runs, n_patterns = (6, 8) if method == "des" else (10, 20)
         points = [(hera_sc1, 6000.0, 256.0), (hera_sc3, 5000.0, 512.0)]
         sequential = [
-            simulate_overhead(
-                m, T, P, n_runs, n_patterns, seed=5, method=method, workers=workers
-            )
+            simulate_overhead(m, T, P, n_runs, n_patterns, seed=5, method=method)
             for m, T, P in points
         ]
         requests = [
-            SimRequest(m, T, P, n_runs, n_patterns, seed=5, method=method, workers=workers)
+            SimRequest(m, T, P, n_runs, n_patterns, seed=5, method=method)
             for m, T, P in points
         ]
-        fused = simulate_requests(requests)
+        if jobs is None:
+            fused = simulate_requests(requests)
+        else:
+            with PoolExecutor(jobs) as executor:
+                fused = simulate_requests(requests, executor=executor)
         assert fused == sequential
 
     def test_pool_width_never_changes_results(self, hera_sc1):
+        # 120 x 40000 cells: two memory-bounded chunks, so the pool
+        # really runs one point's jobs in different processes.
         requests = [
-            SimRequest(hera_sc1, 6000.0, 256.0, 10, 20, seed=5, workers=2),
-            SimRequest(hera_sc1, 7000.0, 256.0, 10, 20, seed=5, workers=2),
+            SimRequest(
+                hera_sc1, 6000.0, 256.0, 120, 40_000, seed=5, method="vectorized"
+            ),
+            SimRequest(hera_sc1, 7000.0, 256.0, 10, 20, seed=5),
         ]
+        assert len(request_jobs(requests[0])) == 2
         serial = simulate_requests(requests)
-        with WorkerPool(2) as pool:
-            pooled = simulate_requests(requests, pool=pool)
+        with PoolExecutor(2) as executor:
+            pooled = simulate_requests(requests, executor=executor)
         assert serial == pooled
 
     def test_error_free_point(self):
@@ -184,20 +176,6 @@ class TestBitIdentity:
         est = simulate_requests([req])[0]
         seq = simulate_overhead(model, 3600.0, 100.0, 5, 10, seed=1)
         assert est == seq
-
-
-class TestWorkerPool:
-    def test_serial_when_single_worker(self):
-        pool = WorkerPool(1)
-        assert not pool.parallel
-        assert pool.map(abs, [-1, -2]) == [1, 2]
-
-    def test_zero_clamps_to_serial(self):
-        assert WorkerPool(0).workers == 1
-
-    def test_parallel_map_preserves_order(self):
-        with WorkerPool(2) as pool:
-            assert pool.map(abs, list(range(-8, 0))) == list(range(8, 0, -1))
 
 
 class TestResultCache:
@@ -226,13 +204,14 @@ class TestResultCache:
         (tmp_path / ("c" * 64 + ".npz")).write_bytes(b"not an npz")
         assert cache.get_estimate("c" * 64) is None
 
-    def test_execute_plan_uses_cache(self, tmp_path, hera_sc1):
+    def test_simulate_requests_uses_cache(self, tmp_path, hera_sc1):
         req = SimRequest(hera_sc1, 6000.0, 256.0, 10, 20, seed=5)
-        plan = plan_simulations([req])
         cache = ResultCache(tmp_path)
-        cold = execute_plan(plan, cache=cache)
+        cold = simulate_requests([req], cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
-        warm = execute_plan(plan, cache=ResultCache(tmp_path))
+        warm_cache = ResultCache(tmp_path)
+        warm = simulate_requests([req], cache=warm_cache)
+        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
         assert warm == cold
 
     def test_backend_version_isolates_entries(self, hera_sc1, request_, monkeypatch):

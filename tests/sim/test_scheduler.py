@@ -26,7 +26,7 @@ from repro.sim.executors import (
     shard_of,
 )
 from repro.sim.montecarlo import Fidelity
-from repro.sim.plan import SimRequest, plan_simulations, request_key
+from repro.sim.plan import SimRequest, request_key
 from repro.sim.scheduler import Scheduler, default_inflight
 
 SETTINGS = SimSettings(fidelity=Fidelity(n_runs=6, n_patterns=10), seed=7)
@@ -269,7 +269,7 @@ class TestClaimOrder:
 class TestScheduledShardEquivalence:
     def test_stealing_union_matches_serial(self, tmp_path):
         """Both stealing shards together cover the plan, bit for bit."""
-        from repro.sim.plan import ResultCache, execute_plan
+        from repro.sim.plan import ResultCache, simulate_requests
         from repro.sim.executors import merge_shard_dirs
 
         model = build_model("Hera", 1)
@@ -281,8 +281,7 @@ class TestScheduledShardEquivalence:
             )
             for i in range(8)
         ]
-        plan = plan_simulations(requests)
-        serial = execute_plan(plan)
+        serial = simulate_requests(requests)
         for index in (0, 1):
             executor = ShardedExecutor(
                 index, 2, mode="stealing", claim_dir=tmp_path / "claims"
@@ -294,7 +293,7 @@ class TestScheduledShardEquivalence:
                     pipe.simulate_mean(model, request.T, request.P, settings)
                 pipe.resolve()
         merge_shard_dirs([tmp_path / "s0", tmp_path / "s1"], tmp_path / "merged")
-        merged = execute_plan(plan, cache=ResultCache(tmp_path / "merged"))
+        merged = simulate_requests(requests, cache=ResultCache(tmp_path / "merged"))
         assert [e.mean for e in merged] == [e.mean for e in serial]
 
 

@@ -112,17 +112,6 @@ class TestChunkingAndDispatch:
         b = simulate_vectorized(model, 1000.0, 20, 20, 20, seed=12)
         np.testing.assert_array_equal(a.run_times, b.run_times)
 
-    def test_worker_count_never_changes_results(self):
-        model = _model(2e-5, 0.5)
-        serial = simulate_vectorized(
-            model, 1000.0, 20, 64, 30, seed=3, chunk_runs=16, workers=1
-        )
-        pooled = simulate_vectorized(
-            model, 1000.0, 20, 64, 30, seed=3, chunk_runs=16, workers=2
-        )
-        np.testing.assert_array_equal(serial.run_times, pooled.run_times)
-        assert serial.n_attempts == pooled.n_attempts
-
     def test_chunked_mean_unbiased(self):
         model = _model(2e-5, 0.5)
         T, P = 1500.0, 20
@@ -134,20 +123,6 @@ class TestChunkingAndDispatch:
         per_run = stats.run_times / stats.n_patterns
         sem = per_run.std(ddof=1) / np.sqrt(stats.n_runs)
         assert abs(stats.mean_pattern_time - analytic) < 4 * sem
-
-    def test_explicit_workers_refines_default_plan(self):
-        # A small budget fits one memory-bounded chunk, but an explicit
-        # worker request must still split the runs so the pool engages;
-        # the plan (and therefore the result) stays a pure function of
-        # the call arguments.
-        model = _model(2e-5, 0.5)
-        a = simulate_vectorized(model, 1000.0, 20, 60, 30, seed=6, workers=4)
-        b = simulate_vectorized(model, 1000.0, 20, 60, 30, seed=6, workers=4)
-        np.testing.assert_array_equal(a.run_times, b.run_times)
-        explicit = simulate_vectorized(
-            model, 1000.0, 20, 60, 30, seed=6, chunk_runs=15, workers=1
-        )
-        np.testing.assert_array_equal(a.run_times, explicit.run_times)
 
     def test_plan_chunks(self):
         assert plan_chunks(10, 4) == [4, 4, 2]
@@ -171,7 +146,7 @@ class TestChunkingAndDispatch:
         model = _model(2e-5, 0.5)
         T, P = 1500.0, 20
         stats = simulate_batch_chunked(
-            model, T, P, n_runs=200, n_patterns=50, seed=4, chunk_runs=64, workers=1
+            model, T, P, n_runs=200, n_patterns=50, seed=4, chunk_runs=64
         )
         assert stats.n_runs == 200
         analytic = model.expected_time(T, P)
