@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -105,7 +105,3 @@ class FigureResult:
         return np.array(
             [np.nan if v is None else float(v) for v in self.column(name)], dtype=float
         )
-
-
-def fmt_scenarios(scenarios: Sequence[int]) -> str:
-    return ",".join(str(s) for s in scenarios)

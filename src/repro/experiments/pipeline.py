@@ -115,7 +115,7 @@ class PointEvent:
 
     ``status`` says how the value materialized: ``"computed"`` (its
     chunk jobs ran this round), ``"served"`` (memo or disk cache), or
-    ``"skipped"`` (a sharded executor did not claim it; the value is
+    ``"skipped"`` (a sharded executor does not own it; the value is
     ``None``).  ``group`` is the study label active when the point was
     declared (see :attr:`SimulationPipeline.current_group`).  ``key``
     is the point's content-addressed plan key — what the run manifest
@@ -175,9 +175,9 @@ class SimulationPipeline:
         An explicit :class:`repro.sim.executors.Executor` overriding
         the one implied by ``jobs`` — this is how a CLI shard run
         injects a :class:`~repro.sim.executors.ShardedExecutor`.
-        Points whose plan key the executor does not claim are skipped
+        Points whose plan key the executor does not own are skipped
         (their deferred values resolve to ``None``); serial and pooled
-        executors claim everything.
+        executors own everything.
     max_inflight:
         Bound on concurrently in-flight chunk jobs across the whole
         invocation (the scheduler's global window).  ``None`` sizes it
@@ -459,7 +459,7 @@ class SimulationPipeline:
 
         Requests and calls share one path: a point per unique key (the
         plan's unique requests, then the first-seen calls), one
-        serve/claim/expand pass, one scheduler drain.  They differ only
+        serve/expand pass, one scheduler drain.  They differ only
         in their payload — a request carries an
         :class:`~repro.sim.results.OverheadEstimate` whose mean its
         deferreds receive, a call the job's value itself.
@@ -491,7 +491,7 @@ class SimulationPipeline:
             decls.setdefault(i, []).append((deferred, group))
         keys = plan.keys + tuple(key for key, _ in calls)
 
-        # Cache-serve short-circuit + one batched claim + tagged
+        # Cache-serve short-circuit + ownership filter + tagged
         # expansion (slowest backend first, as always).
         values, tagged_jobs, books = claim_serve_expand(
             plan, self.cache, self._memo, executor=self.executor, calls=calls

@@ -60,14 +60,10 @@ from ..obs.trace import TRACE_NAME, TraceWriter
 from .analytic import AnalyticMemo
 from .common import FigureResult, SimSettings
 from .pipeline import SimulationPipeline
-from .registry import REGISTRY, RUNNERS, find_spec, get_spec
+from .registry import REGISTRY, find_spec, get_spec
 from .spec import StudySpec, stage_study
 
 __all__ = ["main", "print_input_tables", "print_command_index", "check_experiments_md"]
-
-#: Study name -> historical ``run()`` callable (derived from the
-#: registry; kept under the old name for API compatibility).
-_FIGURES = RUNNERS
 
 #: Real subcommands that are not figure pipelines; references to them
 #: in EXPERIMENTS.md are legitimate and exempt from the drift check.
@@ -81,12 +77,6 @@ _META_COMMANDS = {
 _DOCUMENTED_META = (
     "all", "tables", "sweep", "merge", "cache", "scenario", "resume", "trace",
 )
-
-#: Default claim-board lease TTL (seconds) in work-stealing shard mode:
-#: long enough that no healthy shard's claim expires between scheduling
-#: rounds, short enough that a dead shard's keys are reclaimed within
-#: one coffee break instead of blocking the sweep forever.
-DEFAULT_CLAIM_TTL = 900.0
 
 
 def print_input_tables(stream=None) -> None:
@@ -144,32 +134,15 @@ def _settings_from_args(args: argparse.Namespace) -> SimSettings:
 def _shard_args(args: argparse.Namespace) -> tuple[int, int] | None:
     """Validated ``(shard_index, shard_count)``, or None when unsharded."""
     count = getattr(args, "shard_count", None)
-    mode = getattr(args, "shard_mode", "static")
-    claim_dir = getattr(args, "claim_dir", None)
-    claim_ttl = getattr(args, "claim_ttl", None)
     if count is None:
         if getattr(args, "shard_index", None) is not None:
             raise SystemExit("--shard-index requires --shard-count")
-        if mode != "static":
-            raise SystemExit("--shard-mode requires --shard-count")
-        if claim_dir is not None:
-            raise SystemExit("--claim-dir requires --shard-mode stealing")
-        if claim_ttl is not None:
-            raise SystemExit("--claim-ttl requires --shard-mode stealing")
         return None
     index = args.shard_index if args.shard_index is not None else 0
     if count < 1 or not 0 <= index < count:
         raise SystemExit(f"shard {index}/{count} is out of range")
     if getattr(args, "shard_dir", None) is None:
         raise SystemExit("--shard-count requires --shard-dir (the shard's npz output)")
-    if mode == "stealing" and claim_dir is None:
-        raise SystemExit(
-            "--shard-mode stealing requires --claim-dir (the shared claim board)"
-        )
-    if mode == "static" and claim_dir is not None:
-        raise SystemExit("--claim-dir only applies to --shard-mode stealing")
-    if mode == "static" and claim_ttl is not None:
-        raise SystemExit("--claim-ttl only applies to --shard-mode stealing")
     return index, count
 
 
@@ -251,20 +224,7 @@ def _pipeline_from_args(
         )
     # Every flag is checked above: only from here on may the invocation
     # touch the disk (the trace writer opens its file).
-    executor = None
-    if shard is not None:
-        index, count = shard
-        claim_ttl = getattr(args, "claim_ttl", None)
-        if claim_ttl is None:
-            claim_ttl = DEFAULT_CLAIM_TTL
-        executor = make_executor(
-            jobs,
-            index,
-            count,
-            shard_mode=args.shard_mode,
-            claim_dir=args.claim_dir,
-            claim_ttl=claim_ttl if claim_ttl > 0 else None,
-        )
+    executor = make_executor(jobs, *shard) if shard is not None else None
     pipeline = SimulationPipeline(
         jobs=jobs,
         executor=executor,
@@ -307,42 +267,6 @@ def _stage_specs(
     return staged
 
 
-def _resolve_and_emit(
-    staged: Sequence,
-    pipeline: SimulationPipeline,
-    emitter: StreamingEmitter | None,
-    collect: list | None = None,
-    on_event: Callable | None = None,
-    on_round: Callable | None = None,
-) -> None:
-    """Resolve every staged study in one event-driven round.
-
-    All studies' planned jobs share one global in-flight window — no
-    wave barriers, so a slow chunk in one study never stalls another's
-    dispatch.  Every resolved point pumps the emitter: a study's
-    tables print the moment its last point lands (head-of-line order
-    keeps the output bytes identical to the buffered path).  In shard
-    mode (``emitter`` is None, ``collect`` is None) the studies are
-    resolved for their side effect only: shard npz output.
-    """
-    if emitter is not None:
-        for stage in staged:
-            emitter.add(stage)
-
-    def _on_point(event) -> None:
-        if on_event is not None:
-            on_event(event)
-        if emitter is not None:
-            emitter.on_event(event)
-
-    pipeline.resolve(on_event=_on_point, on_round=on_round)
-    if emitter is not None:
-        emitter.drain()
-    elif collect is not None:
-        for stage in staged:
-            collect.append((stage.ctx.spec.name, stage.finish()))
-
-
 def _progress_printer(staged: Sequence, pipeline: SimulationPipeline,
                       stream=None) -> Callable:
     """Per-study progress lines (stderr) as the scheduler resolves points.
@@ -380,56 +304,21 @@ def _progress_printer(staged: Sequence, pipeline: SimulationPipeline,
     return on_event
 
 
-def _chain_events(*callbacks: Callable | None) -> Callable | None:
-    """Compose optional ``on_event`` callbacks into one (or ``None``)."""
-    chained = [cb for cb in callbacks if cb is not None]
-    if not chained:
-        return None
-    if len(chained) == 1:
-        return chained[0]
-
-    def on_event(event) -> None:
-        for cb in chained:
-            cb(event)
-
-    return on_event
+def _journal(recorder: RunRecorder | None):
+    """Context that compacts ``recorder``'s journal on any exit."""
+    return recorder if recorder is not None else contextlib.nullcontext()
 
 
-def _recorder_from_args(
-    args: argparse.Namespace,
-    argv: Sequence[str],
-    pipeline: SimulationPipeline,
-    pre_validate: Callable | None = None,
-) -> RunRecorder | None:
-    """The durable-run journal implied by ``--run-id``/``--resume``.
+def _validate_resumed(
+    recorder: RunRecorder, pipeline: SimulationPipeline, argv: Sequence[str]
+) -> None:
+    """Check a resumed manifest against the pending plan keys and report.
 
-    Must be called *after* staging (a resume validates the manifest
-    against the pipeline's pending plan keys), on a pipeline built by
-    :func:`_pipeline_from_args`, which already refused journal flags
-    without a result cache.  ``pre_validate`` runs
-    between loading a resumed manifest and the validation pass — the
-    adaptive engine uses it to replay journaled waves onto the
-    pipeline, so the resumed plan covers every key of the original
-    run.  All reporting goes to stderr, keeping the table bytes on
-    stdout identical to an unjournaled run.
+    Reuse outcomes land in the registry's ``resume_points{outcome}``
+    counters (which :func:`_run_round`'s closing summary reads) and
+    on stderr, keeping the table bytes on stdout identical to an
+    unjournaled run.
     """
-    run_id = getattr(args, "run_id", None)
-    resume = getattr(args, "resume", False)
-    if run_id is None:
-        return None
-    runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
-    try:
-        if not resume:
-            recorder = RunRecorder.create(runs_dir, run_id, argv,
-                                          metrics=pipeline.metrics)
-            print(f"[run] journaling to {recorder.path}", file=sys.stderr)
-            return recorder
-        recorder = RunRecorder.resume(runs_dir, run_id, argv,
-                                      metrics=pipeline.metrics)
-        if pre_validate is not None:
-            pre_validate(recorder.manifest)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
     report = validate_resume(
         recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv
     )
@@ -448,35 +337,103 @@ def _recorder_from_args(
     for line in report.lines():
         print(line, file=sys.stderr)
     recorder.write()
-    return recorder
 
 
-def _journal(recorder: RunRecorder | None):
-    """Context that compacts ``recorder``'s journal on any exit."""
-    return recorder if recorder is not None else contextlib.nullcontext()
-
-
-def _finish_recorder(
-    recorder: RunRecorder | None, pipeline: SimulationPipeline
+def _run_round(
+    args: argparse.Namespace,
+    argv: Sequence[str],
+    pipeline: SimulationPipeline,
+    staged: Sequence,
+    emitter: StreamingEmitter | None = None,
+    run=None,
+    on_start: Callable[[], None] | None = None,
+    on_resolved: Callable[[], None] | None = None,
 ) -> None:
-    """Seal a run journal and print the resumed round's reuse summary.
+    """Journal, observe and resolve one invocation's staged studies.
 
-    The summary line reads the same registry counters the recorder
-    wrote (``resume_points{outcome}``), so the printed numbers cannot
-    drift from the journaled manifest.  Fresh (unresumed) runs stay
-    silent — their stderr is unchanged from the pre-metrics CLI.
+    The round every simulating command runs, after staging (a resume
+    validates its manifest against the pipeline's pending plan keys):
+
+    1. open the durable-run journal implied by ``--run-id``/``--resume``
+       on a pipeline built by :func:`_pipeline_from_args` (which already
+       refused journal flags without a result cache).  An adaptive
+       ``run`` (:class:`~repro.experiments.scenarios.AdaptiveRun`)
+       replays its journaled waves before the validation pass, so the
+       resumed plan covers every key of the original run;
+    2. ``on_start()``, then resolve every pending point in one
+       event-driven round.  Each resolved point feeds the journal, the
+       ``--progress`` printer (reading ``staged`` live), ``run`` and
+       ``emitter`` — whose studies the caller queued — in that order;
+       ``run`` also stages new waves between rounds;
+    3. drain ``emitter``, finalize ``run``, ``on_resolved()``, and only
+       then seal the journal and print a resumed round's reuse summary.
+
+    All journal reporting goes to stderr.
     """
-    if recorder is None:
-        return
-    recorder.finish()
-    manifest = recorder.manifest
-    if manifest.resumes:
-        invalidated = pipeline.metrics.value("resume_points", outcome="invalidated")
-        print(
-            f"[resume] round delivered: {manifest.reused} reused, "
-            f"{manifest.recomputed} recomputed, {invalidated} invalidated",
-            file=sys.stderr,
+    recorder = None
+    run_id = getattr(args, "run_id", None)
+    if run_id is not None:
+        runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
+        try:
+            if not args.resume:
+                recorder = RunRecorder.create(runs_dir, run_id, argv,
+                                              metrics=pipeline.metrics)
+                print(f"[run] journaling to {recorder.path}", file=sys.stderr)
+            else:
+                recorder = RunRecorder.resume(runs_dir, run_id, argv,
+                                              metrics=pipeline.metrics)
+                if run is not None:
+                    run.replay(recorder.manifest)
+        except ReproError as exc:
+            raise SystemExit(str(exc)) from None
+        if args.resume:
+            _validate_resumed(recorder, pipeline, argv)
+    if run is not None:
+        run.attach_recorder(recorder)
+    if on_start is not None:
+        on_start()
+    callbacks = [
+        cb
+        for cb in (
+            recorder.on_event if recorder is not None else None,
+            _progress_printer(staged, pipeline) if args.progress else None,
+            run.on_event if run is not None else None,
+            emitter.on_event if emitter is not None else None,
         )
+        if cb is not None
+    ]
+
+    def on_event(event) -> None:
+        for cb in callbacks:
+            cb(event)
+
+    with _journal(recorder):
+        pipeline.resolve(
+            on_event=on_event if callbacks else None,
+            on_round=run.on_round if run is not None else None,
+        )
+        if emitter is not None:
+            emitter.drain()
+        if run is not None:
+            run.finalize()
+        if on_resolved is not None:
+            on_resolved()
+        if recorder is None:
+            return
+        recorder.finish()
+        # The summary reads the counters the journal wrote, so the
+        # printed numbers cannot drift from the manifest; fresh runs
+        # stay silent.
+        manifest = recorder.manifest
+        if manifest.resumes:
+            invalidated = pipeline.metrics.value(
+                "resume_points", outcome="invalidated"
+            )
+            print(
+                f"[resume] round delivered: {manifest.reused} reused, "
+                f"{manifest.recomputed} recomputed, {invalidated} invalidated",
+                file=sys.stderr,
+            )
 
 
 def _print_dry_run(pipeline: SimulationPipeline, stream=None) -> None:
@@ -516,7 +473,7 @@ def _print_dry_run(pipeline: SimulationPipeline, stream=None) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a simulation budget: an integer >= 1."""
+    """argparse type of a budget or pool width: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -555,7 +512,7 @@ def _add_sim_options(
     )
     sub.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes of the fused simulation pipeline's shared "
         "pool (default: serial)",
@@ -671,30 +628,6 @@ def _add_common_options(
         default=None,
         metavar="DIR",
         help="npz output directory of this shard (fused later by `merge`)",
-    )
-    sub.add_argument(
-        "--shard-mode",
-        choices=["static", "stealing"],
-        default="static",
-        help="shard partition: 'static' owns the fixed shard_of slice; "
-        "'stealing' claims keys exclusively from a shared claim board, so "
-        "idle shards take over unclaimed work (requires --claim-dir)",
-    )
-    sub.add_argument(
-        "--claim-dir",
-        default=None,
-        metavar="DIR",
-        help="shared claim-board directory for --shard-mode stealing "
-        "(a filesystem all shards can reach)",
-    )
-    sub.add_argument(
-        "--claim-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="lease TTL on claim-board markers: a claim not renewed for "
-        "this long is treated as left by a dead shard and reclaimed "
-        f"(default {DEFAULT_CLAIM_TTL:.0f}; 0 disables reclamation)",
     )
     sub.add_argument("--csv", default=None, metavar="DIR", help="also dump CSV files")
 
@@ -815,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"directory holding run manifests (default {DEFAULT_RUNS_DIR})",
     )
     sub_resume.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_positive_int, default=None,
         help="override the run's worker-process count (execution-only; "
         "the result bytes are unaffected)",
     )
@@ -1048,25 +981,6 @@ def check_experiments_md(path: str | Path, stream=None) -> int:
     return 0
 
 
-def _run_figure(
-    name: str,
-    args: argparse.Namespace,
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Stage, resolve and assemble one registered study (library helper)."""
-    spec = get_spec(name)
-    own_pipeline = pipeline is None
-    pipe = pipeline if pipeline is not None else _pipeline_from_args(args)
-    try:
-        staged = _stage_specs([spec], args, pipe)
-        results: list[tuple[str, list[FigureResult]]] = []
-        _resolve_and_emit(staged, pipe, emitter=None, collect=results)
-        return [r for _, batch in results for r in batch]
-    finally:
-        if own_pipeline:
-            pipe.close()
-
-
 def _write_report(
     args: argparse.Namespace,
     pipeline: SimulationPipeline,
@@ -1077,26 +991,18 @@ def _write_report(
     from ..io.report import write_report
 
     settings = _settings_from_args(args)
-    collected: list[tuple[str, list[FigureResult]]] = []
     staged = _stage_specs([get_spec(n) for n in REGISTRY], args, pipeline)
-    recorder = _recorder_from_args(args, argv, pipeline)
-    on_event = _chain_events(
-        recorder.on_event if recorder is not None else None,
-        _progress_printer(staged, pipeline) if args.progress else None,
-    )
-    with _journal(recorder):
-        _resolve_and_emit(staged, pipeline, emitter=None, collect=collected,
-                          on_event=on_event)
-        _finish_recorder(recorder, pipeline)
+    _run_round(args, argv, pipeline, staged)
     # Re-group per study (fig2 --all-platforms stages one study per
     # platform but the report keeps one section per figure).
     sections: list[tuple[str, list[FigureResult]]] = []
     by_name: dict[str, list[FigureResult]] = {}
-    for name, results in collected:
+    for stage in staged:
+        name = stage.ctx.spec.name
         if name not in by_name:
             by_name[name] = []
             sections.append((name, by_name[name]))
-        by_name[name].extend(results)
+        by_name[name].extend(stage.finish())
     buffer = _io.StringIO()
     print_input_tables(stream=buffer)
     sim = (
@@ -1458,17 +1364,14 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
             # decisions, not plans, until the data exists.
             _print_dry_run(pipeline)
             return 0
-        recorder = _recorder_from_args(
-            args, argv, pipeline,
-            pre_validate=run.replay if run is not None else None,
-        )
-        if run is not None:
-            run.attach_recorder(recorder)
-        n_members = len(members) if run is None else run.n_members
-        if args.progress:
+
+        def preview() -> None:
             # The planned-work preview costs a plan key per point and a
             # disk probe per unique key, so compute it only when the
             # dedup-ratio line is actually wanted.
+            if not args.progress:
+                return
+            n_members = len(members) if run is None else run.n_members
             totals: Counter = Counter()
             for entry in pipeline.pending_report().values():
                 totals.update(entry)
@@ -1483,37 +1386,32 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
                 f"{totals['analytic_served']} memo-served",
                 file=sys.stderr,
             )
-        on_event = _chain_events(
-            recorder.on_event if recorder is not None else None,
-            _progress_printer(staged, pipeline) if args.progress else None,
-            run.on_event if run is not None else None,
+
+        def write_members() -> None:
+            # Before the journal is sealed: a crash here leaves a
+            # resumable run, never a complete one without its files.
+            path = write_member_results(
+                args.out, sset, families,
+                band=run.band if run is not None else None,
+                adaptive=run.journal if run is not None else None,
+            )
+            n_written = len(members) if run is None else run.n_members
+            print(
+                f"[scenario] wrote {n_written} member result files -> "
+                f"{path.parent}",
+                file=sys.stderr,
+            )
+
+        emitter = None
+        if args.scenario_command == "report":
+            emitter = BandedEmitter(csv_dir=args.csv, trace=pipeline.trace)
+            for family in families:
+                emitter.add(family)
+        _run_round(
+            args, argv, pipeline, staged, emitter=emitter, run=run,
+            on_start=preview,
+            on_resolved=write_members if args.scenario_command == "run" else None,
         )
-        on_round = run.on_round if run is not None else None
-        with _journal(recorder):
-            if args.scenario_command == "report":
-                emitter = BandedEmitter(csv_dir=args.csv, trace=pipeline.trace)
-                _resolve_and_emit(
-                    families, pipeline, emitter=emitter, on_event=on_event,
-                    on_round=on_round,
-                )
-                if run is not None:
-                    run.finalize()
-            else:
-                pipeline.resolve(on_event=on_event, on_round=on_round)
-                if run is not None:
-                    run.finalize()
-                    path = write_member_results(
-                        args.out, sset, families, band=run.band,
-                        adaptive=run.journal,
-                    )
-                else:
-                    path = write_member_results(args.out, sset, families)
-                print(
-                    f"[scenario] wrote {run.n_members if run is not None else len(members)} "
-                    f"member result files -> {path.parent}",
-                    file=sys.stderr,
-                )
-            _finish_recorder(recorder, pipeline)
         if pipeline.cache is not None:
             hits, misses = pipeline.cache_stats
             print(
@@ -1619,8 +1517,8 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         specs = [get_spec(args.command)]
 
     started = time.perf_counter()
-    sharded = _shard_args(args) is not None
-    if sharded and args.command == "report":
+    shard = _shard_args(args)
+    if shard is not None and args.command == "report":
         # A shard resolves only its slice of the points; a report built
         # from it would silently render the foreign points as '-'.
         raise SystemExit(
@@ -1636,21 +1534,15 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
             _write_report(args, pipeline, argv)
         else:
             staged = _stage_specs(specs, args, pipeline)
-            recorder = _recorder_from_args(args, argv, pipeline)
-            emitter = (
-                None
-                if sharded
-                else StreamingEmitter(csv_dir=args.csv, trace=pipeline.trace)
-            )
-            on_event = _chain_events(
-                recorder.on_event if recorder is not None else None,
-                _progress_printer(staged, pipeline) if args.progress else None,
-            )
-            with _journal(recorder):
-                _resolve_and_emit(staged, pipeline, emitter=emitter, on_event=on_event)
-                _finish_recorder(recorder, pipeline)
-        if sharded:
-            index, count = _shard_args(args)
+            emitter = None
+            if shard is None:
+                # A shard's output is its npz drop, not tables.
+                emitter = StreamingEmitter(csv_dir=args.csv, trace=pipeline.trace)
+                for stage in staged:
+                    emitter.add(stage)
+            _run_round(args, argv, pipeline, staged, emitter=emitter)
+        if shard is not None:
+            index, count = shard
             metrics = pipeline.metrics
             skipped = sum(
                 metric.value

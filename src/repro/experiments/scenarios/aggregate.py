@@ -75,22 +75,6 @@ class BandSpec:
         return f"p{self.q_hi * 100:g}"
 
 
-def _cell_values(tables: Sequence[FigureResult], row: int, col: int) -> list:
-    values = []
-    for table in tables:
-        value = table.rows[row][col]
-        if value is None:
-            values.append(None)
-        elif isinstance(value, (bool, str)):
-            raise InvalidParameterError(
-                f"cannot band non-numeric cell {value!r} in "
-                f"{table.figure_id} column {table.columns[col]!r}"
-            )
-        else:
-            values.append(float(value))
-    return values
-
-
 def _band_cells(values: list, band: BandSpec) -> tuple:
     present = [v for v in values if v is not None]
     if not present:
@@ -142,10 +126,6 @@ def relative_width(values: list, band: BandSpec) -> float:
     return width / median
 
 
-#: Historical private name (pre-adaptive callers and tests).
-_relative_width = relative_width
-
-
 def _agrees(value, base, tolerance: float) -> bool:
     """Whether one member's optimum cell matches the base member's."""
     if value is None and base is None:
@@ -184,97 +164,15 @@ def band_tables(
     panel_columns: Sequence[tuple[str, ...]] | None = None,
     provenance: tuple[str, ...] = (),
 ) -> list[FigureResult]:
-    """Reduce one family's per-member tables into banded tables.
+    """A fixed family's banded tables: every member's panels, folded in order.
 
-    ``member_tables[m][p]`` is member ``m``'s panel ``p`` (members in
-    derive order, the least-perturbed first — its lead column labels
-    the rows).  ``panel_columns[p]`` names the sweep columns behind
-    panel ``p``'s data columns (cycled across the per-scenario header
-    layout); panels containing :data:`OPTIMUM_COLUMNS` entries gain the
-    per-row ``stable`` flag.  ``provenance`` lines are appended to
-    every banded table's notes.
+    ``member_tables[m][p]`` is member ``m``'s panel ``p`` (derive order);
+    see :class:`FamilyAccumulator` for the other parameters.
     """
-    if not member_tables:
-        raise InvalidParameterError("cannot band an empty family")
-    n_panels = len(member_tables[0])
-    for m, tables in enumerate(member_tables):
-        if len(tables) != n_panels:
-            raise InvalidParameterError(
-                f"family member {m} produced {len(tables)} panels, "
-                f"expected {n_panels}"
-            )
-    out = []
-    for p in range(n_panels):
-        base = member_tables[0][p]
-        panels = [tables[p] for tables in member_tables]
-        for member in panels[1:]:
-            if len(member.rows) != len(base.rows) or len(member.columns) != len(
-                base.columns
-            ):
-                raise InvalidParameterError(
-                    f"family member tables of {base.figure_id} disagree in shape"
-                )
-        columns = panel_columns[p] if panel_columns is not None else ()
-        n_data = len(base.columns) - 1
-
-        def _source(j: int) -> str | None:
-            return columns[j % len(columns)] if columns else None
-
-        optimum_cols = [
-            j for j in range(n_data) if _source(j) in OPTIMUM_COLUMNS
-        ]
-        headers: list[str] = [base.columns[0]]
-        for j in range(n_data):
-            name = base.columns[1 + j]
-            headers.extend(
-                (f"{name}_med", f"{name}_{band.lo_name}", f"{name}_{band.hi_name}")
-            )
-        if optimum_cols:
-            headers.append("stable")
-            if band.consistency:
-                headers.append("consistency")
-        rows = []
-        n_stable = 0
-        for r in range(len(base.rows)):
-            row: list = [base.rows[r][0]]
-            flips = False
-            col_values = [_cell_values(panels, r, 1 + j) for j in range(n_data)]
-            for j in range(n_data):
-                row.extend(_band_cells(col_values[j], band))
-                if j in optimum_cols and _flips(col_values[j], band):
-                    flips = True
-            if optimum_cols:
-                row.append(not flips)
-                n_stable += 0 if flips else 1
-                if band.consistency:
-                    row.append(_consistency_score(col_values, optimum_cols, band))
-            rows.append(tuple(row))
-        notes = [
-            f"bands over {len(panels)} family members "
-            f"(median, {band.lo_name}/{band.hi_name} quantiles)"
-        ]
-        if optimum_cols:
-            notes.append(
-                f"optimum pattern stable at {n_stable}/{len(rows)} grid points "
-                f"(rel spread <= {band.flip_tolerance:g} across members)"
-            )
-            if band.consistency:
-                notes.append(
-                    "consistency: fraction of members whose optimum pattern "
-                    f"matches the base member (rel tol <= "
-                    f"{band.flip_tolerance:g})"
-                )
-        notes.extend(provenance)
-        out.append(
-            FigureResult(
-                figure_id=f"{base.figure_id}_bands",
-                title=f"{base.title} [bands x{len(panels)}]",
-                columns=tuple(headers),
-                rows=tuple(rows),
-                notes=tuple(notes),
-            )
-        )
-    return out
+    accum = FamilyAccumulator(band, panel_columns, provenance, fixed=True)
+    for tables in member_tables:
+        accum.add_member(tables)
+    return accum.finish()
 
 
 def adaptive_notes(policy: dict, summary: dict) -> tuple[str, str]:
@@ -321,23 +219,30 @@ def _member_cells(table: FigureResult, row: int) -> list:
 
 
 class FamilyAccumulator:
-    """Incremental, possibly-ragged band aggregation of one family.
+    """Band aggregation of one family, one member at a time.
 
-    The fixed path hands :func:`band_tables` the complete
-    member-by-panel matrix once everything resolved; the adaptive path
-    instead *folds members in as their waves land* — later members
-    possibly covering only a subset of grid rows (``rows``) once the
-    early rows have converged.  The accumulator keeps per-cell value
-    clouds, answers the convergence question (:meth:`row_width`) after
-    every fold, and emits band tables in the :func:`band_tables` layout
-    plus a per-row ``n_members`` coverage column.
+    Every data cell of a panel becomes a ``(median, p_lo, p_hi)`` band
+    over the members folded in; ``panel_columns[p]`` names the sweep
+    columns behind panel ``p``'s data columns (cycled across the
+    per-scenario header layout), and panels containing
+    :data:`OPTIMUM_COLUMNS` entries gain the per-row ``stable`` flag
+    (plus the ``consistency`` score when the band asks for it).
+    ``provenance`` lines are appended to every banded table's notes.
+
+    The first member folded must cover the full grid: it defines the
+    panel layout, the lead column and the consistency baseline.
+
+    The constructor fixes the layout.  A ``fixed`` family (the
+    :func:`band_tables` path) folds full-grid members only.  Otherwise
+    the family is adaptive: members are folded in as their waves land,
+    later ones possibly covering only a subset of grid rows (``rows``)
+    once the early rows have converged; :meth:`row_width` answers the
+    convergence question after every fold, and the tables gain a
+    per-row ``n_members`` coverage column.
 
     Every reduction (quantiles, flip spread, consistency counts) is
     order-independent over the value multiset, so the emitted tables
     are byte-identical whatever wave interleaving produced the folds.
-
-    The first member folded must cover the full grid: it defines the
-    panel layout, the lead column and the consistency baseline.
     """
 
     def __init__(
@@ -345,8 +250,10 @@ class FamilyAccumulator:
         band: BandSpec = BandSpec(),
         panel_columns: Sequence[tuple[str, ...]] | None = None,
         provenance: tuple[str, ...] = (),
+        fixed: bool = False,
     ):
         self.band = band
+        self.fixed = fixed
         self.panel_columns = (
             tuple(tuple(cols) for cols in panel_columns)
             if panel_columns is not None
@@ -371,6 +278,10 @@ class FamilyAccumulator:
         grid.  Partial members carry the same panel/column layout with
         ``len(rows)`` table rows.
         """
+        if rows is not None and self.fixed:
+            raise InvalidParameterError(
+                "a fixed family's members must cover the full grid"
+            )
         if self._panels is None:
             if rows is not None:
                 raise InvalidParameterError(
@@ -467,7 +378,8 @@ class FamilyAccumulator:
                 headers.append("stable")
                 if band.consistency:
                     headers.append("consistency")
-            headers.append("n_members")
+            if not self.fixed:
+                headers.append("n_members")
             rows = []
             n_stable = 0
             for r in range(self.n_rows):
@@ -485,12 +397,13 @@ class FamilyAccumulator:
                         row.append(
                             _consistency_score(col_values, optimum_cols, band)
                         )
-                row.append(self._coverage[r])
+                if not self.fixed:
+                    row.append(self._coverage[r])
                 rows.append(tuple(row))
+            coverage = "" if self.fixed else "; per-row coverage in n_members"
             notes = [
                 f"bands over {self.members} family members "
-                f"(median, {band.lo_name}/{band.hi_name} quantiles; "
-                "per-row coverage in n_members)"
+                f"(median, {band.lo_name}/{band.hi_name} quantiles{coverage})"
             ]
             if optimum_cols:
                 notes.append(

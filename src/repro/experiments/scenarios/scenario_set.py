@@ -427,11 +427,12 @@ def load_member_results(directory: str | Path) -> tuple[dict, list[dict]]:
 def aggregate_results(manifest: dict, families: list[dict]) -> list[FigureResult]:
     """Band every family of a loaded result directory.
 
-    Fixed-path directories reduce through :func:`band_tables`; adaptive
-    directories (an ``adaptive`` journal in the manifest, per-member
-    ``rows`` coverage) replay through the
+    Every family folds its members through one
     :class:`~repro.experiments.scenarios.aggregate.FamilyAccumulator`,
-    reproducing the live adaptive report byte-identically.
+    reproducing the live report byte-identically: fixed-path
+    directories in the fixed layout, adaptive ones (an ``adaptive``
+    journal in the manifest, per-member ``rows`` coverage) in the
+    adaptive layout with the journaled provenance notes.
     """
     band_payload = manifest.get("band", {})
     try:
@@ -448,6 +449,7 @@ def aggregate_results(manifest: dict, families: list[dict]) -> list[FigureResult
     provenance = tuple(manifest.get("provenance", ()))
     out = []
     for family in families:
+        notes: tuple[str, ...] = ()
         if adaptive:
             try:
                 journal = adaptive["families"][family["label"]]
@@ -457,23 +459,14 @@ def aggregate_results(manifest: dict, families: list[dict]) -> list[FigureResult
                     f"malformed adaptive journal for family "
                     f"{family['label']!r} in the scenario manifest: {exc!r}"
                 ) from exc
-            accum = FamilyAccumulator(
-                band=band, panel_columns=panel_columns, provenance=provenance
+        accum = FamilyAccumulator(
+            band, panel_columns, provenance, fixed=not adaptive
+        )
+        for member in family["members"]:
+            rows = member.get("rows")
+            accum.add_member(
+                member["figures"],
+                rows=tuple(rows) if rows is not None else None,
             )
-            for member in family["members"]:
-                rows = member.get("rows")
-                accum.add_member(
-                    member["figures"],
-                    rows=tuple(rows) if rows is not None else None,
-                )
-            out.extend(accum.finish(extra_notes=notes))
-        else:
-            out.extend(
-                band_tables(
-                    [m["figures"] for m in family["members"]],
-                    band=band,
-                    panel_columns=panel_columns,
-                    provenance=provenance,
-                )
-            )
+        out.extend(accum.finish(extra_notes=notes))
     return out

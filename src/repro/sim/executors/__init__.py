@@ -12,9 +12,8 @@ changes wall-clock and placement only, never the sampled numbers.
 * :class:`ShardedExecutor` — computes a subset of the planned points
   and skips the rest, so a sweep can be split across machines; each
   shard writes its results into a content-addressed shard directory
-  that ``repro-experiments merge`` fuses into one cache.  Partitioning
-  is either the static ``shard_of`` key hash or a work-stealing claim
-  over a shared :class:`ClaimBoard`.
+  that ``repro-experiments merge`` fuses into one cache.  The
+  partition is the static ``shard_of`` key hash.
 
 Every executor speaks one dispatch dialect: the event-driven
 :meth:`~repro.sim.executors.base.Executor.submit` /
@@ -25,7 +24,7 @@ by :class:`repro.sim.scheduler.Scheduler`.
 from .base import Executor, JobFuture, shard_of
 from .pooled import PoolExecutor
 from .serial import SerialExecutor
-from .sharded import ClaimBoard, ShardedExecutor, claim_order, merge_shard_dirs
+from .sharded import ShardedExecutor, merge_shard_dirs
 
 __all__ = [
     "Executor",
@@ -33,8 +32,6 @@ __all__ = [
     "SerialExecutor",
     "PoolExecutor",
     "ShardedExecutor",
-    "ClaimBoard",
-    "claim_order",
     "merge_shard_dirs",
     "shard_of",
     "make_executor",
@@ -45,18 +42,12 @@ def make_executor(
     jobs: int | None = 1,
     shard_index: int | None = None,
     shard_count: int | None = None,
-    shard_mode: str = "static",
-    claim_dir=None,
-    claim_ttl: float | None = None,
 ) -> Executor:
     """Build the executor implied by the CLI flags.
 
     ``jobs`` follows :class:`PoolExecutor` semantics (``None``
     auto-sizes, ``<= 1`` is serial); shard flags wrap the
-    resulting executor in a :class:`ShardedExecutor` (``shard_mode``
-    picks the static partition or work stealing over ``claim_dir``;
-    ``claim_ttl`` is the lease TTL in seconds after which a dead
-    shard's claims may be reclaimed).
+    resulting executor in a :class:`ShardedExecutor`.
     """
     inner: Executor
     if jobs is not None and jobs <= 1:
@@ -64,12 +55,6 @@ def make_executor(
     else:
         inner = PoolExecutor(jobs)
     if shard_count is not None:
-        return ShardedExecutor(
-            shard_index if shard_index is not None else 0,
-            shard_count,
-            inner,
-            mode=shard_mode,
-            claim_dir=claim_dir,
-            lease_ttl=claim_ttl,
-        )
+        index = shard_index if shard_index is not None else 0
+        return ShardedExecutor(index, shard_count, inner)
     return inner

@@ -9,18 +9,17 @@ queues its (already resolved) :class:`JobFuture` FIFO — exactly serial
 semantics — so every executor is schedulable even before it overrides
 anything.
 
-:meth:`Executor.claim` is the partitioning hook: given the plan keys
-that still need computing, it returns the subset this executor will
-run.  The default claims everything via :meth:`owns`; the sharded
-executor overrides it with a static partition or a work-stealing claim
-order.  Jobs are pure functions of their arguments, so none of this
-ever changes a sampled number — only where and when it is produced.
+:meth:`Executor.owns` is the partitioning hook: the pipeline expands
+only the points whose plan key the executor owns.  The default owns
+everything; the sharded executor owns its static ``shard_of`` slice.
+Jobs are pure functions of their arguments, so none of this ever
+changes a sampled number — only where and when it is produced.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from ...exceptions import SimulationError
 
@@ -95,10 +94,9 @@ class Executor:
 
     :meth:`submit` returns a :class:`JobFuture` and
     :meth:`next_completed` / :meth:`as_completed` drain completions in
-    whatever order they land.  :meth:`claim` / :meth:`owns` are the
-    partitioning hooks — the pipeline never expands a point whose plan
-    key the executor does not claim (serial and pooled executors claim
-    every key).
+    whatever order they land.  :meth:`owns` is the partitioning hook —
+    the pipeline never expands a point whose plan key the executor does
+    not own (serial and pooled executors own every key).
     """
 
     #: Worker-process count the executor dispatches over (1 = serial).
@@ -109,17 +107,6 @@ class Executor:
     def owns(self, key: str) -> bool:
         """Whether this executor computes the point with plan key ``key``."""
         return True
-
-    def claim(self, keys: Sequence[str]) -> list[str]:
-        """The subset of ``keys`` this executor will compute.
-
-        Called once per scheduling round with every key that still
-        needs computing (cache misses only), before any job is
-        expanded.  The default claims whatever :meth:`owns` accepts,
-        preserving order; the work-stealing sharded executor overrides
-        this with an exclusive claim in deterministic steal order.
-        """
-        return [key for key in keys if self.owns(key)]
 
     # -- event-driven dispatch ---------------------------------------------
 

@@ -99,7 +99,6 @@ _EXECUTION_FLAGS = {
     "--runs-dir": 1,
     "--resume": 0,
     "--fault-plan": 1,
-    "--claim-ttl": 1,
     "--trace": 0,
     "--trace-file": 1,
 }

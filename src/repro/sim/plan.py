@@ -18,8 +18,8 @@ nothing is shared or cached across points.  This module amortises that:
   chunk workers).  Results are therefore **bit-identical** to per-point
   ``simulate_overhead`` calls with the same arguments, whatever
   executor runs the jobs;
-* :func:`claim_serve_expand` serves cached points, claims the rest for
-  an executor and tags their jobs for the event-driven
+* :func:`claim_serve_expand` serves cached points, keeps the rest the
+  executor owns and tags their jobs for the event-driven
   :class:`repro.sim.scheduler.Scheduler`; :func:`merge_request_results`
   folds a point's completed jobs back into one
   :class:`~repro.sim.results.OverheadEstimate`;
@@ -667,24 +667,23 @@ def claim_serve_expand(
     executor=None,
     calls: Sequence[tuple[str, tuple]] = (),
 ) -> tuple[list, list[tuple], dict[int, "PointJobs"]]:
-    """Cache-serve short-circuit, batch claim, and tagged expansion.
+    """Cache-serve short-circuit, ownership filter, and tagged expansion.
 
     A round's points are the plan's unique requests (indices below
     ``plan.n_unique``; payload: an :class:`OverheadEstimate`) followed
     by ``calls``, the ``(key, job)`` pairs of generic value points
     (payload: the job's float; one job each).  Memo and disk hits are
-    served immediately — they never touch the scheduler; the keys still
-    needing compute are offered to the executor's
-    :meth:`~repro.sim.executors.Executor.claim` in **one batch** (so a
-    work-stealing shard sees the whole round and applies its claim
-    order), and each claimed point expands into ``(job, (index, part))``
-    tagged jobs: requests in :meth:`SimulationPlan.dispatch_order`
-    (slowest backend first), then calls.
+    served immediately — they never touch the scheduler; of the keys
+    still needing compute, those the executor
+    :meth:`~repro.sim.executors.Executor.owns` expand into
+    ``(job, (index, part))`` tagged jobs: requests in
+    :meth:`SimulationPlan.dispatch_order` (slowest backend first), then
+    calls.
 
     Returns ``(values, tagged_jobs, books)``: the served payload per
-    point (``None`` where jobs must run or the point is unclaimed), the
+    point (``None`` where jobs must run or the point is not owned), the
     tagged job list, and a :class:`PointJobs` book per expanded point
-    (a point with no book and no value was unclaimed).
+    (a point with no book and no value was not owned).
     """
     n = plan.n_unique
     keys = plan.keys + tuple(key for key, _ in calls)
@@ -704,8 +703,7 @@ def claim_serve_expand(
                 continue
         needing.append(i)
     if executor is not None:
-        claimed = set(executor.claim([keys[i] for i in needing]))
-        needing = [i for i in needing if keys[i] in claimed]
+        needing = [i for i in needing if executor.owns(keys[i])]
     tagged: list[tuple] = []
     books: dict[int, PointJobs] = {}
     for i in needing:
@@ -731,7 +729,7 @@ def simulate_requests(
     :func:`repro.sim.montecarlo.simulate_overhead` once per request
     with the same arguments, for any executor and cache state.
     ``executor`` defaults to serial and stays open (the caller owns
-    it); a point a sharded executor does not claim comes back ``None``.
+    it); a point a sharded executor does not own comes back ``None``.
     """
     from .scheduler import Scheduler  # the scheduler imports this module
 

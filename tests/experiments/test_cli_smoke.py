@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import _FIGURES, build_parser, main
+from repro.experiments.registry import REGISTRY
+from repro.experiments.runner import build_parser, main
 
-ALL_COMMANDS = list(_FIGURES) + ["tables", "all", "report", "index"]
+ALL_COMMANDS = list(REGISTRY) + ["tables", "all", "report", "index"]
 
 
 class TestHelp:
@@ -35,7 +36,7 @@ class TestHelp:
 
 
 class TestFigureCommandsComplete:
-    @pytest.mark.parametrize("command", sorted(_FIGURES))
+    @pytest.mark.parametrize("command", sorted(REGISTRY))
     def test_no_sim_run_exits_zero(self, command, capsys):
         assert main([command, "--no-sim"]) == 0
         out = capsys.readouterr().out
@@ -67,7 +68,7 @@ class TestIndexCommand:
     def test_index_lists_every_command(self, capsys):
         assert main(["index"]) == 0
         out = capsys.readouterr().out
-        for name in _FIGURES:
+        for name in REGISTRY:
             assert f"python -m repro {name}" in out
 
     def test_index_check_passes_on_repo_doc(self, capsys):
@@ -88,7 +89,7 @@ class TestIndexCommand:
 
     def test_index_check_flags_unknown_command(self, tmp_path, capsys):
         doc = tmp_path / "EXPERIMENTS.md"
-        lines = [f"python -m repro {name}" for name in _FIGURES]
+        lines = [f"python -m repro {name}" for name in REGISTRY]
         lines.append("python -m repro fig99")
         doc.write_text("\n".join(lines) + "\n")
         assert main(["index", "--check", "--file", str(doc)]) == 1

@@ -4,8 +4,7 @@ The goldens under ``goldens/figures_fast.json`` are the tables the
 pre-registry figure modules printed at FAST fidelity with the default
 seed (captured before the refactor).  Every registry-built study must
 reproduce them byte-identically — serially, over a process pool, as
-two merged shards (static partition and work-stealing claims), and
-under the event-driven scheduler at any in-flight window — because
+two merged shards, and under the event-driven scheduler at any in-flight window — because
 the plan/key layer guarantees the same chunk jobs, seeds and (chunk-
 ordered) reduction whatever the executor or completion interleaving.
 ``goldens/all_jobs2.txt`` additionally pins the full ``all --jobs 2``
@@ -98,54 +97,6 @@ class TestShardedGolden:
         assert copied == sum(counts)
 
 
-class TestWorkStealingShardedGolden:
-    @pytest.mark.parametrize("name", ALL_STUDIES)
-    def test_two_stealing_shards_merge_to_golden(self, name, tmp_path):
-        # Sequential stealing shards: the first claims (steals) every
-        # key on the shared board, the second finds nothing left ...
-        for index in (0, 1):
-            executor = ShardedExecutor(
-                index, 2, mode="stealing", claim_dir=tmp_path / "claims"
-            )
-            with SimulationPipeline(
-                executor=executor, cache_dir=tmp_path / f"s{index}"
-            ) as pipe:
-                stage_study(REGISTRY[name], settings=SETTINGS, pipeline=pipe)
-                pipe.resolve()
-        # ... and the merged union still reproduces the golden tables.
-        merged = tmp_path / "merged"
-        merge_shard_dirs([tmp_path / "s0", tmp_path / "s1"], merged)
-        with SimulationPipeline(jobs=1, cache_dir=merged) as pipe:
-            got = run_tables(name, pipeline=pipe)
-            _, misses = pipe.cache_stats
-        assert got == GOLDENS[name]
-        assert misses == 0, "stolen shards must cover every simulated point"
-
-    def test_interleaved_stealing_shards_partition_fig5(self, tmp_path):
-        """Alternating claim rounds split the points; the union covers."""
-        pipes = []
-        for index in (0, 1):
-            executor = ShardedExecutor(
-                index, 2, mode="stealing", claim_dir=tmp_path / "claims"
-            )
-            pipe = SimulationPipeline(executor=executor, cache_dir=tmp_path / f"s{index}")
-            stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
-            pipes.append(pipe)
-        # Shard 1 resolves first this time, so it claims (its own
-        # partition first, then steals shard 0's); shard 0 then gets
-        # whatever is left: nothing.
-        pipes[1].resolve()
-        pipes[0].resolve()
-        counts = [len(list((tmp_path / f"s{i}").glob("*.npz"))) for i in (0, 1)]
-        for pipe in pipes:
-            pipe.close()
-        assert counts[0] == 0 and counts[1] == 54
-        copied, skipped = merge_shard_dirs(
-            [tmp_path / "s0", tmp_path / "s1"], tmp_path / "merged"
-        )
-        assert (copied, skipped) == (54, 0)
-
-
 class TestScheduledGolden:
     """Event-driven scheduling: any window, any executor, same bytes."""
 
@@ -204,37 +155,6 @@ class TestSchedulerCLI:
         assert main(["sweep", "fig5", "--dry-run", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "54 cache hits, 0 to compute -> 0 chunk jobs" in out
-
-    def test_stealing_cli_flags_validated(self, tmp_path):
-        shard = ["--shard-index", "0", "--shard-count", "2",
-                 "--shard-dir", str(tmp_path / "s0")]
-        with pytest.raises(SystemExit, match="claim-dir"):
-            main(["fig5", *shard, "--shard-mode", "stealing"])
-        with pytest.raises(SystemExit, match="claim-dir"):
-            main(["fig5", *shard, "--claim-dir", str(tmp_path / "claims")])
-        with pytest.raises(SystemExit, match="shard-mode"):
-            main(["fig5", "--shard-mode", "stealing",
-                  "--claim-dir", str(tmp_path / "claims")])
-
-    def test_stealing_sweep_merge_roundtrip(self, tmp_path, capsys):
-        """Stealing shards + merge == unsharded, via the CLI."""
-        base = ["--runs", "6", "--patterns", "8"]
-        steal = ["--shard-count", "2", "--shard-mode", "stealing",
-                 "--claim-dir", str(tmp_path / "claims")]
-        for index in ("0", "1"):
-            assert main(
-                ["sweep", "fig5", *base, "--shard-index", index, *steal,
-                 "--shard-dir", str(tmp_path / f"s{index}")]
-            ) == 0
-        capsys.readouterr()
-        assert main(
-            ["merge", str(tmp_path / "s0"), str(tmp_path / "s1"),
-             "--cache-dir", str(tmp_path / "merged")]
-        ) == 0
-        capsys.readouterr()
-        assert main(["fig5", *base, "--cache-dir", str(tmp_path / "merged")]) == 0
-        merged_out = capsys.readouterr().out
-        assert "0 misses" in merged_out
 
 
 class TestShardCLI:

@@ -65,7 +65,7 @@ class TestWeibullExperiment:
         assert res.column("H_sim(shape=1)") == [None]
 
     def test_cli_registration(self):
-        from repro.experiments.runner import _FIGURES
+        from repro.experiments.registry import REGISTRY
 
-        assert "ext-segments" in _FIGURES
-        assert "ext-weibull" in _FIGURES
+        assert "ext-segments" in REGISTRY
+        assert "ext-weibull" in REGISTRY

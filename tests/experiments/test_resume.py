@@ -310,10 +310,6 @@ class TestCliValidation:
         with pytest.raises(SystemExit, match="unknown fault-plan term"):
             main(["fig5", *FAST_ARGS, "--fault-plan", "explode=1"])
 
-    def test_claim_ttl_requires_stealing(self):
-        with pytest.raises(SystemExit, match="--claim-ttl"):
-            main(["fig5", *FAST_ARGS, "--claim-ttl", "60"])
-
     def test_dry_run_journals_nothing(self, tmp_path, capsys):
         assert main(_run_args(tmp_path) + ["--dry-run"]) == 0
         assert not (tmp_path / "runs").exists()

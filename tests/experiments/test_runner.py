@@ -36,7 +36,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig2", "--platform", "Summit"])
 
-    @pytest.mark.parametrize("flag", ["--runs", "--patterns"])
+    @pytest.mark.parametrize("flag", ["--runs", "--patterns", "--jobs"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command", [["fig5"], ["scenario", "report", "x.toml"]])
     def test_rejects_non_positive_budgets(self, command, flag, value, capsys):
@@ -46,6 +46,14 @@ class TestParser:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].endswith(
             f"error: argument {flag}: must be a positive integer, got {int(value)}"
+        )
+
+    def test_resume_rejects_non_positive_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["resume", "x", "--jobs", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --jobs: must be a positive integer, got 0"
         )
 
 
@@ -91,17 +99,51 @@ class TestPipelineFlags:
             assert pipe.executor.workers == 1
             assert pipe.cache is None
 
+    @staticmethod
+    def _cli(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+
     def test_removed_workers_flag_is_refused(self, tmp_path):
         """--jobs is the only parallelism option: --workers exits 2
         (argparse) before anything is written."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-m", "repro", "fig5", "--workers", "2"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = self._cli(tmp_path, "fig5", "--workers", "2")
         assert result.returncode == 2
         assert "unrecognized arguments: --workers 2" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag", [("--shard-mode", "stealing"), ("--claim-dir", "claims"),
+                 ("--claim-ttl", "60")],
+    )
+    def test_removed_shard_flags_are_refused(self, tmp_path, flag):
+        """The static partition is the only one: the work-stealing flags
+        exit 2 before any shard, claim or run directory is written."""
+        result = self._cli(
+            tmp_path, "sweep", "fig5", "--shard-index", "0", "--shard-count",
+            "2", "--shard-dir", "s0", "--runs-dir", "runs", "--run-id", "x",
+            *flag,
+        )
+        assert result.returncode == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in result.stderr
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_positive_jobs_fail_fast(self, tmp_path):
+        """--jobs 0 used to run serially; now it exits 2 before any work."""
+        result = self._cli(
+            tmp_path, "fig5", "--jobs", "0", "--cache-dir", "c",
+            "--runs-dir", "runs", "--run-id", "x",
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1].endswith(
+            "error: argument --jobs: must be a positive integer, got 0"
+        )
         assert result.stdout == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -144,22 +144,38 @@ class TestConsistencyScore:
 
 
 class TestFamilyAccumulator:
-    def test_full_coverage_matches_band_tables(self):
+    @pytest.mark.parametrize("consistency", [False, True])
+    def test_full_coverage_matches_band_tables(self, consistency):
         members = [
             [_table([10.0, 1.0])], [_table([20.0, 2.0])], [_table([30.0, 4.0])]
         ]
-        band = BandSpec(q_lo=0.0, q_hi=1.0)
-        (expected,) = band_tables(members, band, panel_columns=(("H_sim",),))
-        accum = FamilyAccumulator(band, panel_columns=(("H_sim",),))
+        band = BandSpec(q_lo=0.0, q_hi=1.0, consistency=consistency)
+        (expected,) = band_tables(members, band, panel_columns=(("P_num",),))
+        accum = FamilyAccumulator(band, panel_columns=(("P_num",),))
         for tables in members:
             accum.add_member(tables)
         (got,) = accum.finish()
-        # Same band triplets per row; the accumulator adds the per-row
-        # coverage column at the end.
+        # Same band triplets, flags and scores per row: the layout
+        # switch is the constructor's, not the band's.  The adaptive
+        # layout adds the per-row coverage column at the end and names
+        # it in the first note; the fixed layout has neither.
+        assert ("consistency" in expected.columns) is consistency
+        assert "n_members" not in expected.columns
         assert got.columns == expected.columns + ("n_members",)
         for row, exp in zip(got.rows, expected.rows):
             assert row[:-1] == exp
             assert row[-1] == 3
+        assert got.notes[0] == expected.notes[0].replace(
+            "quantiles)", "quantiles; per-row coverage in n_members)"
+        )
+        assert got.notes[1:] == expected.notes[1:]
+        assert (got.figure_id, got.title) == (expected.figure_id, expected.title)
+
+    def test_fixed_family_refuses_partial_members(self):
+        accum = FamilyAccumulator(fixed=True)
+        accum.add_member([_table([1.0, 2.0])])
+        with pytest.raises(InvalidParameterError, match="fixed family"):
+            accum.add_member([_table([1.0])], rows=(1,))
 
     def test_partial_rows_band_over_their_own_cloud(self):
         accum = FamilyAccumulator(BandSpec(q_lo=0.0, q_hi=1.0))

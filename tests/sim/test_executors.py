@@ -236,12 +236,6 @@ class TestSubmitProtocol:
         with pytest.raises(SimulationError):
             JobFuture(_double, 1).result()
 
-    def test_default_claim_filters_by_owns(self):
-        keys = [request_key(r) for r in fig_requests(10)]
-        assert SerialExecutor().claim(keys) == keys
-        sharded = ShardedExecutor(0, 2)
-        assert sharded.claim(keys) == [k for k in keys if shard_of(k, 2) == 0]
-
 
 class TestLifecycleUnderFailure:
     """A failing job must never leak pool processes (satellite: __exit__)."""

@@ -38,7 +38,7 @@ class TestConfigHash:
         noisy = base + [
             "--jobs", "4", "--max-inflight", "8", "--progress",
             "--run-id", "x", "--runs-dir", "r", "--resume",
-            "--fault-plan", "crash-after=3", "--claim-ttl", "60",
+            "--fault-plan", "crash-after=3",
         ]
         assert config_hash(base) == config_hash(noisy)
 

@@ -1,4 +1,4 @@
-"""Event-driven scheduler: windowing, interleaving determinism, claims.
+"""Event-driven scheduler: windowing, interleaving determinism, retries.
 
 The scheduler's contract: out-of-order future completion, the in-flight
 window size, and the executor behind it change wall-clock only — the
@@ -17,16 +17,11 @@ from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.platforms.scenarios import build_model
 from repro.sim.executors import (
-    ClaimBoard,
     Executor,
     JobFuture,
     SerialExecutor,
-    ShardedExecutor,
-    claim_order,
-    shard_of,
 )
 from repro.sim.montecarlo import Fidelity
-from repro.sim.plan import SimRequest, request_key
 from repro.sim.scheduler import Scheduler, default_inflight
 
 SETTINGS = SimSettings(fidelity=Fidelity(n_runs=6, n_patterns=10), seed=7)
@@ -206,97 +201,6 @@ class TestInterleavingDeterminism:
         assert [d.value for d in shuffled] == [d.value for d in serial]
 
 
-class TestClaimOrder:
-    def _keys(self, n=24):
-        model = build_model("Hera", 1)
-        return [
-            request_key(
-                SimRequest(model=model, T=3000.0 + i, P=500.0, n_runs=3, n_patterns=4)
-            )
-            for i in range(n)
-        ]
-
-    def test_own_partition_comes_first(self):
-        keys = self._keys()
-        for index in (0, 1, 2):
-            ordered = claim_order(keys, index, 3)
-            owners = [shard_of(k, 3) for k in ordered]
-            ring = [(o - index) % 3 for o in owners]
-            assert ring == sorted(ring), "claim order must walk the ring outward"
-            own = [k for k in keys if shard_of(k, 3) == index]
-            assert ordered[: len(own)] == sorted(own)
-
-    def test_deterministic_and_permutation_invariant(self):
-        keys = self._keys()
-        ordered = claim_order(keys, 1, 3)
-        assert claim_order(list(reversed(keys)), 1, 3) == ordered
-
-    def test_stealing_claims_are_exclusive(self, tmp_path):
-        keys = self._keys()
-        a = ShardedExecutor(0, 2, mode="stealing", claim_dir=tmp_path)
-        b = ShardedExecutor(1, 2, mode="stealing", claim_dir=tmp_path)
-        # Interleave claim rounds: each key lands on exactly one shard.
-        half = len(keys) // 2
-        got_a = a.claim(keys[:half])
-        got_b = b.claim(keys)
-        got_a += a.claim(keys[half:])
-        assert sorted(got_a + got_b) == sorted(keys)
-        assert not set(got_a) & set(got_b)
-
-    def test_idle_shard_steals_everything(self, tmp_path):
-        keys = self._keys()
-        only = ShardedExecutor(0, 2, mode="stealing", claim_dir=tmp_path)
-        assert sorted(only.claim(keys)) == sorted(keys)
-        late = ShardedExecutor(1, 2, mode="stealing", claim_dir=tmp_path)
-        assert late.claim(keys) == []
-
-    def test_reclaim_by_same_owner_is_idempotent(self, tmp_path):
-        board = ClaimBoard(tmp_path)
-        assert board.try_claim("k1", "shard-0")
-        assert board.try_claim("k1", "shard-0")  # restarted shard keeps it
-        assert not board.try_claim("k1", "shard-1")
-        assert board.owner_of("k1") == "shard-0"
-        assert board.owner_of("nope") is None
-        assert board.claimed() == {"k1": "shard-0"}
-
-    def test_stealing_requires_claim_dir(self):
-        with pytest.raises(SimulationError):
-            ShardedExecutor(0, 2, mode="stealing")
-        with pytest.raises(SimulationError):
-            ShardedExecutor(0, 2, mode="bogus")
-
-
-class TestScheduledShardEquivalence:
-    def test_stealing_union_matches_serial(self, tmp_path):
-        """Both stealing shards together cover the plan, bit for bit."""
-        from repro.sim.plan import ResultCache, simulate_requests
-        from repro.sim.executors import merge_shard_dirs
-
-        model = build_model("Hera", 1)
-        settings = SimSettings(fidelity=Fidelity(n_runs=3, n_patterns=4))
-        requests = [
-            SimRequest(
-                model=model, T=3600.0 + i, P=800.0, n_runs=3, n_patterns=4,
-                seed=settings.seed,
-            )
-            for i in range(8)
-        ]
-        serial = simulate_requests(requests)
-        for index in (0, 1):
-            executor = ShardedExecutor(
-                index, 2, mode="stealing", claim_dir=tmp_path / "claims"
-            )
-            with SimulationPipeline(
-                executor=executor, cache_dir=tmp_path / f"s{index}"
-            ) as pipe:
-                for request in requests:
-                    pipe.simulate_mean(model, request.T, request.P, settings)
-                pipe.resolve()
-        merge_shard_dirs([tmp_path / "s0", tmp_path / "s1"], tmp_path / "merged")
-        merged = simulate_requests(requests, cache=ResultCache(tmp_path / "merged"))
-        assert [e.mean for e in merged] == [e.mean for e in serial]
-
-
 class TestRetry:
     """Transient failures: bounded backoff resubmission, inline fallback."""
 
@@ -400,86 +304,3 @@ class TestRetry:
         clean = run(None)
         faulty = run(FaultPlan(fail_job=2, fail_times=2))
         assert faulty == clean
-
-
-class TestClaimLeases:
-    """Lease TTLs: stale claims from dead shards are reclaimed safely."""
-
-    @staticmethod
-    def _age(board: ClaimBoard, key: str, seconds: float) -> None:
-        import os
-        import time
-
-        path = board._path(key)
-        past = time.time() - seconds
-        os.utime(path, (past, past))
-
-    def test_fresh_foreign_claim_is_respected(self, tmp_path):
-        board = ClaimBoard(tmp_path, lease_ttl=60.0)
-        assert board.try_claim("k", "shard-0")
-        assert not board.try_claim("k", "shard-1")
-        assert board.reclaimed == 0
-
-    def test_stale_foreign_claim_is_reclaimed(self, tmp_path):
-        board = ClaimBoard(tmp_path, lease_ttl=60.0)
-        assert board.try_claim("k", "shard-0")
-        self._age(board, "k", 120.0)
-        assert board.try_claim("k", "shard-1")
-        assert board.owner_of("k") == "shard-1"
-        assert board.reclaimed == 1
-
-    def test_no_ttl_means_no_reclamation(self, tmp_path):
-        board = ClaimBoard(tmp_path)  # historical behaviour
-        assert board.try_claim("k", "shard-0")
-        self._age(board, "k", 10_000.0)
-        assert not board.try_claim("k", "shard-1")
-
-    def test_reclaim_renews_the_lease(self, tmp_path):
-        board = ClaimBoard(tmp_path, lease_ttl=60.0)
-        board.try_claim("k", "shard-0")
-        self._age(board, "k", 120.0)
-        board.try_claim("k", "shard-1")
-        assert board.age_of("k") < 60.0  # fresh again
-
-    def test_same_owner_reclaim_touches_lease(self, tmp_path):
-        board = ClaimBoard(tmp_path, lease_ttl=60.0)
-        board.try_claim("k", "shard-0")
-        self._age(board, "k", 50.0)
-        assert board.try_claim("k", "shard-0")  # renewal, not reclamation
-        assert board.age_of("k") < 50.0
-        assert board.reclaimed == 0
-
-    def test_age_of_unclaimed_is_none(self, tmp_path):
-        board = ClaimBoard(tmp_path, lease_ttl=60.0)
-        assert board.age_of("k") is None
-
-    def test_rejects_non_positive_ttl(self, tmp_path):
-        with pytest.raises(SimulationError):
-            ClaimBoard(tmp_path, lease_ttl=0.0)
-
-    def test_sharded_executor_threads_ttl(self, tmp_path):
-        executor = ShardedExecutor(
-            0, 2, mode="stealing", claim_dir=tmp_path, lease_ttl=45.0
-        )
-        assert executor.board.lease_ttl == 45.0
-
-    def test_make_executor_threads_claim_ttl(self, tmp_path):
-        from repro.sim.executors import make_executor
-
-        executor = make_executor(
-            1, 0, 2, shard_mode="stealing", claim_dir=tmp_path, claim_ttl=30.0
-        )
-        assert executor.board.lease_ttl == 30.0
-
-    def test_dead_shard_keys_are_drained_by_survivor(self, tmp_path):
-        """The leaked-claim scenario: a dead shard's keys get computed."""
-        keys = [f"key{i}" for i in range(6)]
-        board = ClaimBoard(tmp_path, lease_ttl=60.0)
-        for key in keys[:3]:
-            board.try_claim(key, "shard-0")  # shard-0 claims, then "dies"
-        for key in keys[:3]:
-            self._age(board, key, 300.0)
-        survivor = ClaimBoard(tmp_path, lease_ttl=60.0)
-        claimed = [key for key in keys if survivor.try_claim(key, "shard-1")]
-        assert claimed == keys  # every key, including the dead shard's
-        assert survivor.reclaimed == 3
