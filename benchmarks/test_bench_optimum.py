@@ -18,8 +18,13 @@ memo x ~4x batch).  The workload is pure
 single-process compute, so the bench is 1-CPU-safe: the gain measures
 vectorization and dedup, not parallelism.  An exact assertion pins the
 emitted tables of both modes byte-identical — the engine trades only
-time, never bits.  Every measurement lands in ``BENCH_optimum.json``
-(path overridable via ``REPRO_BENCH_OPTIMUM_JSON``).
+time, never bits.  A second acceptance times ext-segments' whole
+declare step (its own hook, outside the engine) against the per-k
+Brent scan (a copy of the oracle in ``tests/extensions/test_twolevel.py``)
+plus per-platform ``optimize_allocation``: at least ``SEGMENTS_FLOOR`` (3x locally),
+tables byte-identical.  Every measurement lands in
+``BENCH_optimum.json`` (path overridable via
+``REPRO_BENCH_OPTIMUM_JSON``).
 """
 
 from __future__ import annotations
@@ -29,10 +34,12 @@ import time
 from contextlib import redirect_stdout
 from io import StringIO
 
+import numpy as np
 import pytest
 
-from repro.core import optimal_pattern
+from repro.core import PatternModel, optimal_pattern
 from repro.exceptions import ValidityError
+from repro.experiments import ext_segments
 from repro.experiments.analytic import AnalyticPoint
 from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
@@ -40,12 +47,24 @@ from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import main
 from repro.experiments.scenarios import Resample, ScenarioSet
 from repro.experiments.spec import run_study
+from repro.extensions.twolevel import (
+    SegmentedSolution,
+    expected_segmented_time,
+    segmented_overhead,
+    segmented_period,
+)
 from repro.optimize.allocation import optimize_allocation
+from repro.optimize.scalar import minimize_scalar
 
 #: Batched-over-scalar floor on the analytic pass (measured ~12x; the
 #: floor derates for noisy CI hardware while still catching a broken
 #: batch path, which would clock in at ~1x).
 OPTIMUM_FLOOR = float(os.environ.get("REPRO_BENCH_OPTIMUM_FLOOR", "5.0"))
+
+#: ext-segments declare floor, batched over the per-k Brent oracle
+#: (measured ~6x).  Derated in proportion when CI lowers
+#: ``REPRO_BENCH_OPTIMUM_FLOOR`` below its default 5x.
+SEGMENTS_FLOOR = 3.0 * OPTIMUM_FLOOR / 5.0
 
 REPLICATES = 3
 
@@ -151,6 +170,73 @@ def test_batched_analytic_pass_speedup(wallclock_assertions):
     assert gain >= OPTIMUM_FLOOR, (
         f"batched analytic pass only {gain:.2f}x over scalar "
         f"(floor {OPTIMUM_FLOOR}x)"
+    )
+
+
+def _scalar_optimize_segments(
+    model: PatternModel, P: float, k_max: int = 64
+) -> SegmentedSolution:
+    """The per-k Brent scan (the baseline's ``optimize_segments``)."""
+    best: SegmentedSolution | None = None
+    rising = 0
+    for k in range(1, k_max + 1):
+        seed = float(segmented_period(P, k, model.errors, model.costs))
+
+        def objective(T: float, k=k) -> float:
+            value = segmented_overhead(T, P, k, model)
+            return float(value) if np.isfinite(value) else np.inf
+
+        result = minimize_scalar(objective, bounds=(seed * 1e-3, seed * 1e3))
+        candidate = SegmentedSolution(
+            period=result.x,
+            segments=float(k),
+            overhead=result.fun,
+            expected_time=float(
+                expected_segmented_time(result.x, P, k, model.errors, model.costs)
+            ),
+        )
+        if best is None or candidate.overhead < best.overhead:
+            best = candidate
+            rising = 0
+        else:
+            rising += 1
+            if rising >= 3:
+                break
+    assert best is not None
+    return best
+
+
+def _segments_declare() -> tuple[float, list[str]]:
+    """ext-segments' whole (fully analytic) declare step, timed."""
+    start = time.perf_counter()
+    results = run_study(REGISTRY["ext-segments"], settings=SETTINGS)
+    return time.perf_counter() - start, [r.table() for r in results]
+
+
+def test_ext_segments_declare_speedup(wallclock_assertions, monkeypatch):
+    """Acceptance: batched ext-segments declare >= floor x scalar oracle."""
+    t_batch, (batch_tables,) = _timed(_segments_declare)
+    monkeypatch.setattr(
+        ext_segments,
+        "optimize_allocation_batch",
+        lambda models: [optimize_allocation(m) for m in models],
+    )
+    monkeypatch.setattr(ext_segments, "optimize_segments", _scalar_optimize_segments)
+    t_scalar, (scalar_tables,) = _timed(_segments_declare)
+
+    assert batch_tables == scalar_tables
+    gain = t_scalar / t_batch
+    RESULTS["segments_floor"] = SEGMENTS_FLOOR
+    RESULTS["segments_scalar_seconds"] = t_scalar
+    RESULTS["segments_batched_seconds"] = t_batch
+    RESULTS["segments_declare_gain"] = gain
+    print(
+        f"\n  ext-segments declare: scalar {t_scalar * 1e3:.0f} ms, batched "
+        f"{t_batch * 1e3:.0f} ms, gain {gain:.2f}x"
+    )
+    assert gain >= SEGMENTS_FLOOR, (
+        f"batched ext-segments declare only {gain:.2f}x over scalar "
+        f"(floor {SEGMENTS_FLOOR}x)"
     )
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import InvalidParameterError
+from .speedup import positive_processors
 
 __all__ = [
     "CheckpointCost",
@@ -43,13 +44,6 @@ __all__ = [
     "ResilienceCosts",
     "CostRegime",
 ]
-
-
-def _as_float_array_or_scalar(P):
-    arr = np.asarray(P, dtype=float)
-    if np.any(arr <= 0.0):
-        raise InvalidParameterError(f"processor count must be positive, got {P!r}")
-    return arr if np.ndim(P) else float(arr)
 
 
 class CostRegime(enum.Enum):
@@ -86,12 +80,12 @@ class CheckpointCost:
 
     def __call__(self, P):
         """Evaluate :math:`C_P` for scalar or array ``P``."""
-        P = _as_float_array_or_scalar(P)
+        P = positive_processors(P)
         return self.a + self.b / P + self.c * P
 
     def derivative(self, P):
         """:math:`dC_P/dP = -b/P^2 + c`."""
-        P = _as_float_array_or_scalar(P)
+        P = positive_processors(P)
         return -self.b / P**2 + self.c
 
     @property
@@ -132,12 +126,12 @@ class VerificationCost:
 
     def __call__(self, P):
         """Evaluate :math:`V_P` for scalar or array ``P``."""
-        P = _as_float_array_or_scalar(P)
+        P = positive_processors(P)
         return self.v + self.u / P
 
     def derivative(self, P):
         """:math:`dV_P/dP = -u/P^2`."""
-        P = _as_float_array_or_scalar(P)
+        P = positive_processors(P)
         return -self.u / P**2
 
     @property

@@ -32,15 +32,9 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..units import SECONDS_PER_YEAR
+from .speedup import positive_processors
 
 __all__ = ["ErrorModel", "expected_time_lost"]
-
-
-def _positive(P):
-    arr = np.asarray(P, dtype=float)
-    if np.any(arr <= 0.0):
-        raise InvalidParameterError(f"processor count must be positive, got {P!r}")
-    return arr if np.ndim(P) else float(arr)
 
 
 @dataclass(frozen=True)
@@ -105,15 +99,15 @@ class ErrorModel:
 
     def fail_stop_rate(self, P):
         """:math:`\\lambda^f_P = f \\lambda_{ind} P`."""
-        return self.fail_stop_fraction * self.lambda_ind * _positive(P)
+        return self.fail_stop_fraction * self.lambda_ind * positive_processors(P)
 
     def silent_rate(self, P):
         """:math:`\\lambda^s_P = s \\lambda_{ind} P`."""
-        return self.s * self.lambda_ind * _positive(P)
+        return self.s * self.lambda_ind * positive_processors(P)
 
     def total_rate(self, P):
         """Total platform error rate :math:`\\lambda_{ind} P`."""
-        return self.lambda_ind * _positive(P)
+        return self.lambda_ind * positive_processors(P)
 
     def platform_mtbf(self, P):
         """Platform MTBF :math:`\\mu_{ind}/P`."""

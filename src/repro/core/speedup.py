@@ -35,12 +35,16 @@ __all__ = [
 ]
 
 
-def _validate_processors(P) -> np.ndarray | float:
-    """Check ``P > 0`` (scalar or array) and return it unchanged."""
+def positive_processors(P):
+    """Check ``P > 0`` and return it as a float or a float ndarray.
+
+    The one processor-count validator of :mod:`repro.core`.  NaN
+    passes (``NaN <= 0`` is false), as it always has.
+    """
     arr = np.asarray(P, dtype=float)
     if np.any(arr <= 0.0):
         raise InvalidParameterError(f"processor count must be positive, got {P!r}")
-    return P
+    return arr if np.ndim(P) else float(arr)
 
 
 class SpeedupModel(ABC):
@@ -95,17 +99,14 @@ class AmdahlSpeedup(SpeedupModel):
             )
 
     def speedup(self, P):
-        _validate_processors(P)
         return 1.0 / self.overhead(P)
 
     def overhead(self, P):
-        _validate_processors(P)
-        P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
+        P = positive_processors(P)
         return self.alpha + (1.0 - self.alpha) / P
 
     def overhead_derivative(self, P):
-        _validate_processors(P)
-        P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
+        P = positive_processors(P)
         return -(1.0 - self.alpha) / P**2
 
     @property
@@ -148,8 +149,7 @@ class GustafsonSpeedup(SpeedupModel):
             )
 
     def speedup(self, P):
-        _validate_processors(P)
-        P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
+        P = positive_processors(P)
         return self.alpha + (1.0 - self.alpha) * P
 
     def overhead(self, P):
@@ -180,18 +180,15 @@ class PowerLawSpeedup(SpeedupModel):
             raise InvalidParameterError(f"gamma must be in (0, 1], got {self.gamma!r}")
 
     def speedup(self, P):
-        _validate_processors(P)
-        P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
+        P = positive_processors(P)
         return P**self.gamma
 
     def overhead(self, P):
-        _validate_processors(P)
-        P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
+        P = positive_processors(P)
         return P ** (-self.gamma)
 
     def overhead_derivative(self, P):
-        _validate_processors(P)
-        P = np.asarray(P, dtype=float) if np.ndim(P) else float(P)
+        P = positive_processors(P)
         return -self.gamma * P ** (-self.gamma - 1.0)
 
     @property

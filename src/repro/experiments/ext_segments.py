@@ -10,13 +10,15 @@ over the paper's single-verification protocol.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..extensions.twolevel import (
     optimal_segment_count,
     optimize_segments,
     segmented_overhead,
     segmented_period,
 )
-from ..optimize.allocation import optimize_allocation
+from ..optimize.allocation import optimize_allocation_batch
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import build_model
 from .common import FigureResult, SimSettings
@@ -36,17 +38,20 @@ def _declare(ctx: StudyContext) -> list[FigureResult]:
     platforms = (
         PLATFORM_NAMES if ctx.options.get("all_platforms", True) else (ctx.platform,)
     )
+    ks = np.asarray(segments, dtype=float)
     results: list[FigureResult] = []
     for scenario_id in ctx.scenarios:
+        models = [
+            build_model(name, scenario_id, alpha=alpha, downtime=downtime)
+            for name in platforms
+        ]
         rows = []
         notes = []
-        for name in platforms:
-            model = build_model(name, scenario_id, alpha=alpha, downtime=downtime)
-            P = optimize_allocation(model).processors
+        for name, model, opt in zip(platforms, models, optimize_allocation_batch(models)):
+            P = opt.processors
+            T = segmented_period(P, ks, model.errors, model.costs)
             row: list = [name, round(P, 1)]
-            for k in segments:
-                T = segmented_period(P, k, model.errors, model.costs)
-                row.append(float(segmented_overhead(T, P, k, model)))
+            row += [float(h) for h in segmented_overhead(T, P, ks, model)]
             k_star = optimal_segment_count(P, model.errors, model.costs)
             best = optimize_segments(model, P)
             h_k1 = row[2]  # k = 1 column

@@ -59,7 +59,7 @@ import numpy as np
 from ..core.errors import expected_time_lost
 from ..core.pattern import PatternModel, expected_recovery_time
 from ..exceptions import InvalidParameterError, ValidityError
-from ..optimize.scalar import minimize_scalar
+from ..optimize.grid import refine_log_minimum_batch
 
 __all__ = [
     "expected_segmented_time",
@@ -251,36 +251,47 @@ def optimize_segments(
 ) -> SegmentedSolution:
     """Numerically optimal integer ``k`` (and its exact-optimal ``T``).
 
-    Scans ``k = 1..k_max`` (the overhead in ``k`` is unimodal; the scan
-    is cheap because each inner period optimisation is 1-D) and returns
-    the best exact-model solution.
+    One batched log-zoom (:func:`repro.optimize.grid.refine_log_minimum_batch`)
+    searches ``T`` for every ``k = 1..k_max`` at once, one column per
+    ``k`` bracketed by ``[T*_k 1e-3, T*_k 1e3]`` around the first-order
+    period.  The column minima are then scanned in ``k`` order: the
+    first strict minimum is kept and the scan stops after three
+    consecutive rises, the rule of the historical per-k Brent scan.  A
+    column whose overhead overflows everywhere reports ``inf`` at its
+    lower bound and never wins.
     """
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max!r}")
-    best: SegmentedSolution | None = None
+    integral = isinstance(k_max, (int, np.integer)) and not isinstance(k_max, bool)
+    if not integral or k_max < 1:
+        raise InvalidParameterError(f"k_max must be an integer >= 1, got {k_max!r}")
+    ks = np.arange(1, int(k_max) + 1, dtype=float)
+    seeds = segmented_period(P, ks, model.errors, model.costs)
+    lo = seeds * 1e-3
+    result = refine_log_minimum_batch(
+        lambda Ts, idx: segmented_overhead(Ts, P, ks[idx], model),
+        lo,
+        seeds * 1e3,
+        init_x=lo,
+        require_finite=False,
+    )
+    best = 0
     rising = 0
-    for k in range(1, k_max + 1):
-        seed = float(segmented_period(P, k, model.errors, model.costs))
-
-        def objective(T: float, k=k) -> float:
-            value = segmented_overhead(T, P, k, model)
-            return float(value) if np.isfinite(value) else np.inf
-
-        result = minimize_scalar(objective, bounds=(seed * 1e-3, seed * 1e3))
-        candidate = SegmentedSolution(
-            period=result.x,
-            segments=float(k),
-            overhead=result.fun,
-            expected_time=float(
-                expected_segmented_time(result.x, P, k, model.errors, model.costs)
-            ),
-        )
-        if best is None or candidate.overhead < best.overhead:
-            best = candidate
+    for j in range(1, ks.size):
+        if result.fun[j] < result.fun[best]:
+            best = j
             rising = 0
         else:
             rising += 1
-            if rising >= 3:  # unimodal: three consecutive regressions = done
+            # Every column is already solved; the early stop only picks
+            # which one is reported, matching the historical per-k scan
+            # even where the overhead in k is not unimodal.
+            if rising >= 3:
                 break
-    assert best is not None
-    return best
+    period = float(result.x[best])
+    return SegmentedSolution(
+        period=period,
+        segments=float(ks[best]),
+        overhead=float(result.fun[best]),
+        expected_time=float(
+            expected_segmented_time(period, P, ks[best], model.errors, model.costs)
+        ),
+    )

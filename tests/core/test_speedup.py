@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.costs import CheckpointCost, VerificationCost
+from repro.core.errors import ErrorModel
 from repro.core.speedup import (
     AmdahlSpeedup,
     GustafsonSpeedup,
     PerfectSpeedup,
     PowerLawSpeedup,
+    positive_processors,
 )
 from repro.exceptions import InvalidParameterError
 
@@ -151,3 +154,49 @@ class TestPowerLaw:
 
     def test_asymptotic_overhead_zero(self):
         assert PowerLawSpeedup(0.9).asymptotic_overhead == 0.0
+
+
+class TestPositiveProcessors:
+    """The one ``P > 0`` check behind costs, error rates and speedups."""
+
+    CALL_SITES = (
+        ("checkpoint cost", lambda P: CheckpointCost(a=1.0, b=2.0, c=3.0)(P)),
+        ("verification cost", lambda P: VerificationCost(v=1.0, u=2.0)(P)),
+        ("fail-stop rate", lambda P: ErrorModel(1e-6, 0.5).fail_stop_rate(P)),
+        ("silent rate", lambda P: ErrorModel(1e-6, 0.5).silent_rate(P)),
+        ("total rate", lambda P: ErrorModel(1e-6, 0.5).total_rate(P)),
+        ("amdahl", lambda P: AmdahlSpeedup(0.1).overhead(P)),
+        ("gustafson", lambda P: GustafsonSpeedup(0.1).speedup(P)),
+        ("power law", lambda P: PowerLawSpeedup(0.5).overhead(P)),
+    )
+
+    @pytest.mark.parametrize("P", [4, 4.0, np.float64(4.0), np.int64(4), np.array(4.0)])
+    def test_scalars_return_plain_float(self, P):
+        assert type(positive_processors(P)) is float
+        assert positive_processors(P) == 4.0
+
+    def test_arrays_return_float_arrays(self):
+        out = positive_processors([1, 2, 3])
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert out.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("P", [0, 0.0, -1, -2.5, np.array([1.0, 0.0]), [3.0, -1.0]])
+    def test_rejects_zero_and_negative(self, P):
+        with pytest.raises(InvalidParameterError, match="processor count must be positive"):
+            positive_processors(P)
+
+    def test_nan_passes(self):
+        assert np.isnan(positive_processors(float("nan")))
+        assert np.isnan(positive_processors(np.array([np.nan, 1.0]))[0])
+
+    @pytest.mark.parametrize("name, call", CALL_SITES)
+    def test_every_call_site_shares_the_contract(self, name, call):
+        assert type(call(8)) is float
+        assert type(call(np.float64(8.0))) is float
+        assert isinstance(call(np.array([8.0, 16.0])), np.ndarray)
+        assert np.isnan(call(float("nan")))
+        for bad in (0, -1.0, np.array([8.0, 0.0])):
+            with pytest.raises(
+                InvalidParameterError, match=r"processor count must be positive, got"
+            ):
+                call(bad)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -13,7 +15,7 @@ from repro.core import (
     stack_models,
 )
 from repro.exceptions import ValidityError
-from repro.experiments import analytic
+from repro.experiments import analytic, ext_segments
 from repro.experiments.analytic import (
     ANALYTIC_VERSION,
     AnalyticMemo,
@@ -24,7 +26,15 @@ from repro.experiments.analytic import (
 from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import main
+from repro.extensions.twolevel import (
+    SegmentedSolution,
+    expected_segmented_time,
+    segmented_overhead,
+    segmented_period,
+)
+from repro.optimize import scalar
 from repro.optimize.allocation import optimize_allocation
+from repro.optimize.scalar import minimize_scalar
 from repro.platforms import build_model
 
 
@@ -169,17 +179,86 @@ def _no_sim_tables(name: str, capsys) -> str:
     return "\n".join(l for l in out.splitlines() if not l.startswith("[done in"))
 
 
+def _scalar_optimize_segments(
+    model: PatternModel, P: float, k_max: int = 64
+) -> SegmentedSolution:
+    """The per-k Brent scan: ext-segments' ``optimize_segments`` oracle."""
+    best: SegmentedSolution | None = None
+    rising = 0
+    for k in range(1, k_max + 1):
+        seed = float(segmented_period(P, k, model.errors, model.costs))
+
+        def objective(T: float, k=k) -> float:
+            value = segmented_overhead(T, P, k, model)
+            return float(value) if np.isfinite(value) else np.inf
+
+        result = minimize_scalar(objective, bounds=(seed * 1e-3, seed * 1e3))
+        candidate = SegmentedSolution(
+            period=result.x,
+            segments=float(k),
+            overhead=result.fun,
+            expected_time=float(
+                expected_segmented_time(result.x, P, k, model.errors, model.costs)
+            ),
+        )
+        if best is None or candidate.overhead < best.overhead:
+            best = candidate
+            rising = 0
+        else:
+            rising += 1
+            if rising >= 3:
+                break
+    assert best is not None
+    return best
+
+
 class TestSweepEngineParity:
     def test_sweep_tables_identical_with_engine_off(self, monkeypatch, capsys):
-        """Every study's --no-sim tables, batch engine vs scalar oracle."""
+        """Every study's --no-sim tables, batch engine vs scalar oracle.
+
+        ext-segments solves its own grid in its declare hook: there the
+        oracle is a per-platform ``optimize_allocation`` plus the per-k
+        Brent ``optimize_segments``.
+        """
         batch = {name: _no_sim_tables(name, capsys) for name in REGISTRY}
         def oracle(models):
             return [_scalar_point(m) for m in models]
 
         monkeypatch.setattr(analytic, "_evaluate_models", oracle)
+        monkeypatch.setattr(
+            ext_segments,
+            "optimize_allocation_batch",
+            lambda models: [optimize_allocation(m) for m in models],
+        )
+        monkeypatch.setattr(
+            ext_segments, "optimize_segments", _scalar_optimize_segments
+        )
         for name in REGISTRY:
             assert _no_sim_tables(name, capsys) == batch[name], name
         assert len(REGISTRY) == 10
+
+    def test_ext_segments_never_calls_the_scalar_minimiser(self, monkeypatch, capsys):
+        calls = []
+        original = scalar.minimize_scalar
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # Patch every binding (``from .scalar import minimize_scalar``).
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "minimize_scalar", None) is original
+            ):
+                monkeypatch.setattr(module, "minimize_scalar", spy)
+        _no_sim_tables("ext-segments", capsys)
+        assert calls == []
+        # The spy is live: ext-nodes' integer floor/ceil still use Brent.
+        _no_sim_tables("ext-nodes", capsys)
+        assert calls
+
+
 class TestCacheStatsCLI:
     def test_reports_analytic_memo(self, tmp_path, capsys):
         memo = AnalyticMemo(tmp_path / "analytic_memo.json")

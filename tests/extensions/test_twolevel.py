@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.exceptions import InvalidParameterError, ValidityError
 from repro.extensions.twolevel import (
+    SegmentedSolution,
     expected_segmented_time,
     optimal_segment_count,
     optimal_segmented_pattern,
@@ -21,6 +22,8 @@ from repro.extensions.twolevel import (
     segmented_overhead,
     segmented_period,
 )
+from repro.optimize.scalar import minimize_scalar
+from repro.platforms import PLATFORM_NAMES, build_model
 
 
 def _model(lambda_ind=2e-5, f=0.3, C=80.0, V=8.0, D=40.0, alpha=0.1) -> PatternModel:
@@ -29,6 +32,44 @@ def _model(lambda_ind=2e-5, f=0.3, C=80.0, V=8.0, D=40.0, alpha=0.1) -> PatternM
         costs=ResilienceCosts.simple(checkpoint=C, verification=V, downtime=D),
         speedup=AmdahlSpeedup(alpha),
     )
+
+
+def scalar_optimize_segments(
+    model: PatternModel, P: float, k_max: int = 64
+) -> SegmentedSolution:
+    """Scalar oracle for :func:`optimize_segments`: one Brent solve per k.
+
+    The historical implementation: scan ``k = 1..k_max``, minimise the
+    overhead over ``T`` in ``[T*_k 1e-3, T*_k 1e3]`` with Brent, keep the
+    first strict minimum and stop after three consecutive rises.
+    """
+    best: SegmentedSolution | None = None
+    rising = 0
+    for k in range(1, k_max + 1):
+        seed = float(segmented_period(P, k, model.errors, model.costs))
+
+        def objective(T: float, k=k) -> float:
+            value = segmented_overhead(T, P, k, model)
+            return float(value) if np.isfinite(value) else np.inf
+
+        result = minimize_scalar(objective, bounds=(seed * 1e-3, seed * 1e3))
+        candidate = SegmentedSolution(
+            period=result.x,
+            segments=float(k),
+            overhead=result.fun,
+            expected_time=float(
+                expected_segmented_time(result.x, P, k, model.errors, model.costs)
+            ),
+        )
+        if best is None or candidate.overhead < best.overhead:
+            best = candidate
+            rising = 0
+        else:
+            rising += 1
+            if rising >= 3:
+                break
+    assert best is not None
+    return best
 
 
 class TestReductionToProposition1:
@@ -190,5 +231,55 @@ class TestOptimizeSegments:
         assert best.segment_length == pytest.approx(best.period / best.segments)
 
     def test_rejects_bad_kmax(self, hera_sc3):
-        with pytest.raises(InvalidParameterError):
-            optimize_segments(hera_sc3, 256.0, k_max=0)
+        # Not an integer >= 1 (bool included): the library's exception,
+        # never a TypeError from range() or a comparison.
+        for k_max in (0, -3, 2.5, float("inf"), float("nan"), "4", True, None):
+            with pytest.raises(InvalidParameterError, match="k_max"):
+                optimize_segments(hera_sc3, 256.0, k_max=k_max)
+
+    def test_accepts_numpy_integer_kmax(self, hera_sc3):
+        assert optimize_segments(hera_sc3, 256.0, k_max=np.int64(2)).segments <= 2
+
+
+class TestBatchedSearchMatchesScalarOracle:
+    """The batched log-zoom against the per-k Brent oracle (80 cases)."""
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4])
+    @pytest.mark.parametrize("platform", PLATFORM_NAMES)
+    def test_same_choice_within_brent_tolerance(self, platform, scenario):
+        model = build_model(platform, scenario)
+        for P in (16.0, 64.0, 256.0, 1000.0, 4096.0):
+            batched = optimize_segments(model, P)
+            oracle = scalar_optimize_segments(model, P)
+            assert batched.segments == oracle.segments, P
+            assert batched.overhead == pytest.approx(oracle.overhead, rel=1e-12)
+            assert batched.period == pytest.approx(oracle.period, rel=1e-6)
+            assert batched.expected_time == pytest.approx(
+                oracle.expected_time, rel=1e-6
+            )
+
+    def test_overflowing_columns_return_where_the_oracle_returns(self):
+        # lambda^f_P V = 400: k = 1 is finite (~1e175) but every k >= 2
+        # overflows over its whole bracket.  Neither search may raise.
+        model = _model(lambda_ind=1e-3, f=0.5, C=10.0, V=8e5, D=0.0)
+        P = 1.0
+        assert np.isinf(segmented_overhead(np.logspace(0, 9, 10), P, 2, model)).all()
+        oracle = scalar_optimize_segments(model, P)
+        batched = optimize_segments(model, P)
+        assert oracle.segments == batched.segments == 1.0
+        assert np.isfinite(batched.overhead)
+        assert batched.overhead == pytest.approx(oracle.overhead, rel=1e-12)
+        assert batched.period == pytest.approx(oracle.period, rel=1e-6)
+
+    def test_fully_overflowing_grid_returns_where_the_oracle_returns(self):
+        # lambda^f_P C = 1000: every column is +inf everywhere.  Both
+        # searches return k = 1 with an infinite overhead; the batch
+        # reports the column's lower bound as its period.
+        model = _model(lambda_ind=1e-3, f=0.5, C=2e6, V=8.0, D=0.0)
+        P = 1.0
+        oracle = scalar_optimize_segments(model, P)
+        batched = optimize_segments(model, P)
+        assert oracle.segments == batched.segments == 1.0
+        assert np.isinf(oracle.overhead) and np.isinf(batched.overhead)
+        seed = segmented_period(P, 1, model.errors, model.costs)
+        assert batched.period == seed * 1e-3
