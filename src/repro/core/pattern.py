@@ -62,6 +62,7 @@ __all__ = [
     "pattern_overhead",
     "pattern_speedup",
     "PatternModel",
+    "PreparedColumns",
     "stack_models",
     "take_model",
 ]
@@ -73,9 +74,14 @@ def _validate_period(T) -> None:
         raise InvalidParameterError(f"pattern period T must be finite and >= 0, got {T!r}")
 
 
+def _validate_overhead_period(T_arr: np.ndarray, T) -> None:
+    # One pass for both failure classes: NaN fails both comparisons.
+    if T_arr.size and not (T_arr.min() > 0.0 and T_arr.max() < np.inf):
+        raise InvalidParameterError(f"overhead needs a finite T > 0, got {T!r}")
+
+
 def _rates_and_costs(T, P, errors: ErrorModel, costs: ResilienceCosts):
-    """Broadcast-compatible platform rates and resilience costs."""
-    _validate_period(T)
+    """Broadcast-compatible platform rates and resilience costs; callers validate ``T``."""
     T = np.asarray(T, dtype=float) if (np.ndim(T) or np.ndim(P)) else float(T)
     lam_f = errors.fail_stop_rate(P)
     lam_s = errors.silent_rate(P)
@@ -118,6 +124,7 @@ def expected_work_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
     anywhere in ``T + V_P``; silent errors (struck during ``T`` only) are
     caught by the verification and trigger a recovery plus re-execution.
     """
+    _validate_period(T)
     T, lam_f, lam_s, C, R, V, D = _rates_and_costs(T, P, errors, costs)
     A = T + V
     ER = expected_recovery_time(P, errors, costs)
@@ -140,6 +147,7 @@ def expected_checkpoint_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
     downtime, a recovery and a *full pattern re-execution* before the
     checkpoint can be retried — hence the dependence on ``T``.
     """
+    _validate_period(T)
     T, lam_f, lam_s, C, R, V, D = _rates_and_costs(T, P, errors, costs)
     ER = expected_recovery_time(P, errors, costs)
     EA = expected_work_time(T, P, errors, costs)
@@ -188,6 +196,12 @@ def expected_pattern_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
 
     which keeps full precision for rates down to ``1e-300``.
     """
+    _validate_period(T)
+    return _pattern_time(T, P, errors, costs)
+
+
+def _pattern_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
+    """:func:`expected_pattern_time` for a ``T`` the caller has validated."""
     T, lam_f, lam_s, C, R, V, D = _rates_and_costs(T, P, errors, costs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Cancellation-free factoring of Eq. (2):
@@ -223,6 +237,7 @@ def expected_pattern_time_first_order(T, P, errors: ErrorModel, costs: Resilienc
     Valid when all of :math:`\\lambda^f_P (T + V + C + R)` and
     :math:`\\lambda^s_P T` are :math:`\\ll 1` (Section III-B).
     """
+    _validate_period(T)
     T, lam_f, lam_s, C, R, V, D = _rates_and_costs(T, P, errors, costs)
     result = (
         T
@@ -242,12 +257,11 @@ def pattern_overhead(T, P, errors: ErrorModel, costs: ResilienceCosts, speedup: 
 
     This is the paper's optimisation objective: the expected time per
     unit of *sequential* work, whose error-free floor is ``H(P)``.
-    Requires ``T > 0``.
+    Requires a finite ``T > 0``.
     """
     T_arr = np.asarray(T, dtype=float)
-    if np.any(T_arr <= 0.0):
-        raise InvalidParameterError(f"overhead needs T > 0, got {T!r}")
-    E = expected_pattern_time(T, P, errors, costs)
+    _validate_overhead_period(T_arr, T)
+    E = _pattern_time(T, P, errors, costs)
     result = np.asarray(speedup.overhead(P)) * np.asarray(E) / T_arr
     return _scalarize(result, T, P)
 
@@ -255,6 +269,68 @@ def pattern_overhead(T, P, errors: ErrorModel, costs: ResilienceCosts, speedup: 
 def pattern_speedup(T, P, errors: ErrorModel, costs: ResilienceCosts, speedup: SpeedupModel):
     """Expected speedup :math:`S(T, P) = T\\,S(P)/E(T, P) = 1/H(T, P)`."""
     return 1.0 / pattern_overhead(T, P, errors, costs, speedup)
+
+
+class PreparedColumns:
+    """:func:`pattern_overhead` on processor columns fixed for a whole solve.
+
+    The period optimisers evaluate :math:`H(T, P)` on many ``T`` grids
+    against one ``P`` row.  Everything that depends on ``P`` alone — the
+    rates :math:`\\lambda^f, \\lambda^s`, the costs ``C, R, V, D``, the
+    floor ``H(P)`` and the ``P``-only factors of the expm1 form of
+    :func:`expected_pattern_time` — is computed here once, and
+    :meth:`overhead` evaluates only the ``T``-dependent remainder, in the
+    same operation order.  Its output is therefore bit-identical to
+    ``pattern_overhead(T, P, ...)`` once non-finite values of the latter
+    are read as ``+inf``, which is how every optimiser consumes it.
+
+    Build it with :meth:`PatternModel.prepare`.
+    """
+
+    __slots__ = (
+        "lam_f", "lam_s", "C", "R", "V", "floor",
+        "lf_R", "exp_lf_C", "expm1_lf_RC", "scale", "C_minus_R", "fail_stop",
+    )
+
+    def __init__(self, P, errors: ErrorModel, costs: ResilienceCosts, speedup: SpeedupModel):
+        self.lam_f = lam_f = np.asarray(errors.fail_stop_rate(P), dtype=float)
+        self.lam_s = np.asarray(errors.silent_rate(P), dtype=float)
+        self.C = C = np.asarray(costs.checkpoint_cost(P), dtype=float)
+        self.R = R = np.asarray(costs.recovery_cost(P), dtype=float)
+        self.V = np.asarray(costs.verification_cost(P), dtype=float)
+        self.floor = np.asarray(speedup.overhead(P))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.lf_R = lam_f * R
+            self.exp_lf_C = np.exp(lam_f * C)
+            self.expm1_lf_RC = np.expm1(lam_f * (R - C))
+            self.scale = 1.0 / lam_f + costs.downtime
+        self.C_minus_R = C - R
+        # Mask of the lambda^f > 0 columns, or None when there is no
+        # lambda^f = 0 column whose silent-only limit must be evaluated.
+        fail_stop = lam_f > 0.0
+        self.fail_stop = None if fail_stop.all() else fail_stop
+
+    def overhead(self, T) -> np.ndarray:
+        """:math:`H(T, P)` with every non-finite value read as ``+inf``.
+
+        ``T`` broadcasts against the prepared columns (trailing axis).
+        Raises :class:`~repro.exceptions.InvalidParameterError` unless
+        every ``T`` is finite and ``> 0``.
+        """
+        T = np.asarray(T, dtype=float)
+        _validate_overhead_period(T, T)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ls_T = self.lam_s * T
+            term = np.exp(self.lf_R + ls_T) * np.expm1(self.lam_f * (self.C + T + self.V)) + (
+                self.exp_lf_C * np.expm1(ls_T) * self.expm1_lf_RC
+            )
+            E = self.scale * term
+            if self.fail_stop is not None:
+                silent_only = self.C_minus_R + np.exp(ls_T) * (self.R + T + self.V)
+                E = np.where(self.fail_stop, E, silent_only)
+            H = np.asarray(self.floor * E / T)
+        np.copyto(H, np.inf, where=~np.isfinite(H))
+        return H
 
 
 @dataclass(frozen=True)
@@ -294,6 +370,10 @@ class PatternModel:
     def overhead(self, T, P):
         """Expected execution overhead :math:`H(T, P)`."""
         return pattern_overhead(T, P, self.errors, self.costs, self.speedup)
+
+    def prepare(self, P) -> PreparedColumns:
+        """:class:`PreparedColumns` evaluating :math:`H(T, P)` on fixed ``P``."""
+        return PreparedColumns(P, self.errors, self.costs, self.speedup)
 
     def expected_speedup(self, T, P):
         """Expected speedup :math:`S(T, P)`."""

@@ -121,28 +121,28 @@ def _zoom_batch(
     points: int,
     rounds: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column log-space zoom of the exact overhead over ``[lo, hi]``."""
+    """Per-column log-space zoom of the exact overhead over ``[lo, hi]``.
+
+    ``P`` is fixed for the whole zoom, so its terms are prepared once
+    (:meth:`~repro.core.pattern.PatternModel.prepare`); overflowed
+    regions of the search domain read as +inf, never NaN, so the argmins
+    stay well-defined.
+    """
+    columns = model.prepare(P)
     rows = np.arange(points)[:, None]  # (points, 1)
     cols = np.arange(P.size)
     for _ in range(rounds):
         ratio = hi / lo
         # Per-column geometric grid: lo * ratio**(k/(points-1)).
         Ts = lo[None, :] * ratio[None, :] ** (rows / (points - 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            Hs = np.asarray(model.overhead(Ts, P[None, :]), dtype=float)
-        Hs = np.where(np.isfinite(Hs), Hs, np.inf)
+        Hs = columns.overhead(Ts)
         best = np.argmin(Hs, axis=0)
         lo = Ts[np.maximum(best - 1, 0), cols]
         hi = Ts[np.minimum(best + 1, points - 1), cols]
         if np.max(hi / lo) - 1.0 < 1e-11:
             break
     T_opt = np.sqrt(lo * hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H_opt = np.asarray(model.overhead(T_opt, P), dtype=float)
-    # Overflowed regions of the search domain read as +inf, never NaN,
-    # so downstream argmins stay well-defined.
-    H_opt = np.where(np.isfinite(H_opt), H_opt, np.inf)
-    return T_opt, H_opt
+    return T_opt, columns.overhead(T_opt)
 
 
 def _zoom_batch_grouped(
@@ -164,6 +164,7 @@ def _zoom_batch_grouped(
     brackets frozen; per column the evaluated abscissae, bracket updates
     and break round are bit-identical to a per-group scalar call.
     """
+    columns = model.prepare(P)
     rows = np.arange(points)[:, None]
     cols = np.arange(P.size)
     active = np.ones(starts.size, dtype=bool)
@@ -171,9 +172,7 @@ def _zoom_batch_grouped(
     for _ in range(rounds):
         ratio = hi / lo
         Ts = lo[None, :] * ratio[None, :] ** (rows / (points - 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            Hs = np.asarray(model.overhead(Ts, P[None, :]), dtype=float)
-        Hs = np.where(np.isfinite(Hs), Hs, np.inf)
+        Hs = columns.overhead(Ts)
         best = np.argmin(Hs, axis=0)
         lo = np.where(col_active, Ts[np.maximum(best - 1, 0), cols], lo)
         hi = np.where(col_active, Ts[np.minimum(best + 1, points - 1), cols], hi)
@@ -183,10 +182,7 @@ def _zoom_batch_grouped(
             break
         col_active = active[group_of]
     T_opt = np.sqrt(lo * hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        H_opt = np.asarray(model.overhead(T_opt, P), dtype=float)
-    H_opt = np.where(np.isfinite(H_opt), H_opt, np.inf)
-    return T_opt, H_opt
+    return T_opt, columns.overhead(T_opt)
 
 
 def optimize_period_batch_grouped(

@@ -5,10 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
+from repro.core import (
+    AmdahlSpeedup,
+    ErrorModel,
+    PatternModel,
+    ResilienceCosts,
+    pattern_overhead,
+)
 from repro.core.first_order import optimal_pattern
 from repro.exceptions import OptimizationError
-from repro.optimize.allocation import optimize_allocation
+from repro.optimize.allocation import optimize_allocation, optimize_allocation_batch
+from repro.platforms import build_model
 from repro.optimize.period import optimize_period
 
 
@@ -106,3 +113,72 @@ class TestOptimizeAllocation:
         result = optimize_allocation(model, p_max=1e7)
         assert result.overhead > 0.0
         assert np.isfinite(result.processors)
+
+
+class TestTheoremOrders:
+    """Theorems 2-3: asymptotic orders of the numerically optimal pattern.
+
+    As lambda -> 0, P* = Theta(lambda^-1/4) and T* = Theta(lambda^-1/2)
+    when C_P = cP (scenario 1), and P* = T* = Theta(lambda^-1/3) when
+    C_P + V_P tends to a constant (scenarios 3 and 5).  Far below the
+    paper's rates the fitted log-log slopes of the exact optimum must
+    match.  (Figure 5's printed range, 1e-12..1e-8, is still
+    pre-asymptotic for scenario 5: its T* slope there is -0.22.)
+    """
+
+    LAMBDAS = np.logspace(-20, -16, 9)
+
+    @pytest.mark.parametrize(
+        ("scenario", "p_order", "t_order"),
+        [(1, -1 / 4, -1 / 2), (3, -1 / 3, -1 / 3), (5, -1 / 3, -1 / 3)],
+    )
+    def test_fitted_orders(self, scenario, p_order, t_order):
+        models = [
+            build_model("Hera", scenario, alpha=0.1, lambda_ind=lam) for lam in self.LAMBDAS
+        ]
+        results = optimize_allocation_batch(models)
+        assert all(r.interior for r in results)
+        log_lam = np.log(self.LAMBDAS)
+        P_slope = np.polyfit(log_lam, np.log([r.processors for r in results]), 1)[0]
+        T_slope = np.polyfit(log_lam, np.log([r.period for r in results]), 1)[0]
+        assert P_slope == pytest.approx(p_order, abs=0.005)
+        assert T_slope == pytest.approx(t_order, abs=0.005)
+
+
+class TestBruteForceCrossCheck:
+    """The nested zoom against an exhaustive search of the same objective.
+
+    The reference is the public scalar evaluator on a log (T, P) grid
+    that does not depend on the optimiser's answer: a 0.01-decade global
+    grid locates the basin, then a 1e-4-decade grid around the global
+    grid's argmin resolves it.
+    """
+
+    @staticmethod
+    def _grid_minimum(model, log_T, log_P):
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = np.asarray(
+                pattern_overhead(
+                    10.0 ** log_T[:, None], 10.0 ** log_P[None, :],
+                    model.errors, model.costs, model.speedup,
+                ),
+                dtype=float,
+            )
+        H = np.where(np.isfinite(H), H, np.inf)
+        i, j = np.unravel_index(np.argmin(H), H.shape)
+        return H[i, j], log_T[i], log_P[j]
+
+    @pytest.mark.parametrize("platform", ["Hera", "Coastal"])
+    @pytest.mark.parametrize("scenario", [1, 3, 5])
+    def test_no_grid_point_beats_the_optimum(self, platform, scenario):
+        model = build_model(platform, scenario)
+        result = optimize_allocation(model)
+        _, t0, p0 = self._grid_minimum(
+            model, np.linspace(1.0, 7.0, 601), np.linspace(0.0, 6.0, 601)
+        )
+        log_T = np.linspace(t0 - 0.02, t0 + 0.02, 401)
+        log_P = np.linspace(p0 - 0.02, p0 + 0.02, 401)
+        H_grid, t_best, p_best = self._grid_minimum(model, log_T, log_P)
+        assert result.overhead <= H_grid * (1.0 + 1e-12)
+        assert abs(np.log10(result.period) - t_best) <= log_T[1] - log_T[0]
+        assert abs(np.log10(result.processors) - p_best) <= log_P[1] - log_P[0]

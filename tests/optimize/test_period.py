@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import optimize as sp_optimize
@@ -149,8 +151,11 @@ class TestBatchEdgePinnedBracket:
         class MonotoneModel(PatternModel):
             """Strictly decreasing overhead: no interior optimum exists."""
 
-            def overhead(self, T, P):
-                return 1.0 + 1.0 / np.asarray(T, dtype=float)
+            def prepare(self, P):
+                # The batch zoom evaluates through the prepared columns.
+                return SimpleNamespace(
+                    overhead=lambda T: 1.0 + 1.0 / np.asarray(T, dtype=float)
+                )
 
         stub = MonotoneModel(
             errors=hera_sc1.errors, costs=hera_sc1.costs, speedup=hera_sc1.speedup

@@ -116,3 +116,16 @@ class TestReadmePromises:
             if match in ("setup.py",):
                 continue
             assert (REPO / "examples" / match).exists(), f"README lists missing {match}"
+
+
+class TestPerformanceTrajectory:
+    def test_trajectory_is_well_formed(self):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "trajectory", REPO / "benchmarks" / "trajectory.py"
+        )
+        trajectory = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trajectory)
+        assert trajectory.TRAJECTORY.read_text().strip(), "trajectory is empty"
+        assert trajectory.check() == []
