@@ -17,6 +17,15 @@ not ``correct`` or has failures is refused.
     python benchmarks/trajectory.py check
 
 validates the file (``tests/test_conformance.py`` runs the same check).
+
+    python benchmarks/trajectory.py floor --workload W RESULT
+
+is the regression floor: RESULT is a file whose last line is one
+``perfbench/run.py --trace 0`` result (its saved stdout will do).  It
+exits 1 when a reference-scaled metric (``GATED``) is worse than the
+workload's newest recorded ``change_median`` by more than the metric's
+``BENCHMARK.json`` bound.  ``peak_rss_mb`` is printed but not gated: it
+is not scaled to the reference machine.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ FIELDS = (
     "version", "parent", "workload", "metric", "unit", "better",
     "parent_median", "change_median", "pairs",
 )
+#: The end-to-end metrics perfbench scales to the reference machine;
+#: ``floor`` gates these and only prints the rest.
+GATED = ("wall_s", "setup_s", "first_output_s", "points_per_s")
 
 
 def end_to_end_metrics() -> dict[str, dict]:
@@ -87,6 +99,47 @@ def check(path: Path = TRAJECTORY) -> list[str]:
     return problems
 
 
+def newest(workload: str, path: Path = TRAJECTORY) -> dict[str, dict]:
+    """The workload's most recently appended record per metric."""
+    out = {}
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if record["workload"] == workload:
+            out[record["metric"]] = record
+    return out
+
+
+def floor(workload: str, result: dict, path: Path = TRAJECTORY) -> tuple[list[str], bool]:
+    """Report lines for one perfbench result, and whether it regressed.
+
+    A metric regresses when it is worse than the newest recorded
+    ``change_median`` by more than its bound, as a fraction of that
+    median.
+    """
+    if not result.get("correct") or result.get("failed"):
+        raise SystemExit(f"refusing a result that is not correct: {result}")
+    recorded = newest(workload, path)
+    if not recorded:
+        raise SystemExit(f"{path}: no records for workload {workload!r}")
+    lines, regressed = [], False
+    for name, spec in end_to_end_metrics().items():
+        if name not in recorded:
+            continue
+        record = recorded[name]
+        value, median = result["metrics"][name]["value"], record["change_median"]
+        worse = (value - median if spec["better"] == "lower" else median - value) / median
+        verdict = "not gated"
+        if name in GATED:
+            failed = worse > spec["bound"]
+            regressed |= failed
+            verdict = "REGRESSED" if failed else "ok"
+        lines.append(
+            f"{workload} {name}: {value:.4g} vs {median:.4g} ({record['version']}), "
+            f"{100 * worse:+.1f}% worse (bound {100 * spec['bound']:.0f}%): {verdict}"
+        )
+    return lines, regressed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,7 +150,17 @@ def main(argv=None) -> int:
     append.add_argument("--parent-runs", type=Path, required=True)
     append.add_argument("--change-runs", type=Path, required=True)
     sub.add_parser("check", help="validate the trajectory file")
+    gate = sub.add_parser("floor", help="fail on a regression past the newest record")
+    gate.add_argument("--workload", required=True)
+    gate.add_argument("result", type=Path, help="file ending in one perfbench result line")
     args = parser.parse_args(argv)
+    if args.command == "floor":
+        text = args.result.read_text().strip()
+        if not text:
+            raise SystemExit(f"{args.result}: no perfbench result")
+        lines, regressed = floor(args.workload, json.loads(text.splitlines()[-1]))
+        print("\n".join(lines))
+        return 1 if regressed else 0
     if args.command == "check":
         problems = check()
         for problem in problems:

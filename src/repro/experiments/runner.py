@@ -554,8 +554,9 @@ def _add_sim_options(
         default=None,
         metavar="ID",
         help="journal this invocation as a durable run: every resolved "
-        "point's fate is appended (fsynced) to the run's journal under "
-        "--runs-dir, so an interrupted run can be resumed "
+        "point's fate is appended to the run's journal under --runs-dir "
+        "(computed fates fsynced; served/skipped ones flushed and made "
+        "durable by the next fsync), so an interrupted run can be resumed "
         "(`repro-experiments resume ID`); requires a result cache "
         "(--cache-dir or --shard-dir)",
     )

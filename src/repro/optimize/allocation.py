@@ -189,6 +189,16 @@ def optimize_allocation_batch(
     kernels do not depend on array width), and converged models drop out
     of later rounds without perturbing the rest.
 
+    One exception: :class:`~repro.core.speedup.PowerLawSpeedup`.  A
+    stacked model carries ``gamma`` as an array, and numpy's float64
+    ``power`` uses a different loop for a scalar (stride-0) exponent
+    than for an array one; the two differ in the last ulp for some
+    exponents (``P ** -1.0`` at ``gamma = 1``, ``P ** 0.5``).  Power-law
+    profiles agree with the scalar model to 1 ulp and the optimal
+    overhead to 1e-12 relative (pinned in
+    ``tests/optimize/test_batch_optimizers.py``).  Amdahl and Gustafson
+    profiles use no ``power`` and stay bit-identical.
+
     Models whose parameters cannot be stacked into one array-parameter
     model (heterogeneous speedup profile types, mixed recovery
     overrides) transparently fall back to per-model scalar solves.

@@ -75,16 +75,38 @@ class ShardedExecutor(Executor):
         )
 
 
+def _same_entry(a: Path, b: Path) -> bool:
+    """Whether two entry files hold the same fields, bit for bit.
+
+    Byte-identical files do.  Otherwise both are decoded: an entry
+    written by 1.14 or earlier (one member per field) and a one-record
+    entry of the same result differ in bytes, not in fields.
+    """
+    if filecmp.cmp(a, b, shallow=False):
+        return True
+    from ..plan import ResultCache  # plan imports this package
+
+    try:
+        fields = [ResultCache._read(path) for path in (a, b)]
+    except Exception:  # corrupt or foreign: never the same entry
+        return False
+    left, right = (
+        {name: (value.dtype.str, value.tobytes()) for name, value in entry.items()}
+        for entry in fields
+    )
+    return left == right
+
+
 def merge_shard_dirs(
     shard_dirs: Sequence[str | Path], target: str | Path
 ) -> tuple[int, int]:
     """Fuse shard ``.npz`` drops into the cache directory ``target``.
 
     Entries are content-addressed (the file name is the plan key), so
-    merging is a copy; a key present in several inputs must be
-    byte-identical — a mismatch means a corrupt or foreign file and
-    raises rather than silently preferring one side.  Returns
-    ``(copied, skipped_duplicates)``.
+    merging is a copy; a key present in several inputs must hold the
+    same fields bit for bit (:func:`_same_entry`) — a mismatch means a
+    corrupt or foreign file and raises rather than silently preferring
+    one side.  Returns ``(copied, skipped_duplicates)``.
     """
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
@@ -98,7 +120,7 @@ def merge_shard_dirs(
                 continue  # torn atomic-write temp: never a real entry
             dest = target / path.name
             if dest.exists():
-                if not filecmp.cmp(path, dest, shallow=False):
+                if not _same_entry(path, dest):
                     raise SimulationError(
                         f"shard entry {path.name} conflicts with an existing "
                         f"cache entry under {target} — refusing to merge"

@@ -12,8 +12,14 @@ story:
   :data:`repro.sim.plan.BACKEND_VERSION`, and a journal of plan keys
   with their fates (``computed`` / ``served`` / ``skipped``);
 * a :class:`RunRecorder` journals each fate the event-driven scheduler
-  delivers as one fsynced ``[key, fate]`` JSON line appended to
-  ``<run>/fates.log`` — O(1) per point, whatever the run's size.
+  delivers as one ``[key, fate]`` JSON line appended to
+  ``<run>/fates.log`` — O(1) per point, whatever the run's size.  Every
+  line is written and flushed at once, so it survives a ``kill -9``.
+  Only ``computed`` lines are fsynced, after their cache entry's own
+  fsync: they are the ones that protect work.  A ``served``/``skipped``
+  line is made durable by the next fsync of the log (or the next
+  compaction); one lost to a power cut only means its point is served
+  again from its durable entry.
   ``manifest.json`` is the compacted checkpoint: rewritten atomically
   (temp file + fsync + ``os.replace``) when the run is created or
   resumed, when the adaptive engine journals a decision, at
@@ -260,15 +266,17 @@ class RunManifest:
 
 
 class RunRecorder:
-    """Journals a run's point fates: an fsynced log line per fate.
+    """Journals a run's point fates: a flushed log line per fate.
 
     Designed as a ``SimulationPipeline.resolve`` ``on_event`` callback:
     every delivered :class:`~repro.experiments.pipeline.PointEvent`
     carrying a plan key that changes the fate map appends one
-    ``[key, fate]`` line to ``fates.log`` and fsyncs it, so a crash
-    between any two events leaves checkpoint + log holding exactly the
-    delivered prefix.  :meth:`write` compacts: it rewrites
-    ``manifest.json`` atomically and deletes the folded log.
+    ``[key, fate]`` line to ``fates.log`` and flushes it, so a process
+    killed between any two events leaves checkpoint + log holding
+    exactly the delivered prefix.  ``computed`` lines are also fsynced
+    (surviving a power cut); ``served``/``skipped`` lines become
+    durable with the next fsync or compaction.  :meth:`write` compacts:
+    it rewrites ``manifest.json`` atomically and deletes the folded log.
 
     Use the recorder as a context manager: leaving the block by any
     route (an exception or an injected crash included) compacts the
@@ -369,12 +377,20 @@ class RunRecorder:
             self._append(key, event.status)
 
     def _append(self, key: str, fate: str) -> None:
-        """One durable log line: write, flush, fsync."""
+        """One log line: write and flush; fsync only a ``computed`` fate.
+
+        A flushed line survives a ``kill -9``.  Only a ``computed`` line
+        protects work, so only it pays an fsync; a ``served``/``skipped``
+        line lost to a power cut costs nothing (its point is served
+        again from its durable entry), and the next fsync of this file
+        makes it durable anyway.
+        """
         if self._log is None:
             self._log = open(self.log_path, "a")
         self._log.write(json.dumps([key, fate]) + "\n")
         self._log.flush()
-        os.fsync(self._log.fileno())
+        if fate == "computed":
+            os.fsync(self._log.fileno())
 
     def record_adaptive(self, journal: dict) -> None:
         """Journal the adaptive engine's staging/stopping decisions.

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -359,8 +360,11 @@ class ResultCache:
 
     One file per result under ``directory``, named by the request's
     SHA-256 key, written atomically (temp file + rename) so concurrent
-    runs sharing a cache directory never observe torn files.  Unreadable
-    or mismatched entries read as misses and are recomputed.
+    runs sharing a cache directory never observe torn files.  Each file
+    holds one member, ``entry``, a 0-d structured record of the
+    entry's fields; entries written by 1.14 and earlier (one member per
+    field) still read.  Unreadable or mismatched entries read as misses
+    and are recomputed.
     """
 
     def __init__(self, directory: str | Path):
@@ -400,9 +404,21 @@ class ResultCache:
 
     @staticmethod
     def _read(path: Path) -> dict:
-        """Every array of one entry, force-read (a truncated payload raises)."""
+        """Every field of one entry, force-read (a truncated payload raises).
+
+        A structured-record member expands into its fields, so the
+        one-record layout :meth:`_store` writes and the one-member-per-
+        field layout of 1.14 and earlier read as the same dict.
+        """
+        out = {}
         with np.load(path, allow_pickle=False) as data:
-            return {name: data[name][()] for name in data.files}
+            for name in data.files:
+                array = data[name]
+                if array.dtype.names:
+                    out.update((field, array[field][()]) for field in array.dtype.names)
+                else:
+                    out[name] = array[()]
+        return out
 
     def _load(self, key: str, kind: str) -> dict | None:
         data = self._verified.pop(key, None)
@@ -486,14 +502,22 @@ class ResultCache:
             return False
 
     def _store(self, key: str, **fields) -> None:
-        # Atomic publish: write the whole entry to a private temp file,
-        # fsync it, then rename over the final name.  A reader (or a
-        # crash) can therefore never observe a torn entry — only the
-        # old state, or the complete new one.
+        # One member, ``entry``: a 0-d structured record whose fields
+        # are the entry's fields, encoded in memory.  Atomic publish:
+        # one write of the whole entry to a private temp file, fsync,
+        # then rename over the final name.  A reader (or a crash) can
+        # therefore never observe a torn entry — only the old state, or
+        # the complete new one.
+        record = np.array(
+            tuple(fields.values()),
+            dtype=[(name, np.asarray(value).dtype) for name, value in fields.items()],
+        )
+        buffer = io.BytesIO()
+        np.savez(buffer, entry=record)
         path = self._path(key)
         tmp = path.with_name(f".{key}.{os.getpid()}.tmp.npz")
         with open(tmp, "wb") as handle:
-            np.savez(handle, **fields)
+            handle.write(buffer.getbuffer())
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

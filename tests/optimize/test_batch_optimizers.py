@@ -21,8 +21,10 @@ from repro.core import (
     ErrorModel,
     GustafsonSpeedup,
     PatternModel,
+    PowerLawSpeedup,
     ResilienceCosts,
     VerificationCost,
+    stack_models,
 )
 from repro.optimize.allocation import optimize_allocation, optimize_allocation_batch
 from repro.optimize.grid import refine_log_minimum, refine_log_minimum_batch
@@ -223,3 +225,52 @@ class TestRefineLogMinimumBatch:
         assert result.x[0] == 1.0
         assert math.isinf(result.fun[0])
         np.testing.assert_allclose(result.x[1], 50.0, rtol=1e-8)
+
+
+class TestStackedProfileException:
+    """Where a stacked column is, and is not, bit-identical to its model.
+
+    A stacked model carries its profile parameter as an array, so numpy
+    evaluates ``P ** -gamma`` with an array exponent.  numpy's float64
+    ``power`` takes a different loop for a scalar (stride-0) exponent
+    than for an array one, and the two differ in the last ulp for some
+    exponents (-1.0, i.e. gamma = 1, in ``overhead``; 0.5 in
+    ``speedup``).  Amdahl and Gustafson profiles use no ``power`` and
+    stay bit-identical; power-law results agree to 1 ulp per profile
+    evaluation and to 1e-12 in the optimal overhead.
+    """
+
+    P = np.geomspace(1.0, 1e8, 2001)
+
+    @staticmethod
+    def _models(speedup):
+        return [
+            PatternModel(base.errors, base.costs, speedup)
+            for base in (build_model(platform, sc)
+                         for platform in ("Hera", "Coastal") for sc in (1, 3, 5))
+        ]
+
+    @pytest.mark.parametrize("profile", [AmdahlSpeedup, GustafsonSpeedup])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 1.0])
+    def test_amdahl_and_gustafson_columns_are_exact(self, profile, alpha):
+        stacked = profile(np.full(self.P.size, alpha))
+        assert np.array_equal(stacked.overhead(self.P), profile(alpha).overhead(self.P))
+        models = self._models(profile(alpha))
+        T = np.geomspace(10.0, 1e6, self.P.size)[:, None] * np.ones(len(models))
+        H = stack_models(models).overhead(T, self.P[:, None] * np.ones(len(models)))
+        for j, model in enumerate(models):
+            assert np.array_equal(H[:, j], model.overhead(T[:, j], self.P))
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_power_law_profile_within_one_ulp(self, gamma):
+        stacked = PowerLawSpeedup(np.full(self.P.size, gamma))
+        scalar = PowerLawSpeedup(gamma)
+        np.testing.assert_array_max_ulp(stacked.overhead(self.P), scalar.overhead(self.P), maxulp=1)
+        np.testing.assert_array_max_ulp(stacked.speedup(self.P), scalar.speedup(self.P), maxulp=1)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_power_law_optimum_within_1e_12(self, gamma):
+        models = self._models(PowerLawSpeedup(gamma))
+        for got, want in zip(optimize_allocation_batch(models),
+                             [optimize_allocation(m) for m in models]):
+            assert got.overhead == pytest.approx(want.overhead, rel=1e-12, abs=0.0)

@@ -8,12 +8,18 @@ must hit across executor types (the key is executor-independent); and
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
+import pytest
+
 from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.platforms.scenarios import build_model
 from repro.sim import plan as plan_mod
 from repro.sim.executors import PoolExecutor, SerialExecutor, ShardedExecutor
 from repro.sim.plan import ResultCache, SimRequest, request_key
+from repro.sim.results import OverheadEstimate
 
 
 def one_request() -> SimRequest:
@@ -295,3 +301,86 @@ class TestCacheVerifyCLI:
         assert "1 corrupt removed" in capsys.readouterr().out
         assert not cache._path("k01").exists()
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+
+
+class TestEntryCodec:
+    """One-record entries, and entries written by 1.14 and earlier."""
+
+    ESTIMATE = OverheadEstimate(
+        mean=1.25, std=0.5, stderr=0.125, ci_low=1.0, ci_high=1.5, n_runs=40
+    )
+
+    @staticmethod
+    def _legacy(cache: ResultCache, key: str, **fields) -> None:
+        """An entry in the 1.14 layout: one ``.npz`` member per field."""
+        with open(cache._path(key), "wb") as handle:
+            np.savez(handle, **fields)
+
+    def _legacy_pair(self, cache: ResultCache) -> None:
+        self._legacy(cache, "est", kind="estimate", **{
+            f.name: getattr(self.ESTIMATE, f.name)
+            for f in dataclasses.fields(OverheadEstimate)
+        })
+        self._legacy(cache, "val", kind="value", value=2.5)
+
+    def test_new_entry_is_one_record(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_estimate("est", self.ESTIMATE)
+        cache.put_value("val", 2.5)
+        with np.load(cache._path("est")) as data:
+            assert data.files == ["entry"]
+            record = data["entry"]
+            assert record.shape == ()
+            assert record.dtype.names == (
+                "kind", "mean", "std", "stderr", "ci_low", "ci_high", "n_runs"
+            )
+        with np.load(cache._path("val")) as data:
+            assert data["entry"].dtype.names == ("kind", "value")
+        assert cache.get_estimate("est") == self.ESTIMATE
+        assert cache.get_value("val") == 2.5
+
+    def test_legacy_entries_get_verify_and_serve(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        self._legacy_pair(cache)
+        assert cache.get_estimate("est") == self.ESTIMATE
+        assert cache.get_value("val") == 2.5
+        assert cache.verify_entry("est", retain=True) == (True, "ok")
+        assert cache.verify_entry("val", retain=True) == (True, "ok")
+        assert cache.get_estimate("est") == self.ESTIMATE
+        assert cache.get_value("val") == 2.5
+        assert (cache.hits, cache.misses) == (4, 0)
+
+    def test_legacy_entries_pass_cache_verify(self, tmp_path, capsys):
+        from repro.experiments.runner import main
+
+        cache = ResultCache(tmp_path)
+        self._legacy_pair(cache)
+        cache.put_value("new", 1.0)
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        assert "3 entries ok, 0 corrupt" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, -0.0])
+    def test_special_floats_round_trip_bit_exactly(self, tmp_path, special):
+        cache = ResultCache(tmp_path)
+        estimate = OverheadEstimate(
+            mean=special, std=-special, stderr=special, ci_low=-0.0,
+            ci_high=special, n_runs=1,
+        )
+        cache.put_estimate("est", estimate)
+        cache.put_value("val", special)
+        got = cache.get_estimate("est")
+        for name in ("mean", "std", "stderr", "ci_low", "ci_high"):
+            want = np.float64(getattr(estimate, name))
+            assert np.float64(getattr(got, name)).tobytes() == want.tobytes(), name
+        assert np.float64(cache.get_value("val")).tobytes() == np.float64(special).tobytes()
+
+    def test_every_proper_prefix_is_corrupt(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_estimate("est", self.ESTIMATE)
+        data = cache._path("est").read_bytes()
+        for size in range(len(data)):
+            cache._path("est").write_bytes(data[:size])
+            ok, reason = cache.verify_entry("est")
+            assert not ok, f"a {size}-byte prefix of {len(data)} verified: {reason}"
+        cache._path("est").write_bytes(data)
+        assert cache.verify_entry("est") == (True, "ok")

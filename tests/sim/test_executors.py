@@ -130,6 +130,18 @@ class TestMergeShardDirs:
         with pytest.raises(SimulationError):
             merge_shard_dirs([tmp_path / "a"], tmp_path / "out")
 
+    def test_a_legacy_entry_of_the_same_result_skips(self, tmp_path):
+        self._fill(tmp_path / "a", [("k1", 1.0), ("k2", 2.0)])
+        (tmp_path / "out").mkdir()
+        for key, value in (("k1", 1.0), ("k2", 5.0)):  # the 1.14 layout
+            with open(tmp_path / "out" / f"{key}.npz", "wb") as handle:
+                np.savez(handle, kind="value", value=value)
+        with pytest.raises(SimulationError, match="k2.npz"):
+            merge_shard_dirs([tmp_path / "a"], tmp_path / "out")
+        (tmp_path / "a" / "k2.npz").unlink()
+        copied, skipped = merge_shard_dirs([tmp_path / "a"], tmp_path / "out")
+        assert (copied, skipped) == (0, 1)
+
     def test_missing_shard_dir_refuses(self, tmp_path):
         with pytest.raises(SimulationError):
             merge_shard_dirs([tmp_path / "nope"], tmp_path / "out")

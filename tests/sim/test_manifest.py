@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.sim.manifest import (
     FATES_LOG_NAME,
     RunManifest,
     RunRecorder,
+    _read_fates_log,
     config_hash,
     manifest_path,
     validate_resume,
@@ -161,11 +163,24 @@ class TestRecorder:
 
 
 class TestFateLog:
+    #: The fate of ``k<i>`` in an abandoned run: computed and served
+    #: lines interleave, as on a resumed round.
+    MIXED = ("computed", "served")
+
+    def _fates(self, n):
+        return {f"k{i}": self.MIXED[i % 2] for i in range(n)}
+
     def _abandoned(self, tmp_path, n):
-        """A run hard-killed after ``n`` fates: no close, no compaction."""
+        """A run hard-killed after ``n`` fates: no close, no compaction.
+
+        Right after each ``on_event`` returns, the log on disk already
+        holds every delivered line, served ones included: a ``kill -9``
+        never loses a flushed write.
+        """
         recorder = RunRecorder.create(tmp_path, "r1", ["cmd"])
         for i in range(n):
-            recorder.on_event(_Event(f"k{i}", "computed"))
+            recorder.on_event(_Event(f"k{i}", self.MIXED[i % 2]))
+            assert _read_fates_log(recorder.log_path) == self._fates(i + 1)
         recorder._log.close()  # the kill: the handle dies, nothing compacts
         return recorder.path
 
@@ -173,7 +188,7 @@ class TestFateLog:
         path = self._abandoned(tmp_path, 4)
         assert json.loads(path.read_text())["fates"] == {}  # checkpoint only
         loaded = RunManifest.load(path)
-        assert loaded.fates == {f"k{i}": "computed" for i in range(4)}
+        assert loaded.fates == self._fates(4)
         assert loaded.status == "running"
 
     def test_resume_compacts_a_hard_killed_log(self, tmp_path):
@@ -182,7 +197,8 @@ class TestFateLog:
         assert not (path.parent / FATES_LOG_NAME).exists()
         assert json.loads(path.read_text())["fates"] == resumed.manifest.fates
         resumed.on_event(_Event("k0", "served"))
-        assert resumed.manifest.reused == 1
+        resumed.on_event(_Event("k1", "served"))
+        assert resumed.manifest.reused == 2
         resumed.close()
 
     @pytest.mark.parametrize("tail", [b'["k3", "comp', b'["k3", "computed"]'])
@@ -191,7 +207,7 @@ class TestFateLog:
         with open(path.parent / FATES_LOG_NAME, "ab") as handle:
             handle.write(tail)  # no newline: the kill tore this write
         loaded = RunManifest.load(path)
-        assert loaded.fates == {"k0": "computed", "k1": "computed", "k2": "computed"}
+        assert loaded.fates == {"k0": "computed", "k1": "served", "k2": "computed"}
 
     def test_unparsable_line_ends_the_replay(self, tmp_path):
         path = self._abandoned(tmp_path, 1)
@@ -221,6 +237,62 @@ class TestFateLog:
         assert len(writes) == 1  # closing a finished journal is free
         assert [p.name for p in recorder.path.parent.iterdir()] == ["manifest.json"]
         assert RunManifest.load(recorder.path).status == "complete"
+
+
+class TestJournalDurability:
+    """fsync protects computed work only; flushes cover every line."""
+
+    def test_fsync_only_for_computed_fate_changes(self, tmp_path, monkeypatch):
+        recorder = RunRecorder.create(tmp_path, "r1", ["cmd"])
+        synced: list[int] = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
+        steps = [
+            ("k0", "computed", 1), ("k1", "served", 0), ("k2", "skipped", 0),
+            ("k3", "computed", 1), ("k0", "served", 0), ("k0", "computed", 1),
+            ("k0", "computed", 0),  # no fate change, no line
+        ]
+        for key, status, fsyncs in steps:
+            before = len(synced)
+            recorder.on_event(_Event(key, status))
+            assert len(synced) - before == fsyncs, (key, status)
+            assert _read_fates_log(recorder.log_path)[key] == status
+        log_inode = os.stat(recorder.log_path).st_ino
+        assert all(os.fstat(fd).st_ino == log_inode for fd in synced)
+        recorder.close()
+
+    def test_entry_fsync_precedes_its_computed_line(self, tmp_path, monkeypatch):
+        from repro.experiments.runner import main
+
+        cache_dir, runs_dir = tmp_path / "cache", tmp_path / "runs"
+        log = runs_dir / "r1" / FATES_LOG_NAME
+        order: list[tuple[str, str]] = []
+        real = os.fsync
+
+        def spy(fd):
+            inode = os.fstat(fd).st_ino
+            if log.exists() and os.stat(log).st_ino == inode:
+                key, fate = json.loads(log.read_text().splitlines()[-1])
+                order.append((fate, key))
+            else:
+                for tmp in cache_dir.glob(".*.tmp.npz"):  # ".<key>.<pid>.tmp.npz"
+                    if tmp.stat().st_ino == inode:
+                        order.append(("entry", tmp.name.split(".")[1]))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        assert main([
+            "fig5", "--runs", "4", "--patterns", "3", "--cache-dir", str(cache_dir),
+            "--runs-dir", str(runs_dir), "--run-id", "r1",
+        ]) == 0
+        computed = [key for fate, key in order if fate == "computed"]
+        assert computed and {fate for fate, _ in order} == {"entry", "computed"}
+        manifest = RunManifest.load(manifest_path(runs_dir, "r1"))
+        assert sorted(computed) == sorted(
+            key for key, fate in manifest.fates.items() if fate == "computed"
+        )
+        for key in computed:
+            assert order.index(("entry", key)) < order.index(("computed", key)), key
 
 
 class TestValidateResume:
@@ -319,6 +391,17 @@ class TestVerifyOnceServe:
         # Each payload is dropped on first serve: the next get reads disk.
         assert cache.get_value("val") == 2.0
         assert loads == ["val"]
+
+    def test_a_legacy_entry_is_read_once_too(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        with open(cache._path("old"), "wb") as handle:  # the 1.14 layout
+            np.savez(handle, kind="value", value=4.0)
+        manifest = RunManifest(run_id="r", argv=("cmd",))
+        manifest.fates["old"] = "computed"
+        loads = self._loads(monkeypatch)
+        assert validate_resume(manifest, ["old"], cache).reusable == ("old",)
+        assert cache.get_value("old") == 4.0
+        assert loads == ["old"]
 
     def test_cache_verify_retains_nothing(self, tmp_path, monkeypatch):
         cache = self._cache(tmp_path)

@@ -12,6 +12,7 @@ let rot; these tests pin the promises:
 from __future__ import annotations
 
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -118,14 +119,95 @@ class TestReadmePromises:
             assert (REPO / "examples" / match).exists(), f"README lists missing {match}"
 
 
+def _load_trajectory():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "trajectory", REPO / "benchmarks" / "trajectory.py"
+    )
+    trajectory = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trajectory)
+    return trajectory
+
+
 class TestPerformanceTrajectory:
     def test_trajectory_is_well_formed(self):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "trajectory", REPO / "benchmarks" / "trajectory.py"
-        )
-        trajectory = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(trajectory)
+        trajectory = _load_trajectory()
         assert trajectory.TRAJECTORY.read_text().strip(), "trajectory is empty"
         assert trajectory.check() == []
+
+
+class TestRegressionFloor:
+    """``trajectory.py floor`` against synthetic records."""
+
+    #: change_median per metric of the newest synthetic release.
+    RECORDED = {"wall_s": 1.0, "setup_s": 0.2, "first_output_s": 0.5,
+                "points_per_s": 500.0, "peak_rss_mb": 40.0}
+
+    @pytest.fixture
+    def trajectory(self):
+        return _load_trajectory()
+
+    def _records(self, trajectory, tmp_path) -> Path:
+        lines = []
+        for version, scale in (("0.9.0", 3.0), ("1.0.0", 1.0)):  # newest last
+            for name, spec in trajectory.end_to_end_metrics().items():
+                median = self.RECORDED[name] * scale
+                lines.append(json.dumps({
+                    "version": version, "parent": "abc1234", "workload": "w",
+                    "metric": name, "unit": spec["unit"], "better": spec["better"],
+                    "parent_median": median, "change_median": median, "pairs": 3,
+                }))
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert trajectory.check(path) == []
+        return path
+
+    def _result(self, **factors) -> dict:
+        return {"correct": True, "attempted": 4, "failed": 0, "metrics": {
+            name: {"value": value * factors.get(name, 1.0)}
+            for name, value in self.RECORDED.items()
+        }}
+
+    def test_at_the_newest_record_passes(self, trajectory, tmp_path):
+        lines, regressed = trajectory.floor("w", self._result(), self._records(trajectory, tmp_path))
+        assert not regressed
+        assert len(lines) == 5 and all("(1.0.0)" in line for line in lines)
+
+    @pytest.mark.parametrize(("metric", "factor", "regressed"), [
+        ("wall_s", 1.2, False), ("wall_s", 1.3, True), ("wall_s", 0.5, False),
+        ("setup_s", 1.3, True), ("first_output_s", 1.3, True),
+        ("points_per_s", 0.8, False), ("points_per_s", 0.7, True),
+        ("points_per_s", 2.0, False),
+    ])
+    def test_gates_the_scaled_metrics_at_their_bound(
+        self, trajectory, tmp_path, metric, factor, regressed
+    ):
+        records = self._records(trajectory, tmp_path)
+        lines, got = trajectory.floor("w", self._result(**{metric: factor}), records)
+        assert got is regressed
+        line = next(line for line in lines if f" {metric}:" in line)
+        assert line.endswith("REGRESSED" if regressed else "ok")
+
+    def test_peak_rss_is_printed_not_gated(self, trajectory, tmp_path):
+        records = self._records(trajectory, tmp_path)
+        lines, regressed = trajectory.floor("w", self._result(peak_rss_mb=2.0), records)
+        assert not regressed
+        assert any("peak_rss_mb" in line and line.endswith("not gated") for line in lines)
+
+    def test_refuses_incorrect_results_and_unknown_workloads(self, trajectory, tmp_path):
+        records = self._records(trajectory, tmp_path)
+        with pytest.raises(SystemExit, match="not correct"):
+            trajectory.floor("w", {**self._result(), "correct": False}, records)
+        with pytest.raises(SystemExit, match="no records"):
+            trajectory.floor("other", self._result(), records)
+
+    def test_cli_reads_the_last_line_of_saved_stdout(self, trajectory, tmp_path, capsys):
+        recorded = trajectory.newest("family-resume")
+        result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {
+            name: {"value": record["change_median"]} for name, record in recorded.items()
+        }}
+        saved = tmp_path / "perfbench.out"
+        saved.write_text("wall_s  1.0 s  table line\n" + json.dumps(result) + "\n")
+        assert trajectory.main(["floor", "--workload", "family-resume", str(saved)]) == 0
+        assert capsys.readouterr().out.count(": ok") == 4
