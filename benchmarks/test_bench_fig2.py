@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import fig2_scenarios
+from repro.experiments.spec import run_study
 from repro.platforms import PLATFORM_NAMES
 
 from conftest import emit
@@ -18,7 +19,7 @@ from conftest import emit
 @pytest.mark.parametrize("platform", PLATFORM_NAMES)
 def test_fig2_platform(benchmark, sim_settings, platform):
     results = benchmark.pedantic(
-        lambda: fig2_scenarios.run(platform=platform, settings=sim_settings),
+        lambda: run_study(fig2_scenarios.SPEC, platform=platform, settings=sim_settings),
         rounds=1,
         iterations=1,
     )

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import fig3_processors
+from repro.experiments.spec import run_study
 
 from conftest import emit
 
 
 def test_fig3_hera(benchmark, sim_settings):
     results = benchmark.pedantic(
-        lambda: fig3_processors.run(platform="Hera", settings=sim_settings),
+        lambda: run_study(fig3_processors.SPEC, platform="Hera", settings=sim_settings),
         rounds=1,
         iterations=1,
     )

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.experiments import fig4_alpha
+from repro.experiments.spec import run_study
 
 from conftest import emit
 
 
 def test_fig4_hera(benchmark, sim_settings):
     results = benchmark.pedantic(
-        lambda: fig4_alpha.run(platform="Hera", settings=sim_settings),
+        lambda: run_study(fig4_alpha.SPEC, platform="Hera", settings=sim_settings),
         rounds=1,
         iterations=1,
     )

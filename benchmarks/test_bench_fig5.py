@@ -6,13 +6,14 @@ import numpy as np
 
 from repro.analysis.asymptotics import fit_loglog_slope
 from repro.experiments import fig5_error_rate
+from repro.experiments.spec import run_study
 
 from conftest import emit
 
 
 def test_fig5_hera(benchmark, sim_settings):
     results = benchmark.pedantic(
-        lambda: fig5_error_rate.run(platform="Hera", settings=sim_settings),
+        lambda: run_study(fig5_error_rate.SPEC, platform="Hera", settings=sim_settings),
         rounds=1,
         iterations=1,
     )

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from repro.analysis.asymptotics import fit_loglog_slope
 from repro.experiments import fig6_alpha_zero
+from repro.experiments.spec import run_study
 
 from conftest import emit
 
 
 def test_fig6_hera(benchmark, sim_settings):
     results = benchmark.pedantic(
-        lambda: fig6_alpha_zero.run(platform="Hera", settings=sim_settings),
+        lambda: run_study(fig6_alpha_zero.SPEC, platform="Hera", settings=sim_settings),
         rounds=1,
         iterations=1,
     )

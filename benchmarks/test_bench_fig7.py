@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import fig7_downtime
+from repro.experiments.spec import run_study
 
 from conftest import emit
 
 
 def test_fig7_hera(benchmark, sim_settings):
     results = benchmark.pedantic(
-        lambda: fig7_downtime.run(platform="Hera", settings=sim_settings),
+        lambda: run_study(fig7_downtime.SPEC, platform="Hera", settings=sim_settings),
         rounds=1,
         iterations=1,
     )

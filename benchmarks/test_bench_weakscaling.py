@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import ext_weakscaling
+from repro.experiments.spec import run_study
 
 from conftest import emit
 
 
 def test_weakscaling_hera(benchmark, sim_settings):
     results = benchmark.pedantic(
-        lambda: ext_weakscaling.run(platform="Hera", settings=sim_settings),
+        lambda: run_study(ext_weakscaling.SPEC, platform="Hera", settings=sim_settings),
         rounds=1,
         iterations=1,
     )

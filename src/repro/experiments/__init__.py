@@ -1,8 +1,10 @@
 """Experiment harness: one module per figure of the evaluation section.
 
-Each module's ``run(...)`` returns ``list[FigureResult]`` (one per
-sub-figure); :mod:`repro.experiments.runner` is the CLI that prints
-them as aligned tables and optional CSVs.
+Each module declares its study as a ``SPEC``
+(:class:`~repro.experiments.spec.StudySpec`);
+``run_study(module.SPEC, ...)`` returns ``list[FigureResult]`` (one
+per sub-figure), and :mod:`repro.experiments.runner` is the CLI that
+prints them as aligned tables and optional CSVs.
 """
 
 from . import (
@@ -19,7 +21,7 @@ from . import (
 )
 from . import scenarios
 from .analytic import AnalyticMemo, AnalyticPoint, evaluate_analytic, model_key
-from .common import FigureResult, SimSettings, simulate_mean
+from .common import FigureResult, SimSettings
 from .pipeline import Deferred, SimulationPipeline, materialize
 from .registry import REGISTRY, find_spec, get_spec
 from .runner import main, print_input_tables
@@ -39,7 +41,6 @@ __all__ = [
     "model_key",
     "FigureResult",
     "SimSettings",
-    "simulate_mean",
     "Deferred",
     "SimulationPipeline",
     "materialize",

@@ -1,6 +1,8 @@
 """Shared infrastructure for the figure-regeneration experiments.
 
-Every experiment module exposes ``run(...) -> list[FigureResult]``; a
+Every study — one :class:`~repro.experiments.spec.StudySpec` per
+experiment module — runs through
+:func:`repro.experiments.spec.run_study` into ``list[FigureResult]``; a
 :class:`FigureResult` is a printed-series rendition of one (sub)figure
 of the paper: one row per x-value, one column per plotted curve, plus
 free-text notes carrying the quantitative shape checks (slope fits,
@@ -15,13 +17,12 @@ from typing import Any
 
 import numpy as np
 
-from ..core.pattern import PatternModel
 from ..io.csvout import write_csv
 from ..io.tables import render_table
-from ..sim.montecarlo import FAST, Fidelity, simulate_overhead
+from ..sim.montecarlo import FAST, Fidelity
 from ..sim.rng import DEFAULT_SEED
 
-__all__ = ["FigureResult", "SimSettings", "simulate_mean"]
+__all__ = ["FigureResult", "SimSettings"]
 
 
 @dataclass(frozen=True)
@@ -43,32 +44,6 @@ class SimSettings:
 
     def budget(self) -> tuple[int, int]:
         return self.fidelity.n_runs, self.fidelity.n_patterns
-
-
-def simulate_mean(
-    model: PatternModel, T: float, P: float, settings: SimSettings
-) -> float | None:
-    """Simulated mean overhead of PATTERN(T, P), or None when disabled.
-
-    This is the sequential single-point reference path; the figure
-    modules batch their sweeps through
-    :class:`repro.experiments.pipeline.SimulationPipeline`, which is
-    bit-identical to calling this once per point with the same
-    settings.
-    """
-    if not settings.simulate:
-        return None
-    n_runs, n_patterns = settings.budget()
-    est = simulate_overhead(
-        model,
-        T,
-        P,
-        n_runs=n_runs,
-        n_patterns=n_patterns,
-        seed=settings.seed,
-        method=settings.method,
-    )
-    return est.mean
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ from ..platforms.scenarios import build_model
 from ..sim.nodes import simulate_run_nodes
 from ..sim.rng import spawn_seed_sequences
 from ..sim.streams import WeibullArrivals
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline, materialize
-from .spec import StudyContext, StudySpec, run_study
+from .common import FigureResult
+from .pipeline import materialize
+from .spec import StudyContext, StudySpec
 
-__all__ = ["run", "SPEC"]
+__all__ = ["SPEC"]
 
 
 def _nodes_overhead(
@@ -140,24 +140,3 @@ SPEC = StudySpec(
     declare=_declare,
     assemble=_assemble,
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (1,),
-    shape: float = 0.7,
-    alpha: float = DEFAULT_ALPHA,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Node-level failure-law comparison at the optimal pattern."""
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        fixed={"alpha": alpha, "downtime": downtime},
-        options={"shape": shape},
-    )

@@ -21,11 +21,10 @@ from ..extensions.twolevel import (
 from ..optimize.allocation import optimize_allocation_batch
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import build_model
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .spec import StudyContext, StudySpec, run_study
+from .common import FigureResult
+from .spec import StudyContext, StudySpec
 
-__all__ = ["run", "DEFAULT_SEGMENTS", "SPEC"]
+__all__ = ["DEFAULT_SEGMENTS", "SPEC"]
 
 DEFAULT_SEGMENTS: tuple[int, ...] = (1, 2, 4, 8, 16)
 
@@ -91,30 +90,3 @@ SPEC = StudySpec(
     declare=_declare,
     assemble=lambda ctx, state: state,
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (3,),
-    segments: tuple[int, ...] = DEFAULT_SEGMENTS,
-    alpha: float = DEFAULT_ALPHA,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    all_platforms: bool = True,
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Sweep the segment count across platforms (scenario 3 by default).
-
-    ``settings`` and ``pipeline`` are accepted for harness uniformity;
-    the sweep is fully analytic (the Monte-Carlo validation lives in
-    the test suite).
-    """
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        fixed={"alpha": alpha, "downtime": downtime},
-        options={"segments": segments, "all_platforms": all_platforms},
-    )

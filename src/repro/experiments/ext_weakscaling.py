@@ -26,11 +26,10 @@ from ..core.speedup import GustafsonSpeedup
 from ..optimize.period import optimize_period_batch
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
 from ..platforms.scenarios import build_model, scenario_costs
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .spec import AxisSpec, StudyContext, StudySpec, run_study
+from .common import FigureResult
+from .spec import AxisSpec, StudyContext, StudySpec
 
-__all__ = ["run", "default_machine_grid", "SPEC"]
+__all__ = ["default_machine_grid", "SPEC"]
 
 
 def default_machine_grid() -> np.ndarray:
@@ -118,30 +117,3 @@ SPEC = StudySpec(
     declare=_declare,
     assemble=lambda ctx, state: state,
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (1, 3),
-    machines: np.ndarray | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    downtime: float = DEFAULT_DOWNTIME,
-    inflation_budget: float = 1.10,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Strong-scaling makespan and weak-scaling inflation per machine size.
-
-    ``settings`` and ``pipeline`` are accepted for harness uniformity
-    (analytic study).
-    """
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        grid=None if machines is None else np.asarray(machines, float),
-        fixed={"alpha": alpha, "downtime": downtime},
-        options={"inflation_budget": inflation_budget},
-    )

@@ -18,11 +18,11 @@ from ..platforms.scenarios import build_model
 from ..sim.renewal import simulate_run_renewal
 from ..sim.rng import spawn_seed_sequences
 from ..sim.streams import WeibullArrivals
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline, materialize
-from .spec import StudyContext, StudySpec, run_study
+from .common import FigureResult
+from .pipeline import materialize
+from .spec import StudyContext, StudySpec
 
-__all__ = ["run", "DEFAULT_SHAPES", "SPEC"]
+__all__ = ["DEFAULT_SHAPES", "SPEC"]
 
 DEFAULT_SHAPES: tuple[float, ...] = (0.5, 0.7, 1.0, 1.5)
 
@@ -136,24 +136,3 @@ SPEC = StudySpec(
     declare=_declare,
     assemble=_assemble,
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (1, 3),
-    shapes: tuple[float, ...] = DEFAULT_SHAPES,
-    alpha: float = DEFAULT_ALPHA,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Simulated overhead of the exponential-optimal pattern per shape."""
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        fixed={"alpha": alpha, "downtime": downtime},
-        options={"shapes": shapes},
-    )

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import SCENARIO_IDS
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .spec import PanelSpec, StudyContext, StudySpec, run_study
+from .spec import PanelSpec, StudyContext, StudySpec
 
-__all__ = ["run", "SPEC"]
+__all__ = ["SPEC"]
 
 
 def _max_gap_note(ctx: StudyContext, data: dict) -> str:
@@ -89,27 +87,3 @@ SPEC = StudySpec(
         ),
     ),
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = SCENARIO_IDS,
-    alpha: float = DEFAULT_ALPHA,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Regenerate Figure 2 for one platform.
-
-    Returns a single :class:`FigureResult` with one row per scenario.
-    The Monte-Carlo points are declared up front and resolved in one
-    fused batch on ``pipeline`` (or a private serial one).
-    """
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        fixed={"alpha": alpha, "downtime": downtime},
-    )

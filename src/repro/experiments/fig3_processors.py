@@ -23,11 +23,9 @@ from ..core.first_order import optimal_period
 from ..optimize.period import optimize_period_batch
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
 from ..platforms.scenarios import SCENARIO_IDS
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .spec import AxisSpec, PanelSpec, StudyContext, StudySpec, run_study
+from .spec import AxisSpec, PanelSpec, StudyContext, StudySpec
 
-__all__ = ["run", "default_processor_grid", "SPEC"]
+__all__ = ["default_processor_grid", "SPEC"]
 
 
 def default_processor_grid() -> np.ndarray:
@@ -99,24 +97,3 @@ SPEC = StudySpec(
         ),
     ),
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = SCENARIO_IDS,
-    processors: np.ndarray | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Regenerate Figure 3 (a)-(c).  Returns three FigureResults."""
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        grid=None if processors is None else np.asarray(processors, float),
-        fixed={"alpha": alpha, "downtime": downtime},
-    )

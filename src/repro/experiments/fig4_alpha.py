@@ -17,11 +17,9 @@ numerical ``P*`` stays finite with overhead strictly above 1e-5.
 from __future__ import annotations
 
 from ..platforms.catalog import DEFAULT_DOWNTIME
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .spec import AxisSpec, PanelSpec, StudySpec, run_study
+from .spec import AxisSpec, PanelSpec, StudySpec
 
-__all__ = ["run", "DEFAULT_ALPHAS", "SPEC"]
+__all__ = ["DEFAULT_ALPHAS", "SPEC"]
 
 #: The paper's x-axis, largest to smallest (0 = perfectly parallel).
 DEFAULT_ALPHAS: tuple[float, ...] = (0.1, 0.01, 0.001, 0.0001, 0.0)
@@ -62,23 +60,3 @@ SPEC = StudySpec(
         ),
     ),
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (1, 3, 5),
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Regenerate Figure 4 (a)-(c).  Returns three FigureResults."""
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        grid=alphas,
-        fixed={"downtime": downtime},
-    )

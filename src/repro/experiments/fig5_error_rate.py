@@ -21,11 +21,9 @@ import numpy as np
 
 from ..analysis.asymptotics import fit_loglog_slope
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .spec import AxisSpec, PanelSpec, StudyContext, StudySpec, run_study
+from .spec import AxisSpec, PanelSpec, StudyContext, StudySpec
 
-__all__ = ["run", "default_lambda_grid", "SPEC"]
+__all__ = ["default_lambda_grid", "SPEC"]
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -88,24 +86,3 @@ SPEC = StudySpec(
         ),
     ),
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (1, 3, 5),
-    lambdas: np.ndarray | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Regenerate Figure 5 (a)-(c).  Returns three FigureResults."""
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        grid=None if lambdas is None else np.asarray(lambdas, dtype=float),
-        fixed={"alpha": alpha, "downtime": downtime},
-    )

@@ -20,12 +20,10 @@ import numpy as np
 
 from ..analysis.asymptotics import fit_loglog_slope
 from ..platforms.catalog import DEFAULT_DOWNTIME
-from .common import FigureResult, SimSettings
 from .fig5_error_rate import default_lambda_grid
-from .pipeline import SimulationPipeline
-from .spec import AxisSpec, PanelSpec, StudyContext, StudySpec, run_study
+from .spec import AxisSpec, PanelSpec, StudyContext, StudySpec
 
-__all__ = ["run", "SPEC"]
+__all__ = ["SPEC"]
 
 
 def _expected_orders(sc: int) -> tuple[float, float, float]:
@@ -83,23 +81,3 @@ SPEC = StudySpec(
         ),
     ),
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (1, 3, 5),
-    lambdas: np.ndarray | None = None,
-    downtime: float = DEFAULT_DOWNTIME,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Regenerate Figure 6 (a)-(c).  Returns three FigureResults."""
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        grid=None if lambdas is None else np.asarray(lambdas, dtype=float),
-        fixed={"alpha": 0.0, "downtime": downtime},
-    )

@@ -19,11 +19,9 @@ import numpy as np
 
 from ..platforms.catalog import DEFAULT_ALPHA
 from ..units import SECONDS_PER_HOUR
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .spec import AxisSpec, PanelSpec, StudySpec, run_study
+from .spec import AxisSpec, PanelSpec, StudySpec
 
-__all__ = ["run", "default_downtime_grid", "SPEC"]
+__all__ = ["default_downtime_grid", "SPEC"]
 
 
 def default_downtime_grid() -> np.ndarray:
@@ -68,23 +66,3 @@ SPEC = StudySpec(
         ),
     ),
 )
-
-
-def run(
-    platform: str = "Hera",
-    scenarios: tuple[int, ...] = (1, 3, 5),
-    downtimes: np.ndarray | None = None,
-    alpha: float = DEFAULT_ALPHA,
-    settings: SimSettings = SimSettings(),
-    pipeline: SimulationPipeline | None = None,
-) -> list[FigureResult]:
-    """Regenerate Figure 7 (a)-(c).  Returns three FigureResults."""
-    return run_study(
-        SPEC,
-        platform=platform,
-        settings=settings,
-        pipeline=pipeline,
-        scenarios=scenarios,
-        grid=None if downtimes is None else np.asarray(downtimes, float),
-        fixed={"alpha": alpha},
-    )

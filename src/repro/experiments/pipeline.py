@@ -1,10 +1,9 @@
 """Deferred, event-driven batched simulation for the figure modules.
 
-Figure modules used to call :func:`repro.experiments.common.simulate_mean`
-once per (scenario, x-point) — hundreds of small, strictly sequential
-``simulate_overhead`` calls per full evaluation, each paying its own
-chunk-plan setup and none of them shared or cached.  This module
-batches them:
+A full evaluation simulates hundreds of (scenario, x-point) Monte-Carlo
+points.  Calling :func:`repro.sim.montecarlo.simulate_overhead` once per
+point would run them strictly in sequence, none of them shared or
+cached.  This module batches them:
 
 * a figure declares every Monte-Carlo point of its sweep up front by
   calling :meth:`SimulationPipeline.simulate_mean`, which returns a
@@ -28,10 +27,10 @@ per-node failures) join the same batch through
 :meth:`SimulationPipeline.call`: any picklable module-level function
 becomes a scheduled job, with the same content-addressed caching.
 
-Every value is **bit-identical** to the sequential per-point path for
-the same :class:`~repro.experiments.common.SimSettings`: the planner
-replays the exact chunk plans and seed streams of
-:func:`repro.sim.montecarlo.simulate_overhead`, per-point merging is
+Every value is **bit-identical** to a per-point
+:func:`~repro.sim.montecarlo.simulate_overhead` call with the same
+:class:`~repro.experiments.common.SimSettings`: both map a point to
+jobs through :func:`repro.sim.plan.request_jobs`, per-point merging is
 in chunk order (never completion order), and the pool width, cache
 state, in-flight window and completion interleaving never enter the
 sampled numbers.
@@ -247,11 +246,11 @@ class SimulationPipeline:
     def simulate_mean(
         self, model: "PatternModel", T: float, P: float, settings: "SimSettings"
     ) -> Deferred:
-        """Deferred counterpart of :func:`repro.experiments.common.simulate_mean`.
+        """Declare one Monte-Carlo point at ``settings``' budget.
 
         Returns a placeholder whose ``.value`` (after :meth:`resolve`)
-        is the simulated mean overhead — or ``None`` immediately when
-        ``settings.simulate`` is off.
+        is the simulated mean overhead of PATTERN(T, P) — or ``None``
+        immediately when ``settings.simulate`` is off.
         """
         if not settings.simulate:
             return Deferred.resolved(None)

@@ -1,9 +1,12 @@
 """The study registry: every experiment of the evaluation, as data.
 
 One :class:`~repro.experiments.spec.StudySpec` per figure/extension,
-collected from the figure modules.  The CLI runner derives its
-subcommands, help text and the ``index --check`` drift guard from this
-table, so a figure exists exactly once: here.  User-defined studies
+collected from the figure modules.  A spec is the study's only entry
+point: :func:`~repro.experiments.spec.run_study` runs one (library),
+:func:`~repro.experiments.spec.stage_study` stages one onto a shared
+pipeline (CLI).  The runner derives its subcommands, help text and the
+``index --check`` drift guard from this table, so a figure exists
+exactly once: here.  User-defined studies
 (TOML files) resolve through :func:`find_spec` as well, which is what
 ``repro-experiments sweep`` calls.
 """
@@ -45,11 +48,6 @@ _MODULES = (
 #: Registry order is presentation order: the ``all`` command and the
 #: report emit studies in this sequence.
 REGISTRY: dict[str, StudySpec] = {m.SPEC.name: m.SPEC for m in _MODULES}
-
-#: The historical ``run(platform=..., settings=..., pipeline=...)``
-#: entry point per study — kept for the public module API; the CLI
-#: goes through the spec engine directly.
-RUNNERS = {m.SPEC.name: m.run for m in _MODULES}
 
 
 def study_names() -> tuple[str, ...]:

@@ -191,8 +191,6 @@ def _pipeline_from_args(
     """
     jobs = 1 if args.jobs is None else args.jobs
     max_inflight = getattr(args, "max_inflight", None)
-    if max_inflight is not None and max_inflight < 1:
-        raise SystemExit("--max-inflight must be >= 1")
     fault = None
     fault_spec = getattr(args, "fault_plan", None)
     if fault_spec:
@@ -473,7 +471,7 @@ def _print_dry_run(pipeline: SimulationPipeline, stream=None) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a budget or pool width: an integer >= 1."""
+    """argparse type of a budget, pool width or window: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -519,7 +517,7 @@ def _add_sim_options(
     )
     sub.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="bound on concurrently in-flight chunk jobs across the whole "
@@ -754,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the result bytes are unaffected)",
     )
     sub_resume.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
+        "--max-inflight", type=_positive_int, default=None, metavar="N",
         help="override the run's in-flight window (execution-only)",
     )
     sub_resume.add_argument(
@@ -1339,14 +1337,17 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
         raise SystemExit("scenario run requires --out DIR (or use --dry-run)")
     policy = _adaptive_policy_from_args(args, sset)
     settings = _settings_from_args(args)
+    try:
+        # A jitter draw can leave the model's domain (e.g. an additive
+        # draw pushing lambda_ind negative): fail with the message
+        # before the pipeline opens its trace file or analytic memo.
+        sset.validate(members)
+    except InvalidParameterError as exc:
+        raise SystemExit(f"{args.file}: {exc}") from None
     started = time.perf_counter()
     with _pipeline_from_args(args, argv) as pipeline:
         run = None
         try:
-            # Staging builds every member's perturbed models; a jitter
-            # draw can leave the model's domain (e.g. an additive draw
-            # pushing lambda_ind negative) — fail with the message, not
-            # a traceback.
             if policy is not None:
                 run = AdaptiveRun(
                     sset, policy, pipeline, settings, progress=args.progress

@@ -35,7 +35,13 @@ from ...platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, get_platform
 from ...sim.rng import DEFAULT_SEED
 from ..common import FigureResult, SimSettings
 from ..pipeline import SimulationPipeline
-from ..spec import StagedStudy, StudySpec, ready_prefix, stage_study
+from ..spec import (
+    StagedStudy,
+    StudySpec,
+    build_cell_model,
+    ready_prefix,
+    stage_study,
+)
 from .aggregate import BandSpec, FamilyAccumulator, adaptive_notes, band_tables
 from .transforms import GridTransform, Perturbation, Variant, derive_variants
 
@@ -220,6 +226,27 @@ class ScenarioSet:
             )
             members.append(_resolve_member(self, variant, platform))
         return members
+
+    def validate(self, members: Sequence[ScenarioMember]) -> None:
+        """Build each member's models; raise on a parameter out of domain.
+
+        Staging builds the same models, but only once a pipeline — on
+        the CLI, its trace file and analytic memo — exists.  Checking
+        first lets a perturbation that leaves the model's domain (an
+        additive jitter pushing ``lambda_ind`` negative) fail before
+        anything is written.  Replicates share their variant's
+        parameters, so each distinct parameter set is built once, and
+        at one scenario: a scenario only picks the form the reference
+        costs are fitted through (a positive factor), so no parameter's
+        domain depends on it.
+        """
+        spec = self.spec
+        sweeps_model = spec.axis is not None and spec.axis.model_kwarg
+        scenario = spec.scenarios[0]
+        cells = {(m.platform, m.grid, tuple(m.fixed.items())): m for m in members}
+        for member in cells.values():
+            for x in member.grid if sweeps_model else (None,):
+                build_cell_model(spec, member.platform, member.fixed, scenario, x)
 
     def provenance(self) -> tuple[str, ...]:
         """Notes recording how the family was derived (band tables)."""

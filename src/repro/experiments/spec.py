@@ -189,10 +189,17 @@ class StudyContext:
 
     def build(self, scenario: int, x: float | None = None):
         """The scenario's :class:`PatternModel` at grid position ``x``."""
-        kwargs = dict(self.fixed)
-        if x is not None and self.spec.axis is not None and self.spec.axis.model_kwarg:
-            kwargs[self.spec.axis.model_kwarg] = float(x)
-        return build_model(self.platform, scenario, **kwargs)
+        return build_cell_model(self.spec, self.platform, self.fixed, scenario, x)
+
+
+def build_cell_model(
+    spec: StudySpec, platform: str, fixed: Mapping, scenario: int, x: float | None = None
+):
+    """The model of one study cell: ``fixed`` parameters, axis at ``x``."""
+    kwargs = dict(fixed)
+    if x is not None and spec.axis is not None and spec.axis.model_kwarg:
+        kwargs[spec.axis.model_kwarg] = float(x)
+    return build_model(platform, scenario, **kwargs)
 
 
 # -- generic evaluators ------------------------------------------------------
@@ -459,8 +466,8 @@ def stage_study(
     """Run the declare phase of ``spec`` onto ``pipeline``.
 
     Overrides (``scenarios``, ``grid``, ``fixed`` model parameters,
-    bespoke ``options``) replace the spec's defaults — this is how the
-    figure modules keep their historical ``run(...)`` signatures.
+    bespoke ``options``) replace the spec's defaults; ``fixed`` replaces
+    the whole mapping, so pass every model parameter the spec fixes.
     ``group`` relabels the study's completion events (scenario variants
     stage the same spec many times under distinct labels).
     """
@@ -512,10 +519,11 @@ def run_study(
     fixed: Mapping[str, float] | None = None,
     options: Mapping | None = None,
 ) -> list[FigureResult]:
-    """Declare, resolve and assemble one study (the ``run()`` backbone).
+    """Declare, resolve and assemble one study: the library entry point.
 
-    With no ``pipeline``, a private serial one is created and closed,
-    exactly like the historical per-figure ``run(...)`` path.
+    ``run_study(fig5_error_rate.SPEC, grid=lambdas, settings=...)``
+    regenerates a figure; the overrides are :func:`stage_study`'s.
+    With no ``pipeline``, a private serial one is created and closed.
     """
     pipe = pipeline if pipeline is not None else private_pipeline()
     try:

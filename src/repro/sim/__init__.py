@@ -1,6 +1,6 @@
 """Monte-Carlo simulation of the VC protocol.
 
-Three simulators, one distribution:
+Three backends sample the paper's exponential model, one distribution:
 
 ``protocol``
     Event-driven reference (legible specification, per-event stats).
@@ -10,9 +10,18 @@ Three simulators, one distribution:
     Whole-budget aggregated sampler (negative-binomial failure counts,
     chunked dispatch; the paper-fidelity hot path).
 
+Two more drive one shared protocol loop with a persistent failure
+stream, for the laws the closed forms cannot express:
+
+``renewal``
+    One renewal fail-stop stream (Weibull robustness studies).
+``nodes``
+    ``P`` per-node streams, superposed (Proposition 1.2).
+
 Plus the :class:`~repro.sim.engine.EventEngine` kernel, reproducible
-RNG streams, estimators, and the high-level
-:func:`~repro.sim.montecarlo.simulate_overhead` driver.
+RNG streams, estimators, the fused planner (:mod:`repro.sim.plan`),
+through which every Monte-Carlo point maps to jobs, and the
+single-point :func:`~repro.sim.montecarlo.simulate_overhead` driver.
 """
 
 from .batch import (
@@ -21,7 +30,6 @@ from .batch import (
     merge_batch_stats,
     plan_chunks,
     simulate_batch,
-    simulate_batch_chunked,
     truncated_exponential,
 )
 from .engine import EventEngine
@@ -70,7 +78,6 @@ __all__ = [
     "BatchStats",
     "PatternRates",
     "simulate_batch",
-    "simulate_batch_chunked",
     "simulate_vectorized",
     "plan_chunks",
     "merge_batch_stats",

@@ -36,15 +36,14 @@ cost sampler (:func:`sample_failure_costs`) are shared with the
 aggregated backend in :mod:`repro.sim.vectorized`, which collapses the
 per-pattern geometric draws into one negative-binomial draw per run.
 This module also hosts the chunking helpers (:func:`plan_chunks`,
-:func:`plan_chunk_jobs`, :func:`merge_batch_stats`,
-:func:`simulate_batch_chunked`) both array backends use to run giant
-budgets with bounded memory.
+:func:`plan_chunk_jobs`, :func:`merge_batch_stats`) both array backends
+use to run giant budgets with bounded memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,13 +54,11 @@ __all__ = [
     "BatchStats",
     "PatternRates",
     "simulate_batch",
-    "simulate_batch_chunked",
     "sample_failure_costs",
     "truncated_exponential",
     "plan_chunks",
     "plan_chunk_jobs",
     "merge_batch_stats",
-    "run_chunked",
 ]
 
 #: Soft cap on ``runs x patterns`` cells simulated per chunk; keeps the
@@ -304,18 +301,20 @@ def simulate_batch(
 # -- chunked dispatch --------------------------------------------------------
 
 
-def plan_chunks(n_runs: int, chunk_runs: int) -> list[int]:
-    """Split ``n_runs`` into consecutive chunks of at most ``chunk_runs``.
+def plan_chunks(n_runs: int, runs_per_chunk: int) -> list[int]:
+    """Split ``n_runs`` into consecutive chunks of at most ``runs_per_chunk``.
 
     The plan is a pure function of its arguments, so a fixed master seed
     reproduces the same result wherever the chunks run.
     """
     if n_runs <= 0:
         raise SimulationError(f"n_runs must be positive, got {n_runs!r}")
-    if chunk_runs <= 0:
-        raise SimulationError(f"chunk_runs must be positive, got {chunk_runs!r}")
-    full, rest = divmod(n_runs, chunk_runs)
-    return [chunk_runs] * full + ([rest] if rest else [])
+    if runs_per_chunk <= 0:
+        raise SimulationError(
+            f"runs_per_chunk must be positive, got {runs_per_chunk!r}"
+        )
+    full, rest = divmod(n_runs, runs_per_chunk)
+    return [runs_per_chunk] * full + ([rest] if rest else [])
 
 
 def merge_batch_stats(parts: Sequence[BatchStats]) -> BatchStats:
@@ -346,82 +345,23 @@ def _batch_chunk_worker(
     return _simulate_batch_rates(rates, n_runs, n_patterns, np.random.default_rng(seed))
 
 
-def default_chunk_runs(n_runs: int, n_patterns: int) -> int:
-    """Largest run count keeping a chunk under :data:`MAX_CHUNK_ELEMENTS`."""
-    return max(1, min(n_runs, MAX_CHUNK_ELEMENTS // max(1, n_patterns)))
-
-
 def plan_chunk_jobs(
     n_runs: int,
     n_patterns: int,
     seed,
-    chunk_runs: int | None,
 ) -> tuple[list[int], list[np.random.SeedSequence]]:
     """The chunk plan and its spawned seed streams, as pure functions.
 
-    This is the single source of the chunk policy — the memory-bounded
-    default size and the per-chunk seed spawning — shared by
-    :func:`run_chunked` (sequential dispatch) and the fused planner in
-    :mod:`repro.sim.plan`, so the two can never drift apart (which
-    would break the planner's bit-identity guarantee and poison its
-    cache keys).
+    This is the single source of the chunk policy — the largest run
+    count keeping a chunk under :data:`MAX_CHUNK_ELEMENTS` cells, and
+    the per-chunk seed spawning — shared by
+    :func:`repro.sim.vectorized.simulate_vectorized` and the fused
+    planner in :mod:`repro.sim.plan`, so the two can never drift apart
+    (which would break the planner's bit-identity guarantee and poison
+    its cache keys).
     """
     from .rng import spawn_seed_sequences
 
-    if chunk_runs is None:
-        chunk_runs = default_chunk_runs(n_runs, n_patterns)
-    plan = plan_chunks(n_runs, chunk_runs)
+    runs_per_chunk = max(1, min(n_runs, MAX_CHUNK_ELEMENTS // max(1, n_patterns)))
+    plan = plan_chunks(n_runs, runs_per_chunk)
     return plan, spawn_seed_sequences(len(plan), seed)
-
-
-def run_chunked(
-    worker: Callable[..., BatchStats],
-    rates: PatternRates,
-    n_runs: int,
-    n_patterns: int,
-    seed: int | np.random.SeedSequence | None,
-    chunk_runs: int | None,
-) -> BatchStats:
-    """Shared chunk orchestration for the array backends.
-
-    Plans the run chunks via :func:`plan_chunk_jobs`, spawns one
-    independent child stream per chunk from ``seed``, runs
-    ``worker(rates, chunk_runs, n_patterns, seed)`` per chunk and
-    merges.  The chunk plan — and therefore the sampled numbers — is a
-    pure function of the call arguments.  Parallelism lives one level
-    up: the fused planner ships the same chunks as separate jobs.
-    """
-    if n_runs <= 0 or n_patterns <= 0:
-        raise SimulationError("n_runs and n_patterns must be positive")
-    plan, seeds = plan_chunk_jobs(n_runs, n_patterns, seed, chunk_runs)
-    if len(plan) == 1:
-        return worker(rates, n_runs, n_patterns, seeds[0])
-    return merge_batch_stats(
-        [worker(rates, c, n_patterns, s) for c, s in zip(plan, seeds)]
-    )
-
-
-def simulate_batch_chunked(
-    model: PatternModel,
-    T: float,
-    P: float,
-    n_runs: int,
-    n_patterns: int,
-    seed: int | np.random.SeedSequence | None = None,
-    *,
-    chunk_runs: int | None = None,
-) -> BatchStats:
-    """Chunked :func:`simulate_batch`.
-
-    Splits the runs into chunks of ``chunk_runs`` (default: sized so a
-    chunk stays under :data:`MAX_CHUNK_ELEMENTS` cells), bounding the
-    transient per-pattern arrays of a paper-protocol budget.
-    """
-    return run_chunked(
-        _batch_chunk_worker,
-        PatternRates.from_model(model, T, P),
-        n_runs,
-        n_patterns,
-        seed,
-        chunk_runs,
-    )

@@ -1,6 +1,6 @@
-"""High-level Monte-Carlo driver used by the experiment harness.
+"""Single-point Monte-Carlo driver: one estimate per call.
 
-Wraps the three simulators behind one call:
+Runs one point on any of the simulation backends behind one call:
 
 >>> from repro.platforms import build_model
 >>> from repro.sim import simulate_overhead
@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 from ..core.pattern import PatternModel
 from ..exceptions import SimulationError
-from . import batch as _batch
-from .batch import simulate_batch, simulate_batch_chunked
-from .protocol import simulate_run
-from .results import OverheadEstimate, overhead_estimate
-from .rng import make_rng, spawn_rngs
-from .vectorized import simulate_vectorized
+from .results import OverheadEstimate
 
 __all__ = [
     "Fidelity",
@@ -127,19 +122,11 @@ def simulate_overhead(
     processes, batch them through :func:`repro.sim.plan.simulate_requests`
     with a :class:`~repro.sim.executors.PoolExecutor` (bit-identical).
     """
-    method = resolve_method(method, n_runs, n_patterns)
-    if method == "batch":
-        if n_runs * n_patterns > _batch.MAX_CHUNK_ELEMENTS:
-            # Bound the per-pattern transient arrays of giant custom
-            # budgets; below the cap the single-pass sampler keeps its
-            # historical RNG stream.
-            stats = simulate_batch_chunked(model, T, P, n_runs, n_patterns, seed)
-        else:
-            stats = simulate_batch(model, T, P, n_runs, n_patterns, make_rng(seed))
-        return overhead_estimate(model, T, P, stats)
-    if method == "vectorized":
-        stats = simulate_vectorized(model, T, P, n_runs, n_patterns, seed)
-        return overhead_estimate(model, T, P, stats)
-    rngs = spawn_rngs(n_runs, seed)
-    runs = [simulate_run(model, T, P, n_patterns, rng) for rng in rngs]
-    return overhead_estimate(model, T, P, runs)
+    # The point runs as the planner's jobs, in-process: one dispatch for
+    # every backend (``plan`` imports this module, hence the local import).
+    from .plan import SimRequest, merge_request_results, request_jobs, run_job
+
+    request = SimRequest(model, T, P, n_runs, n_patterns, seed, method)
+    method = request.resolved_method
+    parts = [run_job(job) for job in request_jobs(request, method)]
+    return merge_request_results(request, method, parts)

@@ -23,6 +23,11 @@ global *exposed time* (downtime pauses every clock, per the paper's
 error-free-downtime assumption).  When a node fails, only *its* stream
 renews — other nodes keep their ages, which is exactly what makes the
 non-exponential case physically meaningful.
+
+The protocol loop is the renewal simulator's
+(:mod:`repro.sim.renewal`): a :class:`NodePool` offers the same
+``peek()`` / ``fail_and_renew()`` interface as a single renewal stream,
+so the two simulators differ only in the failure stream they drive.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 from ..core.pattern import PatternModel
 from ..exceptions import SimulationError
 from .protocol import RunStats
+from .renewal import _RenewalRun
 from .streams import ArrivalProcess, ExponentialArrivals
 
 __all__ = ["NodePool", "simulate_run_nodes"]
@@ -110,119 +116,6 @@ class NodePool:
         return consumed
 
 
-class _NodeRun:
-    """VC protocol driven by a node-level failure pool."""
-
-    def __init__(
-        self,
-        model: PatternModel,
-        T: float,
-        P: int,
-        rng: np.random.Generator,
-        node_process: ArrivalProcess | None,
-        stationary: bool,
-    ) -> None:
-        if T <= 0.0:
-            raise SimulationError(f"pattern period must be positive, got {T!r}")
-        if P < 1:
-            raise SimulationError(f"node count must be >= 1, got {P!r}")
-        self.rng = rng
-        self.T = float(T)
-        if node_process is None:
-            lam_node = model.errors.lambda_ind * model.errors.fail_stop_fraction
-            if lam_node <= 0.0:
-                raise SimulationError(
-                    "node-level simulation needs a positive per-node fail-stop "
-                    "rate or an explicit node_process"
-                )
-            node_process = ExponentialArrivals(lam_node)
-        self.pool = NodePool(P, node_process, rng)
-        if stationary:
-            self.pool.warm_up()
-        self.lam_s = float(model.errors.silent_rate(P))
-        self.C = float(model.costs.checkpoint_cost(P))
-        self.R = float(model.costs.recovery_cost(P))
-        self.V = float(model.costs.verification_cost(P))
-        self.D = float(model.costs.downtime)
-        self.wall = 0.0
-        self.exposed = 0.0
-        self.stats = RunStats(
-            total_time=0.0,
-            n_patterns=0,
-            n_attempts=0,
-            n_fail_stop=0,
-            n_silent_struck=0,
-            n_silent_detected=0,
-            n_recoveries=0,
-            n_downtimes=0,
-        )
-
-    def _run_segment(self, duration: float) -> float | None:
-        next_fail = self.pool.peek()
-        if next_fail < self.exposed + duration:
-            elapsed = next_fail - self.exposed
-            self.exposed = next_fail
-            self.wall += elapsed
-            self.pool.fail_and_renew()
-            self.stats.n_fail_stop += 1
-            return elapsed
-        self.exposed += duration
-        self.wall += duration
-        return None
-
-    def _downtime(self) -> None:
-        self.wall += self.D
-        self.stats.n_downtimes += 1
-        self.stats.breakdown.downtime += self.D
-
-    def _recover(self) -> None:
-        while True:
-            failed_at = self._run_segment(self.R)
-            if failed_at is None:
-                self.stats.n_recoveries += 1
-                self.stats.breakdown.recovery += self.R
-                return
-            self.stats.breakdown.lost += failed_at
-            self._downtime()
-
-    def _silent_within(self, computed: float) -> bool:
-        if self.lam_s <= 0.0 or computed <= 0.0:
-            return False
-        return self.rng.exponential(1.0 / self.lam_s) < computed
-
-    def run_pattern(self) -> None:
-        while True:
-            self.stats.n_attempts += 1
-            failed_at = self._run_segment(self.T + self.V)
-            if failed_at is not None:
-                if self._silent_within(min(failed_at, self.T)):
-                    self.stats.n_silent_struck += 1
-                self.stats.breakdown.lost += failed_at
-                self._downtime()
-                self._recover()
-                continue
-            if self._silent_within(self.T):
-                self.stats.n_silent_struck += 1
-                self.stats.n_silent_detected += 1
-                self.stats.breakdown.wasted_work += self.T
-                self.stats.breakdown.verification += self.V
-                self._recover()
-                continue
-            failed_at = self._run_segment(self.C)
-            if failed_at is not None:
-                self.stats.breakdown.wasted_work += self.T
-                self.stats.breakdown.verification += self.V
-                self.stats.breakdown.lost += failed_at
-                self._downtime()
-                self._recover()
-                continue
-            self.stats.n_patterns += 1
-            self.stats.breakdown.useful_work += self.T
-            self.stats.breakdown.verification += self.V
-            self.stats.breakdown.checkpoint += self.C
-            return
-
-
 def simulate_run_nodes(
     model: PatternModel,
     T: float,
@@ -258,8 +151,19 @@ def simulate_run_nodes(
     """
     if n_patterns <= 0:
         raise SimulationError(f"n_patterns must be positive, got {n_patterns!r}")
-    run = _NodeRun(model, T, P, rng, node_process, stationary)
-    for _ in range(n_patterns):
-        run.run_pattern()
-    run.stats.total_time = run.wall
-    return run.stats
+    if T <= 0.0:
+        raise SimulationError(f"pattern period must be positive, got {T!r}")
+    if P < 1:
+        raise SimulationError(f"node count must be >= 1, got {P!r}")
+    if node_process is None:
+        lam_node = model.errors.lambda_ind * model.errors.fail_stop_fraction
+        if lam_node <= 0.0:
+            raise SimulationError(
+                "node-level simulation needs a positive per-node fail-stop "
+                "rate or an explicit node_process"
+            )
+        node_process = ExponentialArrivals(lam_node)
+    pool = NodePool(P, node_process, rng)
+    if stationary:
+        pool.warm_up()
+    return _RenewalRun(model, T, P, rng, pool).run(n_patterns)

@@ -11,13 +11,13 @@ nothing is shared or cached across points.  This module amortises that:
 * :func:`plan_simulations` fuses a list of requests into one
   :class:`SimulationPlan` — deduplicating identical points and grouping
   the rest by resolved backend;
-* :func:`request_jobs` expands a request into the **exact chunk jobs
-  the sequential path would run**: the same chunk plan, the same
-  spawned ``SeedSequence`` children, the same per-chunk workers
-  (reusing :func:`repro.sim.batch.plan_chunk_jobs` and the module-level
-  chunk workers).  Results are therefore **bit-identical** to per-point
-  ``simulate_overhead`` calls with the same arguments, whatever
-  executor runs the jobs;
+* :func:`request_jobs` expands a request into its jobs — the one
+  point-to-jobs dispatch of the package: the chunk plan and spawned
+  ``SeedSequence`` children of :func:`repro.sim.batch.plan_chunk_jobs`
+  and the module-level chunk workers.
+  :func:`~repro.sim.montecarlo.simulate_overhead` runs the same jobs
+  in-process, so results are **bit-identical** to per-point calls with
+  the same arguments, whatever executor runs the jobs;
 * :func:`claim_serve_expand` serves cached points, keeps the rest the
   executor owns and tags their jobs for the event-driven
   :class:`repro.sim.scheduler.Scheduler`; :func:`merge_request_results`
@@ -279,7 +279,7 @@ def plan_simulations(requests: Sequence[SimRequest]) -> SimulationPlan:
     )
 
 
-# -- job expansion (mirrors the sequential dispatch bit for bit) -------------
+# -- job expansion -----------------------------------------------------------
 
 
 def _batch_single_job(
@@ -306,13 +306,12 @@ def run_job(job: tuple) -> object:
 
 
 def request_jobs(request: SimRequest, method: str | None = None) -> list[tuple]:
-    """Expand a request into the exact jobs of the sequential path.
+    """Expand a request into the jobs that simulate it.
 
-    The chunk plan and the spawned seed streams replicate
-    :func:`repro.sim.montecarlo.simulate_overhead` /
-    :func:`repro.sim.batch.run_chunked` as pure functions of the
-    request, so executing these jobs — in any pool, in any order — and
-    merging yields numbers bit-identical to the per-point call.
+    The chunk plan and the spawned seed streams are pure functions of
+    the request, so executing these jobs — in any pool, in any order,
+    or in-process as :func:`repro.sim.montecarlo.simulate_overhead`
+    does — and merging yields bit-identical numbers.
     """
     method = request.resolved_method if method is None else method
     model, T, P = request.model, request.T, request.P
@@ -331,7 +330,7 @@ def request_jobs(request: SimRequest, method: str | None = None) -> list[tuple]:
         # Single-pass sampler with its historical RNG stream.
         return [(_batch_single_job, (rates, n_runs, n_patterns, request.seed), {})]
     worker = _batch_chunk_worker if method == "batch" else simulate_chunk
-    chunk_plan, seeds = plan_chunk_jobs(n_runs, n_patterns, request.seed, None)
+    chunk_plan, seeds = plan_chunk_jobs(n_runs, n_patterns, request.seed)
     if len(chunk_plan) == 1:
         return [(worker, (rates, n_runs, n_patterns, seeds[0]), {})]
     return [

@@ -27,8 +27,42 @@ from .streams import ArrivalProcess, ExponentialArrivals
 __all__ = ["simulate_run_renewal"]
 
 
+class _RenewalStream:
+    """One fail-stop renewal stream on the exposed-time clock.
+
+    The failure-stream interface :class:`_RenewalRun` drives: ``peek()``
+    is the exposed-time instant of the next arrival, ``fail_and_renew()``
+    consumes it and draws the next inter-arrival.
+    :class:`repro.sim.nodes.NodePool` is the ``P``-stream superposition
+    with the same interface.
+    """
+
+    def __init__(self, process: ArrivalProcess, rng: np.random.Generator) -> None:
+        self.process = process
+        self.rng = rng
+        self._next = process.sample_interarrival(rng)
+
+    def peek(self) -> float:
+        return self._next
+
+    def fail_and_renew(self) -> None:
+        self._next += self.process.sample_interarrival(self.rng)
+
+
+class _NeverFails:
+    """The fail-stop stream of a platform with no fail-stop errors."""
+
+    def peek(self) -> float:
+        return np.inf
+
+
 class _RenewalRun:
-    """One run with a persistent fail-stop renewal stream."""
+    """One VC-protocol run driven by a persistent failure stream.
+
+    ``failures`` has the :class:`_RenewalStream` interface; its next
+    arrival is cached in ``next_fail`` and refreshed only after a
+    failure, so a segment costs one float compare.
+    """
 
     def __init__(
         self,
@@ -36,16 +70,11 @@ class _RenewalRun:
         T: float,
         P: float,
         rng: np.random.Generator,
-        fail_stop: ArrivalProcess | None,
+        failures,
     ) -> None:
-        if T <= 0.0 or P <= 0.0:
-            raise SimulationError("T and P must be positive")
         self.rng = rng
         self.T = float(T)
-        lam_f = float(model.errors.fail_stop_rate(P))
-        if fail_stop is None:
-            fail_stop = ExponentialArrivals(lam_f) if lam_f > 0.0 else None
-        self.fail_stop = fail_stop
+        self.failures = failures
         self.lam_s = float(model.errors.silent_rate(P))
         self.C = float(model.costs.checkpoint_cost(P))
         self.R = float(model.costs.recovery_cost(P))
@@ -53,11 +82,7 @@ class _RenewalRun:
         self.D = float(model.costs.downtime)
         self.wall = 0.0  # wall-clock (includes downtime)
         self.exposed = 0.0  # exposure clock (excludes downtime)
-        self.next_fail = (
-            self.exposed + self.fail_stop.sample_interarrival(rng)
-            if self.fail_stop is not None
-            else np.inf
-        )
+        self.next_fail = failures.peek()
         self.stats = RunStats(
             total_time=0.0,
             n_patterns=0,
@@ -69,6 +94,13 @@ class _RenewalRun:
             n_downtimes=0,
         )
 
+    def run(self, n_patterns: int) -> RunStats:
+        """Run ``n_patterns`` patterns and return the run's statistics."""
+        for _ in range(n_patterns):
+            self.run_pattern()
+        self.stats.total_time = self.wall
+        return self.stats
+
     def _run_segment(self, duration: float) -> float | None:
         """Consume exposed time; return elapsed-at-failure or None."""
         if self.next_fail < self.exposed + duration:
@@ -77,7 +109,8 @@ class _RenewalRun:
             self.wall += elapsed
             self.stats.n_fail_stop += 1
             # Renew the stream at the arrival.
-            self.next_fail = self.exposed + self.fail_stop.sample_interarrival(self.rng)
+            self.failures.fail_and_renew()
+            self.next_fail = self.failures.peek()
             return elapsed
         self.exposed += duration
         self.wall += duration
@@ -85,7 +118,7 @@ class _RenewalRun:
 
     def _downtime(self) -> None:
         # Downtime advances the wall clock only: errors cannot strike,
-        # and the renewal stream (defined on exposed time) is paused.
+        # and the failure stream (defined on exposed time) is paused.
         self.wall += self.D
         self.stats.n_downtimes += 1
         self.stats.breakdown.downtime += self.D
@@ -160,8 +193,10 @@ def simulate_run_renewal(
     """
     if n_patterns <= 0:
         raise SimulationError(f"n_patterns must be positive, got {n_patterns!r}")
-    run = _RenewalRun(model, T, P, rng, fail_stop)
-    for _ in range(n_patterns):
-        run.run_pattern()
-    run.stats.total_time = run.wall
-    return run.stats
+    if T <= 0.0 or P <= 0.0:
+        raise SimulationError("T and P must be positive")
+    if fail_stop is None:
+        lam_f = float(model.errors.fail_stop_rate(P))
+        fail_stop = ExponentialArrivals(lam_f) if lam_f > 0.0 else None
+    failures = _NeverFails() if fail_stop is None else _RenewalStream(fail_stop, rng)
+    return _RenewalRun(model, T, P, rng, failures).run(n_patterns)

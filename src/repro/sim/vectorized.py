@@ -45,7 +45,8 @@ from .batch import (
     BatchStats,
     PatternRates,
     _error_free_stats,
-    run_chunked,
+    merge_batch_stats,
+    plan_chunk_jobs,
     truncated_exponential,
 )
 
@@ -143,8 +144,6 @@ def simulate_vectorized(
     n_runs: int,
     n_patterns: int,
     seed: int | np.random.SeedSequence | None = None,
-    *,
-    chunk_runs: int | None = None,
 ) -> BatchStats:
     """Simulate the whole ``(n_runs x n_patterns)`` budget as arrays.
 
@@ -160,17 +159,15 @@ def simulate_vectorized(
     n_runs, n_patterns:
         Monte-Carlo budget; the paper uses 500 x 500.
     seed:
-        Master seed; each chunk receives an independent spawned child
-        stream, so results are reproducible for a fixed chunk plan.
-    chunk_runs:
-        Runs per chunk (default: sized to keep a chunk under
-        :data:`repro.sim.batch.MAX_CHUNK_ELEMENTS` cells).
+        Master seed.  The runs are split into chunks of at most
+        :data:`repro.sim.batch.MAX_CHUNK_ELEMENTS` cells
+        (:func:`repro.sim.batch.plan_chunk_jobs`), each with an
+        independent spawned child stream, so the result is a pure
+        function of the call arguments.
     """
-    return run_chunked(
-        simulate_chunk,
-        PatternRates.from_model(model, T, P),
-        n_runs,
-        n_patterns,
-        seed,
-        chunk_runs,
-    )
+    if n_runs <= 0 or n_patterns <= 0:
+        raise SimulationError("n_runs and n_patterns must be positive")
+    rates = PatternRates.from_model(model, T, P)
+    plan, seeds = plan_chunk_jobs(n_runs, n_patterns, seed)
+    parts = [simulate_chunk(rates, c, n_patterns, s) for c, s in zip(plan, seeds)]
+    return parts[0] if len(parts) == 1 else merge_batch_stats(parts)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.common import FigureResult, SimSettings, simulate_mean
+from repro.experiments.common import FigureResult, SimSettings
 from repro.sim.montecarlo import Fidelity
 
 
@@ -45,16 +45,6 @@ class TestFigureResult:
 
 
 class TestSimSettings:
-    def test_disabled_returns_none(self, hera_sc1):
-        settings = SimSettings(simulate=False)
-        assert simulate_mean(hera_sc1, 6000.0, 200.0, settings) is None
-
-    def test_enabled_returns_mean(self, hera_sc1):
-        settings = SimSettings(fidelity=Fidelity(n_runs=10, n_patterns=10), seed=1)
-        value = simulate_mean(hera_sc1, 6000.0, 200.0, settings)
-        assert value is not None
-        assert 0.09 < value < 0.2
-
     def test_budget(self):
         settings = SimSettings(fidelity=Fidelity(n_runs=3, n_patterns=7))
         assert settings.budget() == (3, 7)

@@ -21,9 +21,9 @@ import pytest
 
 from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
-from repro.experiments.registry import REGISTRY, RUNNERS
+from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import main
-from repro.experiments.spec import stage_study
+from repro.experiments.spec import run_study, stage_study
 from repro.sim.executors import ShardedExecutor, merge_shard_dirs
 
 GOLDENS = json.loads(
@@ -37,7 +37,8 @@ ALL_STUDIES = sorted(REGISTRY)
 
 
 def run_tables(name: str, pipeline=None) -> list[str]:
-    return [r.table() for r in RUNNERS[name](settings=SETTINGS, pipeline=pipeline)]
+    results = run_study(REGISTRY[name], settings=SETTINGS, pipeline=pipeline)
+    return [r.table() for r in results]
 
 
 class TestSerialGolden:
@@ -122,9 +123,11 @@ class TestScheduledGolden:
 
 
 class TestSchedulerCLI:
-    def test_max_inflight_validated(self):
-        with pytest.raises(SystemExit, match="--max-inflight"):
+    def test_max_inflight_validated(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["fig5", "--max-inflight", "0"])
+        assert exc.value.code == 2
+        assert "argument --max-inflight" in capsys.readouterr().err
 
     def test_progress_lines_on_stderr_only(self, capsys):
         assert main(["fig2", "--progress", "--runs", "4", "--patterns", "6"]) == 0

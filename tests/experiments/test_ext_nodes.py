@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import ext_nodes
 from repro.experiments.common import SimSettings
+from repro.experiments.spec import run_study
 from repro.sim.montecarlo import Fidelity
 
 SETTINGS = SimSettings(fidelity=Fidelity(n_runs=15, n_patterns=40), seed=23)
@@ -14,7 +15,7 @@ SETTINGS = SimSettings(fidelity=Fidelity(n_runs=15, n_patterns=40), seed=23)
 class TestExtNodes:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_nodes.run(scenarios=(1,), settings=SETTINGS)[0]
+        return run_study(ext_nodes.SPEC, scenarios=(1,), settings=SETTINGS)[0]
 
     def test_four_rows(self, result):
         labels = result.column("failure model")
@@ -37,7 +38,9 @@ class TestExtNodes:
         assert fresh > stationary
 
     def test_no_sim_mode(self):
-        res = ext_nodes.run(scenarios=(1,), settings=SimSettings(simulate=False))[0]
+        res = run_study(
+            ext_nodes.SPEC, scenarios=(1,), settings=SimSettings(simulate=False)
+        )[0]
         assert res.column("overhead")[1] is None
         assert res.column("overhead")[0] is not None  # analytic always there
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import ext_segments, ext_weibull
 from repro.experiments.common import SimSettings
+from repro.experiments.spec import run_study
 from repro.sim.montecarlo import Fidelity
 
 SETTINGS = SimSettings(fidelity=Fidelity(n_runs=15, n_patterns=30), seed=11)
@@ -16,7 +17,7 @@ NO_SIM = SimSettings(simulate=False)
 class TestSegmentsExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_segments.run(settings=NO_SIM)[0]
+        return run_study(ext_segments.SPEC, settings=NO_SIM)[0]
 
     def test_all_platforms_covered(self, result):
         assert result.column("platform") == ["Hera", "Atlas", "Coastal", "CoastalSSD"]
@@ -40,14 +41,19 @@ class TestSegmentsExperiment:
         assert gains["Atlas"] == max(gains.values())  # 94% silent errors
 
     def test_single_platform_mode(self):
-        res = ext_segments.run(platform="Hera", all_platforms=False, settings=NO_SIM)[0]
+        res = run_study(
+            ext_segments.SPEC,
+            platform="Hera",
+            options={"all_platforms": False},
+            settings=NO_SIM,
+        )[0]
         assert res.column("platform") == ["Hera"]
 
 
 class TestWeibullExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return ext_weibull.run(scenarios=(1,), settings=SETTINGS)[0]
+        return run_study(ext_weibull.SPEC, scenarios=(1,), settings=SETTINGS)[0]
 
     def test_shape_one_matches_analytic(self, result):
         analytic = result.column_array("H_analytic")[0]
@@ -61,7 +67,7 @@ class TestWeibullExperiment:
             assert abs(sim - analytic) / analytic < 0.08
 
     def test_no_sim_mode(self):
-        res = ext_weibull.run(scenarios=(1,), settings=NO_SIM)[0]
+        res = run_study(ext_weibull.SPEC, scenarios=(1,), settings=NO_SIM)[0]
         assert res.column("H_sim(shape=1)") == [None]
 
     def test_cli_registration(self):

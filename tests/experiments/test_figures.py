@@ -19,6 +19,7 @@ from repro.experiments import (
     fig7_downtime,
 )
 from repro.experiments.common import SimSettings
+from repro.experiments.spec import run_study
 from repro.sim.montecarlo import Fidelity
 
 #: Cheap but statistically meaningful Monte-Carlo budget for CI.
@@ -29,7 +30,7 @@ NO_SIM = SimSettings(simulate=False)
 class TestFig2:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig2_scenarios.run(settings=SETTINGS)[0]
+        return run_study(fig2_scenarios.SPEC, settings=SETTINGS)[0]
 
     def test_one_row_per_scenario(self, result):
         assert result.column("scenario") == [1, 2, 3, 4, 5, 6]
@@ -60,15 +61,17 @@ class TestFig2:
         assert H_fo_sim > H_opt_sim
 
     def test_other_platform(self):
-        res = fig2_scenarios.run(platform="Atlas", scenarios=(1, 3), settings=NO_SIM)[0]
+        res = run_study(
+            fig2_scenarios.SPEC, platform="Atlas", scenarios=(1, 3), settings=NO_SIM
+        )[0]
         assert len(res.rows) == 2
 
 
 class TestFig3:
     @pytest.fixture(scope="class")
     def results(self):
-        return fig3_processors.run(
-            processors=np.array([256.0, 512.0, 1024.0]), settings=SETTINGS
+        return run_study(
+            fig3_processors.SPEC, grid=np.array([256.0, 512.0, 1024.0]), settings=SETTINGS
         )
 
     def test_three_panels(self, results):
@@ -96,9 +99,10 @@ class TestFig3:
 
     def test_overhead_u_shape_wide_grid(self):
         # On a wide grid the simulated overhead dips then rises (sc 1).
-        res = fig3_processors.run(
+        res = run_study(
+            fig3_processors.SPEC,
             scenarios=(1,),
-            processors=np.array([64.0, 256.0, 2048.0]),
+            grid=np.array([64.0, 256.0, 2048.0]),
             settings=SETTINGS,
         )
         H = res[1].column_array("scenario_1")
@@ -109,7 +113,7 @@ class TestFig3:
 class TestFig4:
     @pytest.fixture(scope="class")
     def results(self):
-        return fig4_alpha.run(alphas=(0.1, 0.001, 0.0), settings=SETTINGS)
+        return run_study(fig4_alpha.SPEC, grid=(0.1, 0.001, 0.0), settings=SETTINGS)
 
     def test_p_star_grows_as_alpha_drops(self, results):
         P = results[0]
@@ -137,8 +141,8 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def results(self):
-        return fig5_error_rate.run(
-            lambdas=np.logspace(-12, -8, 5), settings=NO_SIM
+        return run_study(
+            fig5_error_rate.SPEC, grid=np.logspace(-12, -8, 5), settings=NO_SIM
         )
 
     def test_slope_fits_match_theory(self, results):
@@ -170,8 +174,11 @@ class TestFig5:
         assert fit.matches(-1.0 / 3.0, tol=0.03)
 
     def test_simulated_overhead_tends_to_floor(self):
-        res = fig5_error_rate.run(
-            lambdas=np.array([1e-12, 1e-8]), scenarios=(1,), settings=SETTINGS
+        res = run_study(
+            fig5_error_rate.SPEC,
+            grid=np.array([1e-12, 1e-8]),
+            scenarios=(1,),
+            settings=SETTINGS,
         )
         H = res[2].column_array("sc1_optimal")
         assert H[0] < H[1]  # more reliable -> closer to 0.1
@@ -181,7 +188,9 @@ class TestFig5:
 class TestFig6:
     @pytest.fixture(scope="class")
     def results(self):
-        return fig6_alpha_zero.run(lambdas=np.logspace(-11, -8, 4), settings=NO_SIM)
+        return run_study(
+            fig6_alpha_zero.SPEC, grid=np.logspace(-11, -8, 4), settings=NO_SIM
+        )
 
     def test_orders(self, results):
         from repro.analysis.asymptotics import fit_loglog_slope
@@ -207,8 +216,8 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def results(self):
-        return fig7_downtime.run(
-            downtimes=np.array([0.0, 5400.0, 10800.0]), settings=SETTINGS
+        return run_study(
+            fig7_downtime.SPEC, grid=np.array([0.0, 5400.0, 10800.0]), settings=SETTINGS
         )
 
     def test_first_order_flat_in_d(self, results):

@@ -7,6 +7,8 @@ count, and whether the disk cache is cold, warm, or absent.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,12 @@ from repro.experiments import (
     fig6_alpha_zero,
     fig7_downtime,
 )
-from repro.experiments.common import SimSettings, simulate_mean
+from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import Deferred, SimulationPipeline, materialize
+from repro.experiments.spec import run_study
 from repro.exceptions import SimulationError
 from repro.platforms.scenarios import build_model
-from repro.sim.montecarlo import Fidelity
+from repro.sim.montecarlo import Fidelity, simulate_overhead
 
 #: Tiny but non-trivial budget: every point still samples real failures.
 SETTINGS = SimSettings(fidelity=Fidelity(n_runs=8, n_patterns=12), seed=42)
@@ -32,36 +35,26 @@ SETTINGS = SimSettings(fidelity=Fidelity(n_runs=8, n_patterns=12), seed=42)
 
 def _tiny_fig_runs(pipeline=None):
     """One cheap invocation of every simulation-heavy figure module."""
+    run = partial(run_study, settings=SETTINGS, pipeline=pipeline)
     return [
-        fig2_scenarios.run(scenarios=(1, 3), settings=SETTINGS, pipeline=pipeline),
-        fig3_processors.run(
-            scenarios=(1,),
-            processors=np.array([256.0, 512.0]),
-            settings=SETTINGS,
-            pipeline=pipeline,
-        ),
-        fig4_alpha.run(alphas=(0.1, 0.01), scenarios=(1,), settings=SETTINGS, pipeline=pipeline),
-        fig5_error_rate.run(
-            lambdas=np.array([1e-10, 1e-9]),
-            scenarios=(1,),
-            settings=SETTINGS,
-            pipeline=pipeline,
-        ),
-        fig6_alpha_zero.run(
-            lambdas=np.array([1e-10, 1e-9]),
-            scenarios=(1,),
-            settings=SETTINGS,
-            pipeline=pipeline,
-        ),
-        fig7_downtime.run(
-            downtimes=np.array([0.0, 3600.0]),
-            scenarios=(1,),
-            settings=SETTINGS,
-            pipeline=pipeline,
-        ),
-        ext_weibull.run(scenarios=(1,), shapes=(1.0,), settings=SETTINGS, pipeline=pipeline),
-        ext_nodes.run(scenarios=(1,), settings=SETTINGS, pipeline=pipeline),
+        run(fig2_scenarios.SPEC, scenarios=(1, 3)),
+        run(fig3_processors.SPEC, scenarios=(1,), grid=np.array([256.0, 512.0])),
+        run(fig4_alpha.SPEC, scenarios=(1,), grid=(0.1, 0.01)),
+        run(fig5_error_rate.SPEC, scenarios=(1,), grid=np.array([1e-10, 1e-9])),
+        run(fig6_alpha_zero.SPEC, scenarios=(1,), grid=np.array([1e-10, 1e-9])),
+        run(fig7_downtime.SPEC, scenarios=(1,), grid=np.array([0.0, 3600.0])),
+        run(ext_weibull.SPEC, scenarios=(1,), options={"shapes": (1.0,)}),
+        run(ext_nodes.SPEC, scenarios=(1,)),
     ]
+
+
+def _sequential_mean(model, T, P):
+    """The single-point path at ``SETTINGS``: one ``simulate_overhead`` call."""
+    n_runs, n_patterns = SETTINGS.budget()
+    return simulate_overhead(
+        model, T, P, n_runs=n_runs, n_patterns=n_patterns,
+        seed=SETTINGS.seed, method=SETTINGS.method,
+    ).mean
 
 
 @pytest.fixture(scope="module")
@@ -87,22 +80,26 @@ class TestTableDeterminism:
 
     def test_repeated_run_on_one_pipeline_hits_the_memo(self):
         with SimulationPipeline(jobs=1) as pipe:
-            first = fig2_scenarios.run(scenarios=(1,), settings=SETTINGS, pipeline=pipe)
+            first = run_study(
+                fig2_scenarios.SPEC, scenarios=(1,), settings=SETTINGS, pipeline=pipe
+            )
             computed = pipe.metrics.value("scheduler_jobs")
-            second = fig2_scenarios.run(scenarios=(1,), settings=SETTINGS, pipeline=pipe)
+            second = run_study(
+                fig2_scenarios.SPEC, scenarios=(1,), settings=SETTINGS, pipeline=pipe
+            )
             assert second == first
             assert pipe.metrics.value("scheduler_jobs") == computed  # no recomputation
 
 
 class TestPointDeterminism:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_pipeline_matches_simulate_mean(self, jobs):
+    def test_pipeline_matches_simulate_overhead(self, jobs):
         points = [
             (build_model("Hera", sc), T, P)
             for sc in (1, 3)
             for T, P in ((6000.0, 256.0), (4000.0, 512.0))
         ]
-        sequential = [simulate_mean(m, T, P, SETTINGS) for m, T, P in points]
+        sequential = [_sequential_mean(m, T, P) for m, T, P in points]
         with SimulationPipeline(jobs=jobs) as pipe:
             deferred = [pipe.simulate_mean(m, T, P, SETTINGS) for m, T, P in points]
             pipe.resolve()
@@ -150,8 +147,11 @@ class TestDeferredSemantics:
 
     def test_no_sim_figure_has_no_pending_work(self):
         with SimulationPipeline(jobs=1) as pipe:
-            results = fig2_scenarios.run(
-                scenarios=(1,), settings=SimSettings(simulate=False), pipeline=pipe
+            results = run_study(
+                fig2_scenarios.SPEC,
+                scenarios=(1,),
+                settings=SimSettings(simulate=False),
+                pipeline=pipe,
             )
             assert pipe.metrics.labeled("points") == []
         assert results[0].column("H_optimal_sim") == [None]
@@ -178,7 +178,7 @@ class TestOnRoundStagingLoop:
 
             pipe.resolve(on_round=on_round)
         assert first.ready and staged[0].ready
-        assert staged[0].value == simulate_mean(model, 4000.0, 512.0, SETTINGS)
+        assert staged[0].value == _sequential_mean(model, 4000.0, 512.0)
 
     def test_on_round_safety_net_runs_without_pending_points(self):
         """Cache-/analytic-served rounds fire no events; on_round still

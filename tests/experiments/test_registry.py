@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.experiments.common import SimSettings
-from repro.experiments.registry import REGISTRY, RUNNERS, find_spec, get_spec
+from repro.experiments.registry import REGISTRY, find_spec, get_spec
 from repro.experiments.runner import build_parser, check_experiments_md, main
 from repro.experiments.spec import (
     SWEEP_COLUMNS,
@@ -36,11 +36,10 @@ class TestRegistry:
         assert all(descriptions)
         assert len(set(descriptions)) == len(descriptions)
 
-    def test_every_entry_is_a_spec_with_runner(self):
+    def test_every_entry_is_a_spec(self):
         for name, spec in REGISTRY.items():
             assert isinstance(spec, StudySpec)
             assert spec.name == name
-            assert callable(RUNNERS[name])
 
     def test_get_spec_unknown_raises(self):
         with pytest.raises(InvalidParameterError):

@@ -12,6 +12,22 @@ import pytest
 import repro
 from repro.experiments.runner import build_parser, main, print_input_tables
 
+#: A fig5 family whose additive jitter (seed 3) draws a negative error rate.
+NEGATIVE_RATE_SCENARIO = """\
+[scenario]
+name = "neg"
+study = "fig5"
+seed = 3
+
+[[transform]]
+kind = "jitter"
+axis = "lambda_ind"
+mode = "additive"
+distribution = "uniform"
+width = 1.0
+count = 2
+"""
+
 
 class TestParser:
     def test_tables_command(self):
@@ -36,7 +52,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig2", "--platform", "Summit"])
 
-    @pytest.mark.parametrize("flag", ["--runs", "--patterns", "--jobs"])
+    @pytest.mark.parametrize("flag", ["--runs", "--patterns", "--jobs", "--max-inflight"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command", [["fig5"], ["scenario", "report", "x.toml"]])
     def test_rejects_non_positive_budgets(self, command, flag, value, capsys):
@@ -146,6 +162,44 @@ class TestPipelineFlags:
         )
         assert result.stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig5", "--max-inflight", "0", "--cache-dir", "c",
+             "--runs-dir", "runs", "--run-id", "x"),
+            ("resume", "x", "--max-inflight", "0", "--runs-dir", "runs"),
+        ],
+    )
+    def test_non_positive_max_inflight_fails_fast(self, tmp_path, argv):
+        """--max-inflight parses like --jobs: 0 exits 2 from argparse."""
+        result = self._cli(tmp_path, *argv)
+        assert result.returncode == 2
+        assert result.stderr.splitlines()[-1].endswith(
+            "error: argument --max-inflight: must be a positive integer, got 0"
+        )
+        assert result.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("report", "neg.toml", "--cache-dir", "c", "--run-id", "r1",
+             "--runs-dir", "runs", "--trace"),
+            ("run", "neg.toml", "--out", "out", "--cache-dir", "c"),
+        ],
+    )
+    def test_invalid_scenario_member_writes_nothing(self, tmp_path, argv):
+        """A member whose perturbed parameters leave the model's domain
+        fails before the pipeline opens its trace file or analytic memo."""
+        (tmp_path / "neg.toml").write_text(NEGATIVE_RATE_SCENARIO)
+        result = self._cli(tmp_path, "scenario", *argv)
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1].startswith(
+            "neg.toml: lambda_ind must be finite and >= 0, got -0.166"
+        )
+        assert result.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["neg.toml"]
 
     def test_no_cache_bypasses_cache_dir(self, tmp_path):
         from repro.experiments.runner import _pipeline_from_args

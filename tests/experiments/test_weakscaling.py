@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import ext_weakscaling
 from repro.experiments.common import SimSettings
+from repro.experiments.spec import run_study
 
 NO_SIM = SimSettings(simulate=False)
 
@@ -14,8 +15,8 @@ NO_SIM = SimSettings(simulate=False)
 class TestWeakScaling:
     @pytest.fixture(scope="class")
     def results(self):
-        return ext_weakscaling.run(
-            machines=2.0 ** np.arange(7, 15), settings=NO_SIM
+        return run_study(
+            ext_weakscaling.SPEC, grid=2.0 ** np.arange(7, 15), settings=NO_SIM
         )
 
     def test_one_result_per_scenario(self, results):
@@ -56,10 +57,11 @@ class TestWeakScaling:
             assert flag == (value <= 1.10)
 
     def test_custom_budget(self):
-        res = ext_weakscaling.run(
+        res = run_study(
+            ext_weakscaling.SPEC,
             scenarios=(3,),
-            machines=2.0 ** np.arange(7, 12),
-            inflation_budget=1.5,
+            grid=2.0 ** np.arange(7, 12),
+            options={"inflation_budget": 1.5},
             settings=NO_SIM,
         )[0]
         assert "within_150%_budget" in res.columns

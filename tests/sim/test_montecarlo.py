@@ -99,16 +99,23 @@ class TestAutoDispatch:
         assert auto.mean == vec.mean
 
     def test_batch_chunks_above_memory_cap(self, hera_sc1, monkeypatch):
+        import numpy as np
+
         import repro.sim.batch as batch_mod
-        from repro.sim.batch import simulate_batch_chunked
         from repro.sim.results import overhead_estimate
+        from repro.sim.rng import spawn_seed_sequences
 
         monkeypatch.setattr(batch_mod, "MAX_CHUNK_ELEMENTS", 100)
         est = simulate_overhead(
             hera_sc1, 6000.0, 200.0, n_runs=30, n_patterns=20, seed=5, method="batch"
         )
-        stats = simulate_batch_chunked(hera_sc1, 6000.0, 200.0, 30, 20, seed=5)
-        ref = overhead_estimate(hera_sc1, 6000.0, 200.0, stats)
+        # 100 cells at 20 patterns: six chunks of 5 runs, one spawned stream each.
+        rates = batch_mod.PatternRates.from_model(hera_sc1, 6000.0, 200.0)
+        parts = [
+            batch_mod._simulate_batch_rates(rates, 5, 20, np.random.default_rng(ss))
+            for ss in spawn_seed_sequences(6, 5)
+        ]
+        ref = overhead_estimate(hera_sc1, 6000.0, 200.0, batch_mod.merge_batch_stats(parts))
         assert est.mean == ref.mean
         assert est.n_runs == 30
 

@@ -7,14 +7,15 @@ import pytest
 
 from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 from repro.exceptions import SimulationError
+import repro.sim.batch as batch_mod
 from repro.sim.batch import (
     PatternRates,
     merge_batch_stats,
     plan_chunks,
     simulate_batch,
-    simulate_batch_chunked,
 )
 from repro.sim.montecarlo import simulate_overhead
+from repro.sim.plan import SimRequest, request_jobs, run_job
 from repro.sim.rng import make_rng
 from repro.sim.vectorized import simulate_chunk, simulate_vectorized
 
@@ -112,12 +113,11 @@ class TestChunkingAndDispatch:
         b = simulate_vectorized(model, 1000.0, 20, 20, 20, seed=12)
         np.testing.assert_array_equal(a.run_times, b.run_times)
 
-    def test_chunked_mean_unbiased(self):
+    def test_chunked_mean_unbiased(self, monkeypatch):
         model = _model(2e-5, 0.5)
         T, P = 1500.0, 20
-        stats = simulate_vectorized(
-            model, T, P, n_runs=300, n_patterns=40, seed=8, chunk_runs=37
-        )
+        monkeypatch.setattr(batch_mod, "MAX_CHUNK_ELEMENTS", 37 * 40)
+        stats = simulate_vectorized(model, T, P, n_runs=300, n_patterns=40, seed=8)
         assert stats.n_runs == 300
         analytic = model.expected_time(T, P)
         per_run = stats.run_times / stats.n_patterns
@@ -142,12 +142,13 @@ class TestChunkingAndDispatch:
         with pytest.raises(SimulationError):
             merge_batch_stats([])
 
-    def test_batch_chunked_matches_distribution(self):
+    def test_batch_chunked_matches_distribution(self, monkeypatch):
         model = _model(2e-5, 0.5)
         T, P = 1500.0, 20
-        stats = simulate_batch_chunked(
-            model, T, P, n_runs=200, n_patterns=50, seed=4, chunk_runs=64
-        )
+        monkeypatch.setattr(batch_mod, "MAX_CHUNK_ELEMENTS", 64 * 50)
+        jobs = request_jobs(SimRequest(model, T, P, 200, 50, seed=4, method="batch"))
+        assert len(jobs) == 4  # 64 + 64 + 64 + 8 runs
+        stats = merge_batch_stats([run_job(job) for job in jobs])
         assert stats.n_runs == 200
         analytic = model.expected_time(T, P)
         per_run = stats.run_times / stats.n_patterns
