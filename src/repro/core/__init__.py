@@ -45,7 +45,6 @@ from .pattern import (
     pattern_overhead,
     pattern_speedup,
     stack_models,
-    take_model,
 )
 from .speedup import (
     AmdahlSpeedup,
@@ -95,7 +94,6 @@ __all__ = [
     "pattern_overhead",
     "pattern_speedup",
     "stack_models",
-    "take_model",
     # first order
     "FirstOrderSolution",
     "optimal_period",

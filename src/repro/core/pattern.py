@@ -64,7 +64,6 @@ __all__ = [
     "PatternModel",
     "PreparedColumns",
     "stack_models",
-    "take_model",
 ]
 
 
@@ -527,48 +526,6 @@ def stack_models(models, repeat=1) -> PatternModel:
                 u=_stack_field(models, lambda m: m.costs.verification.u, repeat),
             ),
             downtime=_stack_field(models, lambda m: m.costs.downtime, repeat),
-            recovery=recovery,
-        ),
-        speedup=speedup,
-    )
-
-
-def _field_at(value, i: int) -> float:
-    return float(np.asarray(value).reshape(-1)[i]) if np.ndim(value) else float(value)
-
-
-def take_model(stacked: PatternModel, i: int) -> PatternModel:
-    """Extract column ``i`` of a stacked model as a scalar-parameter model."""
-    speedup = stacked.speedup
-    if isinstance(speedup, (AmdahlSpeedup, GustafsonSpeedup)):
-        speedup = type(speedup)(_field_at(speedup.alpha, i))
-    elif isinstance(speedup, PowerLawSpeedup):
-        speedup = PowerLawSpeedup(_field_at(speedup.gamma, i))
-    else:
-        raise InvalidParameterError(
-            f"cannot take a column from speedup profile {type(speedup).__name__}"
-        )
-    recovery = stacked.costs.recovery
-    if recovery is not None:
-        recovery = CheckpointCost(
-            a=_field_at(recovery.a, i), b=_field_at(recovery.b, i), c=_field_at(recovery.c, i)
-        )
-    return PatternModel(
-        errors=ErrorModel(
-            lambda_ind=_field_at(stacked.errors.lambda_ind, i),
-            fail_stop_fraction=_field_at(stacked.errors.fail_stop_fraction, i),
-        ),
-        costs=ResilienceCosts(
-            checkpoint=CheckpointCost(
-                a=_field_at(stacked.costs.checkpoint.a, i),
-                b=_field_at(stacked.costs.checkpoint.b, i),
-                c=_field_at(stacked.costs.checkpoint.c, i),
-            ),
-            verification=VerificationCost(
-                v=_field_at(stacked.costs.verification.v, i),
-                u=_field_at(stacked.costs.verification.u, i),
-            ),
-            downtime=_field_at(stacked.costs.downtime, i),
             recovery=recovery,
         ),
         speedup=speedup,

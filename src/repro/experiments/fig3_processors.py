@@ -33,7 +33,7 @@ def default_processor_grid() -> np.ndarray:
     return np.arange(128, 1537, 128, dtype=float)
 
 
-def _sweep_scenario(ctx: StudyContext, model, sc: int) -> dict:
+def _sweep_scenario(ctx: StudyContext, model) -> dict:
     """Vectorized per-scenario evaluation over the whole P grid.
 
     Uses the batch period optimizer (same bracket-widening path as the
@@ -55,6 +55,11 @@ def _sweep_scenario(ctx: StudyContext, model, sc: int) -> dict:
     }
 
 
+def _declare(ctx: StudyContext) -> dict:
+    """Evaluate each scenario over the whole grid at once."""
+    return {sc: _sweep_scenario(ctx, ctx.build(sc)) for sc in ctx.scenarios}
+
+
 def _gap_note(ctx: StudyContext, data: dict) -> str:
     max_gap_pct = 0.0
     for sc in ctx.scenarios:
@@ -72,7 +77,7 @@ SPEC = StudySpec(
     axis=AxisSpec(name="processors", header="P", grid=default_processor_grid),
     fixed={"alpha": DEFAULT_ALPHA, "downtime": DEFAULT_DOWNTIME},
     figure_base="fig3_{platform_l}",
-    scenario_eval=_sweep_scenario,
+    declare=_declare,
     panels=(
         PanelSpec(
             suffix="a_period",

@@ -225,9 +225,6 @@ class SimulationPipeline:
         self.analytic_memo = AnalyticMemo(
             Path(cache_dir) / "analytic_memo.json" if cache_dir is not None else None
         )
-        #: Per-group analytic traffic (mirrors the sim counters of
-        #: :meth:`pending_report`): points computed vs memo-served.
-        self.analytic_counts: dict[str, dict[str, int]] = {}
         self._memo: dict[str, object] = {}
         self._pending: list[tuple] = []  # (kind, item, deferred, group)
         #: Label attached to subsequently declared points (the staging
@@ -292,11 +289,6 @@ class SimulationPipeline:
         """
         points, evaluated, served = evaluate_analytic(models, self.analytic_memo)
         label = self.current_group if self.current_group is not None else "(ungrouped)"
-        entry = self.analytic_counts.setdefault(
-            label, {"evaluated": 0, "served": 0}
-        )
-        entry["evaluated"] += evaluated
-        entry["served"] += served
         self.metrics.counter("analytic", study=label, kind="evaluated").inc(evaluated)
         self.metrics.counter("analytic", study=label, kind="served").inc(served)
         if self.trace.enabled:
@@ -402,10 +394,8 @@ class SimulationPipeline:
             served[key] = False
             entry["to_compute"].inc()
             entry["jobs"].inc(len(request_jobs(item)) if kind == "request" else 1)
-        for group, counts in self.analytic_counts.items():
-            entry = _entry(group)
-            entry["analytic_evaluated"].inc(counts["evaluated"])
-            entry["analytic_served"].inc(counts["served"])
+        for labels, metric in self.metrics.labeled("analytic"):
+            _entry(labels["study"])[f"analytic_{labels['kind']}"].inc(metric.value)
         report: dict[str, dict[str, int]] = {}
         for labels, metric in self.metrics.labeled("plan"):
             report.setdefault(labels["study"], {})[labels["field"]] = metric.value
@@ -415,7 +405,6 @@ class SimulationPipeline:
 
     def resolve(
         self,
-        max_inflight: int | None = None,
         on_event: Callable[[PointEvent], None] | None = None,
         on_round: Callable[[], object] | None = None,
     ) -> None:
@@ -438,21 +427,19 @@ class SimulationPipeline:
         points are pending.  Without ``on_round`` the behaviour is the
         single-round one, unchanged.
         """
-        self._resolve_round(max_inflight, on_event)
+        self._resolve_round(on_event)
         if on_round is None:
             return
         while True:
             progressed = bool(on_round())
             if self._pending:
-                self._resolve_round(max_inflight, on_event)
+                self._resolve_round(on_event)
                 continue
             if not progressed:
                 return
 
     def _resolve_round(
-        self,
-        max_inflight: int | None = None,
-        on_event: Callable[[PointEvent], None] | None = None,
+        self, on_event: Callable[[PointEvent], None] | None = None
     ) -> None:
         """One scheduling round over the currently-pending points.
 
@@ -529,7 +516,7 @@ class SimulationPipeline:
         # executor; each point resolves the moment its last chunk lands.
         scheduler = Scheduler(
             self.executor,
-            max_inflight if max_inflight is not None else self.max_inflight,
+            self.max_inflight,
             retry=RetryPolicy() if self.retry == "default" else self.retry,
             fault=self.fault,
             trace=self.trace,

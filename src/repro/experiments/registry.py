@@ -30,7 +30,7 @@ from . import (
 )
 from .spec import StudySpec, load_toml_spec
 
-__all__ = ["REGISTRY", "get_spec", "find_spec", "study_names"]
+__all__ = ["REGISTRY", "get_spec", "find_spec"]
 
 _MODULES = (
     fig2_scenarios,
@@ -48,10 +48,6 @@ _MODULES = (
 #: Registry order is presentation order: the ``all`` command and the
 #: report emit studies in this sequence.
 REGISTRY: dict[str, StudySpec] = {m.SPEC.name: m.SPEC for m in _MODULES}
-
-
-def study_names() -> tuple[str, ...]:
-    return tuple(REGISTRY)
 
 
 def get_spec(name: str) -> StudySpec:

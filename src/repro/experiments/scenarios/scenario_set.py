@@ -163,10 +163,11 @@ class ScenarioSet:
     name:
         The scenario set's label (output prefix, group-label prefix).
     spec:
-        The base study.  Bespoke ``declare``-hook studies (the
+        The base study.  Studies that assemble their own tables (the
         extension experiments) are refused: their staged state is
         opaque to the grid/fixed override machinery, so a perturbation
-        would be silently ignored.
+        would be silently ignored.  A ``declare`` hook that keeps the
+        generic grid assemble (Figure 3) is accepted.
     transforms:
         The :class:`~repro.experiments.scenarios.transforms.GridTransform`
         chain; the derived family is its full cross product.
@@ -198,9 +199,9 @@ class ScenarioSet:
         band: BandSpec = BandSpec(),
         adaptive=None,
     ):
-        if spec.declare is not None:
+        if spec.assemble is not None:
             raise InvalidParameterError(
-                f"study {spec.name!r} uses a bespoke declare hook; scenario "
+                f"study {spec.name!r} assembles its own tables; scenario "
                 "transforms only apply to grid/fixed-parameter studies"
             )
         self.name = name
@@ -301,22 +302,6 @@ class ScenarioSet:
             family.members.append(member)
             family.staged.append(staged)
         return list(families.values())
-
-    def run(
-        self,
-        settings: SimSettings = SimSettings(),
-        pipeline: SimulationPipeline | None = None,
-    ) -> list[ScenarioFamily]:
-        """Stage, resolve and return the families (library entry point)."""
-        own = pipeline is None
-        pipe = pipeline if pipeline is not None else SimulationPipeline()
-        try:
-            families = self.stage(pipe, settings)
-            pipe.resolve()
-            return families
-        finally:
-            if own:
-                pipe.close()
 
 
 # -- on-disk member results (scenario run -> scenario aggregate) -----------

@@ -133,10 +133,10 @@ class StudySpec:
     hooks progressively take over where a study's shape is bespoke:
 
     * ``point_eval`` replaces the per-point pattern evaluator;
-    * ``scenario_eval`` evaluates a whole scenario over the grid at
-      once (vectorized studies like the Figure 3 period sweep);
-    * ``declare``/``assemble`` replace the entire engine body (the
-      extension studies) while keeping the staged two-phase contract.
+    * ``declare``/``assemble`` replace the engine's declare or
+      assemble phase (the extension studies, or the Figure 3 period
+      sweep's vectorized declare) while keeping the staged two-phase
+      contract.
     """
 
     name: str
@@ -148,7 +148,6 @@ class StudySpec:
     panels: tuple[PanelSpec, ...] = ()
     figure_base: str = ""
     point_eval: Callable | None = None
-    scenario_eval: Callable | None = None
     declare: Callable | None = None
     assemble: Callable | None = None
     supports_all_platforms: bool = False
@@ -251,17 +250,12 @@ def _sweep_declare(ctx: StudyContext) -> dict:
     column, memo-served across scenario-family replicates), then walk
     the grid in the historical order so simulation declarations — and
     therefore plan keys, seeds and progress events — are unchanged.
-    Custom ``point_eval`` / ``scenario_eval`` hooks evaluate cell by
-    cell.
+    A custom ``point_eval`` hook evaluates cell by cell.
     """
     spec = ctx.spec
     needed = spec.needed_columns()
     evaluate = spec.point_eval if spec.point_eval is not None else pattern_point
     data: dict[int, dict[str, list]] = {}
-    if spec.scenario_eval is not None:
-        for sc in ctx.scenarios:
-            data[sc] = spec.scenario_eval(ctx, ctx.build(sc), sc)
-        return data
 
     def _store(sc: int, point: dict) -> None:
         store = data.setdefault(sc, {})

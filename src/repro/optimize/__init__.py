@@ -5,9 +5,10 @@ minimisations of the exact overhead from Proposition 1; this package
 provides those solvers:
 
 ``scalar``
-    Bracket / golden-section / Brent primitives (scipy-free).
+    Brent's method on a fixed interval (scipy-free).
 ``grid``
-    Log-space zooming grid search (processor counts span 1e0..1e13).
+    Batched log-space zooming grid search (processor counts span
+    1e0..1e13).
 ``period``
     Optimal ``T`` for fixed ``P`` (scalar and vectorised-batch forms).
 ``allocation``
@@ -17,13 +18,7 @@ provides those solvers:
 """
 
 from .allocation import AllocationResult, optimize_allocation, optimize_allocation_batch
-from .grid import (
-    BatchGridResult,
-    GridResult,
-    log_grid,
-    refine_log_minimum,
-    refine_log_minimum_batch,
-)
+from .grid import BatchGridResult, log_grid, refine_log_minimum_batch
 from .period import (
     PeriodResult,
     optimize_period,
@@ -31,18 +26,14 @@ from .period import (
     optimize_period_batch_grouped,
 )
 from .relaxation import RelaxationResult, relaxation_optimize
-from .scalar import ScalarResult, bracket_minimum, brent, golden_section, minimize_scalar
+from .scalar import ScalarResult, brent, minimize_scalar
 
 __all__ = [
     "ScalarResult",
-    "bracket_minimum",
-    "golden_section",
     "brent",
     "minimize_scalar",
-    "GridResult",
     "BatchGridResult",
     "log_grid",
-    "refine_log_minimum",
     "refine_log_minimum_batch",
     "PeriodResult",
     "optimize_period",

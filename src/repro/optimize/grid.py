@@ -15,16 +15,14 @@ overhead objective: parallelism gains vs. growing error rates produce a
 single interior optimum, or a monotone edge case which the caller
 detects via the boundary flags).
 
-:func:`refine_log_minimum_batch` is the engine: it zooms many columns at
-once (one objective call per round evaluates a ``(points, columns)``
-matrix) with per-column convergence masking, so every log-zoom in the
-package — the scalar :func:`refine_log_minimum`, the relaxation
-baseline's allocation half-step, and the outer loop of
-:func:`repro.optimize.allocation.optimize_allocation_batch` — shares one
-code path.  Per column the iteration order, break condition and best-so-
-far tracking replicate the historical scalar loop exactly, and numpy's
-elementwise kernels are value-deterministic regardless of array width,
-so batched columns are bit-identical to one-at-a-time solves.
+:func:`refine_log_minimum_batch` zooms many columns at once (one
+objective call per round evaluates a ``(points, columns)`` matrix) with
+per-column convergence masking.  The relaxation baseline's allocation
+half-step and the outer loop of
+:func:`repro.optimize.allocation.optimize_allocation_batch` go through
+it (a single search is a one-column call).  numpy's elementwise kernels
+are value-deterministic regardless of array width, so batched columns
+are bit-identical to one-column solves.
 """
 
 from __future__ import annotations
@@ -37,41 +35,10 @@ import numpy as np
 from ..exceptions import OptimizationError
 
 __all__ = [
-    "GridResult",
     "BatchGridResult",
     "log_grid",
-    "refine_log_minimum",
     "refine_log_minimum_batch",
 ]
-
-
-@dataclass(frozen=True)
-class GridResult:
-    """Outcome of a zooming log-grid search.
-
-    Attributes
-    ----------
-    x:
-        Argmin estimate (linear scale).
-    fun:
-        Objective value at ``x``.
-    nfev:
-        Total objective evaluations.
-    at_lower / at_upper:
-        The final minimum sits on the original interval edge — the
-        objective is (numerically) monotone there and ``x`` is a
-        boundary solution, not an interior optimum.
-    """
-
-    x: float
-    fun: float
-    nfev: int
-    at_lower: bool
-    at_upper: bool
-
-    @property
-    def interior(self) -> bool:
-        return not (self.at_lower or self.at_upper)
 
 
 @dataclass(frozen=True)
@@ -150,9 +117,8 @@ def refine_log_minimum_batch(
         round always improves on ``+inf``.
     require_finite:
         Raise :class:`OptimizationError` when any active column's round
-        evaluates non-finite everywhere (the scalar
-        :func:`refine_log_minimum` contract); with it off such columns
-        keep zooming and fall back to ``init_x``.
+        evaluates non-finite everywhere; with it off such columns keep
+        zooming and fall back to ``init_x``.
     track_aux:
         Capture the objective's auxiliary payload at each column's
         best-so-far point.
@@ -224,54 +190,3 @@ def refine_log_minimum_batch(
         at_upper=orig_hi / best_x < edge_tol,
     )
 
-
-def refine_log_minimum(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    points: int = 33,
-    rounds: int = 14,
-    rtol: float = 1e-10,
-) -> GridResult:
-    """Minimise a vectorised objective over ``[lo, hi]`` in log space.
-
-    Single-column front-end of :func:`refine_log_minimum_batch` (the
-    historical scalar entry point — identical iteration, break and
-    best-tracking semantics).
-
-    Parameters
-    ----------
-    f:
-        Vectorised objective: maps an ndarray of abscissae to an ndarray
-        of values.  Non-finite values are treated as ``+inf`` (useful
-        when parts of the domain overflow).
-    lo, hi:
-        Search interval (must be positive).
-    points:
-        Grid points per round.
-    rounds:
-        Maximum zoom rounds.
-    rtol:
-        Stop when the relative grid spacing drops below this.
-
-    Returns
-    -------
-    GridResult
-        With boundary flags when the optimum never left the original
-        interval edges (monotone objective).
-    """
-    result = refine_log_minimum_batch(
-        lambda xs, idx: np.asarray(f(xs[:, 0]), dtype=float)[:, None],
-        lo,
-        hi,
-        points=points,
-        rounds=rounds,
-        rtol=rtol,
-    )
-    return GridResult(
-        x=float(result.x[0]),
-        fun=float(result.fun[0]),
-        nfev=int(result.nfev[0]),
-        at_lower=bool(result.at_lower[0]),
-        at_upper=bool(result.at_upper[0]),
-    )

@@ -113,38 +113,6 @@ def optimize_period(model: PatternModel, P: float, seed: float | None = None) ->
     )
 
 
-def _zoom_batch(
-    model: PatternModel,
-    P: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    points: int,
-    rounds: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column log-space zoom of the exact overhead over ``[lo, hi]``.
-
-    ``P`` is fixed for the whole zoom, so its terms are prepared once
-    (:meth:`~repro.core.pattern.PatternModel.prepare`); overflowed
-    regions of the search domain read as +inf, never NaN, so the argmins
-    stay well-defined.
-    """
-    columns = model.prepare(P)
-    rows = np.arange(points)[:, None]  # (points, 1)
-    cols = np.arange(P.size)
-    for _ in range(rounds):
-        ratio = hi / lo
-        # Per-column geometric grid: lo * ratio**(k/(points-1)).
-        Ts = lo[None, :] * ratio[None, :] ** (rows / (points - 1))
-        Hs = columns.overhead(Ts)
-        best = np.argmin(Hs, axis=0)
-        lo = Ts[np.maximum(best - 1, 0), cols]
-        hi = Ts[np.minimum(best + 1, points - 1), cols]
-        if np.max(hi / lo) - 1.0 < 1e-11:
-            break
-    T_opt = np.sqrt(lo * hi)
-    return T_opt, columns.overhead(T_opt)
-
-
 def _zoom_batch_grouped(
     model: PatternModel,
     P: np.ndarray,
@@ -155,14 +123,20 @@ def _zoom_batch_grouped(
     starts: np.ndarray,
     group_of: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_zoom_batch` with one break decision per column *group*.
+    """Per-column log-space zoom of the exact overhead over ``[lo, hi]``.
 
-    Each group's columns share the break condition their own scalar
-    :func:`_zoom_batch` call would use (max bracket ratio over the
-    group's columns only), so a slow-converging group never forces extra
-    rounds on an already-converged one.  Converged groups keep their
-    brackets frozen; per column the evaluated abscissae, bracket updates
-    and break round are bit-identical to a per-group scalar call.
+    Column group ``g`` starts at ``starts[g]``; ``group_of`` maps each
+    column to its group.  A group stops once the max bracket ratio over
+    its own columns converges, so a slow-converging group never forces
+    extra rounds on an already-converged one; converged groups keep
+    their brackets frozen, and per column the evaluated abscissae,
+    bracket updates and break round are bit-identical to a one-group
+    call on that group alone.
+
+    ``P`` is fixed for the whole zoom, so its terms are prepared once
+    (:meth:`~repro.core.pattern.PatternModel.prepare`); overflowed
+    regions of the search domain read as +inf, never NaN, so the argmins
+    stay well-defined.
     """
     columns = model.prepare(P)
     rows = np.arange(points)[:, None]
@@ -237,11 +211,14 @@ def optimize_period_batch_grouped(
     T_opt, H_opt = _zoom_batch_grouped(
         stacked, P, lo, hi, points, rounds, starts, group_of
     )
+    # Columns whose overhead overflows everywhere legitimately report
+    # +inf (the outer allocation search discards them); only a *finite*
+    # optimum sitting on a bracket edge means the seed window was off.
     pinned = ((T_opt / lo < 1.001) | (hi / T_opt < 1.001)) & np.isfinite(H_opt)
     if np.any(pinned):
-        # Widen and re-zoom pinned columns per owning model, exactly as
-        # the ungrouped path does (the widened re-zoom is rare and
-        # small, so scalar-model calls are fine here).
+        # Widen those once (1e3 each side, like the scalar path) and
+        # re-zoom only the pinned columns, per owning model (the widened
+        # re-zoom is rare and small, so scalar-model calls are fine).
         T_opt = T_opt.copy()
         H_opt = H_opt.copy()
         for g, member in enumerate(models):
@@ -250,7 +227,10 @@ def optimize_period_batch_grouped(
                 continue
             lo_w = lo[idx] * 1e-3
             hi_w = hi[idx] * 1e3
-            T_wide, H_wide = _zoom_batch(member, P[idx], lo_w, hi_w, points, rounds)
+            T_wide, H_wide = _zoom_batch_grouped(
+                member, P[idx], lo_w, hi_w, points, rounds,
+                np.zeros(1, dtype=int), np.zeros(idx.size, dtype=int),
+            )
             T_opt[idx] = T_wide
             H_opt[idx] = H_wide
             still = ((T_wide / lo_w < 1.001) | (hi_w / T_wide < 1.001)) & np.isfinite(
@@ -290,46 +270,14 @@ def optimize_period_batch(
     is still edge-pinned after widening (the overhead appears monotone
     over the searchable range).
 
+    This is :func:`optimize_period_batch_grouped` with a single group.
+
     Returns
     -------
     (T_opt, H_opt):
         Arrays of optimal periods and exact overheads, aligned with ``P``.
     """
     P = np.asarray(P, dtype=float)
-    if P.ndim != 1 or P.size == 0:
-        raise OptimizationError("P must be a non-empty 1-D array")
-    lam_eff = model.errors.fail_stop_rate(P) / 2.0 + model.errors.silent_rate(P)
-    if np.any(lam_eff <= 0.0):
-        raise OptimizationError("error-free platform: optimal period unbounded")
-    T0 = np.asarray(optimal_period(P, model.errors, model.costs), dtype=float)
-    lo = T0 * 10.0**-seed_decades
-    hi = T0 * 10.0**seed_decades
-
-    T_opt, H_opt = _zoom_batch(model, P, lo, hi, points, rounds)
-    # Columns whose overhead overflows everywhere legitimately report
-    # +inf (the outer allocation search discards them); only a *finite*
-    # optimum sitting on a bracket edge means the seed window was off.
-    pinned = ((T_opt / lo < 1.001) | (hi / T_opt < 1.001)) & np.isfinite(H_opt)
-    if np.any(pinned):
-        # The seed window missed the optimum for some columns; widen
-        # those once (1e3 each side, like the scalar path) and re-zoom
-        # only the pinned columns.
-        idx = np.flatnonzero(pinned)
-        lo_w = lo[idx] * 1e-3
-        hi_w = hi[idx] * 1e3
-        T_wide, H_wide = _zoom_batch(model, P[idx], lo_w, hi_w, points, rounds)
-        T_opt = T_opt.copy()
-        H_opt = H_opt.copy()
-        T_opt[idx] = T_wide
-        H_opt[idx] = H_wide
-        still = ((T_wide / lo_w < 1.001) | (hi_w / T_wide < 1.001)) & np.isfinite(
-            H_wide
-        )
-        if np.any(still):
-            bad = P[idx][still]
-            raise OptimizationError(
-                f"optimal period not interior to the widened bracket for "
-                f"P={np.array2string(bad, max_line_width=60)}; the overhead "
-                "appears monotone in T"
-            )
-    return T_opt, H_opt
+    return optimize_period_batch_grouped(
+        [model], P, [P.size], points, rounds, seed_decades
+    )

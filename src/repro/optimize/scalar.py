@@ -3,12 +3,14 @@
 The numerical "optimal" reference results in the paper's figures come
 from minimising the *exact* overhead of Proposition 1 — a smooth,
 strictly unimodal function of ``T`` (for fixed ``P``) and, in practice,
-of ``log P`` (for ``T`` at its inner optimum).  We implement the classic
-bracket / golden-section / Brent trio from first principles so the
-optimisation path is fully deterministic and dependency-light; the test
-suite cross-validates every routine against ``scipy.optimize``.
+of ``log P`` (for ``T`` at its inner optimum).  Brent's method is
+implemented from first principles so the optimisation path is fully
+deterministic and dependency-light; the test suite cross-validates it
+against ``scipy.optimize``.  It handles one period at a fixed ``P``
+(ext-nodes' integer rounding, sensitivity, the relaxation baseline);
+the batched log-zoom of :mod:`repro.optimize.period` handles the rest.
 
-All routines minimise; maximise by negating the objective.
+Both routines minimise; maximise by negating the objective.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from typing import Callable
 
 from ..exceptions import OptimizationError
 
-__all__ = ["ScalarResult", "bracket_minimum", "golden_section", "brent", "minimize_scalar"]
+__all__ = ["ScalarResult", "brent", "minimize_scalar"]
 
-#: Golden ratio constants.
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # ~0.618
-_GROW = 1.0 + (math.sqrt(5.0) + 1.0) / 2.0  # bracket growth factor
+#: Golden-section ratio, ~0.618.
+_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class ScalarResult:
     iterations:
         Iterations used by the refinement loop.
     nfev:
-        Total objective evaluations (including bracketing).
+        Total objective evaluations.
     converged:
         Whether the tolerance was met before the iteration cap.
     """
@@ -49,95 +50,6 @@ class ScalarResult:
     iterations: int
     nfev: int
     converged: bool
-
-
-def bracket_minimum(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    grow_limit: float = 110.0,
-    max_iter: int = 200,
-) -> tuple[float, float, float, int]:
-    """Expand ``(a, b)`` downhill into a triple ``a < m < b`` with ``f(m)`` lowest.
-
-    Standard downhill bracketing (Numerical Recipes ``mnbrak`` shape):
-    starting from two points, walk in the descending direction with
-    golden-ratio growth until the function turns upward.
-
-    Returns ``(a, m, b, nfev)`` with ``f(m) <= min(f(a), f(b))``.
-
-    Raises
-    ------
-    OptimizationError
-        If no bracket is found within ``max_iter`` expansions (e.g. the
-        function is monotone over the reachable range).
-    """
-    fa, fb = f(a), f(b)
-    nfev = 2
-    if fb > fa:  # ensure downhill from a to b
-        a, b = b, a
-        fa, fb = fb, fa
-    m = b + _GROW * (b - a)
-    fm = f(m)
-    nfev += 1
-    it = 0
-    while fm < fb:
-        if it >= max_iter:
-            raise OptimizationError(
-                f"no bracket found after {max_iter} expansions; "
-                "objective appears monotone"
-            )
-        step = m - b
-        if abs(step) > grow_limit * max(abs(b - a), 1e-300):
-            step = grow_limit * (b - a)
-        a, b = b, m
-        fa, fb = fb, fm
-        m = b + _GROW * step if step != 0.0 else b + 1.0
-        fm = f(m)
-        nfev += 1
-        it += 1
-    lo, hi = (a, m) if a < m else (m, a)
-    return lo, b, hi, nfev
-
-
-def golden_section(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float = 1e-10,
-    rtol: float = 1e-10,
-    max_iter: int = 500,
-) -> ScalarResult:
-    """Golden-section search on the interval ``[a, b]``.
-
-    Robust (no derivative or smoothness assumptions beyond unimodality)
-    but linearly convergent; used as the fallback when Brent's parabolic
-    steps stall.
-    """
-    if not (a < b):
-        raise OptimizationError(f"invalid interval [{a}, {b}]")
-    x1 = b - _GOLD * (b - a)
-    x2 = a + _GOLD * (b - a)
-    f1, f2 = f(x1), f(x2)
-    nfev = 2
-    it = 0
-    while it < max_iter:
-        tol = xtol + rtol * (abs(x1) + abs(x2)) / 2.0
-        if (b - a) <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLD * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLD * (b - a)
-            f2 = f(x2)
-        nfev += 1
-        it += 1
-    if f1 <= f2:
-        return ScalarResult(x=x1, fun=f1, iterations=it, nfev=nfev, converged=it < max_iter)
-    return ScalarResult(x=x2, fun=f2, iterations=it, nfev=nfev, converged=it < max_iter)
 
 
 def brent(
@@ -210,31 +122,13 @@ def brent(
 
 def minimize_scalar(
     f: Callable[[float], float],
-    bounds: tuple[float, float] | None = None,
-    bracket: tuple[float, float] | None = None,
+    bounds: tuple[float, float],
     xtol: float = 1e-12,
     rtol: float = 3e-12,
     max_iter: int = 200,
 ) -> ScalarResult:
-    """Minimise ``f`` over an interval, bracketing automatically if needed.
-
-    Exactly one of ``bounds`` (hard interval for Brent) or ``bracket``
-    (two seed points to expand downhill first) must be given.
-    """
-    if (bounds is None) == (bracket is None):
-        raise OptimizationError("provide exactly one of bounds= or bracket=")
-    extra_nfev = 0
-    if bracket is not None:
-        a, _, b, extra_nfev = bracket_minimum(f, bracket[0], bracket[1])
-    else:
-        a, b = bounds  # type: ignore[misc]
-        if not (a < b):
-            raise OptimizationError(f"invalid bounds [{a}, {b}]")
-    result = brent(f, a, b, xtol=xtol, rtol=rtol, max_iter=max_iter)
-    return ScalarResult(
-        x=result.x,
-        fun=result.fun,
-        iterations=result.iterations,
-        nfev=result.nfev + extra_nfev,
-        converged=result.converged,
-    )
+    """Minimise ``f`` over the interval ``bounds`` with :func:`brent`."""
+    a, b = bounds
+    if not (a < b):
+        raise OptimizationError(f"invalid bounds [{a}, {b}]")
+    return brent(f, a, b, xtol=xtol, rtol=rtol, max_iter=max_iter)

@@ -19,7 +19,7 @@ changes a sampled number — only where and when it is produced.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator
+from typing import Callable
 
 from ...exceptions import SimulationError
 
@@ -38,11 +38,10 @@ def shard_of(key: str, shard_count: int) -> int:
 class JobFuture:
     """Completion handle of one submitted executor job.
 
-    Carries the job itself (``fn``, ``item``) so an executor whose pool
-    dies mid-flight can re-run the job inline — jobs are pure, so the
-    retry yields the identical result — plus an opaque ``tag`` the
-    scheduler uses to map completions back to plan bookkeeping.  A job
-    exception is captured and re-raised at :meth:`result` time.
+    Carries the job itself (``fn``, ``item``) so an executor without a
+    usable pool can run it inline, plus an opaque ``tag`` the scheduler
+    uses to map completions back to plan bookkeeping.  A job exception
+    is captured and re-raised at :meth:`result` time.
     """
 
     __slots__ = ("fn", "item", "tag", "_done", "_result", "_error")
@@ -64,7 +63,7 @@ class JobFuture:
         self._done = True
 
     def _run_inline(self) -> None:
-        """Execute the job in the calling process (submit or retry path)."""
+        """Execute the job in the calling process."""
         try:
             self._finish(self.fn(self.item))
         except Exception as exc:
@@ -93,8 +92,8 @@ class Executor:
     """Where the planned chunk jobs of a simulation batch run.
 
     :meth:`submit` returns a :class:`JobFuture` and
-    :meth:`next_completed` / :meth:`as_completed` drain completions in
-    whatever order they land.  :meth:`owns` is the partitioning hook —
+    :meth:`next_completed` drains completions in whatever order they
+    land.  :meth:`owns` is the partitioning hook —
     the pipeline never expands a point whose plan key the executor does
     not own (serial and pooled executors own every key).
     """
@@ -140,14 +139,6 @@ class Executor:
         if self._completed:
             return self._completed.popleft()
         return None
-
-    def as_completed(self) -> Iterator[JobFuture]:
-        """Yield outstanding futures as they complete (drains the queue)."""
-        while True:
-            future = self.next_completed()
-            if future is None:
-                return
-            yield future
 
     # -- lifecycle ---------------------------------------------------------
 

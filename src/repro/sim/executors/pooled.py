@@ -21,10 +21,12 @@ class PoolExecutor(Executor):
 
     Pool-infrastructure failures — a sandbox refusing to fork, an
     unpicklable job, a killed child — permanently fall back to serial:
-    :meth:`submit` runs the job inline when the pool is unavailable,
-    and a pool that breaks *mid-flight* re-runs the lost jobs inline.
-    Because every job is a pure function of its arguments, the fallback
-    changes wall-clock only, never results.
+    :meth:`submit` runs the job inline when the pool is unavailable.
+    Jobs lost to a pool that breaks *mid-flight* fail with
+    ``BrokenProcessPool``; the scheduler's
+    :class:`~repro.sim.scheduler.RetryPolicy` resubmits them, inline
+    from then on.  Because every job is a pure function of its
+    arguments, the fallback changes wall-clock only, never results.
     """
 
     def __init__(self, workers: int | None = None):
@@ -84,7 +86,7 @@ class PoolExecutor(Executor):
             return self._completed.popleft()
         if not self._inflight:
             return None
-        from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
+        from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
         done, _ = wait(list(self._inflight), return_when=FIRST_COMPLETED)
@@ -92,15 +94,12 @@ class PoolExecutor(Executor):
             future = self._inflight.pop(inner)
             try:
                 future._finish(inner.result())
-            except (OSError, pickle.PicklingError, BrokenProcessPool, CancelledError):
-                # Pool infrastructure died (or a broken pool's shutdown
-                # cancelled queued jobs — CancelledError is a
-                # BaseException, so it needs naming here), not the job:
-                # fall back to serial and replay the pure job for the
-                # identical result.
-                self._mark_broken()
-                future._run_inline()
             except Exception as exc:
+                # The scheduler's RetryPolicy decides what to retry.  Only
+                # a dead pool (not a job's own OSError) ends pooling:
+                # shutting a live pool down would cancel its queued jobs.
+                if isinstance(exc, BrokenProcessPool):
+                    self._mark_broken()
                 future._fail(exc)
             self._completed.append(future)
         if not self._completed:  # pragma: no cover - wait() contract

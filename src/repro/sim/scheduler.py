@@ -156,7 +156,7 @@ class _Entry:
 
 
 class Scheduler:
-    """Windowed submit / as_completed dispatch over one executor.
+    """Windowed submit / next_completed dispatch over one executor.
 
     Jobs are ``(fn, args, kwargs)`` tuples (the
     :func:`repro.sim.plan.run_job` shape) queued via :meth:`add` with

@@ -321,3 +321,23 @@ class TestRetryOnTheCli:
         golden = _strip_volatile(capsys.readouterr().out)
         assert main(["fig5", *FAST_ARGS, "--fault-plan", "fail-job=2:2"]) == 0
         assert _strip_volatile(capsys.readouterr().out) == golden
+
+    def test_pooled_transient_fault_does_not_hang(self, tmp_path):
+        """A job's own transient fault on a live pool retries to clean bytes.
+
+        Run in a subprocess with a timeout, so a regression (the pool
+        shutting down on the job's error and stranding its cancelled
+        queue) fails instead of hanging the suite.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+
+        def run(*flags: str) -> str:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "fig5", *FAST_ARGS, *flags],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            return _strip_volatile(result.stdout)
+
+        assert run("--jobs", "2", "--fault-plan", "fail-job=3:2") == run()

@@ -120,9 +120,15 @@ class TestDerivation:
         # fig5's own fixed parameters survive untouched.
         assert member.fixed["alpha"] == 0.1
 
-    def test_declare_hook_studies_are_refused(self):
-        with pytest.raises(InvalidParameterError, match="bespoke declare hook"):
+    def test_assemble_hook_studies_are_refused(self):
+        with pytest.raises(InvalidParameterError, match="assembles its own tables"):
             ScenarioSet("s", REGISTRY["ext-weibull"], [Resample(2)])
+
+    def test_grid_study_with_declare_hook_is_accepted(self):
+        # Figure 3 declares a whole scenario at once but keeps the
+        # generic grid assemble, so its families band like any other.
+        sset = ScenarioSet("s", REGISTRY["fig3"], [Resample(2)])
+        assert len(sset.derive()) == 2
 
 
 # -- TOML loader error paths -------------------------------------------------

@@ -27,7 +27,7 @@ from repro.core import (
     stack_models,
 )
 from repro.optimize.allocation import optimize_allocation, optimize_allocation_batch
-from repro.optimize.grid import refine_log_minimum, refine_log_minimum_batch
+from repro.optimize.grid import refine_log_minimum_batch
 from repro.optimize.period import (
     optimize_period_batch,
     optimize_period_batch_grouped,
@@ -190,16 +190,6 @@ class TestRefineLogMinimumBatch:
         assert np.all(result.nfev > 0)
         assert not result.at_lower.any()
         assert not result.at_upper.any()
-
-    def test_scalar_wrapper_matches_batch(self):
-        def f_batch(xs, idx):
-            return (np.log(xs) - np.log(50.0)) ** 2
-
-        single = refine_log_minimum(lambda x: (np.log(x) - np.log(50.0)) ** 2, 1.0, 1e4)
-        batch = refine_log_minimum_batch(f_batch, 1.0, np.array([1e4]))
-        assert single.x == batch.x[0]
-        assert single.fun == batch.fun[0]
-        assert single.nfev == batch.nfev[0]
 
     def test_monotone_objectives_flag_bounds(self):
         def objective(xs, idx):

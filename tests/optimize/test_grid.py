@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import OptimizationError
-from repro.optimize.grid import GridResult, log_grid, refine_log_minimum
+from repro.optimize.grid import log_grid, refine_log_minimum_batch
+
+
+def refine(f, lo, hi, **kwargs):
+    """One-column search: ``f`` maps an abscissa vector to its values."""
+    return refine_log_minimum_batch(
+        lambda xs, idx: np.asarray(f(xs[:, 0]), dtype=float)[:, None], lo, hi, **kwargs
+    )
 
 
 class TestLogGrid:
@@ -36,9 +43,9 @@ class TestRefine:
         def f(x):
             return (np.log(x / target)) ** 2
 
-        result = refine_log_minimum(f, 1.0, 1e6)
-        assert result.interior
-        assert result.x == pytest.approx(target, rel=1e-6)
+        result = refine(f, 1.0, 1e6)
+        assert not (result.at_lower[0] or result.at_upper[0])
+        assert result.x[0] == pytest.approx(target, rel=1e-6)
 
     def test_wide_dynamic_range(self):
         # Minimum at 1e10 inside [1, 1e13] — the Figure 6 situation.
@@ -47,17 +54,17 @@ class TestRefine:
         def f(x):
             return np.abs(np.log10(x) - 10.0) + 1.0
 
-        result = refine_log_minimum(f, 1.0, 1e13)
-        assert result.x == pytest.approx(target, rel=1e-4)
+        result = refine(f, 1.0, 1e13)
+        assert result.x[0] == pytest.approx(target, rel=1e-4)
 
     def test_monotone_decreasing_flags_upper(self):
-        result = refine_log_minimum(lambda x: 1.0 / x, 1.0, 1e4)
-        assert result.at_upper
-        assert not result.interior
+        result = refine(lambda x: 1.0 / x, 1.0, 1e4)
+        assert result.at_upper[0]
+        assert not result.at_lower[0]
 
     def test_monotone_increasing_flags_lower(self):
-        result = refine_log_minimum(lambda x: x, 1.0, 1e4)
-        assert result.at_lower
+        result = refine(lambda x: x, 1.0, 1e4)
+        assert result.at_lower[0]
 
     def test_handles_nonfinite_regions(self):
         # Simulate overflow on the right half of the domain.
@@ -66,12 +73,12 @@ class TestRefine:
             out = (np.log(x / 100.0)) ** 2
             return np.where(x > 1e4, np.inf, out)
 
-        result = refine_log_minimum(f, 1.0, 1e8)
-        assert result.x == pytest.approx(100.0, rel=1e-5)
+        result = refine(f, 1.0, 1e8)
+        assert result.x[0] == pytest.approx(100.0, rel=1e-5)
 
     def test_all_nonfinite_raises(self):
         with pytest.raises(OptimizationError):
-            refine_log_minimum(lambda x: np.full_like(np.asarray(x, float), np.nan), 1, 10)
+            refine(lambda x: np.full_like(np.asarray(x, float), np.nan), 1, 10)
 
     def test_nfev_scales_with_budget(self):
         calls = {"n": 0}
@@ -80,11 +87,7 @@ class TestRefine:
             calls["n"] += np.size(x)
             return (np.log(x / 50.0)) ** 2
 
-        result = refine_log_minimum(f, 1.0, 1e4, points=9, rounds=5)
-        assert result.nfev == calls["n"]
-        assert result.nfev <= 9 * 5
+        result = refine(f, 1.0, 1e4, points=9, rounds=5)
+        assert result.nfev[0] == calls["n"]
+        assert result.nfev[0] <= 9 * 5
 
-    def test_result_type(self):
-        result = refine_log_minimum(lambda x: (np.log(x / 7.0)) ** 2, 1.0, 100.0)
-        assert isinstance(result, GridResult)
-        assert result.fun == pytest.approx(0.0, abs=1e-12)

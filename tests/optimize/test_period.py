@@ -11,7 +11,9 @@ from scipy import optimize as sp_optimize
 from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 from repro.core.first_order import optimal_period
 from repro.exceptions import OptimizationError
+from repro.experiments.fig3_processors import default_processor_grid
 from repro.optimize.period import optimize_period, optimize_period_batch
+from repro.platforms import build_model
 
 
 class TestOptimizePeriod:
@@ -171,3 +173,69 @@ class TestBatchEdgePinnedBracket:
             T0 = np.asarray(optimal_period(P, model.errors, model.costs))
             assert np.all(T / (T0 * 1e-3) > 1.001)
             assert np.all((T0 * 1e3) / T > 1.001)
+
+
+#: ``optimize_period_batch`` on Figure 3's grid (Hera, P = 128..1536),
+#: as ``float.hex()``: scenario -> seed_decades -> (T_opt, H_opt).  The
+#: 0.01-decade window pins every column and exercises the widen path.
+PINNED_FIG3_GRID = {
+    1: {
+        3.0: (
+            ["0x1.a94c85c040e89p+12", "0x1.9453cc95fd4e2p+12", "0x1.8b9ab270ee81cp+12",
+             "0x1.860f186fc17c7p+12", "0x1.81cfac736b052p+12", "0x1.7e397094e90c3p+12",
+             "0x1.7b05ec18a079ep+12", "0x1.7811a66f481f4p+12", "0x1.7548d3ffe4248p+12",
+             "0x1.729f8ef5f95ccp+12", "0x1.700e3a7ca962cp+12", "0x1.6d8fc1e0952a2p+12"],
+            ["0x1.c2e0f8e144f91p-4", "0x1.bf6f2f6940c09p-4", "0x1.c5dd7ce7eb263p-4",
+             "0x1.cef8f0e886ecfp-4", "0x1.d95257e500705p-4", "0x1.e4707ac094d5fp-4",
+             "0x1.f02072ad74926p-4", "0x1.fc49be961d364p-4", "0x1.046fcfee32a81p-3",
+             "0x1.0aed9fd71cec2p-3", "0x1.119c8302bd8c0p-3", "0x1.187ba2ad8f2d1p-3"],
+        ),
+        0.01: (
+            ["0x1.a94c8508284dcp+12", "0x1.9453cc5590622p+12", "0x1.8b9ab3461d4e0p+12",
+             "0x1.860f18deb4800p+12", "0x1.81cfab94568a1p+12", "0x1.7e397088ea7b1p+12",
+             "0x1.7b05ebb3391e6p+12", "0x1.7811a5693038ap+12", "0x1.7548d40ec44a7p+12",
+             "0x1.729f8e8957078p+12", "0x1.700e3a9cced92p+12", "0x1.6d8fc25f5aff0p+12"],
+            ["0x1.c2e0f8e144f91p-4", "0x1.bf6f2f6940c0ap-4", "0x1.c5dd7ce7eb262p-4",
+             "0x1.cef8f0e886ecfp-4", "0x1.d95257e500705p-4", "0x1.e4707ac094d5dp-4",
+             "0x1.f02072ad74928p-4", "0x1.fc49be961d363p-4", "0x1.046fcfee32a81p-3",
+             "0x1.0aed9fd71cec3p-3", "0x1.119c8302bd8c0p-3", "0x1.187ba2ad8f2d1p-3"],
+        ),
+    },
+    3: {
+        3.0: (
+            ["0x1.8aebf39efeeccp+13", "0x1.15d2881a9917ep+13", "0x1.c3e6264ef080fp+12",
+             "0x1.860f186fc17c7p+12", "0x1.5bdc470361a23p+12", "0x1.3cb691c875887p+12",
+             "0x1.2481de424e55fp+12", "0x1.10ff3c80d9257p+12", "0x1.00d66a136b0e6p+12",
+             "0x1.e6561a257316bp+11", "0x1.ced158b44e43bp+11", "0x1.ba4e380a086bfp+11"],
+            ["0x1.cd4cfe85719dcp-4", "0x1.c816eb147ff4ap-4", "0x1.cac9a0a0a97b4p-4",
+             "0x1.cef8f0e886ecfp-4", "0x1.d3869222c2bdcp-4", "0x1.d8230e6ea10f2p-4",
+             "0x1.dcb3ebb6c4e97p-4", "0x1.e1300d7bce8e0p-4", "0x1.e594db46031c6p-4",
+             "0x1.e9e259f094e23p-4", "0x1.ee199c0de8e51p-4", "0x1.f23c16d7b544bp-4"],
+        ),
+        0.01: (
+            ["0x1.8aebf3b66f6fep+13", "0x1.15d288ef4702cp+13", "0x1.c3e626ed2729ep+12",
+             "0x1.860f18deb4800p+12", "0x1.5bdc468cfe980p+12", "0x1.3cb69109507bap+12",
+             "0x1.2481dec79419dp+12", "0x1.10ff3bf5db35fp+12", "0x1.00d66a5946b33p+12",
+             "0x1.e65619000e769p+11", "0x1.ced1589077b33p+11", "0x1.ba4e3663532e0p+11"],
+            ["0x1.cd4cfe85719dbp-4", "0x1.c816eb147ff4ap-4", "0x1.cac9a0a0a97b2p-4",
+             "0x1.cef8f0e886ecfp-4", "0x1.d3869222c2bdcp-4", "0x1.d8230e6ea10f0p-4",
+             "0x1.dcb3ebb6c4e96p-4", "0x1.e1300d7bce8e1p-4", "0x1.e594db46031c4p-4",
+             "0x1.e9e259f094e20p-4", "0x1.ee199c0de8e4fp-4", "0x1.f23c16d7b5449p-4"],
+        ),
+    },
+}
+
+
+class TestBatchPinnedBits:
+    """Exact bits of the batch period zoom, default and widen paths."""
+
+    @pytest.mark.parametrize("scenario", sorted(PINNED_FIG3_GRID))
+    @pytest.mark.parametrize("seed_decades", [3.0, 0.01])
+    def test_fig3_grid_bits(self, scenario, seed_decades):
+        T, H = optimize_period_batch(
+            build_model("Hera", scenario), default_processor_grid(),
+            seed_decades=seed_decades,
+        )
+        T_hex, H_hex = PINNED_FIG3_GRID[scenario][seed_decades]
+        assert [float(v).hex() for v in T] == T_hex
+        assert [float(v).hex() for v in H] == H_hex

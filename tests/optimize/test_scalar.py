@@ -1,20 +1,14 @@
-"""Scalar minimisers: bracket, golden section, Brent — vs scipy."""
+"""Scalar minimiser: Brent — vs scipy."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from scipy import optimize as sp_optimize
 
 from repro.exceptions import OptimizationError
-from repro.optimize.scalar import (
-    bracket_minimum,
-    brent,
-    golden_section,
-    minimize_scalar,
-)
+from repro.optimize.scalar import brent, minimize_scalar
 
 
 def quadratic(x: float) -> float:
@@ -28,40 +22,6 @@ def quartic(x: float) -> float:
 def cosh_like(x: float) -> float:
     # Smooth, asymmetric, single minimum — like our overhead objective.
     return 5.0 / x + 0.002 * x + 0.1 if x > 0 else math.inf
-
-
-class TestBracket:
-    def test_brackets_quadratic(self):
-        a, m, b, _ = bracket_minimum(quadratic, 0.0, 1.0)
-        assert a < m < b
-        assert quadratic(m) <= quadratic(a)
-        assert quadratic(m) <= quadratic(b)
-        assert a <= 3.7 <= b
-
-    def test_brackets_from_wrong_side(self):
-        a, m, b, _ = bracket_minimum(quadratic, 10.0, 9.0)
-        assert a < m < b
-        assert a <= 3.7 <= b
-
-    def test_monotone_raises(self):
-        with pytest.raises(OptimizationError):
-            bracket_minimum(lambda x: x, 0.0, 1.0, max_iter=30)
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        result = golden_section(quadratic, 0.0, 10.0)
-        assert result.converged
-        assert result.x == pytest.approx(3.7, abs=1e-6)
-
-    def test_quartic(self):
-        result = golden_section(quartic, -5.0, 5.0)
-        expected = sp_optimize.minimize_scalar(quartic, bounds=(-5, 5), method="bounded").x
-        assert result.x == pytest.approx(expected, abs=1e-4)
-
-    def test_invalid_interval(self):
-        with pytest.raises(OptimizationError):
-            golden_section(quadratic, 5.0, 1.0)
 
 
 class TestBrent:
@@ -85,11 +45,6 @@ class TestBrent:
         )
         assert ours.x == pytest.approx(scipy_result.x, rel=1e-6)
 
-    def test_fewer_evaluations_than_golden(self):
-        b = brent(quadratic, 0.0, 10.0)
-        g = golden_section(quadratic, 0.0, 10.0)
-        assert b.nfev < g.nfev
-
     def test_minimum_at_edge(self):
         result = brent(lambda x: x, 0.0, 1.0)
         assert result.x == pytest.approx(0.0, abs=1e-6)
@@ -103,17 +58,3 @@ class TestMinimizeScalar:
     def test_with_bounds(self):
         result = minimize_scalar(quadratic, bounds=(0.0, 10.0))
         assert result.x == pytest.approx(3.7, abs=1e-8)
-
-    def test_with_bracket(self):
-        result = minimize_scalar(quadratic, bracket=(0.0, 1.0))
-        assert result.x == pytest.approx(3.7, abs=1e-8)
-
-    def test_requires_exactly_one_interval_spec(self):
-        with pytest.raises(OptimizationError):
-            minimize_scalar(quadratic)
-        with pytest.raises(OptimizationError):
-            minimize_scalar(quadratic, bounds=(0, 1), bracket=(0, 1))
-
-    def test_nfev_accounting(self):
-        result = minimize_scalar(quadratic, bracket=(0.0, 1.0))
-        assert result.nfev > 3  # includes the bracketing evaluations

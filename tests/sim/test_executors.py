@@ -196,13 +196,20 @@ def _crash(x):
 
 
 class TestSubmitProtocol:
-    """The async submit/next_completed/as_completed surface."""
+    """The async submit/next_completed surface."""
+
+    @staticmethod
+    def _drain(ex) -> list:
+        drained = []
+        while (future := ex.next_completed()) is not None:
+            drained.append(future)
+        return drained
 
     def test_serial_submit_resolves_inline_in_order(self):
         ex = SerialExecutor()
         futures = [ex.submit(_double, i, tag=i) for i in range(4)]
         assert all(f.done for f in futures)
-        drained = list(ex.as_completed())
+        drained = self._drain(ex)
         assert [f.tag for f in drained] == [0, 1, 2, 3]
         assert [f.result() for f in drained] == [0, 2, 4, 6]
 
@@ -212,7 +219,7 @@ class TestSubmitProtocol:
     def test_pool_submit_round_trips(self):
         with PoolExecutor(2) as ex:
             futures = [ex.submit(_double, i, tag=i) for i in range(5)]
-            results = {f.tag: f.result() for f in ex.as_completed()}
+            results = {f.tag: f.result() for f in self._drain(ex)}
         assert results == {i: 2 * i for i in range(5)}
         assert {f.tag for f in futures} == set(range(5))
 
@@ -293,18 +300,19 @@ class TestLifecycleUnderFailure:
             ex.submit(_double, 1)
         assert inner._pool is None
 
-    def test_cancelled_inner_future_replays_inline(self):
-        """A broken pool's cancelled jobs re-run inline, not crash."""
-        from concurrent.futures import Future
+    def test_cancelled_inner_future_fails_with_cancelled_error(self):
+        """A cancelled pool job fails its future; the scheduler retries it."""
+        from concurrent.futures import CancelledError, Future
 
         ex = PoolExecutor(2)
         inner: Future = Future()
         ex._inflight[inner] = JobFuture(_double, 4, tag="t")
         inner.cancel()
-        # What shutdown(cancel_futures=True) does to queued futures:
-        inner.set_running_or_notify_cancel()
+        inner.set_running_or_notify_cancel()  # lets wait() see it as done
         future = ex.next_completed()
-        assert future.result() == 8  # replayed inline, same pure result
+        with pytest.raises(CancelledError):
+            future.result()
+        assert not ex._broken  # a cancelled job is not a dead pool
         ex.close()
 
     def test_pipeline_reusable_after_job_failure(self):
