@@ -191,6 +191,24 @@ class TestRefineLogMinimumBatch:
         assert not result.at_lower.any()
         assert not result.at_upper.any()
 
+    def test_columns_match_one_column_solves(self):
+        targets = np.array([3.0, 50.0, 700.0])
+        highs = np.array([1e2, 1e4, 1e6])
+
+        def objective(xs, idx):
+            return (np.log(xs) - np.log(targets[idx])) ** 2
+
+        batch = refine_log_minimum_batch(objective, 1.0, highs)
+        for j, (target, high) in enumerate(zip(targets, highs)):
+            single = refine_log_minimum_batch(
+                lambda xs, idx, t=target: (np.log(xs) - np.log(t)) ** 2,
+                1.0, np.array([high]),
+            )
+            assert single.x[0] == batch.x[j]
+            assert single.fun[0] == batch.fun[j]
+            assert single.nfev[0] == batch.nfev[j]
+            assert single.rounds[0] == batch.rounds[j]
+
     def test_monotone_objectives_flag_bounds(self):
         def objective(xs, idx):
             # column 0 decreasing (upper-pinned), column 1 increasing.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import OptimizationError
-from repro.optimize.grid import log_grid, refine_log_minimum_batch
+from repro.optimize.grid import BatchGridResult, log_grid, refine_log_minimum_batch
 
 
 def refine(f, lo, hi, **kwargs):
@@ -91,3 +91,8 @@ class TestRefine:
         assert result.nfev[0] == calls["n"]
         assert result.nfev[0] <= 9 * 5
 
+    def test_result_type(self):
+        result = refine(lambda x: (np.log(x / 7.0)) ** 2, 1.0, 100.0)
+        assert isinstance(result, BatchGridResult)
+        assert result.x.shape == result.fun.shape == (1,)
+        assert result.fun[0] == pytest.approx(0.0, abs=1e-12)

@@ -45,6 +45,23 @@ class TestBrent:
         )
         assert ours.x == pytest.approx(scipy_result.x, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "f, lo, hi", [(quadratic, 0.0, 10.0), (cosh_like, 1.0, 10_000.0)]
+    )
+    def test_fewer_evaluations_than_golden_section(self, f, lo, hi):
+        # Pure golden section needs log(2 tol / (hi - lo)) / log(0.618)
+        # evaluations to shrink the bracket to the same tolerance.
+        result = brent(f, lo, hi, xtol=1e-12, rtol=0.0)
+        gold = (math.sqrt(5.0) - 1.0) / 2.0
+        assert result.converged
+        assert result.nfev < math.log(2e-12 / (hi - lo)) / math.log(gold)
+
+    def test_iteration_cap_reports_not_converged(self):
+        result = brent(quadratic, 0.0, 10.0, max_iter=3)
+        assert not result.converged
+        assert result.iterations == 3
+        assert result.nfev == 4
+
     def test_minimum_at_edge(self):
         result = brent(lambda x: x, 0.0, 1.0)
         assert result.x == pytest.approx(0.0, abs=1e-6)
@@ -58,3 +75,26 @@ class TestMinimizeScalar:
     def test_with_bounds(self):
         result = minimize_scalar(quadratic, bounds=(0.0, 10.0))
         assert result.x == pytest.approx(3.7, abs=1e-8)
+
+    def test_invalid_bounds(self):
+        with pytest.raises(OptimizationError):
+            minimize_scalar(quadratic, bounds=(10.0, 0.0))
+        with pytest.raises(OptimizationError):
+            minimize_scalar(quadratic, bounds=(1.0, 1.0))
+
+    def test_nfev_accounting(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return quadratic(x)
+
+        result = minimize_scalar(f, bounds=(0.0, 10.0))
+        assert result.nfev == len(calls)
+        assert result.fun == quadratic(result.x)
+
+    def test_forwards_tolerances_to_brent(self):
+        kwargs = dict(xtol=1e-6, rtol=0.0, max_iter=4)
+        assert minimize_scalar(quadratic, (0.0, 10.0), **kwargs) == brent(
+            quadratic, 0.0, 10.0, **kwargs
+        )
