@@ -105,7 +105,7 @@ def _tally_events(tallies):
 def _fixed_run(cache_dir):
     """(elapsed, computed-point count) of the fixed 12-replicate set."""
     sset = ScenarioSet("bench", BASE_SPEC, [Resample(MAX_REPLICATES)])
-    tallies = {"served": 0, "computed": 0, "skipped": 0}
+    tallies = {"served": 0, "computed": 0}
     with SimulationPipeline(jobs=1, cache_dir=cache_dir) as pipe:
         start = time.perf_counter()
         families = sset.stage(pipe, SETTINGS)
@@ -119,7 +119,7 @@ def _fixed_run(cache_dir):
 def _adaptive_run(cache_dir):
     """(elapsed, run summary, computed-point count) of the adaptive set."""
     sset = ScenarioSet("bench", BASE_SPEC, [Resample(MAX_REPLICATES)])
-    tallies = {"served": 0, "computed": 0, "skipped": 0}
+    tallies = {"served": 0, "computed": 0}
     tally = _tally_events(tallies)
     with SimulationPipeline(jobs=1, cache_dir=cache_dir) as pipe:
         start = time.perf_counter()

@@ -80,7 +80,7 @@ def write_bench_json(bench_writer):
 def _scenario_run(cache_dir):
     """(elapsed, band tables, served/computed counts) of one full set."""
     sset = ScenarioSet("bench", BASE_SPEC, [Resample(REPLICATES)])
-    tallies = {"served": 0, "computed": 0, "skipped": 0}
+    tallies = {"served": 0, "computed": 0}
     with SimulationPipeline(jobs=1, cache_dir=cache_dir) as pipe:
         start = time.perf_counter()
         families = sset.stage(pipe, SETTINGS)

@@ -13,8 +13,8 @@ cached.  This module batches them:
   immediately, and hands the remaining chunk jobs to a
   :class:`repro.sim.scheduler.Scheduler` that keeps a bounded window
   of jobs in flight on the shared
-  :class:`repro.sim.executors.Executor` (serial, pooled or sharded —
-  reused across figures by the CLI runner).  Each :class:`Deferred`
+  :class:`repro.sim.executors.Executor` (serial or pooled — reused
+  across figures by the CLI runner).  Each :class:`Deferred`
   resolves the moment the last chunk of *its own point* completes —
   no wave barrier: a slow point never blocks an unrelated one, and the
   caller observes completions point by point via ``on_event``;
@@ -113,9 +113,8 @@ class PointEvent:
     """One declared point resolving (the ``on_event`` payload).
 
     ``status`` says how the value materialized: ``"computed"`` (its
-    chunk jobs ran this round), ``"served"`` (memo or disk cache), or
-    ``"skipped"`` (a sharded executor does not own it; the value is
-    ``None``).  ``group`` is the study label active when the point was
+    chunk jobs ran this round) or ``"served"`` (memo or disk cache).
+    ``group`` is the study label active when the point was
     declared (see :attr:`SimulationPipeline.current_group`).  ``key``
     is the point's content-addressed plan key — what the run manifest
     journals so an interrupted run can be resumed; duplicates of one
@@ -172,11 +171,7 @@ class SimulationPipeline:
         (e.g. across the figures of ``repro-experiments all``).
     executor:
         An explicit :class:`repro.sim.executors.Executor` overriding
-        the one implied by ``jobs`` — this is how a CLI shard run
-        injects a :class:`~repro.sim.executors.ShardedExecutor`.
-        Points whose plan key the executor does not own are skipped
-        (their deferred values resolve to ``None``); serial and pooled
-        executors own everything.
+        the one implied by ``jobs``.
     max_inflight:
         Bound on concurrently in-flight chunk jobs across the whole
         invocation (the scheduler's global window).  ``None`` sizes it
@@ -477,14 +472,14 @@ class SimulationPipeline:
             decls.setdefault(i, []).append((deferred, group))
         keys = plan.keys + tuple(key for key, _ in calls)
 
-        # Cache-serve short-circuit + ownership filter + tagged
-        # expansion (slowest backend first, as always).
+        # Cache-serve short-circuit + tagged expansion (slowest backend
+        # first, as always).
         values, tagged_jobs, books = claim_serve_expand(
-            plan, self.cache, self._memo, executor=self.executor, calls=calls
+            plan, self.cache, self._memo, calls=calls
         )
 
         def deliver(i: int, value, status: str) -> None:
-            if value is not None and i < plan.n_unique:
+            if i < plan.n_unique:
                 value = value.mean
             for deferred, group in decls[i]:
                 self.metrics.counter(
@@ -498,10 +493,10 @@ class SimulationPipeline:
                 if on_event is not None:
                     on_event(PointEvent(group=group, status=status, key=keys[i]))
 
-        # Serve/skip the points whose value needs no job this round.
+        # Serve the points whose value needs no job this round.
         for i in decls:
             if i not in books:
-                deliver(i, values[i], "skipped" if values[i] is None else "served")
+                deliver(i, values[i], "served")
 
         if self.trace.enabled:
             self.trace.event(

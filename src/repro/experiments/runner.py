@@ -10,17 +10,14 @@ Usage examples::
     repro-experiments fig6 --csv out/        # dump series as CSV too
     repro-experiments sweep --spec my.toml   # user-defined TOML study
     repro-experiments cache stats --cache-dir cache/
-    repro-experiments merge s0 s1 --cache-dir cache/
 
 (Equivalently: ``python -m repro <command> ...``.)
 
 Every figure subcommand is derived from the study registry
 (:mod:`repro.experiments.registry`): its name, help text and platform
 grid live on the :class:`~repro.experiments.spec.StudySpec`, so the
-CLI cannot drift from the registered studies.  Sharding flags
-(``--shard-index/--shard-count/--shard-dir``) run any simulation
-command as one deterministic slice of the planned points; ``merge``
-fuses shard outputs into a result cache.
+CLI cannot drift from the registered studies.  ``--jobs`` is the one
+parallelism knob: it sizes the process pool every study shares.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from ..io.stream import StreamingEmitter
 from ..io.tables import render_table
 from ..platforms.catalog import PLATFORM_NAMES, PLATFORMS
 from ..platforms.scenarios import SCENARIOS
-from ..sim.executors import make_executor, merge_shard_dirs
 from ..sim.faults import CRASH_EXIT_CODE, SimulatedCrash, parse_fault_plan
 from ..sim.manifest import (
     DEFAULT_RUNS_DIR,
@@ -68,14 +64,14 @@ __all__ = ["main", "print_input_tables", "print_command_index", "check_experimen
 #: Real subcommands that are not figure pipelines; references to them
 #: in EXPERIMENTS.md are legitimate and exempt from the drift check.
 _META_COMMANDS = {
-    "all", "tables", "report", "index", "sweep", "merge", "cache", "scenario",
-    "resume", "trace",
+    "all", "tables", "report", "index", "sweep", "cache", "scenario", "resume",
+    "trace",
 }
 
 #: Meta commands EXPERIMENTS.md is required to document (the figure
 #: commands are always required; ``index`` documents itself).
 _DOCUMENTED_META = (
-    "all", "tables", "sweep", "merge", "cache", "scenario", "resume", "trace",
+    "all", "tables", "sweep", "cache", "scenario", "resume", "trace",
 )
 
 
@@ -131,21 +127,6 @@ def _settings_from_args(args: argparse.Namespace) -> SimSettings:
     )
 
 
-def _shard_args(args: argparse.Namespace) -> tuple[int, int] | None:
-    """Validated ``(shard_index, shard_count)``, or None when unsharded."""
-    count = getattr(args, "shard_count", None)
-    if count is None:
-        if getattr(args, "shard_index", None) is not None:
-            raise SystemExit("--shard-index requires --shard-count")
-        return None
-    index = args.shard_index if args.shard_index is not None else 0
-    if count < 1 or not 0 <= index < count:
-        raise SystemExit(f"shard {index}/{count} is out of range")
-    if getattr(args, "shard_dir", None) is None:
-        raise SystemExit("--shard-count requires --shard-dir (the shard's npz output)")
-    return index, count
-
-
 def _trace_from_args(
     args: argparse.Namespace, argv: Sequence[str]
 ) -> TraceWriter | None:
@@ -181,9 +162,7 @@ def _pipeline_from_args(
     """One shared pipeline (executor + caches) for a whole CLI invocation.
 
     ``--jobs`` sizes the one process pool shared by every figure;
-    without it the pipeline runs serially.  Shard flags wrap the executor in a
-    :class:`~repro.sim.executors.ShardedExecutor` and point the result
-    cache at the shard output directory.  Every pipeline carries one
+    without it the pipeline runs serially.  Every pipeline carries one
     :class:`~repro.obs.metrics.MetricsRegistry` and (with ``--trace``)
     one :class:`~repro.obs.trace.TraceWriter` — the observability
     spine the progress printer, dry-run report, resume summary and
@@ -198,34 +177,19 @@ def _pipeline_from_args(
             fault = parse_fault_plan(fault_spec)
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
-    shard = _shard_args(args)
-    if shard is not None:
-        if args.cache_dir is not None or args.no_cache:
-            # A shard writes its npz output through the cache layer, so
-            # the cache flags would be silently overridden — refuse.
-            raise SystemExit(
-                "--cache-dir/--no-cache cannot be combined with shard flags; "
-                "the shard writes to --shard-dir (merge the shards, then run "
-                "with --cache-dir on the merged directory)"
-            )
-        cache_dir = args.shard_dir
-    else:
-        cache_dir = None if args.no_cache else args.cache_dir
+    cache_dir = None if args.no_cache else args.cache_dir
     run_id = getattr(args, "run_id", None)
     if run_id is None and getattr(args, "resume", False):
         raise SystemExit("--resume requires --run-id (whose manifest to resume)")
     if run_id is not None and cache_dir is None:
         raise SystemExit(
-            "--run-id needs a result cache (--cache-dir or --shard-dir): the "
-            "manifest journals point fates; the cache holds the values a "
-            "resume reuses"
+            "--run-id needs a result cache (--cache-dir): the manifest "
+            "journals point fates; the cache holds the values a resume reuses"
         )
     # Every flag is checked above: only from here on may the invocation
     # touch the disk (the trace writer opens its file).
-    executor = make_executor(jobs, *shard) if shard is not None else None
     pipeline = SimulationPipeline(
         jobs=jobs,
-        executor=executor,
         cache_dir=cache_dir,
         max_inflight=max_inflight,
         fault=fault,
@@ -292,11 +256,10 @@ def _progress_printer(staged: Sequence, pipeline: SimulationPipeline,
         label = event.group if event.group is not None else "(ungrouped)"
         computed = metrics.value("points", study=label, status="computed")
         served = metrics.value("points", study=label, status="served")
-        skipped = metrics.value("points", study=label, status="skipped")
-        done = computed + served + skipped
+        done = computed + served
         out.line(
             f"[progress] {group} {done}/{totals.get(group, done)} "
-            f"computed={computed} served={served} skipped={skipped}"
+            f"computed={computed} served={served}"
         )
 
     return on_event
@@ -526,7 +489,7 @@ def _add_sim_options(
     sub.add_argument(
         "--progress",
         action="store_true",
-        help="print per-study computed/served/skipped counts to stderr as "
+        help="print per-study computed/served counts to stderr as "
         "points resolve (off by default; table output is unaffected)",
     )
     sub.add_argument(
@@ -553,10 +516,9 @@ def _add_sim_options(
         metavar="ID",
         help="journal this invocation as a durable run: every resolved "
         "point's fate is appended to the run's journal under --runs-dir "
-        "(computed fates fsynced; served/skipped ones flushed and made "
-        "durable by the next fsync), so an interrupted run can be resumed "
-        "(`repro-experiments resume ID`); requires a result cache "
-        "(--cache-dir or --shard-dir)",
+        "(computed fates fsynced; served ones flushed and made durable by "
+        "the next fsync), so an interrupted run can be resumed "
+        "(`repro-experiments resume ID`); requires --cache-dir",
     )
     sub.add_argument(
         "--runs-dir",
@@ -607,34 +569,12 @@ def _add_common_options(
         else "platform from Table II (default: the spec's own platform grid)",
     )
     _add_sim_options(sub)
-    sub.add_argument(
-        "--shard-index",
-        type=int,
-        default=None,
-        metavar="I",
-        help="run only the I-th deterministic slice of the planned points",
-    )
-    sub.add_argument(
-        "--shard-count",
-        type=int,
-        default=None,
-        metavar="N",
-        help="total shards the planned points are partitioned into "
-        "(by plan key; requires --shard-dir)",
-    )
-    sub.add_argument(
-        "--shard-dir",
-        default=None,
-        metavar="DIR",
-        help="npz output directory of this shard (fused later by `merge`)",
-    )
     sub.add_argument("--csv", default=None, metavar="DIR", help="also dump CSV files")
 
 
 def _add_scenario_sim_options(sub: argparse.ArgumentParser) -> None:
-    """Simulation/pipeline flags of `scenario run|report` (no platform or
-    shard flags: the scenario file owns the platform grid, and a family
-    aggregates only when every member resolves on this machine)."""
+    """Simulation/pipeline flags of `scenario run|report` (no platform
+    flag: the scenario file declares the platform grid)."""
     _add_sim_options(
         sub,
         seed_default=None,
@@ -709,8 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_sweep = subparsers.add_parser(
         "sweep",
-        help="run one study: a registered name or a TOML spec file "
-        "(supports sharding)",
+        help="run one study: a registered name or a TOML spec file",
     )
     sub_sweep.add_argument(
         "study",
@@ -725,14 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TOML study spec (see examples/custom_study.toml)",
     )
     _add_common_options(sub_sweep, platform_default=None)
-
-    sub_merge = subparsers.add_parser(
-        "merge", help="fuse shard npz output directories into a result cache"
-    )
-    sub_merge.add_argument("shards", nargs="+", metavar="SHARD_DIR")
-    sub_merge.add_argument(
-        "--cache-dir", required=True, metavar="DIR", help="merge target cache"
-    )
 
     sub_resume = subparsers.add_parser(
         "resume",
@@ -822,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="delete without the interactive confirmation (required "
                 "when stdin is not a terminal; caches may be shared across "
-                "scenario runs and shards)",
+                "scenario runs and hosts)",
             )
 
     sub_trace = subparsers.add_parser(
@@ -1014,15 +945,6 @@ def _write_report(
     print(f"[report] {path}")
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    copied, skipped = merge_shard_dirs(args.shards, args.cache_dir)
-    print(
-        f"[merge] {copied} entries copied, {skipped} duplicates skipped "
-        f"-> {args.cache_dir}"
-    )
-    return 0
-
-
 def _format_age(seconds: float) -> str:
     if seconds < 3600:
         return f"{seconds / 60:.0f}m"
@@ -1100,7 +1022,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 1
     # Deletion needs explicit consent (--yes, or an interactive
     # confirmation), because a cache directory may be shared across
-    # scenario runs, shards and warm CI re-runs.  Only the preview and
+    # scenario runs, hosts and warm CI re-runs.  Only the preview and
     # prompt paths pay a preview scan; --yes prunes in one pass.
     if args.dry_run or not args.yes:
         removed, kept = cache.prune(
@@ -1495,8 +1417,6 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         if args.check:
             return check_experiments_md(args.file)
         return 0
-    if args.command == "merge":
-        return _cmd_merge(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "resume":
@@ -1519,14 +1439,6 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         specs = [get_spec(args.command)]
 
     started = time.perf_counter()
-    shard = _shard_args(args)
-    if shard is not None and args.command == "report":
-        # A shard resolves only its slice of the points; a report built
-        # from it would silently render the foreign points as '-'.
-        raise SystemExit(
-            "report cannot run sharded: merge the shard caches first, then "
-            "run `report --cache-dir <merged>`"
-        )
     with _pipeline_from_args(args, argv) as pipeline:
         if args.dry_run:
             _stage_specs(specs, args, pipeline)
@@ -1536,25 +1448,10 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
             _write_report(args, pipeline, argv)
         else:
             staged = _stage_specs(specs, args, pipeline)
-            emitter = None
-            if shard is None:
-                # A shard's output is its npz drop, not tables.
-                emitter = StreamingEmitter(csv_dir=args.csv, trace=pipeline.trace)
-                for stage in staged:
-                    emitter.add(stage)
+            emitter = StreamingEmitter(csv_dir=args.csv, trace=pipeline.trace)
+            for stage in staged:
+                emitter.add(stage)
             _run_round(args, argv, pipeline, staged, emitter=emitter)
-        if shard is not None:
-            index, count = shard
-            metrics = pipeline.metrics
-            skipped = sum(
-                metric.value
-                for labels, metric in metrics.labeled("points")
-                if labels["status"] == "skipped"
-            )
-            print(
-                f"[shard {index}/{count}] {metrics.value('scheduler_jobs')} jobs "
-                f"computed, {skipped} points skipped -> {args.shard_dir}"
-            )
         if pipeline.cache is not None:
             hits, misses = pipeline.cache_stats
             print(f"[cache] {hits} hits, {misses} misses ({pipeline.cache.directory})")

@@ -16,15 +16,14 @@ and output panels — executed by one generic engine:
   panels as :class:`~repro.experiments.common.FigureResult` tables with
   their note/slope-fit hooks.
 
-The split is what makes the executor layer pluggable (a sharded run
-declares and resolves but never assembles) and emission streamable
-(the runner finishes and prints one study while later studies are
-still queued).  Studies whose shape fits the declarative fields need
-no code at all — :func:`load_toml_spec` builds a spec from a TOML
-file, so ``repro-experiments sweep --spec my_study.toml`` runs
-arbitrary new scenario/platform/axis combinations without touching
-library code.  Bespoke studies (the extension experiments) plug in
-custom ``declare``/``assemble`` hooks and still ride the same engine.
+The split is what makes emission streamable (the runner finishes and
+prints one study while later studies are still queued).  Studies
+whose shape fits the declarative fields need no code at all —
+:func:`load_toml_spec` builds a spec from a TOML file, so
+``repro-experiments sweep --spec my_study.toml`` runs arbitrary new
+scenario/platform/axis combinations without touching library code.
+Bespoke studies (the extension experiments) plug in custom
+``declare``/``assemble`` hooks and still ride the same engine.
 """
 
 from __future__ import annotations

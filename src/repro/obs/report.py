@@ -11,7 +11,7 @@ the questions a 40-minute sweep raises afterwards:
   window, high-water mark, retry and inline-fallback counts;
 * **workers** — per-worker job counts and busy seconds (utilisation
   against the execute window) from the timed job envelopes;
-* **studies / fates** — per-study computed/served/skipped tallies
+* **studies / fates** — per-study computed/served tallies
   (per declaration, matching the metrics registry) and unique-key
   fates (last event wins, matching the run manifest exactly);
 * **critical path** — per study, first declare to last delivered
@@ -91,7 +91,7 @@ def summarize(events: list[dict]) -> dict:
         if ev == "point":
             study = event["study"] if event["study"] is not None else "(ungrouped)"
             entry = studies.setdefault(
-                study, {"computed": 0, "served": 0, "skipped": 0, "points": 0}
+                study, {"computed": 0, "served": 0, "points": 0}
             )
             entry[event["status"]] += 1
             entry["points"] += 1
@@ -103,7 +103,7 @@ def summarize(events: list[dict]) -> dict:
             study = event.get("study")
             if study is not None and study not in study_window:
                 study_window[study] = [event["t"], event["t"]]
-    fates = {"computed": 0, "served": 0, "skipped": 0}
+    fates = {"computed": 0, "served": 0}
     for fate in fate_by_key.values():
         fates[fate] = fates.get(fate, 0) + 1
 
@@ -261,23 +261,16 @@ def render_summary_text(summary: dict) -> list[str]:
         lines.append("[studies]")
         _table(
             lines,
-            ("study", "points", "computed", "served", "skipped"),
+            ("study", "points", "computed", "served"),
             [
-                (
-                    study,
-                    entry["points"],
-                    entry["computed"],
-                    entry["served"],
-                    entry["skipped"],
-                )
+                (study, entry["points"], entry["computed"], entry["served"])
                 for study, entry in summary["studies"].items()
             ],
         )
     fates = summary["fates"]
     lines.append(
         f"[fates] {sum(fates.values())} unique keys: "
-        f"{fates['computed']} computed, {fates['served']} served, "
-        f"{fates['skipped']} skipped"
+        f"{fates['computed']} computed, {fates['served']} served"
     )
     cache = summary["cache"]
     rate = f"{cache['hit_rate']:.2%}" if cache["hit_rate"] is not None else "n/a"

@@ -30,8 +30,8 @@ instrumentation only observes, so output bytes are identical with
 Determinism: with timing/process identity stripped
 (:data:`VOLATILE_FIELDS`) and the environment-describing events
 dropped (:data:`ENVIRONMENT_EVENTS`), the same command produces the
-same event *multiset* on any executor — serial, pooled or sharded —
-because every remaining field is a pure function of the plan.
+same event *multiset* on any executor — serial or pooled — because
+every remaining field is a pure function of the plan.
 :func:`comparable_events` applies exactly that reduction for tests.
 """
 
@@ -145,6 +145,8 @@ def validate_event(event: dict) -> None:
         raise ReproError(
             f"trace event {ev!r} carries undeclared fields {sorted(unknown)}"
         )
+    if ev == "point" and event["status"] not in ("computed", "served"):
+        raise ReproError(f"trace point has unknown status {event['status']!r}")
 
 
 class TraceWriter:
@@ -293,7 +295,7 @@ def comparable_events(events, drop: frozenset = ENVIRONMENT_EVENTS) -> list[dict
 
     Drops the environment-describing event types and strips the
     volatile fields; the result's *multiset* is invariant across
-    serial/pooled/sharded execution of the same command (the emission
+    serial/pooled execution of the same command (the emission
     order still follows completion order, so compare sorted).
     """
     out = []

@@ -230,7 +230,7 @@ def optimize_allocation_batch(
 
     def objective(xs: np.ndarray, idx: np.ndarray):
         # xs is (points, k) for the k still-active models; flatten
-        # model-major so each model owns a contiguous column group of
+        # model-major so each model gets a contiguous column group of
         # the grouped period solve.
         k = idx.size
         flat_P = xs.T.ravel()

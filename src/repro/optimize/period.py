@@ -169,7 +169,7 @@ def optimize_period_batch_grouped(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Period optimisation for several models' ``P`` columns in one sweep.
 
-    ``models`` is a list of scalar-parameter models; model ``g`` owns the
+    ``models`` is a list of scalar-parameter models; model ``g`` takes the
     next ``sizes[g]`` entries of the flat ``P`` array (contiguous,
     model-major layout).  All models are fused into one array-parameter
     model via :func:`repro.core.pattern.stack_models` so every zoom round

@@ -47,9 +47,7 @@ from .executors import (
     Executor,
     PoolExecutor,
     SerialExecutor,
-    ShardedExecutor,
     make_executor,
-    merge_shard_dirs,
 )
 from .nodes import NodePool, simulate_run_nodes
 from .protocol import RunStats, TimeBreakdown, simulate_run
@@ -102,9 +100,7 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "ShardedExecutor",
     "make_executor",
-    "merge_shard_dirs",
     "plan_simulations",
     "simulate_requests",
     "simulate_run_renewal",

@@ -1,4 +1,4 @@
-"""The executor protocol shared by serial, pooled and sharded dispatch.
+"""The executor protocol shared by serial and pooled dispatch.
 
 Dispatch is event-driven: :meth:`Executor.submit` /
 :meth:`Executor.next_completed`, driven by
@@ -9,10 +9,7 @@ queues its (already resolved) :class:`JobFuture` FIFO — exactly serial
 semantics — so every executor is schedulable even before it overrides
 anything.
 
-:meth:`Executor.owns` is the partitioning hook: the pipeline expands
-only the points whose plan key the executor owns.  The default owns
-everything; the sharded executor owns its static ``shard_of`` slice.
-Jobs are pure functions of their arguments, so none of this ever
+Jobs are pure functions of their arguments, so the executor never
 changes a sampled number — only where and when it is produced.
 """
 
@@ -23,16 +20,7 @@ from typing import Callable
 
 from ...exceptions import SimulationError
 
-__all__ = ["Executor", "JobFuture", "shard_of"]
-
-
-def shard_of(key: str, shard_count: int) -> int:
-    """Deterministic shard owning a plan key (hex SHA-256 digest).
-
-    A pure function of the key and the shard count, so every machine of
-    a multi-host sweep computes the same partition without coordination.
-    """
-    return int(key[:8], 16) % shard_count
+__all__ = ["Executor", "JobFuture"]
 
 
 class JobFuture:
@@ -93,19 +81,11 @@ class Executor:
 
     :meth:`submit` returns a :class:`JobFuture` and
     :meth:`next_completed` drains completions in whatever order they
-    land.  :meth:`owns` is the partitioning hook —
-    the pipeline never expands a point whose plan key the executor does
-    not own (serial and pooled executors own every key).
+    land.
     """
 
     #: Worker-process count the executor dispatches over (1 = serial).
     workers: int = 1
-
-    # -- partitioning ------------------------------------------------------
-
-    def owns(self, key: str) -> bool:
-        """Whether this executor computes the point with plan key ``key``."""
-        return True
 
     # -- event-driven dispatch ---------------------------------------------
 

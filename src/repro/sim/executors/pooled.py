@@ -9,7 +9,11 @@ from typing import Callable
 from ...exceptions import SimulationError
 from .base import Executor, JobFuture
 
-__all__ = ["PoolExecutor"]
+__all__ = ["PoolExecutor", "MAX_POOL_REBUILDS"]
+
+#: Fresh pools forked per executor after a worker death; the next death
+#: after that falls back to serial dispatch for good.
+MAX_POOL_REBUILDS = 3
 
 
 class PoolExecutor(Executor):
@@ -19,14 +23,15 @@ class PoolExecutor(Executor):
     single-core box) runs serially in-process.  The pool is created
     lazily on the first submission and reused until :meth:`close`.
 
-    Pool-infrastructure failures — a sandbox refusing to fork, an
-    unpicklable job, a killed child — permanently fall back to serial:
-    :meth:`submit` runs the job inline when the pool is unavailable.
-    Jobs lost to a pool that breaks *mid-flight* fail with
-    ``BrokenProcessPool``; the scheduler's
-    :class:`~repro.sim.scheduler.RetryPolicy` resubmits them, inline
-    from then on.  Because every job is a pure function of its
-    arguments, the fallback changes wall-clock only, never results.
+    A killed worker breaks its pool: every job in flight on it fails
+    with ``BrokenProcessPool``, and the scheduler's
+    :class:`~repro.sim.scheduler.RetryPolicy` resubmits them.  The dead
+    pool is shut down once, and the next submission forks a fresh one,
+    up to :data:`MAX_POOL_REBUILDS` times.  Past that cap, and whenever
+    a pool cannot be used at all (a sandbox refusing to fork, an
+    unpicklable job), dispatch falls back to serial for good:
+    :meth:`submit` runs the job inline.  Because every job is a pure
+    function of its arguments, neither changes results, only wall-clock.
     """
 
     def __init__(self, workers: int | None = None):
@@ -35,7 +40,9 @@ class PoolExecutor(Executor):
         self.workers = max(1, int(workers))
         self._pool = None
         self._broken = False
-        #: stdlib future -> JobFuture for jobs genuinely on the pool.
+        #: Fresh pools forked after a worker death (observability).
+        self.rebuilds = 0
+        #: stdlib future -> (JobFuture, the pool it runs on).
         self._inflight: dict = {}
 
     def _ensure_pool(self):
@@ -56,6 +63,21 @@ class PoolExecutor(Executor):
         self._broken = True
         self._shutdown_pool()
 
+    def _pool_died(self, pool) -> None:
+        """Discard ``pool`` after a worker death, once per pool.
+
+        Every job in flight on a dead pool fails the same way; only the
+        first failure of the live pool counts.  :meth:`_ensure_pool`
+        forks the replacement at the next submission.
+        """
+        if pool is not self._pool:
+            return
+        if self.rebuilds >= MAX_POOL_REBUILDS:
+            self._mark_broken()
+        else:
+            self.rebuilds += 1
+            self._shutdown_pool()
+
     def _shutdown_pool(self) -> None:
         if self._pool is not None:
             # cancel_futures: a job exception aborts the dispatch loop
@@ -65,12 +87,17 @@ class PoolExecutor(Executor):
             self._pool = None
 
     def submit(self, fn: Callable, item, tag=None) -> JobFuture:
+        from concurrent.futures.process import BrokenProcessPool
+
         future = JobFuture(fn, item, tag)
-        pool = self._ensure_pool()
         inner = None
-        if pool is not None:
+        # Each pass either submits, discards a dead pool (bounded by the
+        # rebuild cap) or falls back to serial, so the loop ends.
+        while inner is None and (pool := self._ensure_pool()) is not None:
             try:
                 inner = pool.submit(fn, item)
+            except BrokenProcessPool:  # a worker died before we saw a failure
+                self._pool_died(pool)
             except (OSError, pickle.PicklingError, RuntimeError):
                 # pragma: no cover - depends on host sandboxing
                 self._mark_broken()
@@ -78,7 +105,7 @@ class PoolExecutor(Executor):
             future._run_inline()
             self._completed.append(future)
         else:
-            self._inflight[inner] = future
+            self._inflight[inner] = (future, pool)
         return future
 
     def next_completed(self) -> JobFuture | None:
@@ -91,15 +118,15 @@ class PoolExecutor(Executor):
 
         done, _ = wait(list(self._inflight), return_when=FIRST_COMPLETED)
         for inner in done:
-            future = self._inflight.pop(inner)
+            future, pool = self._inflight.pop(inner)
             try:
                 future._finish(inner.result())
             except Exception as exc:
                 # The scheduler's RetryPolicy decides what to retry.  Only
-                # a dead pool (not a job's own OSError) ends pooling:
+                # a dead pool (not a job's own OSError) replaces the pool:
                 # shutting a live pool down would cancel its queued jobs.
                 if isinstance(exc, BrokenProcessPool):
-                    self._mark_broken()
+                    self._pool_died(pool)
                 future._fail(exc)
             self._completed.append(future)
         if not self._completed:  # pragma: no cover - wait() contract

@@ -1,4 +1,4 @@
-"""In-process executor: no pool, no partitioning."""
+"""In-process executor: no pool."""
 
 from __future__ import annotations
 

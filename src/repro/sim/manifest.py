@@ -10,15 +10,15 @@ story:
 * a :class:`RunManifest` records the run id, the full CLI ``argv``, a
   config hash over the result-relevant arguments,
   :data:`repro.sim.plan.BACKEND_VERSION`, and a journal of plan keys
-  with their fates (``computed`` / ``served`` / ``skipped``);
+  with their fates (``computed`` / ``served``);
 * a :class:`RunRecorder` journals each fate the event-driven scheduler
   delivers as one ``[key, fate]`` JSON line appended to
   ``<run>/fates.log`` — O(1) per point, whatever the run's size.  Every
   line is written and flushed at once, so it survives a ``kill -9``.
   Only ``computed`` lines are fsynced, after their cache entry's own
-  fsync: they are the ones that protect work.  A ``served``/``skipped``
-  line is made durable by the next fsync of the log (or the next
-  compaction); one lost to a power cut only means its point is served
+  fsync: they are the ones that protect work.  A ``served`` line is
+  made durable by the next fsync of the log (or the next compaction);
+  one lost to a power cut only means its point is served
   again from its durable entry.
   ``manifest.json`` is the compacted checkpoint: rewritten atomically
   (temp file + fsync + ``os.replace``) when the run is created or
@@ -87,7 +87,7 @@ MANIFEST_NAME = "manifest.json"
 #: line per delivered fate since the last compaction.
 FATES_LOG_NAME = "fates.log"
 
-_FATES = ("computed", "served", "skipped")
+_FATES = ("computed", "served")
 
 #: Current manifest schema version (bumped on incompatible changes; a
 #: mismatched manifest refuses to resume rather than misvalidating).
@@ -180,7 +180,7 @@ class RunManifest:
     config: str = ""
     status: str = "running"  # running | complete
     resumes: int = 0
-    #: plan key -> "computed" | "served" | "skipped"
+    #: plan key -> "computed" | "served"
     fates: dict[str, str] = field(default_factory=dict)
     #: Fate tallies of the latest (resumed) round, for the
     #: zero-duplicate-work acceptance check.
@@ -202,7 +202,7 @@ class RunManifest:
             self.config = config_hash(self.argv)
 
     def counts(self) -> dict[str, int]:
-        out = {"computed": 0, "served": 0, "skipped": 0}
+        out = {"computed": 0, "served": 0}
         for fate in self.fates.values():
             out[fate] = out.get(fate, 0) + 1
         return out
@@ -274,9 +274,9 @@ class RunRecorder:
     ``[key, fate]`` line to ``fates.log`` and flushes it, so a process
     killed between any two events leaves checkpoint + log holding
     exactly the delivered prefix.  ``computed`` lines are also fsynced
-    (surviving a power cut); ``served``/``skipped`` lines become
-    durable with the next fsync or compaction.  :meth:`write` compacts:
-    it rewrites ``manifest.json`` atomically and deletes the folded log.
+    (surviving a power cut); ``served`` lines become durable with the
+    next fsync or compaction.  :meth:`write` compacts: it rewrites
+    ``manifest.json`` atomically and deletes the folded log.
 
     Use the recorder as a context manager: leaving the block by any
     route (an exception or an injected crash included) compacts the
@@ -380,10 +380,10 @@ class RunRecorder:
         """One log line: write and flush; fsync only a ``computed`` fate.
 
         A flushed line survives a ``kill -9``.  Only a ``computed`` line
-        protects work, so only it pays an fsync; a ``served``/``skipped``
-        line lost to a power cut costs nothing (its point is served
-        again from its durable entry), and the next fsync of this file
-        makes it durable anyway.
+        protects work, so only it pays an fsync; a ``served`` line lost
+        to a power cut costs nothing (its point is served again from its
+        durable entry), and the next fsync of this file makes it durable
+        anyway.
         """
         if self._log is None:
             self._log = open(self.log_path, "a")
@@ -502,8 +502,6 @@ def validate_resume(
     missing: list[str] = []
     stale: list[str] = []
     for key, fate in sorted(manifest.fates.items()):
-        if fate == "skipped":
-            continue
         if key not in pending_keys:
             stale.append(key)
             continue

@@ -18,8 +18,8 @@ nothing is shared or cached across points.  This module amortises that:
   :func:`~repro.sim.montecarlo.simulate_overhead` runs the same jobs
   in-process, so results are **bit-identical** to per-point calls with
   the same arguments, whatever executor runs the jobs;
-* :func:`claim_serve_expand` serves cached points, keeps the rest the
-  executor owns and tags their jobs for the event-driven
+* :func:`claim_serve_expand` serves cached points and tags the jobs
+  of the rest for the event-driven
   :class:`repro.sim.scheduler.Scheduler`; :func:`merge_request_results`
   folds a point's completed jobs back into one
   :class:`~repro.sim.results.OverheadEstimate`;
@@ -384,9 +384,8 @@ class ResultCache:
         """Attach a run's trace writer / metrics registry to this cache.
 
         The cache predates the obs layer and is constructed in many
-        contexts that have neither (tests, `cache` subcommands, shard
-        merges), so the hooks arrive by late binding instead of
-        constructor arguments.
+        contexts that have neither (tests, `cache` subcommands), so the
+        hooks arrive by late binding instead of constructor arguments.
         """
         self.trace = trace
         self.metrics = metrics
@@ -687,31 +686,29 @@ def claim_serve_expand(
     plan: SimulationPlan,
     cache: ResultCache | None = None,
     memo: dict | None = None,
-    executor=None,
     calls: Sequence[tuple[str, tuple]] = (),
 ) -> tuple[list, list[tuple], dict[int, "PointJobs"]]:
-    """Cache-serve short-circuit, ownership filter, and tagged expansion.
+    """Cache-serve short-circuit and tagged expansion.
 
     A round's points are the plan's unique requests (indices below
     ``plan.n_unique``; payload: an :class:`OverheadEstimate`) followed
     by ``calls``, the ``(key, job)`` pairs of generic value points
     (payload: the job's float; one job each).  Memo and disk hits are
-    served immediately — they never touch the scheduler; of the keys
-    still needing compute, those the executor
-    :meth:`~repro.sim.executors.Executor.owns` expand into
-    ``(job, (index, part))`` tagged jobs: requests in
+    served immediately — they never touch the scheduler; every other
+    point expands into ``(job, (index, part))`` tagged jobs: requests in
     :meth:`SimulationPlan.dispatch_order` (slowest backend first), then
     calls.
 
     Returns ``(values, tagged_jobs, books)``: the served payload per
-    point (``None`` where jobs must run or the point is not owned), the
-    tagged job list, and a :class:`PointJobs` book per expanded point
-    (a point with no book and no value was not owned).
+    point (``None`` where jobs must run), the tagged job list, and a
+    :class:`PointJobs` book per expanded point.  Every point has either
+    a value or a book.
     """
     n = plan.n_unique
     keys = plan.keys + tuple(key for key, _ in calls)
     values: list = [None] * len(keys)
-    needing: list[int] = []
+    tagged: list[tuple] = []
+    books: dict[int, PointJobs] = {}
     for i in plan.dispatch_order() + list(range(n, len(keys))):
         key = keys[i]
         if memo is not None and key in memo:
@@ -724,12 +721,6 @@ def claim_serve_expand(
                 if memo is not None:
                     memo[key] = hit
                 continue
-        needing.append(i)
-    if executor is not None:
-        needing = [i for i in needing if executor.owns(keys[i])]
-    tagged: list[tuple] = []
-    books: dict[int, PointJobs] = {}
-    for i in needing:
         if i < n:
             jobs = request_jobs(plan.requests[i], plan.methods[i])
         else:
@@ -743,7 +734,7 @@ def simulate_requests(
     requests: Sequence[SimRequest],
     executor=None,
     cache: ResultCache | None = None,
-) -> list[OverheadEstimate | None]:
+) -> list[OverheadEstimate]:
     """Plan, schedule and fan out: one estimate per *submitted* request.
 
     The experiment pipeline's path without its deferred values: plan,
@@ -751,14 +742,14 @@ def simulate_requests(
     :func:`merge_request_results`.  Bit-identical to calling
     :func:`repro.sim.montecarlo.simulate_overhead` once per request
     with the same arguments, for any executor and cache state.
-    ``executor`` defaults to serial and stays open (the caller owns
-    it); a point a sharded executor does not own comes back ``None``.
+    ``executor`` defaults to serial and stays open (the caller closes
+    it).
     """
     from .scheduler import Scheduler  # the scheduler imports this module
 
     plan = plan_simulations(requests)
     executor = executor if executor is not None else SerialExecutor()
-    estimates, tagged, books = claim_serve_expand(plan, cache, executor=executor)
+    estimates, tagged, books = claim_serve_expand(plan, cache)
     scheduler = Scheduler(executor)
     for job, tag in tagged:
         scheduler.add(job, tag)

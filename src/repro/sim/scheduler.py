@@ -161,7 +161,7 @@ class Scheduler:
     Jobs are ``(fn, args, kwargs)`` tuples (the
     :func:`repro.sim.plan.run_job` shape) queued via :meth:`add` with
     an opaque tag; :meth:`events` drives the dispatch loop and yields
-    ``(tag, result)`` per completion.  The scheduler owns no processes
+    ``(tag, result)`` per completion.  The scheduler holds no processes
     — lifecycle stays with the executor — and is reusable: new jobs
     may be added between drains *or* by the consumer while a drain is
     yielding (the loop re-reads the queue after every event, so

@@ -3,8 +3,9 @@
 The goldens under ``goldens/figures_fast.json`` are the tables the
 pre-registry figure modules printed at FAST fidelity with the default
 seed (captured before the refactor).  Every registry-built study must
-reproduce them byte-identically — serially, over a process pool, as
-two merged shards, and under the event-driven scheduler at any in-flight window — because
+reproduce them byte-identically — serially, over a process pool, served
+from a copied cache directory, and under the event-driven scheduler at
+any in-flight window — because
 the plan/key layer guarantees the same chunk jobs, seeds and (chunk-
 ordered) reduction whatever the executor or completion interleaving.
 ``goldens/all_jobs2.txt`` additionally pins the full ``all --jobs 2``
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,6 @@ from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import main
 from repro.experiments.spec import run_study, stage_study
-from repro.sim.executors import ShardedExecutor, merge_shard_dirs
 
 GOLDENS = json.loads(
     (Path(__file__).parent / "goldens" / "figures_fast.json").read_text()
@@ -55,47 +56,23 @@ class TestPooledGolden:
         assert got == GOLDENS[name]
 
 
-class TestShardedGolden:
+class TestCopiedCacheGolden:
     @pytest.mark.parametrize("name", ALL_STUDIES)
-    def test_two_shards_merge_to_golden(self, name, tmp_path):
-        # Each shard computes its deterministic slice into its own
-        # content-addressed directory ...
-        for index in (0, 1):
-            shard_dir = tmp_path / f"s{index}"
-            executor = ShardedExecutor(index, 2)
-            with SimulationPipeline(executor=executor, cache_dir=shard_dir) as pipe:
-                staged = stage_study(
-                    REGISTRY[name], settings=SETTINGS, pipeline=pipe
-                )
-                pipe.resolve()
-                del staged  # shard runs never assemble
-        # ... the shards merge into one cache ...
-        merged = tmp_path / "merged"
-        merge_shard_dirs([tmp_path / "s0", tmp_path / "s1"], merged)
-        # ... and an unsharded run served from the merged cache must be
-        # bit-identical to the single-machine tables.
-        with SimulationPipeline(jobs=1, cache_dir=merged) as pipe:
+    def test_copied_cache_serves_golden(self, name, tmp_path):
+        # One host computes every point into its content-addressed
+        # cache directory ...
+        with SimulationPipeline(jobs=1, cache_dir=tmp_path / "a") as pipe:
+            stage_study(REGISTRY[name], settings=SETTINGS, pipeline=pipe)
+            pipe.resolve()
+        # ... the directory is copied to another host ...
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        # ... and a run served from the copy must be bit-identical to
+        # the tables computed in place.
+        with SimulationPipeline(jobs=1, cache_dir=tmp_path / "b") as pipe:
             got = run_tables(name, pipeline=pipe)
             hits, misses = pipe.cache_stats
         assert got == GOLDENS[name]
-        assert misses == 0, "merged shards must cover every simulated point"
-
-    def test_shards_partition_points(self, tmp_path):
-        """The two fig5 shards are disjoint and cover all 54 points."""
-        counts = []
-        for index in (0, 1):
-            shard_dir = tmp_path / f"s{index}"
-            executor = ShardedExecutor(index, 2)
-            with SimulationPipeline(executor=executor, cache_dir=shard_dir) as pipe:
-                stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
-                pipe.resolve()
-            counts.append(len(list(shard_dir.glob("*.npz"))))
-        assert all(c > 0 for c in counts)
-        copied, skipped = merge_shard_dirs(
-            [tmp_path / "s0", tmp_path / "s1"], tmp_path / "merged"
-        )
-        assert skipped == 0  # disjoint
-        assert copied == sum(counts)
+        assert misses == 0, "the copied cache must cover every simulated point"
 
 
 class TestScheduledGolden:
@@ -137,6 +114,16 @@ class TestSchedulerCLI:
         assert "[progress]" not in captured.out
         assert "Figure 2" in captured.out
 
+    def test_progress_line_counts_computed_and_served(self, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path)]
+        base = ["fig2", "--progress", "--runs", "4", "--patterns", "6"]
+        assert main(base + cache) == 0
+        cold = capsys.readouterr().err.splitlines()
+        assert "[progress] fig2 11/11 computed=11 served=0" in cold
+        assert main(base + cache) == 0
+        warm = capsys.readouterr().err.splitlines()
+        assert "[progress] fig2 11/11 computed=0 served=11" in warm
+
     def test_progress_off_by_default(self, capsys):
         assert main(["fig2", "--runs", "4", "--patterns", "6"]) == 0
         assert "[progress]" not in capsys.readouterr().err
@@ -160,25 +147,19 @@ class TestSchedulerCLI:
         assert "54 cache hits, 0 to compute -> 0 chunk jobs" in out
 
 
-class TestShardCLI:
-    def test_sweep_merge_roundtrip_matches_unsharded(self, tmp_path, capsys):
-        """The acceptance flow: 2-shard `sweep fig5` + `merge` == unsharded."""
-        base = ["--runs", "10", "--patterns", "20"]
-        for index in ("0", "1"):
-            assert main(
-                ["sweep", "fig5", *base, "--shard-index", index,
-                 "--shard-count", "2", "--shard-dir", str(tmp_path / f"s{index}")]
-            ) == 0
-        shard_out = capsys.readouterr().out
-        assert "Figure 5" not in shard_out  # shard runs do not emit tables
-        assert "[shard 0/2]" in shard_out and "[shard 1/2]" in shard_out
-        assert main(
-            ["merge", str(tmp_path / "s0"), str(tmp_path / "s1"),
-             "--cache-dir", str(tmp_path / "merged")]
-        ) == 0
+class TestCacheCopyCLI:
+    def test_copied_cache_dir_serves_uncached_tables(self, tmp_path, capsys):
+        """Sharing results between hosts: copy a --cache-dir, verify it,
+        and the copy serves every point with the uncached tables."""
+        base = ["--runs", "4", "--patterns", "6"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["fig5", *base, "--cache-dir", str(a)]) == 0
         capsys.readouterr()
-        assert main(["fig5", *base, "--cache-dir", str(tmp_path / "merged")]) == 0
-        merged_tables = capsys.readouterr().out
+        shutil.copytree(a, b)
+        assert main(["cache", "verify", "--cache-dir", str(b)]) == 0
+        assert "[verify] 54 entries ok, 0 corrupt" in capsys.readouterr().out
+        assert main(["fig5", *base, "--cache-dir", str(b)]) == 0
+        copied_tables = capsys.readouterr().out
         assert main(["fig5", *base]) == 0
         fresh_tables = capsys.readouterr().out
 
@@ -189,69 +170,26 @@ class TestShardCLI:
                 if not line.startswith(("[done in", "[cache]"))
             )
 
-        assert strip_volatile(merged_tables) == strip_volatile(fresh_tables)
-        assert "0 misses" in merged_tables
+        assert strip_volatile(copied_tables) == strip_volatile(fresh_tables)
+        assert "[cache] 54 hits, 0 misses" in copied_tables
 
-    def test_shard_summary_line_is_pinned(self, tmp_path, capsys):
-        """The shard summary reads the metrics registry: jobs from
-        ``scheduler_jobs``, skips from ``points{status=skipped}``."""
-        lines = []
-        for index in ("0", "1"):
-            shard_dir = tmp_path / f"s{index}"
-            assert main(
-                ["sweep", "fig5", "--shard-index", index, "--shard-count", "2",
-                 "--shard-dir", str(shard_dir)]
-            ) == 0
-            lines += [
-                line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("[shard")
-            ]
-        assert lines == [
-            f"[shard 0/2] 28 jobs computed, 26 points skipped -> {tmp_path / 's0'}",
-            f"[shard 1/2] 26 jobs computed, 28 points skipped -> {tmp_path / 's1'}",
-        ]
-
-    def test_shard_flags_validated(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["fig5", "--shard-count", "2"])  # no --shard-dir
-        with pytest.raises(SystemExit):
-            main(["fig5", "--shard-index", "1"])  # no --shard-count
-        with pytest.raises(SystemExit):
-            main(
-                ["fig5", "--shard-index", "5", "--shard-count", "2",
-                 "--shard-dir", str(tmp_path)]
-            )
-
-    def test_shard_refuses_cache_flags(self, tmp_path):
-        """--cache-dir/--no-cache would be silently overridden: refuse."""
-        shard = ["--shard-index", "0", "--shard-count", "2",
-                 "--shard-dir", str(tmp_path / "s0")]
-        with pytest.raises(SystemExit, match="cannot be combined"):
-            main(["fig5", *shard, "--cache-dir", str(tmp_path / "warm")])
-        with pytest.raises(SystemExit, match="cannot be combined"):
-            main(["fig5", *shard, "--no-cache"])
-
-    def test_shard_accounting_balances(self, tmp_path):
-        """computed-or-served + skipped declarations == submitted points."""
-        executor = ShardedExecutor(0, 2)
-        with SimulationPipeline(executor=executor, cache_dir=tmp_path) as pipe:
-            stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
-            stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
-            submitted = pipe.pending_points
-            pipe.resolve()
-            # The duplicate study re-declares every point; skipped counts
-            # declarations, so both copies of a foreign point count.
-            skipped = sum(
-                metric.value
-                for labels, metric in pipe.metrics.labeled("points")
-                if labels["status"] == "skipped"
-            )
+    def test_point_accounting_balances(self, tmp_path):
+        """Every declaration is either computed or served, never dropped."""
+        for expected in ("computed", "served"):
+            with SimulationPipeline(jobs=1, cache_dir=tmp_path) as pipe:
+                stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
+                stage_study(REGISTRY["fig5"], settings=SETTINGS, pipeline=pipe)
+                submitted = pipe.pending_points
+                pipe.resolve()
+                fates = {}
+                for labels, metric in pipe.metrics.labeled("points"):
+                    status = labels["status"]
+                    fates[status] = fates.get(status, 0) + metric.value
+            # The duplicate study re-declares every point; fates count
+            # declarations, so both copies of a point count.
             assert submitted == 2 * 54
-            assert 0 < skipped < submitted
-            served = submitted - skipped
-            owned_unique = len(list(tmp_path.glob("*.npz")))
-            # Each owned unique point serves both of its declarations.
-            assert served == 2 * owned_unique
+            assert fates == {expected: submitted}
+        assert len(list(tmp_path.glob("*.npz"))) == 54
 
 
 class TestStreamingAll:

@@ -69,7 +69,7 @@ class TestHelpDerivation:
             assert spec.description in out
 
     def test_drift_guard_requires_new_meta_commands(self, tmp_path, capsys):
-        """A document missing sweep/merge/cache fails `index --check`."""
+        """A document missing sweep/cache/resume fails `index --check`."""
         doc = tmp_path / "EXPERIMENTS.md"
         doc.write_text(
             "\n".join(
@@ -79,7 +79,21 @@ class TestHelpDerivation:
         )
         assert check_experiments_md(doc) == 1
         out = capsys.readouterr().out
-        assert "sweep" in out and "merge" in out and "cache" in out
+        assert "sweep" in out and "cache" in out and "resume" in out
+        assert "merge" not in out  # removed in 1.18
+
+    def test_drift_guard_flags_the_removed_merge_command(self, tmp_path, capsys):
+        from repro.experiments.runner import _DOCUMENTED_META
+
+        doc = tmp_path / "EXPERIMENTS.md"
+        doc.write_text(
+            "\n".join(
+                f"python -m repro {name}"
+                for name in [*REGISTRY, *_DOCUMENTED_META, "merge"]
+            )
+        )
+        assert check_experiments_md(doc) == 1
+        assert "unknown command 'merge'" in capsys.readouterr().out
 
 
 class TestTomlSpecs:
@@ -137,12 +151,15 @@ class TestTomlSpecs:
         assert out.count("Extension: overhead vs verified segments") == 1
 
     def test_report_refuses_shard_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="report cannot run sharded"):
+        """Sharded runs are gone: argparse refuses the flags (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
             main(
                 ["report", "--shard-index", "0", "--shard-count", "2",
                  "--shard-dir", str(tmp_path / "s0"),
                  "--out", str(tmp_path / "r.md")]
             )
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_arbitrary_column_sets_get_explicit_headers(self, tmp_path):
         """Non-fo/num pairs and 3+ columns must label, not crash."""

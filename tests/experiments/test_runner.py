@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -135,20 +136,75 @@ class TestPipelineFlags:
 
     @pytest.mark.parametrize(
         "flag", [("--shard-mode", "stealing"), ("--claim-dir", "claims"),
-                 ("--claim-ttl", "60")],
+                 ("--claim-ttl", "60"), ("--shard-index", "0"),
+                 ("--shard-count", "2"), ("--shard-dir", "s0")],
     )
     def test_removed_shard_flags_are_refused(self, tmp_path, flag):
-        """The static partition is the only one: the work-stealing flags
-        exit 2 before any shard, claim or run directory is written."""
+        """Sharded sweeps are gone (1.18; work stealing in 1.12): every
+        shard flag exits 2 before any cache, shard or run directory is
+        written."""
         result = self._cli(
-            tmp_path, "sweep", "fig5", "--shard-index", "0", "--shard-count",
-            "2", "--shard-dir", "s0", "--runs-dir", "runs", "--run-id", "x",
-            *flag,
+            tmp_path, "sweep", "fig5", "--cache-dir", "c", "--runs-dir",
+            "runs", "--run-id", "x", *flag,
         )
         assert result.returncode == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in result.stderr
         assert result.stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_removed_merge_command_is_refused(self, tmp_path):
+        """`merge` is gone (1.18): copy a cache directory instead."""
+        (tmp_path / "s0").mkdir()
+        result = self._cli(tmp_path, "merge", "s0", "--cache-dir", "merged")
+        assert result.returncode == 2
+        assert "invalid choice: 'merge'" in result.stderr
+        assert result.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["s0"]
+        assert list((tmp_path / "s0").iterdir()) == []
+
+    def test_resuming_a_shard_run_is_refused(self, tmp_path):
+        """A journal of a pre-1.18 shard run replays an argv argparse
+        refuses: exit 2, and nothing is added under the runs dir."""
+        from repro.sim.manifest import RunManifest, manifest_path
+
+        argv = ("sweep", "fig5", "--shard-index", "0", "--shard-count", "2",
+                "--shard-dir", "s0", "--runs-dir", "runs", "--run-id", "x")
+        path = manifest_path(tmp_path / "runs", "x")
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(RunManifest(run_id="x", argv=argv).to_json()))
+        before = sorted(p for p in (tmp_path / "runs").rglob("*"))
+        result = self._cli(tmp_path, "resume", "x", "--runs-dir", "runs")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --shard-index 0" in result.stderr
+        assert result.stdout == ""
+        assert sorted(p for p in (tmp_path / "runs").rglob("*")) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]
+
+    def test_killed_worker_pool_is_rebuilt(self, tmp_path):
+        """A worker death replaces the pool: after the kill, jobs still
+        complete on at least two worker processes, and the tables are
+        the serial ones."""
+        from repro.obs.trace import load_trace
+
+        killed = self._cli(
+            tmp_path, "fig5", "--jobs", "2", "--fault-plan", "kill-worker=5",
+            "--trace-file", "t.jsonl",
+        )
+        serial = self._cli(tmp_path, "fig5")
+        assert killed.returncode == 0, killed.stderr
+        assert serial.returncode == 0, serial.stderr
+        events = load_trace(tmp_path / "t.jsonl")
+        main_pid = events[0]["pid"]
+        kill = next(i for i, e in enumerate(events) if e["ev"] == "job_retry")
+        workers = {
+            e["worker"] for e in events[kill:] if e["ev"] == "job_complete"
+        } - {main_pid}
+        assert len(workers) >= 2
+
+        def tables(out: str) -> list[str]:
+            return [ln for ln in out.splitlines() if not ln.startswith("[done in")]
+
+        assert tables(killed.stdout) == tables(serial.stdout)
 
     def test_non_positive_jobs_fail_fast(self, tmp_path):
         """--jobs 0 used to run serially; now it exits 2 before any work."""

@@ -119,13 +119,22 @@ class TestValidation:
                 {"ev": "cache_hit", "t": 0.0, "key": "k", "extra": 1}
             )
 
+    def test_retired_skipped_point_rejected(self):
+        """``skipped`` (sharded runs, removed in 1.18) is no point status:
+        `trace summary` of such a journal fails with this one-line error."""
+        with pytest.raises(ReproError, match="unknown status 'skipped'"):
+            validate_event(
+                {"ev": "point", "t": 0.0, "study": None, "status": "skipped",
+                 "key": None}
+            )
+
     def test_missing_timestamp_rejected(self):
         with pytest.raises(ReproError, match="numeric timestamp"):
             validate_event({"ev": "cache_hit", "key": "k"})
 
     def test_every_declared_event_minimally_validates(self):
         samples = {
-            "format": 1, "pid": 1, "argv": [], "status": "ok", "metrics": {},
+            "format": 1, "pid": 1, "argv": [], "status": "computed", "metrics": {},
             "name": "declare", "sid": 1, "dur": 0.1, "round": 1, "points": 1,
             "unique": 1, "jobs": 1, "study": "s", "key": "k", "max_inflight": 1,
             "workers": 1, "job": "1.0", "attempt": 1, "error": "E", "kind": "v",

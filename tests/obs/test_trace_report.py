@@ -32,7 +32,7 @@ def _events():
          "key": "k1"},
         {"ev": "point", "t": 0.61, "study": "fig5", "status": "served",
          "key": "k2"},
-        {"ev": "point", "t": 0.62, "study": None, "status": "skipped",
+        {"ev": "point", "t": 0.62, "study": None, "status": "computed",
          "key": None},
         {"ev": "analytic_batch", "t": 0.63, "study": "fig5", "evaluated": 3,
          "served": 1},
@@ -55,10 +55,8 @@ class TestSummarize:
 
     def test_studies_tally_per_declaration(self):
         studies = summarize(_events())["studies"]
-        assert studies["fig5"] == {
-            "computed": 1, "served": 1, "skipped": 0, "points": 2,
-        }
-        assert studies["(ungrouped)"]["skipped"] == 1
+        assert studies["fig5"] == {"computed": 1, "served": 1, "points": 2}
+        assert studies["(ungrouped)"]["computed"] == 1
 
     def test_fates_count_unique_keys_last_wins(self):
         events = _events() + [
@@ -66,7 +64,7 @@ class TestSummarize:
              "key": "k1"},  # k1 delivered again: last event wins
         ]
         fates = summarize(events)["fates"]
-        assert fates == {"computed": 0, "served": 2, "skipped": 0}
+        assert fates == {"computed": 0, "served": 2}
 
     def test_scheduler_occupancy(self):
         sched = summarize(_events())["scheduler"]
@@ -131,6 +129,12 @@ class TestRender:
                         "[critical-path]"):
             assert section in text
         assert "occupancy 75% of window 2" in text
+
+    def test_fates_line_and_studies_header(self):
+        lines = render_summary_text(summarize(_events()))
+        assert "[fates] 2 unique keys: 1 computed, 1 served" in lines
+        header = lines[lines.index("[studies]") + 1].split()
+        assert header == ["study", "points", "computed", "served"]
 
     def test_timeline_excludes_volatile_fields(self):
         lines = render_timeline(_events())

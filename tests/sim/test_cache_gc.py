@@ -9,6 +9,7 @@ must hit across executor types (the key is executor-independent); and
 from __future__ import annotations
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.platforms.scenarios import build_model
 from repro.sim import plan as plan_mod
-from repro.sim.executors import PoolExecutor, SerialExecutor, ShardedExecutor
+from repro.sim.executors import PoolExecutor
 from repro.sim.plan import ResultCache, SimRequest, request_key
 from repro.sim.results import OverheadEstimate
 
@@ -69,16 +70,6 @@ class TestBackendVersionInvalidation:
             assert simulate_with(pipe) == value
             hits, misses = pipe.cache_stats
             assert hits == 1 and misses == 0
-        # ... and by both shards of a sharded executor (a cache hit
-        # beats shard ownership: the point is served, not skipped).
-        for index in (0, 1):
-            with SimulationPipeline(
-                executor=ShardedExecutor(index, 2, SerialExecutor()),
-                cache_dir=tmp_path,
-            ) as pipe:
-                assert simulate_with(pipe) == value
-                hits, misses = pipe.cache_stats
-                assert hits == 1 and misses == 0
 
 
 class TestCacheGC:
@@ -142,18 +133,19 @@ class TestCacheGC:
         assert removed == [] and len(kept) == 2
 
     def test_torn_tempfiles_are_not_entries(self, tmp_path):
-        """Crash leftovers from atomic writes never surface as entries."""
-        from repro.sim.executors import merge_shard_dirs
-
-        cache = ResultCache(tmp_path / "shard")
+        """Crash leftovers from atomic writes never surface as entries,
+        not even in a copy of the cache directory."""
+        cache = ResultCache(tmp_path / "a")
         self._fill(cache, 2)
-        torn = tmp_path / "shard" / ".deadbeef.123.tmp.npz"
+        torn = tmp_path / "a" / ".deadbeef.123.tmp.npz"
         torn.write_bytes(b"torn write")
         assert len(cache.entries()) == 2
         assert cache.stats()["entries"] == 2
-        copied, skipped = merge_shard_dirs([tmp_path / "shard"], tmp_path / "out")
-        assert (copied, skipped) == (2, 0)
-        assert not (tmp_path / "out" / torn.name).exists()
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        copy = ResultCache(tmp_path / "b")
+        assert [e.key for e in copy.entries()] == [e.key for e in cache.entries()]
+        ok, corrupt = copy.verify()
+        assert len(ok) == 2 and corrupt == []
 
 
 class TestCacheCLI:

@@ -1,6 +1,10 @@
-"""Executor protocol: serial, pooled, sharded dispatch and shard merge."""
+"""Executor protocol: serial and pooled dispatch, pool rebuilds."""
 
 from __future__ import annotations
+
+import os
+import shutil
+import time
 
 import numpy as np
 import pytest
@@ -11,21 +15,27 @@ from repro.sim.executors import (
     JobFuture,
     PoolExecutor,
     SerialExecutor,
-    ShardedExecutor,
     make_executor,
-    merge_shard_dirs,
-    shard_of,
 )
+from repro.sim.executors import pooled
 from repro.sim.plan import (
     ResultCache,
     SimRequest,
-    request_key,
     simulate_requests,
 )
 
 
 def _double(x):
     return 2 * x
+
+
+def _pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _kill_worker(_):
+    os._exit(1)
 
 
 def fig_requests(n=12) -> list[SimRequest]:
@@ -36,21 +46,8 @@ def fig_requests(n=12) -> list[SimRequest]:
     ]
 
 
-class TestShardOf:
-    def test_deterministic(self):
-        keys = [request_key(r) for r in fig_requests()]
-        assert [shard_of(k, 3) for k in keys] == [shard_of(k, 3) for k in keys]
-
-    def test_in_range_and_spread(self):
-        keys = [request_key(r) for r in fig_requests(40)]
-        shards = {shard_of(k, 4) for k in keys}
-        assert shards <= {0, 1, 2, 3}
-        assert len(shards) > 1  # hash actually spreads the keys
-
-
 class TestSerialExecutor:
-    def test_owns_everything(self):
-        assert SerialExecutor().owns("deadbeef")
+    def test_single_worker(self):
         assert SerialExecutor().workers == 1
 
 
@@ -58,25 +55,7 @@ class TestPoolExecutor:
     def test_wraps_worker_count(self):
         with PoolExecutor(3) as ex:
             assert ex.workers == 3
-            assert ex.owns("deadbeef")
         assert PoolExecutor(0).workers == 1  # clamps to serial
-
-
-class TestShardedExecutor:
-    def test_partition_is_disjoint_and_covering(self):
-        keys = [request_key(r) for r in fig_requests(30)]
-        owners = [
-            [ShardedExecutor(i, 3).owns(k) for i in range(3)] for k in keys
-        ]
-        assert all(sum(row) == 1 for row in owners)
-
-    def test_validates_bounds(self):
-        with pytest.raises(SimulationError):
-            ShardedExecutor(2, 2)
-        with pytest.raises(SimulationError):
-            ShardedExecutor(-1, 2)
-        with pytest.raises(SimulationError):
-            ShardedExecutor(0, 0)
 
 
 class TestMakeExecutor:
@@ -88,96 +67,24 @@ class TestMakeExecutor:
         ex = make_executor(4)
         assert isinstance(ex, PoolExecutor) and ex.workers == 4
 
-    def test_sharded_wraps_inner(self):
-        ex = make_executor(2, shard_index=1, shard_count=3)
-        assert isinstance(ex, ShardedExecutor)
-        assert isinstance(ex.inner, PoolExecutor)
-        assert ex.shard_index == 1 and ex.shard_count == 3
+    def test_none_auto_sizes_a_pool(self):
+        ex = make_executor(None)
+        assert isinstance(ex, PoolExecutor)
+        assert ex.workers == max(1, os.cpu_count() or 1)
 
 
-class TestMergeShardDirs:
-    @staticmethod
-    def _fill(directory, keys_values):
-        cache = ResultCache(directory)
-        for key, value in keys_values:
-            cache.put_value(key, value)
-
-    def test_copies_and_counts(self, tmp_path):
-        self._fill(tmp_path / "a", [("k1", 1.0), ("k2", 2.0)])
-        self._fill(tmp_path / "b", [("k3", 3.0)])
-        copied, skipped = merge_shard_dirs(
-            [tmp_path / "a", tmp_path / "b"], tmp_path / "out"
-        )
-        assert (copied, skipped) == (3, 0)
-        merged = ResultCache(tmp_path / "out")
-        assert merged.get_value("k2") == 2.0
-        assert merged.get_value("k3") == 3.0
-
-    def test_identical_duplicates_skip(self, tmp_path):
-        self._fill(tmp_path / "a", [("k1", 1.0)])
-        (tmp_path / "b").mkdir()
-        import shutil
-
-        shutil.copyfile(tmp_path / "a" / "k1.npz", tmp_path / "b" / "k1.npz")
-        copied, skipped = merge_shard_dirs(
-            [tmp_path / "a", tmp_path / "b"], tmp_path / "out"
-        )
-        assert (copied, skipped) == (1, 1)
-
-    def test_conflicting_content_refuses(self, tmp_path):
-        self._fill(tmp_path / "a", [("k1", 1.0)])
-        self._fill(tmp_path / "out", [("k1", 99.0)])
-        with pytest.raises(SimulationError):
-            merge_shard_dirs([tmp_path / "a"], tmp_path / "out")
-
-    def test_a_legacy_entry_of_the_same_result_skips(self, tmp_path):
-        self._fill(tmp_path / "a", [("k1", 1.0), ("k2", 2.0)])
-        (tmp_path / "out").mkdir()
-        for key, value in (("k1", 1.0), ("k2", 5.0)):  # the 1.14 layout
-            with open(tmp_path / "out" / f"{key}.npz", "wb") as handle:
-                np.savez(handle, kind="value", value=value)
-        with pytest.raises(SimulationError, match="k2.npz"):
-            merge_shard_dirs([tmp_path / "a"], tmp_path / "out")
-        (tmp_path / "a" / "k2.npz").unlink()
-        copied, skipped = merge_shard_dirs([tmp_path / "a"], tmp_path / "out")
-        assert (copied, skipped) == (0, 1)
-
-    def test_missing_shard_dir_refuses(self, tmp_path):
-        with pytest.raises(SimulationError):
-            merge_shard_dirs([tmp_path / "nope"], tmp_path / "out")
-
-
-class TestShardedPlanExecution:
-    def test_foreign_points_stay_unresolved_and_cache_covers(self, tmp_path):
-        """A shard skips foreign keys; its cache then serves its own."""
-        requests = fig_requests(6)
-        cache0 = ResultCache(tmp_path / "s0")
-        estimates = simulate_requests(requests, ShardedExecutor(0, 2), cache0)
-        owned = [i for i, e in enumerate(estimates) if e is not None]
-        foreign = [i for i, e in enumerate(estimates) if e is None]
-        assert owned and foreign  # both sides non-trivial for this grid
-        keys = [request_key(r) for r in requests]
-        assert all(ShardedExecutor(0, 2).owns(keys[i]) for i in owned)
-        assert not any(ShardedExecutor(0, 2).owns(keys[i]) for i in foreign)
-        # The same cache dir now serves the owned points without jobs.
-        warm = ResultCache(tmp_path / "s0")
-        again = simulate_requests(requests, ShardedExecutor(0, 2), warm)
-        assert [i for i, e in enumerate(again) if e is not None] == owned
-        assert (warm.hits, warm.misses) == (len(owned), len(foreign))
-
-    def test_sharded_means_equal_serial_means(self, tmp_path):
-        """Union of shard results == serial results, bit for bit."""
+class TestCopiedCache:
+    def test_copied_cache_serves_serial_means(self, tmp_path):
+        """A cache directory copied elsewhere serves every point, bit for bit."""
         requests = fig_requests(5)
         serial = simulate_requests(requests)
-        for index in (0, 1, 2):
-            cache = ResultCache(tmp_path / f"s{index}")
-            simulate_requests(requests, ShardedExecutor(index, 3), cache)
-        merge_shard_dirs(
-            [tmp_path / f"s{i}" for i in range(3)], tmp_path / "merged"
-        )
-        merged = simulate_requests(requests, cache=ResultCache(tmp_path / "merged"))
-        assert [e.mean for e in merged] == [e.mean for e in serial]
-        assert [e.std for e in merged] == [e.std for e in serial]
+        simulate_requests(requests, cache=ResultCache(tmp_path / "a"))
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        copy = ResultCache(tmp_path / "b")
+        served = simulate_requests(requests, cache=copy)
+        assert (copy.hits, copy.misses) == (5, 0)
+        assert [e.mean for e in served] == [e.mean for e in serial]
+        assert [e.std for e in served] == [e.std for e in serial]
 
 
 class TestNumericalStability:
@@ -228,12 +135,6 @@ class TestSubmitProtocol:
         with PoolExecutor(1) as ex:
             future = ex.submit(_double, 21, tag="t")
             assert future.done and future.result() == 42
-
-    def test_sharded_delegates_submit_to_inner(self):
-        with ShardedExecutor(0, 2, inner=SerialExecutor()) as ex:
-            future = ex.submit(_double, 5)
-            assert future.done
-            assert ex.next_completed() is future
 
     def test_job_exception_raises_at_result(self):
         ex = SerialExecutor()
@@ -294,19 +195,13 @@ class TestLifecycleUnderFailure:
                 raise RuntimeError("body failed")
         assert ex._pool is None
 
-    def test_sharded_exit_closes_inner(self):
-        inner = PoolExecutor(2)
-        with ShardedExecutor(0, 2, inner=inner) as ex:
-            ex.submit(_double, 1)
-        assert inner._pool is None
-
     def test_cancelled_inner_future_fails_with_cancelled_error(self):
         """A cancelled pool job fails its future; the scheduler retries it."""
         from concurrent.futures import CancelledError, Future
 
         ex = PoolExecutor(2)
         inner: Future = Future()
-        ex._inflight[inner] = JobFuture(_double, 4, tag="t")
+        ex._inflight[inner] = (JobFuture(_double, 4, tag="t"), None)
         inner.cancel()
         inner.set_running_or_notify_cancel()  # lets wait() see it as done
         future = ex.next_completed()
@@ -342,3 +237,76 @@ class TestLifecycleUnderFailure:
         assert ex._pool is None
         for f in futures:
             assert f.cancelled() or f.done()
+
+
+class TestPoolRebuild:
+    """A worker death replaces the pool instead of ending pooling."""
+
+    @staticmethod
+    def _drain(ex) -> list:
+        drained = []
+        while (future := ex.next_completed()) is not None:
+            drained.append(future)
+        return drained
+
+    def test_dead_pool_is_rebuilt_once_per_death(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with PoolExecutor(2) as ex:
+            ex.submit(_kill_worker, 0, tag="kill")
+            for i in range(3):
+                ex.submit(_pid_after, 0.5, tag=i)
+            drained = self._drain(ex)
+            assert len(drained) == 4
+            for future in drained:
+                with pytest.raises(BrokenProcessPool):
+                    future.result()
+            # Four lost jobs, one dead pool: one rebuild.
+            assert ex.rebuilds == 1 and not ex._broken
+            for i in range(4):
+                ex.submit(_pid_after, 0.0, tag=i)
+            pids = [f.result() for f in self._drain(ex)]
+            assert len(pids) == 4
+            assert os.getpid() not in pids  # ran on the fresh pool
+
+    def test_pool_found_dead_at_submit_is_replaced(self):
+        """A pool that died before any failure was read is replaced at
+        submit time, not abandoned for serial dispatch."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        class DeadPool:
+            def submit(self, fn, item):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        with PoolExecutor(2) as ex:
+            ex._pool = DeadPool()
+            future = ex.submit(_pid_after, 0.0)
+            assert ex.rebuilds == 1 and not ex._broken
+            assert not future.done  # went to the fresh pool
+            assert ex.next_completed().result() != os.getpid()
+
+    def test_failures_of_a_discarded_pool_count_no_rebuild(self):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        ex = PoolExecutor(2)
+        inner: Future = Future()
+        inner.set_exception(BrokenProcessPool("old pool"))
+        ex._inflight[inner] = (JobFuture(_double, 1), object())
+        with pytest.raises(BrokenProcessPool):
+            ex.next_completed().result()
+        assert ex.rebuilds == 0 and not ex._broken
+        ex.close()
+
+    def test_rebuilds_are_capped_then_serial(self, monkeypatch):
+        monkeypatch.setattr(pooled, "MAX_POOL_REBUILDS", 1)
+        with PoolExecutor(2) as ex:
+            for _ in range(2):
+                ex.submit(_kill_worker, 0)
+                self._drain(ex)
+            assert ex.rebuilds == 1 and ex._broken
+            future = ex.submit(_pid_after, 0.0)
+            assert future.done and future.result() == os.getpid()

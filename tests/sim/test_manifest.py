@@ -91,7 +91,7 @@ class TestManifestRoundTrip:
     def test_counts(self):
         manifest = RunManifest(run_id="r", argv=("cmd",))
         manifest.fates.update(k1="computed", k2="computed", k3="served")
-        assert manifest.counts() == {"computed": 2, "served": 1, "skipped": 0}
+        assert manifest.counts() == {"computed": 2, "served": 1}
 
 
 class TestRecorder:
@@ -215,6 +215,13 @@ class TestFateLog:
             handle.write(b'garbage\n["k9", "computed"]\n["k8", "bogus"]\n')
         assert RunManifest.load(path).fates == {"k0": "computed"}
 
+    def test_retired_skipped_fate_ends_the_replay(self, tmp_path):
+        """``skipped`` (sharded runs, removed in 1.18) is no longer a fate."""
+        path = self._abandoned(tmp_path, 1)
+        with open(path.parent / FATES_LOG_NAME, "ab") as handle:
+            handle.write(b'["k7", "skipped"]\n["k9", "computed"]\n')
+        assert RunManifest.load(path).fates == {"k0": "computed"}
+
     def test_crash_inside_the_block_compacts_as_running(self, tmp_path):
         with pytest.raises(SimulatedCrash):
             with RunRecorder.create(tmp_path, "r1", ["cmd"]) as recorder:
@@ -248,7 +255,7 @@ class TestJournalDurability:
         real = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
         steps = [
-            ("k0", "computed", 1), ("k1", "served", 0), ("k2", "skipped", 0),
+            ("k0", "computed", 1), ("k1", "served", 0), ("k2", "served", 0),
             ("k3", "computed", 1), ("k0", "served", 0), ("k0", "computed", 1),
             ("k0", "computed", 0),  # no fate change, no line
         ]
@@ -308,7 +315,7 @@ class TestValidateResume:
         cache._path("bad").write_bytes(b"torn")
         manifest = self._manifest(
             {"good": "computed", "bad": "computed", "gone": "computed",
-             "old": "computed", "skip": "skipped"}
+             "old": "computed"}
         )
         report = validate_resume(
             manifest, ["good", "bad", "gone", "new"], cache
@@ -320,11 +327,6 @@ class TestValidateResume:
         assert report.pending == 4
         # The corrupt entry was deleted so it reads as a clean miss.
         assert not cache._path("bad").exists()
-
-    def test_skipped_fates_never_validate(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        report = validate_resume(self._manifest({"k": "skipped"}), ["k"], cache)
-        assert report.reusable == () and report.missing == ()
 
     def test_backend_change_flags(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)

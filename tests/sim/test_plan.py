@@ -214,6 +214,23 @@ class TestResultCache:
         assert (warm_cache.hits, warm_cache.misses) == (1, 0)
         assert warm == cold
 
+    def test_partly_warm_cache_serves_or_expands_every_point(self, tmp_path, hera_sc1):
+        """Each point gets a value or a job book; none is left out."""
+        from repro.sim.plan import claim_serve_expand
+
+        requests = [SimRequest(hera_sc1, 6000.0 + i, 256.0, 4, 6) for i in range(4)]
+        cold = simulate_requests(requests[:2], cache=ResultCache(tmp_path))
+        cache = ResultCache(tmp_path)
+        plan = plan_simulations(requests)
+        values, tagged, books = claim_serve_expand(plan, cache)
+        served = {i for i, v in enumerate(values) if v is not None}
+        assert served.isdisjoint(books)
+        assert served | set(books) == set(range(plan.n_unique))
+        assert len(served) == 2 and (cache.hits, cache.misses) == (2, 2)
+        assert {tag[0] for _, tag in tagged} == set(books)
+        warm = simulate_requests(requests, cache=ResultCache(tmp_path))
+        assert None not in warm and warm[:2] == cold
+
     def test_backend_version_isolates_entries(self, hera_sc1, request_, monkeypatch):
         import repro.sim.plan as plan_mod
 

@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.17.0"
+        assert repro.__version__ == "1.18.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -22,6 +22,18 @@ class TestTopLevel:
         sol = repro.optimal_pattern(model)
         assert round(sol.processors) == 219
         assert round(sol.period) == 6239
+
+    @pytest.mark.parametrize(
+        "name", ["ShardedExecutor", "merge_shard_dirs", "shard_of"]
+    )
+    def test_removed_shard_names_are_gone(self, name):
+        """Sharded sweeps were removed in 1.18; nothing re-exports them."""
+        import repro.sim
+        import repro.sim.executors
+
+        assert not hasattr(repro.sim, name)
+        assert not hasattr(repro.sim.executors, name)
+        assert not hasattr(repro.sim.executors.Executor, "owns")
 
     def test_key_classes_importable_from_top(self):
         assert repro.PatternModel is not None
