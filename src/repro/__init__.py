@@ -34,69 +34,37 @@ Packages
     Figure-regeneration harness (also ``python -m repro``).
 """
 
+from ._lazy import lazy_exports
 from ._version import __version__
-from .core import (
-    AmdahlSpeedup,
-    ApplicationSpec,
-    CheckpointCost,
-    CostRegime,
-    ErrorModel,
-    FirstOrderSolution,
-    GustafsonSpeedup,
-    PatternModel,
-    PerfectSpeedup,
-    PowerLawSpeedup,
-    ResilienceCosts,
-    SpeedupModel,
-    VerificationCost,
-    case3_overhead,
-    case4_overhead,
-    check_pattern,
-    daly_period,
-    expected_pattern_time,
-    optimal_pattern,
-    optimal_period,
-    overhead_at_optimal_period,
-    pattern_overhead,
-    project_makespan,
-    theorem2_solution,
-    theorem3_solution,
-    young_period,
-)
-from .exceptions import (
-    InvalidParameterError,
-    OptimizationError,
-    ReproError,
-    SimulationError,
-    UnknownPlatformError,
-    UnknownScenarioError,
-    ValidityError,
-)
-from .optimize import (
-    AllocationResult,
-    PeriodResult,
-    RelaxationResult,
-    optimize_allocation,
-    optimize_period,
-    relaxation_optimize,
-)
-from .platforms import (
-    PLATFORM_NAMES,
-    PLATFORMS,
-    SCENARIO_IDS,
-    Platform,
-    Scenario,
-    build_model,
-    get_platform,
-    get_scenario,
-    scenario_costs,
-)
-from .sim import (
-    OverheadEstimate,
-    simulate_batch,
-    simulate_overhead,
-    simulate_run,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "AmdahlSpeedup", "ApplicationSpec", "CheckpointCost", "CostRegime",
+        "ErrorModel", "FirstOrderSolution", "GustafsonSpeedup", "PatternModel",
+        "PerfectSpeedup", "PowerLawSpeedup", "ResilienceCosts", "SpeedupModel",
+        "VerificationCost", "case3_overhead", "case4_overhead", "check_pattern",
+        "daly_period", "expected_pattern_time", "optimal_pattern",
+        "optimal_period", "overhead_at_optimal_period", "pattern_overhead",
+        "project_makespan", "theorem2_solution", "theorem3_solution",
+        "young_period",
+    ),
+    ".exceptions": (
+        "InvalidParameterError", "OptimizationError", "ReproError",
+        "SimulationError", "UnknownPlatformError", "UnknownScenarioError",
+        "ValidityError",
+    ),
+    ".optimize": (
+        "AllocationResult", "PeriodResult", "RelaxationResult",
+        "optimize_allocation", "optimize_period", "relaxation_optimize",
+    ),
+    ".platforms": (
+        "PLATFORM_NAMES", "PLATFORMS", "SCENARIO_IDS", "Platform", "Scenario",
+        "build_model", "get_platform", "get_scenario", "scenario_costs",
+    ),
+    ".sim": (
+        "OverheadEstimate", "simulate_batch", "simulate_overhead", "simulate_run",
+    ),
+})
 
 __all__ = [
     "__version__",

@@ -1,18 +1,20 @@
 """Post-processing analytics: asymptotic slope fits and sensitivity."""
 
-from .asymptotics import SlopeFit, estimate_order, fit_loglog_slope, reference_power_law
-from .sensitivity import (
-    RobustnessCurve,
-    first_order_gap,
-    period_robustness,
-    processor_robustness,
-)
-from .waste import (
-    WasteBreakdown,
-    compare_with_simulation,
-    simulated_waste,
-    waste_breakdown,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".asymptotics": (
+        "SlopeFit", "estimate_order", "fit_loglog_slope", "reference_power_law",
+    ),
+    ".sensitivity": (
+        "RobustnessCurve", "first_order_gap", "period_robustness",
+        "processor_robustness",
+    ),
+    ".waste": (
+        "WasteBreakdown", "compare_with_simulation", "simulated_waste",
+        "waste_breakdown",
+    ),
+})
 
 __all__ = [
     "SlopeFit",

@@ -20,54 +20,39 @@ Submodules
     Application-level makespan projection.
 """
 
-from .costs import CheckpointCost, CostRegime, ResilienceCosts, VerificationCost
-from .errors import ErrorModel, expected_time_lost
-from .first_order import (
-    FirstOrderSolution,
-    asymptotic_orders,
-    case3_overhead,
-    case4_overhead,
-    optimal_pattern,
-    optimal_pattern_batch,
-    optimal_period,
-    overhead_at_optimal_period,
-    theorem2_solution,
-    theorem3_solution,
-)
-from .makespan import ApplicationSpec, MakespanReport, project_makespan, weak_scaled_work
-from .pattern import (
-    PatternModel,
-    expected_checkpoint_time,
-    expected_pattern_time,
-    expected_pattern_time_first_order,
-    expected_recovery_time,
-    expected_work_time,
-    pattern_overhead,
-    pattern_speedup,
-    stack_models,
-)
-from .speedup import (
-    AmdahlSpeedup,
-    GustafsonSpeedup,
-    PerfectSpeedup,
-    PowerLawSpeedup,
-    SpeedupModel,
-)
-from .validity import (
-    ValidityReport,
-    check_pattern,
-    max_period_order,
-    max_processor_order,
-    period_order,
-    processor_order,
-)
-from .young_daly import (
-    daly_period,
-    daly_period_for,
-    generalized_period,
-    young_period,
-    young_period_for,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".costs": ("CheckpointCost", "CostRegime", "ResilienceCosts", "VerificationCost"),
+    ".errors": ("ErrorModel", "expected_time_lost"),
+    ".first_order": (
+        "FirstOrderSolution", "asymptotic_orders", "case3_overhead",
+        "case4_overhead", "optimal_pattern", "optimal_pattern_batch",
+        "optimal_period", "overhead_at_optimal_period", "theorem2_solution",
+        "theorem3_solution",
+    ),
+    ".makespan": (
+        "ApplicationSpec", "MakespanReport", "project_makespan", "weak_scaled_work",
+    ),
+    ".pattern": (
+        "PatternModel", "expected_checkpoint_time", "expected_pattern_time",
+        "expected_pattern_time_first_order", "expected_recovery_time",
+        "expected_work_time", "pattern_overhead", "pattern_speedup",
+        "stack_models",
+    ),
+    ".speedup": (
+        "AmdahlSpeedup", "GustafsonSpeedup", "PerfectSpeedup", "PowerLawSpeedup",
+        "SpeedupModel",
+    ),
+    ".validity": (
+        "ValidityReport", "check_pattern", "max_period_order",
+        "max_processor_order", "period_order", "processor_order",
+    ),
+    ".young_daly": (
+        "daly_period", "daly_period_for", "generalized_period", "young_period",
+        "young_period_for",
+    ),
+})
 
 __all__ = [
     # speedup

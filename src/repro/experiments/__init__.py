@@ -7,32 +7,24 @@ per sub-figure), and :mod:`repro.experiments.runner` is the CLI that
 prints them as aligned tables and optional CSVs.
 """
 
-from . import (
-    ext_nodes,
-    ext_segments,
-    ext_weakscaling,
-    ext_weibull,
-    fig2_scenarios,
-    fig3_processors,
-    fig4_alpha,
-    fig5_error_rate,
-    fig6_alpha_zero,
-    fig7_downtime,
-)
-from . import scenarios
-from .analytic import AnalyticMemo, AnalyticPoint, evaluate_analytic, model_key
-from .common import FigureResult, SimSettings
-from .pipeline import Deferred, SimulationPipeline, materialize
-from .registry import REGISTRY, find_spec, get_spec
-from .runner import main, print_input_tables
-from .spec import (
-    AxisSpec,
-    PanelSpec,
-    StudySpec,
-    load_toml_spec,
-    run_study,
-    stage_study,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".": (
+        "fig2_scenarios", "fig3_processors", "fig4_alpha", "fig5_error_rate",
+        "fig6_alpha_zero", "fig7_downtime", "ext_nodes", "ext_segments",
+        "ext_weakscaling", "ext_weibull", "scenarios",
+    ),
+    ".analytic": ("AnalyticMemo", "AnalyticPoint", "evaluate_analytic", "model_key"),
+    ".common": ("FigureResult", "SimSettings"),
+    ".pipeline": ("Deferred", "SimulationPipeline", "materialize"),
+    ".registry": ("REGISTRY", "find_spec", "get_spec"),
+    ".runner": ("main", "print_input_tables"),
+    ".spec": (
+        "AxisSpec", "PanelSpec", "StudySpec", "load_toml_spec", "run_study",
+        "stage_study",
+    ),
+})
 
 __all__ = [
     "AnalyticMemo",

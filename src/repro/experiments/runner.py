@@ -18,46 +18,42 @@ Every figure subcommand is derived from the study registry
 grid live on the :class:`~repro.experiments.spec.StudySpec`, so the
 CLI cannot drift from the registered studies.  ``--jobs`` is the one
 parallelism knob: it sizes the process pool every study shares.
+
+Building the parser loads no numpy and no study: the registry's rows
+and :mod:`repro.constants` carry everything it shows, and each command
+imports its own machinery when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import json
 import re
 import sys
 import time
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..exceptions import InvalidParameterError, ReproError
-from ..io.stream import StreamingEmitter
-from ..io.tables import render_table
-from ..platforms.catalog import PLATFORM_NAMES, PLATFORMS
-from ..platforms.scenarios import SCENARIOS
-from ..sim.faults import CRASH_EXIT_CODE, SimulatedCrash, parse_fault_plan
-from ..sim.manifest import (
+from ..constants import (
     DEFAULT_RUNS_DIR,
-    RunManifest,
-    RunRecorder,
-    manifest_path,
-    validate_resume,
+    DEFAULT_SEED,
+    METHODS,
+    PLATFORM_NAMES,
+    TRACE_NAME,
 )
-from ..sim.montecarlo import FAST, METHODS, PAPER, Fidelity
-from ..sim.plan import ResultCache
-from ..sim.rng import DEFAULT_SEED
-from ..obs.metrics import MetricsRegistry
-from ..obs.stream import LineStream
-from ..obs.trace import TRACE_NAME, TraceWriter
-from .analytic import AnalyticMemo
-from .common import FigureResult, SimSettings
-from .pipeline import SimulationPipeline
-from .registry import REGISTRY, find_spec, get_spec
-from .spec import StudySpec, stage_study
+from ..exceptions import InvalidParameterError, ReproError
+from ..io.tables import render_table
+from .registry import REGISTRY, STUDIES, find_spec, get_spec
+
+if TYPE_CHECKING:
+    from ..io.stream import StreamingEmitter
+    from ..obs.trace import TraceWriter
+    from ..sim.manifest import RunRecorder
+    from .common import FigureResult, SimSettings
+    from .pipeline import SimulationPipeline
+    from .spec import StudySpec
 
 __all__ = ["main", "print_input_tables", "print_command_index", "check_experiments_md"]
 
@@ -77,6 +73,9 @@ _DOCUMENTED_META = (
 
 def print_input_tables(stream=None) -> None:
     """Print Tables II (platforms) and III (scenarios) — the inputs."""
+    from ..platforms.catalog import PLATFORMS
+    from ..platforms.scenarios import SCENARIOS
+
     stream = stream or sys.stdout
     rows2 = [
         (
@@ -111,6 +110,9 @@ def print_input_tables(stream=None) -> None:
 
 
 def _settings_from_args(args: argparse.Namespace) -> SimSettings:
+    from ..sim.montecarlo import FAST, PAPER, Fidelity
+    from .common import SimSettings
+
     if args.runs is not None or args.patterns is not None:
         fidelity = Fidelity(
             n_runs=args.runs if args.runs is not None else FAST.n_runs,
@@ -141,6 +143,8 @@ def _trace_from_args(
     trace_file = getattr(args, "trace_file", None)
     if not getattr(args, "trace", False) and trace_file is None:
         return None
+    from ..obs.trace import TraceWriter
+
     if trace_file is None:
         runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
         run_id = getattr(args, "run_id", None)
@@ -168,11 +172,16 @@ def _pipeline_from_args(
     spine the progress printer, dry-run report, resume summary and
     manifest snapshot all read.
     """
+    from ..obs.metrics import MetricsRegistry
+    from .pipeline import SimulationPipeline
+
     jobs = 1 if args.jobs is None else args.jobs
     max_inflight = getattr(args, "max_inflight", None)
     fault = None
     fault_spec = getattr(args, "fault_plan", None)
     if fault_spec:
+        from ..sim.faults import parse_fault_plan
+
         try:
             fault = parse_fault_plan(fault_spec)
         except ReproError as exc:
@@ -219,6 +228,8 @@ def _stage_specs(
     pipeline: SimulationPipeline,
 ) -> list:
     """Declare every (spec, platform) study onto the shared pipeline."""
+    from .spec import stage_study
+
     settings = _settings_from_args(args)
     staged = []
     for spec in specs:
@@ -245,6 +256,8 @@ def _progress_printer(staged: Sequence, pipeline: SimulationPipeline,
     denominator has to track them.  (For fixed runs the sequence never
     grows, so the recomputation changes nothing.)
     """
+    from ..obs.stream import LineStream
+
     out = LineStream(stream if stream is not None else sys.stderr)
     metrics = pipeline.metrics
 
@@ -280,6 +293,8 @@ def _validate_resumed(
     on stderr, keeping the table bytes on stdout identical to an
     unjournaled run.
     """
+    from ..sim.manifest import validate_resume
+
     report = validate_resume(
         recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv
     )
@@ -334,6 +349,8 @@ def _run_round(
     recorder = None
     run_id = getattr(args, "run_id", None)
     if run_id is not None:
+        from ..sim.manifest import RunRecorder
+
         runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
         try:
             if not args.resume:
@@ -624,10 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("tables", help="print Tables II and III (inputs)")
 
-    for name, spec in REGISTRY.items():
-        sub = subparsers.add_parser(name, help=spec.description)
+    for study in STUDIES:
+        sub = subparsers.add_parser(study.name, help=study.description)
         _add_common_options(sub)
-        if spec.supports_all_platforms:
+        if study.supports_all_platforms:
             sub.add_argument(
                 "--all-platforms",
                 action="store_true",
@@ -878,8 +895,10 @@ def print_command_index(stream=None) -> None:
     """Print every experiment subcommand with its registry description."""
     stream = stream or sys.stdout
     print("Experiment commands (equivalently `repro-experiments <command>`):", file=stream)
-    for name, spec in REGISTRY.items():
-        print(f"  python -m repro {name:<16} # {spec.description}", file=stream)
+    for study in STUDIES:
+        print(
+            f"  python -m repro {study.name:<16} # {study.description}", file=stream
+        )
 
 
 def check_experiments_md(path: str | Path, stream=None) -> int:
@@ -954,6 +973,10 @@ def _format_age(seconds: float) -> str:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from ..obs.metrics import MetricsRegistry
+    from ..sim.plan import ResultCache
+    from .analytic import AnalyticMemo
+
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "stats":
         stats = cache.stats()
@@ -1165,6 +1188,8 @@ def _machine_readable_bands(results: Sequence[FigureResult], fmt: str) -> None:
         json.dump(payload, sys.stdout, indent=2)
         print()
         return
+    import csv
+
     writer = csv.writer(sys.stdout)
     writer.writerow(("figure", "row", "column", "value"))
     for result in results:
@@ -1184,6 +1209,8 @@ def _adaptive_policy_from_args(args: argparse.Namespace, sset):
     :class:`~repro.experiments.scenarios.adaptive.AdaptivePolicy`, or
     ``None`` when adaptive mode is off (the byte-identical fixed path).
     """
+    import dataclasses
+
     from .scenarios import AdaptivePolicy
 
     overrides = {
@@ -1356,6 +1383,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     which is exactly the set the manifest's config hash covers, so the
     resumed round still validates against the original run.
     """
+    from ..sim.manifest import RunManifest, manifest_path
+
     runs_dir = args.runs_dir if args.runs_dir is not None else DEFAULT_RUNS_DIR
     try:
         manifest = RunManifest.load(manifest_path(runs_dir, args.run_id))
@@ -1400,7 +1429,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args, argv)
-    except SimulatedCrash as exc:
+    except ReproError as exc:
+        # Only an injected crash is handled here; the fault harness is
+        # imported on this path so that the CLI starts without it.
+        from ..sim.faults import CRASH_EXIT_CODE, SimulatedCrash
+
+        if not isinstance(exc, SimulatedCrash):
+            raise
         # The fault harness's kill -9 analogue: die loudly with a
         # dedicated exit code so crash-resume tests and CI can tell an
         # injected crash from a real failure.
@@ -1447,6 +1482,8 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         if args.command == "report":
             _write_report(args, pipeline, argv)
         else:
+            from ..io.stream import StreamingEmitter
+
             staged = _stage_specs(specs, args, pipeline)
             emitter = StreamingEmitter(csv_dir=args.csv, trace=pipeline.trace)
             for stage in staged:

@@ -8,15 +8,15 @@
     validation.
 """
 
-from .twolevel import (
-    SegmentedSolution,
-    expected_segmented_time,
-    optimal_segment_count,
-    optimal_segmented_pattern,
-    optimize_segments,
-    segmented_overhead,
-    segmented_period,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".twolevel": (
+        "SegmentedSolution", "expected_segmented_time", "optimal_segment_count",
+        "optimal_segmented_pattern", "optimize_segments", "segmented_overhead",
+        "segmented_period",
+    ),
+})
 
 __all__ = [
     "expected_segmented_time",

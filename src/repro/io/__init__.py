@@ -1,7 +1,11 @@
 """Reporting: ASCII tables, CSV export and streaming emission."""
 
-from .csvout import write_csv
-from .stream import StreamingEmitter
-from .tables import format_cell, render_table
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".csvout": ("write_csv",),
+    ".stream": ("StreamingEmitter",),
+    ".tables": ("format_cell", "render_table"),
+})
 
 __all__ = ["render_table", "format_cell", "write_csv", "StreamingEmitter"]

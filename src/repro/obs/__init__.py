@@ -10,22 +10,17 @@ a written trace back into per-phase wall-time, scheduler-occupancy
 and worker-utilisation answers for the ``trace`` CLI.
 """
 
-from .metrics import METRICS_SCHEMA, Counter, Gauge, Histogram, MetricsRegistry
-from .stream import LineStream
-from .trace import (
-    ENVIRONMENT_EVENTS,
-    EVENT_FIELDS,
-    NULL_TRACE,
-    TRACE_FORMAT,
-    TRACE_NAME,
-    VOLATILE_FIELDS,
-    NullTraceWriter,
-    TraceWriter,
-    comparable_events,
-    iter_trace,
-    load_trace,
-    validate_event,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".metrics": ("METRICS_SCHEMA", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".stream": ("LineStream",),
+    ".trace": (
+        "ENVIRONMENT_EVENTS", "EVENT_FIELDS", "NULL_TRACE", "TRACE_FORMAT",
+        "TRACE_NAME", "VOLATILE_FIELDS", "NullTraceWriter", "TraceWriter",
+        "comparable_events", "iter_trace", "load_trace", "validate_event",
+    ),
+})
 
 __all__ = [
     "Counter",

@@ -14,8 +14,9 @@ the questions a 40-minute sweep raises afterwards:
 * **studies / fates** — per-study computed/served tallies
   (per declaration, matching the metrics registry) and unique-key
   fates (last event wins, matching the run manifest exactly);
-* **critical path** — per study, first declare to last delivered
-  point: the studies that bounded the run's wall clock.
+* **critical path** — per study, first declare to the latest of its
+  last delivered point, its declare's end and its table emission: the
+  studies that bounded the run's wall clock.
 
 ``render_summary_text`` formats that document for terminals;
 ``render_timeline`` prints the raw event stream with relative
@@ -86,6 +87,11 @@ def summarize(events: list[dict]) -> dict:
     studies: dict[str, dict] = {}
     fate_by_key: dict[str, str] = {}
     study_window: dict[str, list] = {}  # study -> [first_t, last_t]
+
+    def extend(study: str, t: float) -> None:
+        window = study_window.setdefault(study, [t, t])
+        window[1] = max(window[1], t)
+
     for event in events:
         ev = event["ev"]
         if ev == "point":
@@ -97,12 +103,16 @@ def summarize(events: list[dict]) -> dict:
             entry["points"] += 1
             if event["key"] is not None:
                 fate_by_key[event["key"]] = event["status"]
-            window = study_window.setdefault(study, [event["t"], event["t"]])
-            window[1] = event["t"]
+            extend(study, event["t"])
         elif ev == "span_begin" and event.get("name") == "declare":
-            study = event.get("study")
-            if study is not None and study not in study_window:
-                study_window[study] = [event["t"], event["t"]]
+            if event.get("study") is not None:
+                extend(event["study"], event["t"])
+        elif (
+            ev == "emit" or (ev == "span_end" and event.get("name") == "declare")
+        ) and event.get("study") in study_window:
+            # A study ends where its last declare, point or table does:
+            # a zero-point study (ext-segments) spans its declare.
+            extend(event["study"], event["t"])
     fates = {"computed": 0, "served": 0}
     for fate in fate_by_key.values():
         fates[fate] = fates.get(fate, 0) + 1
@@ -173,7 +183,7 @@ def summarize(events: list[dict]) -> dict:
             )
             entry["rows_converged"] = event["converged"]
 
-    # Critical path: studies ranked by declare-to-last-point extent.
+    # Critical path: studies ranked by declare-to-last-event extent.
     critical = sorted(
         (
             {

@@ -43,6 +43,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from ..constants import TRACE_NAME
 from ..exceptions import ReproError
 
 __all__ = [
@@ -62,9 +63,6 @@ __all__ = [
 
 #: Current trace schema version (stamped into ``trace_start``).
 TRACE_FORMAT = 1
-
-#: Default file name of a run's trace journal, next to its manifest.
-TRACE_NAME = "trace.jsonl"
 
 #: Fields whose values vary run-to-run (timing, process identity) even
 #: when the computation is identical — stripped before determinism

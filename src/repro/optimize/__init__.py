@@ -17,16 +17,20 @@ provides those solvers:
     Alternating T/P fixed-point baseline (Jin et al. style).
 """
 
-from .allocation import AllocationResult, optimize_allocation, optimize_allocation_batch
-from .grid import BatchGridResult, log_grid, refine_log_minimum_batch
-from .period import (
-    PeriodResult,
-    optimize_period,
-    optimize_period_batch,
-    optimize_period_batch_grouped,
-)
-from .relaxation import RelaxationResult, relaxation_optimize
-from .scalar import ScalarResult, brent, minimize_scalar
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".allocation": (
+        "AllocationResult", "optimize_allocation", "optimize_allocation_batch",
+    ),
+    ".grid": ("BatchGridResult", "log_grid", "refine_log_minimum_batch"),
+    ".period": (
+        "PeriodResult", "optimize_period", "optimize_period_batch",
+        "optimize_period_batch_grouped",
+    ),
+    ".relaxation": ("RelaxationResult", "relaxation_optimize"),
+    ".scalar": ("ScalarResult", "brent", "minimize_scalar"),
+})
 
 __all__ = [
     "ScalarResult",

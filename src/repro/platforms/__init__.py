@@ -1,21 +1,17 @@
 """Platform catalog (Table II) and resilience scenarios (Table III)."""
 
-from .catalog import (
-    DEFAULT_ALPHA,
-    DEFAULT_DOWNTIME,
-    PLATFORM_NAMES,
-    PLATFORMS,
-    Platform,
-    get_platform,
-)
-from .scenarios import (
-    SCENARIO_IDS,
-    SCENARIOS,
-    Scenario,
-    build_model,
-    get_scenario,
-    scenario_costs,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".catalog": (
+        "DEFAULT_ALPHA", "DEFAULT_DOWNTIME", "PLATFORM_NAMES", "PLATFORMS",
+        "Platform", "get_platform",
+    ),
+    ".scenarios": (
+        "SCENARIO_IDS", "SCENARIOS", "Scenario", "build_model", "get_scenario",
+        "scenario_costs",
+    ),
+})
 
 __all__ = [
     "Platform",

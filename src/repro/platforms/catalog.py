@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..constants import PLATFORM_NAMES
 from ..core.errors import ErrorModel
 from ..exceptions import UnknownPlatformError
 from ..units import SECONDS_PER_HOUR
@@ -125,9 +126,6 @@ PLATFORMS: dict[str, Platform] = {
         verification_cost=180.0,
     ),
 }
-
-#: Canonical platform order used by the figures.
-PLATFORM_NAMES: tuple[str, ...] = ("Hera", "Atlas", "Coastal", "CoastalSSD")
 
 #: Accepted aliases (case-insensitive lookup plus the paper's spelling).
 _ALIASES: dict[str, str] = {

@@ -24,47 +24,33 @@ through which every Monte-Carlo point maps to jobs, and the
 single-point :func:`~repro.sim.montecarlo.simulate_overhead` driver.
 """
 
-from .batch import (
-    BatchStats,
-    PatternRates,
-    merge_batch_stats,
-    plan_chunks,
-    simulate_batch,
-    truncated_exponential,
-)
-from .engine import EventEngine
-from .events import Event, EventKind
-from .montecarlo import (
-    FAST,
-    METHODS,
-    PAPER,
-    VECTORIZED_THRESHOLD,
-    Fidelity,
-    resolve_method,
-    simulate_overhead,
-)
-from .executors import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
-from .nodes import NodePool, simulate_run_nodes
-from .protocol import RunStats, TimeBreakdown, simulate_run
-from .plan import (
-    BACKEND_VERSION,
-    ResultCache,
-    SimRequest,
-    SimulationPlan,
-    plan_simulations,
-    simulate_requests,
-)
-from .renewal import simulate_run_renewal
-from .vectorized import simulate_vectorized
-from .results import OverheadEstimate, overhead_estimate, overhead_samples
-from .rng import make_rng, spawn_rngs, spawn_seed_sequences
-from .streams import ArrivalProcess, ExponentialArrivals, WeibullArrivals
-from .trace import Trace, TraceEvent, TraceEventKind, format_trace
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".batch": (
+        "BatchStats", "PatternRates", "merge_batch_stats", "plan_chunks",
+        "simulate_batch", "truncated_exponential",
+    ),
+    ".engine": ("EventEngine",),
+    ".events": ("Event", "EventKind"),
+    ".montecarlo": (
+        "FAST", "METHODS", "PAPER", "VECTORIZED_THRESHOLD", "Fidelity",
+        "resolve_method", "simulate_overhead",
+    ),
+    ".executors": ("Executor", "PoolExecutor", "SerialExecutor", "make_executor"),
+    ".nodes": ("NodePool", "simulate_run_nodes"),
+    ".protocol": ("RunStats", "TimeBreakdown", "simulate_run"),
+    ".plan": (
+        "BACKEND_VERSION", "ResultCache", "SimRequest", "SimulationPlan",
+        "plan_simulations", "simulate_requests",
+    ),
+    ".renewal": ("simulate_run_renewal",),
+    ".vectorized": ("simulate_vectorized",),
+    ".results": ("OverheadEstimate", "overhead_estimate", "overhead_samples"),
+    ".rng": ("make_rng", "spawn_rngs", "spawn_seed_sequences"),
+    ".streams": ("ArrivalProcess", "ExponentialArrivals", "WeibullArrivals"),
+    ".trace": ("Trace", "TraceEvent", "TraceEventKind", "format_trace"),
+})
 
 __all__ = [
     "EventEngine",

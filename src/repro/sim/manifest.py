@@ -61,6 +61,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..constants import DEFAULT_RUNS_DIR
 from ..exceptions import ReproError
 from .plan import BACKEND_VERSION
 
@@ -75,11 +76,6 @@ __all__ = [
     "MANIFEST_NAME",
     "FATES_LOG_NAME",
 ]
-
-#: Default directory run manifests live under (one subdirectory per
-#: run id), relative to the working directory unless ``--runs-dir``
-#: points elsewhere.
-DEFAULT_RUNS_DIR = ".repro-runs"
 
 MANIFEST_NAME = "manifest.json"
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..constants import METHODS
 from ..core.pattern import PatternModel
 from ..exceptions import SimulationError
 from .results import OverheadEstimate
@@ -68,9 +69,6 @@ class Fidelity:
 FAST = Fidelity(n_runs=50, n_patterns=100, name="fast")
 #: The paper's protocol: 500 runs, each >= 500 patterns.
 PAPER = Fidelity(n_runs=500, n_patterns=500, name="paper")
-
-#: Valid ``method=`` choices of :func:`simulate_overhead`.
-METHODS = ("auto", "batch", "des", "vectorized")
 
 #: ``method="auto"`` switches from ``batch`` to ``vectorized`` at this
 #: many ``runs x patterns`` cells (the PAPER budget is 250 000).

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..constants import DEFAULT_SEED
 from ..exceptions import SimulationError
 
 __all__ = ["make_rng", "spawn_rngs", "spawn_seed_sequences"]
-
-#: Default master seed used across the experiment harness (fixed so the
-#: published tables regenerate bit-identically).
-DEFAULT_SEED = 20160913  # Cluster'16 conference week
 
 
 def make_rng(seed: int | np.random.SeedSequence | None = None) -> np.random.Generator:

@@ -22,7 +22,10 @@ infrastructure error, a broken/cancelled process pool, an injected
 :class:`~repro.sim.faults.TransientFault` — is retried under a
 :class:`RetryPolicy`: bounded resubmissions with exponential backoff,
 then one last inline execution in the scheduling process, and only if
-*that* fails does the error propagate and abort the round.  Job-level
+*that* fails does the error propagate and abort the round.  A backoff
+never stalls dispatch: a retried job waits out its delay in a side
+queue while the loop keeps consuming completions and submitting ready
+jobs, and the scheduler sleeps only when nothing is in flight.  Job-level
 errors that are not infrastructure (a :class:`SimulationError`, a
 ``ValueError`` from bad arguments) are never retried — retrying a
 deterministic failure only hides it.  A :class:`~repro.sim.faults.FaultPlan`
@@ -125,12 +128,13 @@ class RetryPolicy:
     """Bounded retry with exponential backoff for transient job failures.
 
     A failing job is resubmitted to the executor up to ``attempts``
-    times, sleeping ``delay(attempt)`` before each resubmission
+    times, each no earlier than ``delay(attempt)`` after its failure
     (``base_delay * backoff ** (attempt-1)``, capped at ``max_delay``);
     if every resubmission fails transiently too, the job runs once
     *inline* in the scheduling process — the executor may be broken,
-    but the run can still finish serially.  ``sleep`` is injectable so
-    tests assert the backoff sequence without waiting it out.
+    but the run can still finish serially.  ``sleep`` and ``clock``
+    are injectable so tests assert the backoff sequence without
+    waiting it out.
     """
 
     attempts: int = 2
@@ -138,6 +142,7 @@ class RetryPolicy:
     backoff: float = 2.0
     max_delay: float = 2.0
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
+    clock: Callable[[], float] = field(default=time.monotonic, repr=False)
 
     def delay(self, attempt: int) -> float:
         """Backoff before the ``attempt``-th resubmission (1-based)."""
@@ -147,12 +152,14 @@ class RetryPolicy:
 class _Entry:
     """One queued job with its retry bookkeeping."""
 
-    __slots__ = ("job", "tag", "attempts")
+    __slots__ = ("job", "tag", "attempts", "not_before")
 
     def __init__(self, job: tuple, tag):
         self.job = job
         self.tag = tag
         self.attempts = 0
+        #: ``RetryPolicy.clock`` time before which a retry is not resubmitted.
+        self.not_before = 0.0
 
 
 class Scheduler:
@@ -194,6 +201,8 @@ class Scheduler:
         self.trace = trace if trace is not None else NULL_TRACE
         self.metrics = metrics
         self._queue: deque[_Entry] = deque()
+        #: Retried entries whose backoff has not run out, oldest due first.
+        self._backoff: list[_Entry] = []
         self._inflight: dict = {}  # JobFuture -> _Entry
         #: Transient-failure resubmissions performed (observability).
         self.retries = 0
@@ -202,8 +211,8 @@ class Scheduler:
 
     @property
     def pending(self) -> int:
-        """Queued-but-unsubmitted jobs."""
-        return len(self._queue)
+        """Queued-but-unsubmitted jobs, retries in backoff included."""
+        return len(self._queue) + len(self._backoff)
 
     @property
     def outstanding(self) -> int:
@@ -232,6 +241,24 @@ class Scheduler:
                 len(self._inflight)
             )
 
+    def _release_due(self) -> None:
+        """Move retries whose backoff has run out to the queue's front."""
+        if not self._backoff:
+            return
+        now = self.retry.clock()
+        due = []
+        while self._backoff and self._backoff[0].not_before <= now:
+            due.append(self._backoff.pop(0))
+        self._queue.extendleft(reversed(due))
+
+    def _await_backoff(self) -> None:
+        """Nothing ready and nothing in flight: wait out the earliest retry."""
+        entry = self._backoff.pop(0)
+        remaining = entry.not_before - self.retry.clock()
+        if remaining > 0:
+            self.retry.sleep(remaining)
+        self._queue.appendleft(entry)
+
     def events(self) -> Iterator[tuple]:
         """Submit with a bounded window; yield ``(tag, result)`` events.
 
@@ -249,9 +276,13 @@ class Scheduler:
                 max_inflight=self.max_inflight,
                 workers=self.executor.workers,
             )
-        while self._queue or self._inflight:
+        while self._queue or self._backoff or self._inflight:
+            self._release_due()
             while self._queue and len(self._inflight) < self.max_inflight:
                 self._submit(self._queue.popleft())
+            if not self._inflight:
+                self._await_backoff()
+                continue
             future = self.executor.next_completed()
             if future is None:  # pragma: no cover - executor contract
                 raise SimulationError(
@@ -265,7 +296,8 @@ class Scheduler:
                     raise
                 entry.attempts += 1
                 if entry.attempts <= self.retry.attempts:
-                    # Bounded resubmission with exponential backoff.
+                    # Bounded resubmission with exponential backoff; the
+                    # loop keeps dispatching while the delay runs out.
                     self.retries += 1
                     if self.metrics is not None:
                         self.metrics.counter("scheduler_retries").inc()
@@ -276,8 +308,11 @@ class Scheduler:
                             attempt=entry.attempts,
                             error=type(error).__name__,
                         )
-                    self.retry.sleep(self.retry.delay(entry.attempts))
-                    self._queue.appendleft(entry)
+                    entry.not_before = (
+                        self.retry.clock() + self.retry.delay(entry.attempts)
+                    )
+                    self._backoff.append(entry)
+                    self._backoff.sort(key=lambda e: e.not_before)
                     continue
                 # Retries exhausted: one last inline execution in this
                 # process before the run gives up.  Jobs are pure, so

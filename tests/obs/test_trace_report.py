@@ -94,8 +94,37 @@ class TestSummarize:
     def test_critical_path_ranks_by_extent(self):
         critical = summarize(_events())["critical_path"]
         assert critical[0]["study"] == "fig5"
-        # First declare at t=0, last point at t=0.61.
-        assert critical[0]["seconds"] == pytest.approx(0.61)
+        # First declare at t=0; the emit at t=0.7 follows the last
+        # point (t=0.61), so it ends the window.
+        assert critical[0]["seconds"] == pytest.approx(0.7)
+
+    def test_critical_path_counts_declare_and_emit(self):
+        """A zero-point study spans its declare and emission, not 0 s."""
+        events = [
+            {"ev": "trace_start", "t": 0.0, "format": 1, "pid": 1,
+             "argv": ["all"]},
+            {"ev": "span_begin", "t": 0.1, "name": "declare", "sid": 1,
+             "study": "ext-segments"},
+            {"ev": "span_end", "t": 0.4, "name": "declare", "sid": 1,
+             "study": "ext-segments", "dur": 0.3},
+            {"ev": "span_begin", "t": 0.4, "name": "declare", "sid": 2,
+             "study": "ext-weakscaling"},
+            {"ev": "span_end", "t": 0.5, "name": "declare", "sid": 2,
+             "study": "ext-weakscaling", "dur": 0.1},
+            {"ev": "emit", "t": 0.9, "study": "ext-weakscaling", "tables": 2},
+            {"ev": "emit", "t": 0.95, "study": "(elsewhere)", "tables": 1},
+            {"ev": "trace_end", "t": 1.0, "status": "complete"},
+        ]
+        critical = {
+            row["study"]: row for row in summarize(events)["critical_path"]
+        }
+        # Declare end bounds ext-segments (no emit in this trace) ...
+        assert critical["ext-segments"]["start"] == pytest.approx(0.1)
+        assert critical["ext-segments"]["seconds"] == pytest.approx(0.3)
+        # ... the emit bounds ext-weakscaling, and an emit alone opens
+        # no window.
+        assert critical["ext-weakscaling"]["seconds"] == pytest.approx(0.5)
+        assert "(elsewhere)" not in critical
 
     def test_adaptive_waves(self):
         events = _events() + [

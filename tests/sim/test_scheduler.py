@@ -209,7 +209,11 @@ class TestRetry:
         from repro.sim.scheduler import RetryPolicy
 
         slept = []
-        policy = RetryPolicy(attempts=attempts, sleep=slept.append, **kw)
+        # A frozen clock: no time passes between a failure and the wait,
+        # so each backoff is waited out in one sleep of its full delay.
+        policy = RetryPolicy(
+            attempts=attempts, sleep=slept.append, clock=lambda: 0.0, **kw
+        )
         return policy, slept
 
     def test_transient_failure_is_retried(self):
@@ -244,6 +248,45 @@ class TestRetry:
         assert scheduler.inline_fallbacks == 1
         assert slept == [policy.delay(1), policy.delay(2), policy.delay(3)]
         assert slept == sorted(slept)  # exponential: non-decreasing
+
+    def test_backoff_never_stalls_dispatch(self):
+        """A retry waits out its backoff beside the loop: ready jobs are
+        submitted and completions consumed meanwhile, and the scheduler
+        sleeps only with nothing in flight, until the retry is due."""
+        from repro.sim.faults import FaultPlan
+        from repro.sim.scheduler import RetryPolicy
+
+        now = [0.0]
+        slept = []
+
+        def sleep(seconds):
+            assert scheduler.outstanding == 0
+            slept.append(seconds)
+            now[0] += seconds
+
+        class Recording(ShuffledExecutor):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.submitted = []
+
+            def submit(self, fn, item, tag=None):
+                self.submitted.append(tag)
+                return super().submit(fn, item, tag=tag)
+
+        executor = Recording(3)
+        policy = RetryPolicy(attempts=2, sleep=sleep, clock=lambda: now[0])
+        scheduler = Scheduler(
+            executor, max_inflight=3, retry=policy,
+            fault=FaultPlan(fail_job=1, fail_times=2),
+        )
+        for i in range(8):
+            scheduler.add(_job(i * 10), tag=i)
+        events = dict(scheduler.events())
+        assert events == {i: i * 10 for i in range(8)}
+        assert scheduler.retries == 2
+        # Every first submission went ahead of the not-yet-due retries.
+        assert executor.submitted == [*range(8), 0, 0]
+        assert slept == pytest.approx([policy.delay(1), policy.delay(2)])
 
     def test_delay_is_capped(self):
         from repro.sim.scheduler import RetryPolicy
