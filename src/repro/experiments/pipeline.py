@@ -149,9 +149,28 @@ def materialize(obj):
     return obj
 
 
-def _point_key(kind: str, item) -> str:
-    """The plan key of one pending declaration (request or call)."""
-    return request_key(item) if kind == "request" else call_key(*item)
+class _Declared:
+    """One pending declaration (a request or a call) and its plan key."""
+
+    __slots__ = ("kind", "item", "deferred", "group", "_key")
+
+    def __init__(self, kind: str, item, deferred: Deferred, group: str | None):
+        self.kind = kind
+        self.item = item
+        self.deferred = deferred
+        self.group = group
+        self._key: str | None = None
+
+    @property
+    def key(self) -> str:
+        """The plan key, hashed once: resume validation, the dry-run
+        preview and planning all read this one value."""
+        if self._key is None:
+            if self.kind == "request":
+                self._key = request_key(self.item)
+            else:
+                self._key = call_key(*self.item)
+        return self._key
 
 
 class SimulationPipeline:
@@ -221,7 +240,7 @@ class SimulationPipeline:
             Path(cache_dir) / "analytic_memo.json" if cache_dir is not None else None
         )
         self._memo: dict[str, object] = {}
-        self._pending: list[tuple] = []  # (kind, item, deferred, group)
+        self._pending: list[_Declared] = []
         #: Label attached to subsequently declared points (the staging
         #: engine sets it to the study name around each declare phase).
         self.current_group: str | None = None
@@ -257,7 +276,7 @@ class SimulationPipeline:
             method=settings.method,
         )
         deferred = Deferred()
-        self._pending.append(("request", request, deferred, self.current_group))
+        self._pending.append(_Declared("request", request, deferred, self.current_group))
         return deferred
 
     def call(self, fn: Callable, *args, **kwargs) -> Deferred:
@@ -269,7 +288,9 @@ class SimulationPipeline:
         function's qualified name and canonicalised arguments.
         """
         deferred = Deferred()
-        self._pending.append(("call", (fn, args, kwargs), deferred, self.current_group))
+        self._pending.append(
+            _Declared("call", (fn, args, kwargs), deferred, self.current_group)
+        )
         return deferred
 
     def evaluate_analytic(self, models) -> list:
@@ -304,8 +325,8 @@ class SimulationPipeline:
         """
         keys: list[str] = []
         seen: set[str] = set()
-        for kind, item, _, _ in self._pending:
-            key = _point_key(kind, item)
+        for declared in self._pending:
+            key = declared.key
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
@@ -367,10 +388,10 @@ class SimulationPipeline:
         #: served without compute (memo/disk), ``False`` when its jobs
         #: must run this round.
         served: dict[str, bool] = {}
-        for kind, item, _, group in self._pending:
+        for declared in self._pending:
+            group, key = declared.group, declared.key
             entry = _entry(group if group is not None else "(ungrouped)")
             entry["points"].inc()
-            key = _point_key(kind, item)
             if key in served:
                 # A later declaration of an already-classified key: it
                 # shares its representative's fate, whichever study
@@ -388,7 +409,9 @@ class SimulationPipeline:
                 continue
             served[key] = False
             entry["to_compute"].inc()
-            entry["jobs"].inc(len(request_jobs(item)) if kind == "request" else 1)
+            entry["jobs"].inc(
+                len(request_jobs(declared.item)) if declared.kind == "request" else 1
+            )
         for labels, metric in self.metrics.labeled("analytic"):
             _entry(labels["study"])[f"analytic_{labels['kind']}"].inc(metric.value)
         report: dict[str, dict[str, int]] = {}
@@ -451,8 +474,9 @@ class SimulationPipeline:
         round_no = self._rounds
         pending, self._pending = self._pending, []
 
+        requests = [d for d in pending if d.kind == "request"]
         plan = plan_simulations(
-            [item for kind, item, _, _ in pending if kind == "request"]
+            [d.item for d in requests], keys=[d.key for d in requests]
         )
         calls: list[tuple[str, tuple]] = []  # first-seen (key, job) pairs
         call_points: dict[str, int] = {}
@@ -460,16 +484,16 @@ class SimulationPipeline:
         # computation).
         decls: dict[int, list[tuple[Deferred, str | None]]] = {}
         slots = iter(plan.slots)
-        for kind, item, deferred, group in pending:
-            if kind == "request":
+        for declared in pending:
+            if declared.kind == "request":
                 i = next(slots)
             else:
-                key = _point_key(kind, item)
+                key = declared.key
                 i = call_points.get(key)
                 if i is None:
                     i = call_points[key] = plan.n_unique + len(calls)
-                    calls.append((key, item))
-            decls.setdefault(i, []).append((deferred, group))
+                    calls.append((key, declared.item))
+            decls.setdefault(i, []).append((declared.deferred, declared.group))
         keys = plan.keys + tuple(key for key, _ in calls)
 
         # Cache-serve short-circuit + tagged expansion (slowest backend

@@ -295,9 +295,13 @@ def _validate_resumed(
     """
     from ..sim.manifest import validate_resume
 
-    report = validate_resume(
-        recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv
-    )
+    # The recovery cost of a resume: every journaled entry is read and
+    # checked before the first table prints.
+    with pipeline.trace.span("validate") as span:
+        report = validate_resume(
+            recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv
+        )
+        span["points"] = len(report.reusable) + len(report.invalidated)
     for outcome in ("reusable", "invalidated", "missing", "stale"):
         n = len(getattr(report, outcome))
         if n:
@@ -364,6 +368,9 @@ def _run_round(
                     run.replay(recorder.manifest)
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
+        # The journal's ``computed`` fates promise entries that survive
+        # a power loss, so a journaled run fsyncs each entry it stores.
+        pipeline.cache.durable = True
         if args.resume:
             _validate_resumed(recorder, pipeline, argv)
     if run is not None:
@@ -977,6 +984,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     from ..sim.plan import ResultCache
     from .analytic import AnalyticMemo
 
+    if not Path(args.cache_dir).is_dir():
+        # Building the cache would create the directory, and a mistyped
+        # path would then read as an empty, healthy cache.
+        print(
+            f"repro-experiments cache {args.cache_command}: error: "
+            f"no cache directory at {args.cache_dir}",
+            file=sys.stderr,
+        )
+        return 2
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "stats":
         stats = cache.stats()

@@ -4,8 +4,10 @@
 :mod:`repro.obs.trace`) into one JSON-serialisable document answering
 the questions a 40-minute sweep raises afterwards:
 
-* **phases** — wall time per span name (declare / execute), so "where
-  did the time go" has a number per layer;
+* **phases** — wall time per span name (declare / validate /
+  execute), so "where did the time go" has a number per layer, plus
+  the points the spans report (points a declare staged, entries a
+  resume validated) where they report any;
 * **scheduler** — integrated in-flight time over the scheduling
   window: mean in-flight depth, occupancy against the configured
   window, high-water mark, retry and inline-fallback counts;
@@ -82,6 +84,8 @@ def summarize(events: list[dict]) -> dict:
             entry = phases.setdefault(event["name"], {"count": 0, "seconds": 0.0})
             entry["count"] += 1
             entry["seconds"] = round(entry["seconds"] + event["dur"], 6)
+            if "points" in event:
+                entry["points"] = entry.get("points", 0) + event["points"]
 
     # Per-study declaration tallies and unique-key fates (last wins).
     studies: dict[str, dict] = {}
@@ -233,9 +237,17 @@ def render_summary_text(summary: dict) -> list[str]:
         lines.append("[phases]")
         _table(
             lines,
-            ("phase", "spans", "seconds"),
+            ("phase", "spans", "seconds", "points", "ms/point"),
             [
-                (name, entry["count"], f"{entry['seconds']:.3f}")
+                (
+                    name,
+                    entry["count"],
+                    f"{entry['seconds']:.3f}",
+                    entry.get("points", "-"),
+                    f"{1000 * entry['seconds'] / entry['points']:.3f}"
+                    if entry.get("points")
+                    else "-",
+                )
                 for name, entry in summary["phases"].items()
             ],
         )

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +56,7 @@ from .batch import (
     merge_batch_stats,
     plan_chunk_jobs,
 )
+from .entry_codec import CorruptEntry, decode_entry, encode_entry
 from .executors import SerialExecutor
 from .montecarlo import FAST, resolve_method
 from .protocol import simulate_run
@@ -250,32 +250,38 @@ class SimulationPlan:
         ]
 
 
-def plan_simulations(requests: Sequence[SimRequest]) -> SimulationPlan:
+def plan_simulations(
+    requests: Sequence[SimRequest], keys: Sequence[str] | None = None
+) -> SimulationPlan:
     """Fuse a list of requests into one deduplicated plan.
 
     Backend names are resolved (and validated) here, so an unknown
-    ``method`` fails at plan time rather than mid-dispatch.
+    ``method`` fails at plan time rather than mid-dispatch.  ``keys``
+    are the requests' :func:`request_key` values when the caller has
+    already hashed them (the experiment pipeline hashes each point once
+    per invocation); by default each request is hashed here.
     """
     unique: list[SimRequest] = []
     methods: list[str] = []
-    keys: list[str] = []
+    unique_keys: list[str] = []
     slots: list[int] = []
     by_key: dict[str, int] = {}
-    for request in requests:
-        key = request_key(request)  # validates method via resolved_method
+    if keys is None:
+        keys = [request_key(r) for r in requests]  # validates each method
+    for request, key in zip(requests, keys):
         slot = by_key.get(key)
         if slot is None:
             slot = len(unique)
             by_key[key] = slot
             unique.append(request)
             methods.append(request.resolved_method)
-            keys.append(key)
+            unique_keys.append(key)
         slots.append(slot)
     return SimulationPlan(
         requests=tuple(unique),
         slots=tuple(slots),
         methods=tuple(methods),
-        keys=tuple(keys),
+        keys=tuple(unique_keys),
     )
 
 
@@ -362,8 +368,8 @@ class ResultCache:
     runs sharing a cache directory never observe torn files.  Each file
     holds one member, ``entry``, a 0-d structured record of the
     entry's fields; entries written by 1.14 and earlier (one member per
-    field) still read.  Unreadable or mismatched entries read as misses
-    and are recomputed.
+    field) still read (see :mod:`repro.sim.entry_codec`).  Unreadable
+    or mismatched entries read as misses and are recomputed.
     """
 
     def __init__(self, directory: str | Path):
@@ -371,6 +377,10 @@ class ResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: Fsync each entry before publishing it.  A journaled run sets
+        #: this: its ``computed`` fates promise entries that survive a
+        #: power loss.  Without a journal a lost entry is only a miss.
+        self.durable = False
         # Observability hooks (see bind_obs): None until a pipeline
         # attaches its trace writer and metrics registry.
         self.trace = None
@@ -402,21 +412,12 @@ class ResultCache:
 
     @staticmethod
     def _read(path: Path) -> dict:
-        """Every field of one entry, force-read (a truncated payload raises).
+        """Every field of one entry, CRC-checked (a damaged file raises).
 
-        A structured-record member expands into its fields, so the
-        one-record layout :meth:`_store` writes and the one-member-per-
-        field layout of 1.14 and earlier read as the same dict.
+        The one-record layout :meth:`_store` writes and the one-member-
+        per-field layout of 1.14 and earlier read as the same dict.
         """
-        out = {}
-        with np.load(path, allow_pickle=False) as data:
-            for name in data.files:
-                array = data[name]
-                if array.dtype.names:
-                    out.update((field, array[field][()]) for field in array.dtype.names)
-                else:
-                    out[name] = array[()]
-        return out
+        return decode_entry(path.read_bytes())
 
     def _load(self, key: str, kind: str) -> dict | None:
         data = self._verified.pop(key, None)
@@ -426,8 +427,8 @@ class ResultCache:
                 return None
             try:
                 data = self._read(path)
-            except Exception:
-                return None  # corrupt or foreign file: treat as a miss
+            except (OSError, CorruptEntry):
+                return None  # gone, corrupt or foreign: treat as a miss
         return data if str(data.get("kind")) == kind else None
 
     def contains(self, key: str) -> bool:
@@ -449,23 +450,24 @@ class ResultCache:
         Returns ``(True, "ok")`` for a fully readable entry,
         ``(False, "missing")`` when no file exists, and
         ``(False, <reason>)`` for a truncated/corrupt/foreign file.
-        Every array is force-read, so a file truncated mid-payload is
-        caught, not just a mangled header.  With ``retain`` a good
-        entry's payload is kept for the next get of ``key``, which
-        serves it without reading the file again (a resume verifies
-        every entry it is about to serve).
+        The whole file is read and every member CRC-checked, so a file
+        truncated or damaged anywhere is caught, not just a mangled
+        header.  With ``retain`` a good entry's payload is kept for the
+        next get of ``key``, which serves it without reading the file
+        again (a resume verifies every entry it is about to serve).
         """
         path = self._path(key)
-        if not path.exists():
+        try:
+            if path.stat().st_size == 0:
+                return False, "empty file"
+        except FileNotFoundError:
             return False, "missing"
-        if path.stat().st_size == 0:
-            return False, "empty file"
         try:
             data = self._read(path)
             kind = str(data["kind"])
         except KeyError:
             return False, "no 'kind' field (foreign file)"
-        except Exception as exc:
+        except (OSError, CorruptEntry) as exc:
             return False, f"unreadable ({type(exc).__name__}: {exc})"
         if kind not in self._KINDS:
             return False, f"unknown entry kind {kind!r}"
@@ -500,24 +502,20 @@ class ResultCache:
             return False
 
     def _store(self, key: str, **fields) -> None:
-        # One member, ``entry``: a 0-d structured record whose fields
-        # are the entry's fields, encoded in memory.  Atomic publish:
-        # one write of the whole entry to a private temp file, fsync,
-        # then rename over the final name.  A reader (or a crash) can
+        # Atomic publish: one write of the whole encoded entry to a
+        # private temp file (fsynced when :attr:`durable`), then rename
+        # over the final name.  A reader or a process crash can
         # therefore never observe a torn entry — only the old state, or
-        # the complete new one.
-        record = np.array(
-            tuple(fields.values()),
-            dtype=[(name, np.asarray(value).dtype) for name, value in fields.items()],
-        )
-        buffer = io.BytesIO()
-        np.savez(buffer, entry=record)
+        # the complete new one.  A power loss may leave an unsynced
+        # entry empty or torn; it then reads as a miss and recomputes.
+        data = encode_entry(fields)
         path = self._path(key)
         tmp = path.with_name(f".{key}.{os.getpid()}.tmp.npz")
         with open(tmp, "wb") as handle:
-            handle.write(buffer.getbuffer())
-            handle.flush()
-            os.fsync(handle.fileno())
+            handle.write(data)
+            if self.durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
 
     # -- overhead estimates ------------------------------------------------

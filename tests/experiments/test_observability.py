@@ -128,6 +128,33 @@ class TestJournalContract:
         assert manifest["reused"] == len(manifest["fates"])
         assert "[resume] round delivered:" in err
 
+    def test_resume_validation_is_a_traced_phase(self, tmp_path, capsys):
+        from repro.obs.report import render_summary_text, summarize
+        from repro.sim.faults import CRASH_EXIT_CODE
+
+        outs = []
+        for tag, extra in (("plain", []), ("traced", ["--trace-file", "t.jsonl"])):
+            args = [
+                "fig5", *FAST_ARGS,
+                "--cache-dir", str(tmp_path / tag / "cache"),
+                "--runs-dir", str(tmp_path / tag / "runs"),
+                "--run-id", "r1",
+            ]
+            assert main(args + ["--fault-plan", "crash-after=3"]) == CRASH_EXIT_CODE
+            capsys.readouterr()
+            extra = [str(tmp_path / tag / x) if x.endswith(".jsonl") else x
+                     for x in extra]
+            assert main(args + ["--resume", *extra]) == 0
+            outs.append(_strip_volatile(capsys.readouterr().out))
+        assert outs[0] == outs[1]  # tracing leaves stdout alone
+        summary = summarize(load_trace(tmp_path / "traced" / "t.jsonl"))
+        validate = summary["phases"]["validate"]
+        assert validate["count"] == 1 and validate["points"] == 3
+        assert any(
+            line.split()[:4] == ["validate", "1", f"{validate['seconds']:.3f}", "3"]
+            for line in render_summary_text(summary)
+        )
+
 
 class TestDeterminism:
     def _trace_of(self, tmp_path, capsys, tag, extra):

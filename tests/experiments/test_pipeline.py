@@ -115,6 +115,35 @@ class TestPointDeterminism:
             assert a.value == b.value
             assert pipe.metrics.value("scheduler_jobs") == 1
 
+    def test_each_key_is_hashed_once(self, monkeypatch):
+        # A resume reads pending_keys() and then resolves: both share
+        # one request_key call per point.
+        import repro.experiments.pipeline as pipeline_mod
+        import repro.sim.plan as plan_mod
+
+        calls = []
+        real = plan_mod.request_key
+
+        def counting(request):
+            calls.append(request)
+            return real(request)
+
+        monkeypatch.setattr(pipeline_mod, "request_key", counting)
+        monkeypatch.setattr(plan_mod, "request_key", counting)
+        points = [(6000.0, 256.0), (4000.0, 512.0), (3000.0, 1024.0)]
+        with SimulationPipeline(jobs=1) as pipe:
+            deferred = [
+                pipe.simulate_mean(build_model("Hera", 1), T, P, SETTINGS)
+                for T, P in points
+            ]
+            keys = pipe.pending_keys()
+            pipe.pending_report()
+            pipe.resolve()
+        assert len(calls) == len(set(keys)) == len(points)
+        assert [d.value for d in deferred] == [
+            _sequential_mean(build_model("Hera", 1), T, P) for T, P in points
+        ]
+
 
 class TestPrivatePipeline:
     def test_private_pipeline_is_serial(self):

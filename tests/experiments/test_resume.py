@@ -16,7 +16,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -185,14 +184,14 @@ class TestResumeReads:
             == CRASH_EXIT_CODE
         journaled = set(_manifest(tmp_path / "runs", "r1")["fates"])
         loads: dict[str, int] = {}
-        real = np.load
+        real = plan_mod.ResultCache._read
 
-        def counting(file, *args, **kwargs):
-            stem = Path(file).stem
+        def counting(path):
+            stem = Path(path).stem
             loads[stem] = loads.get(stem, 0) + 1
-            return real(file, *args, **kwargs)
+            return real(path)
 
-        monkeypatch.setattr(plan_mod.np, "load", counting)
+        monkeypatch.setattr(plan_mod.ResultCache, "_read", staticmethod(counting))
         capsys.readouterr()
         assert main(_run_args(tmp_path) + ["--resume"]) == 0
         err = capsys.readouterr().err

@@ -165,6 +165,26 @@ class TestRender:
         header = lines[lines.index("[studies]") + 1].split()
         assert header == ["study", "points", "computed", "served"]
 
+    def test_validate_phase_reports_ms_per_verified_entry(self):
+        events = _events()
+        events[1:1] = [
+            {"ev": "span_begin", "t": 0.0, "name": "validate", "sid": 9},
+            {"ev": "span_end", "t": 0.0, "name": "validate", "sid": 9,
+             "dur": 0.0243, "points": 486},
+        ]
+        summary = summarize(events)
+        assert summary["phases"]["validate"] == {
+            "count": 1, "seconds": 0.0243, "points": 486
+        }
+        lines = render_summary_text(summary)
+        at = lines.index("[phases]")
+        assert lines[at + 1].split() == [
+            "phase", "spans", "seconds", "points", "ms/point"
+        ]
+        rows = {line.split()[0]: line.split() for line in lines[at + 3 : at + 5]}
+        assert rows["validate"] == ["validate", "1", "0.024", "486", "0.050"]
+        assert rows["declare"] == ["declare", "1", "0.100", "-", "-"]
+
     def test_timeline_excludes_volatile_fields(self):
         lines = render_timeline(_events())
         assert len(lines) == len(_events())

@@ -9,7 +9,11 @@ must hit across executor types (the key is executor-independent); and
 from __future__ import annotations
 
 import dataclasses
+import io
+import math
+import os
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -376,3 +380,196 @@ class TestEntryCodec:
             assert not ok, f"a {size}-byte prefix of {len(data)} verified: {reason}"
         cache._path("est").write_bytes(data)
         assert cache.verify_entry("est") == (True, "ok")
+
+    @staticmethod
+    def _parent_store(cache: ResultCache, key: str, **fields) -> None:
+        """An entry as 1.15–1.19 wrote it: ``np.savez`` of the one record."""
+        record = np.array(
+            tuple(fields.values()),
+            dtype=[(name, np.asarray(value).dtype) for name, value in fields.items()],
+        )
+        buffer = io.BytesIO()
+        np.savez(buffer, entry=record)
+        cache._path(key).write_bytes(buffer.getvalue())
+
+    SPECIALS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.2250738585072014e-309)
+
+    @pytest.mark.parametrize("special", SPECIALS, ids=float.hex)
+    def test_both_kinds_round_trip_bit_for_bit(self, tmp_path, special):
+        cache = ResultCache(tmp_path)
+        estimate = OverheadEstimate(
+            mean=special, std=-special, stderr=1.0 + special, ci_low=special,
+            ci_high=-0.0, n_runs=2**40,
+        )
+        cache.put_estimate("est", estimate)
+        cache.put_value("val", special)
+        got = cache.get_estimate("est")
+        for f in dataclasses.fields(OverheadEstimate):
+            want = getattr(estimate, f.name)
+            if isinstance(want, float):
+                assert getattr(got, f.name).hex() == want.hex(), f.name
+            else:
+                assert getattr(got, f.name) == want
+        assert cache.get_value("val").hex() == special.hex()
+
+    def test_parent_encoder_entries_read_verify_and_serve(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        self._parent_store(cache, "est", kind="estimate", **{
+            f.name: getattr(self.ESTIMATE, f.name)
+            for f in dataclasses.fields(OverheadEstimate)
+        })
+        self._parent_store(cache, "val", kind="value", value=2.5)
+        assert cache.verify_entry("est", retain=True) == (True, "ok")
+        assert cache.verify_entry("val") == (True, "ok")
+        assert cache.get_estimate("est") == self.ESTIMATE
+        assert cache.get_estimate("est") == self.ESTIMATE  # from disk
+        assert cache.get_value("val") == 2.5
+        assert (cache.hits, cache.misses) == (3, 0)
+
+    def test_written_entries_are_byte_stable(self, tmp_path):
+        # No timestamp or pid in the bytes: equal entries are equal files.
+        cache = ResultCache(tmp_path)
+        cache.put_value("a", 2.5)
+        cache.put_value("b", 2.5)
+        assert cache._path("a").read_bytes() == cache._path("b").read_bytes()
+
+    def test_flipped_payload_byte_is_a_crc_mismatch(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put_estimate("est", self.ESTIMATE)
+        path = cache._path("est")
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\x00\x00\x00\x00\x00\x00\xf4?")] ^= 0x01  # mean's low byte
+        path.write_bytes(bytes(data))
+        ok, reason = cache.verify_entry("est")
+        assert not ok and "CRC-32 mismatch" in reason
+        assert cache.get_estimate("est") is None
+        assert cache.misses == 1
+
+    @pytest.mark.parametrize("where", [
+        -22,  # end-of-central-directory signature
+        -10,  # central directory size, in the end record
+        -22 - 46 - len("entry.npy"),  # central directory entry signature
+    ])
+    def test_a_damaged_directory_record_is_corrupt(self, tmp_path, where):
+        # The zip records carry no CRC of their own: each must be checked.
+        cache = ResultCache(tmp_path)
+        cache.put_value("val", 2.5)
+        path = cache._path("val")
+        data = bytearray(path.read_bytes())
+        data[where] ^= 0x01
+        path.write_bytes(bytes(data))
+        ok, reason = cache.verify_entry("val")
+        assert not ok and reason.startswith("unreadable (CorruptEntry:"), reason
+        assert cache.get_value("val") is None
+
+    def test_a_payload_longer_than_its_header_is_corrupt(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        header = io.BytesIO()
+        np.save(header, np.float64(2.5))
+        with zipfile.ZipFile(cache._path("long"), "w") as archive:  # stored
+            archive.writestr("value.npy", header.getvalue() + b"\0" * 8)
+        ok, reason = cache.verify_entry("long")
+        assert not ok and "payload bytes" in reason
+
+    def test_an_unknown_array_is_foreign(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with open(cache._path("alien"), "wb") as handle:
+            np.savez(handle, kind=np.arange(3))
+        ok, reason = cache.verify_entry("alien")
+        assert not ok and "foreign" in reason
+
+    def test_a_compressed_member_is_refused(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with open(cache._path("zipped"), "wb") as handle:
+            np.savez_compressed(handle, kind="value", value=2.5)
+        ok, reason = cache.verify_entry("zipped")
+        assert not ok and "not stored uncompressed" in reason
+
+
+class TestEntryDurability:
+    """Entries are fsynced only for a journaled run (see DESIGN.md)."""
+
+    @staticmethod
+    def _fsyncs(monkeypatch) -> list[int]:
+        """The fds the cache module fsyncs (the journal's are not counted)."""
+        calls: list[int] = []
+
+        class CountingOs:
+            def fsync(self, fd):
+                calls.append(fd)
+                return os.fsync(fd)
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+        monkeypatch.setattr(plan_mod, "os", CountingOs())
+        return calls
+
+    def test_an_unjournaled_cache_does_not_fsync(self, tmp_path, monkeypatch):
+        fsyncs = self._fsyncs(monkeypatch)
+        cache = ResultCache(tmp_path)
+        cache.put_value("v", 1.0)
+        assert fsyncs == []
+        cache.durable = True
+        cache.put_value("w", 2.0)
+        assert len(fsyncs) == 1
+        assert cache.get_value("v") == 1.0 and cache.get_value("w") == 2.0
+
+    def test_a_journaled_run_fsyncs_every_entry(self, tmp_path, monkeypatch):
+        from repro.experiments.runner import main
+
+        fsyncs = self._fsyncs(monkeypatch)
+        common = ["fig5", "--runs", "4", "--patterns", "3"]
+        assert main(common + ["--cache-dir", str(tmp_path / "plain")]) == 0
+        assert fsyncs == []
+        assert main(common + [
+            "--cache-dir", str(tmp_path / "journaled"),
+            "--runs-dir", str(tmp_path / "runs"), "--run-id", "r1",
+        ]) == 0
+        assert len(fsyncs) == len(ResultCache(tmp_path / "journaled").entries()) > 0
+
+    def test_empty_and_truncated_entries_recompute_and_rewrite(self, tmp_path):
+        with SimulationPipeline(jobs=1, cache_dir=tmp_path) as pipe:
+            values = [simulate_with(pipe), self._other(pipe)]
+        cache = ResultCache(tmp_path)
+        first, second = (e.path for e in cache.entries())
+        good = {first: first.read_bytes(), second: second.read_bytes()}
+        first.write_bytes(b"")  # what a power loss can leave unsynced
+        second.write_bytes(good[second][: len(good[second]) // 2])
+        with SimulationPipeline(jobs=1, cache_dir=tmp_path) as pipe:
+            assert [simulate_with(pipe), self._other(pipe)] == values
+            assert pipe.cache_stats == (0, 2)
+        for path, data in good.items():
+            assert path.read_bytes() == data  # rewritten, whole again
+        with SimulationPipeline(jobs=1, cache_dir=tmp_path) as pipe:
+            assert [simulate_with(pipe), self._other(pipe)] == values
+            assert pipe.cache_stats == (2, 0)
+
+    @staticmethod
+    def _other(pipeline: SimulationPipeline) -> float:
+        from repro.sim.montecarlo import Fidelity
+
+        settings = SimSettings(fidelity=Fidelity(n_runs=3, n_patterns=4), seed=12)
+        deferred = pipeline.simulate_mean(build_model("Hera", 1), 3600.0, 1000.0, settings)
+        pipeline.resolve()
+        return deferred.value
+
+
+class TestCacheCommandsOnAMissingDirectory:
+    """A mistyped --cache-dir is an error, not an empty healthy cache."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stats"], ["ls"], ["verify"], ["prune", "--max-age-days", "1", "--yes"],
+    ], ids=lambda argv: argv[0])
+    def test_fails_and_writes_nothing(self, tmp_path, capsys, argv):
+        from repro.experiments.runner import main
+
+        missing = tmp_path / "no-such-cache"
+        assert main(["cache", argv[0], "--cache-dir", str(missing), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-experiments cache {argv[0]}: error: "
+            f"no cache directory at {missing}\n"
+        )
+        assert list(tmp_path.iterdir()) == []

@@ -356,13 +356,13 @@ class TestVerifyOnceServe:
 
     def _loads(self, monkeypatch) -> list[str]:
         loads: list[str] = []
-        real = np.load
+        real = ResultCache._read
 
-        def counting(file, *args, **kwargs):
-            loads.append(Path(file).stem)
-            return real(file, *args, **kwargs)
+        def counting(path):
+            loads.append(Path(path).stem)
+            return real(path)
 
-        monkeypatch.setattr(plan_mod.np, "load", counting)
+        monkeypatch.setattr(ResultCache, "_read", staticmethod(counting))
         return loads
 
     def _cache(self, tmp_path) -> ResultCache:
