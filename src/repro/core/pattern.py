@@ -44,6 +44,7 @@ avoiding the ``inf * 0`` indeterminacy of the general formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,6 +271,15 @@ def pattern_speedup(T, P, errors: ErrorModel, costs: ResilienceCosts, speedup: S
     return 1.0 / pattern_overhead(T, P, errors, costs, speedup)
 
 
+#: The P-only column factors; each enters only ``+ - * /``.
+_FACTORS = (
+    "lam_f", "lam_s", "C", "R", "V", "floor",
+    "lf_R", "exp_lf_C", "expm1_lf_RC", "scale", "C_minus_R",
+)
+#: The factors used only by the silent-only (lambda^f = 0) limit.
+_SILENT_FACTORS = ("R", "C_minus_R")
+
+
 class PreparedColumns:
     """:func:`pattern_overhead` on processor columns fixed for a whole solve.
 
@@ -277,19 +287,17 @@ class PreparedColumns:
     against one ``P`` row.  Everything that depends on ``P`` alone — the
     rates :math:`\\lambda^f, \\lambda^s`, the costs ``C, R, V, D``, the
     floor ``H(P)`` and the ``P``-only factors of the expm1 form of
-    :func:`expected_pattern_time` — is computed here once, and
-    :meth:`overhead` evaluates only the ``T``-dependent remainder, in the
-    same operation order.  Its output is therefore bit-identical to
-    ``pattern_overhead(T, P, ...)`` once non-finite values of the latter
-    are read as ``+inf``, which is how every optimiser consumes it.
+    :func:`expected_pattern_time` — is computed here once; a
+    :class:`ColumnWorkspace` evaluates only the ``T``-dependent
+    remainder, in the same operation order.  Its output is therefore
+    bit-identical to ``pattern_overhead(T, P, ...)`` once non-finite
+    values of the latter are read as ``+inf``, which is how every
+    optimiser consumes it.
 
     Build it with :meth:`PatternModel.prepare`.
     """
 
-    __slots__ = (
-        "lam_f", "lam_s", "C", "R", "V", "floor",
-        "lf_R", "exp_lf_C", "expm1_lf_RC", "scale", "C_minus_R", "fail_stop",
-    )
+    __slots__ = _FACTORS + ("fail_stop",)
 
     def __init__(self, P, errors: ErrorModel, costs: ResilienceCosts, speedup: SpeedupModel):
         self.lam_f = lam_f = np.asarray(errors.fail_stop_rate(P), dtype=float)
@@ -309,6 +317,19 @@ class PreparedColumns:
         fail_stop = lam_f > 0.0
         self.fail_stop = None if fail_stop.all() else fail_stop
 
+    def take(self, index) -> "PreparedColumns":
+        """The prepared columns at ``index`` (every field indexed alike)."""
+        taken = object.__new__(type(self))
+        for name in _FACTORS:
+            setattr(taken, name, getattr(self, name)[index])
+        fail_stop = None if self.fail_stop is None else self.fail_stop[index]
+        taken.fail_stop = None if fail_stop is None or fail_stop.all() else fail_stop
+        return taken
+
+    def workspace(self, shape, buffers: list | None = None) -> "ColumnWorkspace":
+        """A :class:`ColumnWorkspace` evaluating ``T`` arrays of ``shape``."""
+        return ColumnWorkspace(self, shape, buffers)
+
     def overhead(self, T) -> np.ndarray:
         """:math:`H(T, P)` with every non-finite value read as ``+inf``.
 
@@ -318,17 +339,91 @@ class PreparedColumns:
         """
         T = np.asarray(T, dtype=float)
         _validate_overhead_period(T, T)
+        ws = self.workspace(np.broadcast_shapes(T.shape, self.lam_f.shape))
+        np.copyto(ws.T, T)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ls_T = self.lam_s * T
-            term = np.exp(self.lf_R + ls_T) * np.expm1(self.lam_f * (self.C + T + self.V)) + (
-                self.exp_lf_C * np.expm1(ls_T) * self.expm1_lf_RC
-            )
-            E = self.scale * term
-            if self.fail_stop is not None:
-                silent_only = self.C_minus_R + np.exp(ls_T) * (self.R + T + self.V)
-                E = np.where(self.fail_stop, E, silent_only)
-            H = np.asarray(self.floor * E / T)
-        np.copyto(H, np.inf, where=~np.isfinite(H))
+            return ws.overhead()
+
+
+class ColumnWorkspace:
+    """Buffers that evaluate :class:`PreparedColumns` in place.
+
+    A solve that evaluates many ``T`` arrays of one ``shape`` (the
+    period zoom's ``(points, columns)`` rounds) writes each into ``T``
+    and calls :meth:`overhead`, which fills ``H`` without allocating.
+    The ``P``-only factors are broadcast to ``shape`` once, and only
+    those that enter ``+ - * /``: these are correctly rounded whatever
+    the operand layout, while the ``exp``/``expm1`` inputs stay
+    contiguous ``shape`` arrays as in :func:`expected_pattern_time`, so
+    numpy picks the same loops and every value is bit-identical.
+
+    Every array is carved from ``buffers``, a list of flat float arrays
+    that is refilled in place when it is too small: solves that pass the
+    same list one after another allocate their memory once.
+    """
+
+    __slots__ = _FACTORS + ("T", "H", "_a", "_b", "_c", "_finite", "silent")
+
+    def __init__(self, columns: PreparedColumns, shape, buffers: list | None = None):
+        shape = tuple(shape)
+        size = math.prod(shape)
+        self.silent = None if columns.fail_stop is None else ~columns.fail_stop
+        factors = [
+            name for name in _FACTORS
+            if self.silent is not None or name not in _SILENT_FACTORS
+        ]
+        carved = [name for name in factors if getattr(columns, name).shape != shape]
+        carved += ["T", "H", "_a", "_b"] + (["_c"] if self.silent is not None else [])
+        if buffers is None:
+            buffers = []
+        if buffers and buffers[0].size < size:
+            buffers.clear()
+        capacity = buffers[0].size if buffers else size
+        buffers.extend(np.empty(capacity) for _ in range(len(carved) - len(buffers)))
+        for name, buffer in zip(carved, buffers):
+            setattr(self, name, buffer[:size].reshape(shape))
+        for name in factors:
+            if name in carved:
+                np.copyto(getattr(self, name), getattr(columns, name))
+            else:
+                setattr(self, name, getattr(columns, name))
+        self._finite = np.empty(shape, dtype=bool)
+
+    def overhead(self) -> np.ndarray:
+        """:math:`H` at the periods in ``T``, into ``H`` (returned).
+
+        Non-finite values read as ``+inf``.  The caller validates ``T``
+        and ignores floating-point warnings (``np.errstate``).
+        """
+        T, H, a, b = self.T, self.H, self._a, self._b
+        np.multiply(self.lam_s, T, out=a)  # lambda^s T
+        np.add(self.lf_R, a, out=b)
+        np.exp(b, out=b)
+        np.add(self.C, T, out=H)
+        np.add(H, self.V, out=H)
+        np.multiply(self.lam_f, H, out=H)
+        np.expm1(H, out=H)
+        np.multiply(b, H, out=b)  # e^{lf R + ls T} expm1(lf (C + T + V))
+        if self.silent is not None:
+            # Exact lambda_f -> 0 limit: C - R + e^{ls T} (R + T + V).
+            c = self._c
+            np.exp(a, out=c)
+            np.add(self.R, T, out=H)
+            np.add(H, self.V, out=H)
+            np.multiply(c, H, out=c)
+            np.add(self.C_minus_R, c, out=c)
+        np.expm1(a, out=a)
+        np.multiply(self.exp_lf_C, a, out=a)
+        np.multiply(a, self.expm1_lf_RC, out=a)
+        np.add(b, a, out=b)
+        np.multiply(self.scale, b, out=b)  # E
+        if self.silent is not None:
+            np.copyto(b, c, where=self.silent)
+        np.multiply(self.floor, b, out=H)
+        np.divide(H, T, out=H)
+        finite = np.isfinite(H, out=self._finite)
+        if not finite.all():
+            np.copyto(H, np.inf, where=np.logical_not(finite, out=finite))
         return H
 
 

@@ -38,6 +38,7 @@ sampled numbers.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -303,13 +304,16 @@ class SimulationPipeline:
         served/computed split is attributed to :attr:`current_group`,
         like sim declarations.
         """
+        start = time.perf_counter()
         points, evaluated, served = evaluate_analytic(models, self.analytic_memo)
+        dur = time.perf_counter() - start
         label = self.current_group if self.current_group is not None else "(ungrouped)"
         self.metrics.counter("analytic", study=label, kind="evaluated").inc(evaluated)
         self.metrics.counter("analytic", study=label, kind="served").inc(served)
         if self.trace.enabled:
             self.trace.event(
-                "analytic_batch", study=label, evaluated=evaluated, served=served
+                "analytic_batch", study=label, evaluated=evaluated, served=served,
+                dur=round(dur, 6),
             )
             if served:
                 self.trace.event("memo_serve", study=label, count=served)

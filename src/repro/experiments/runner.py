@@ -468,6 +468,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of an RNG seed: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _run_id(text: str) -> str:
+    """argparse type of a run id: one path component under ``--runs-dir``."""
+    if text in ("", ".", "..") or Path(text).name != text:
+        raise argparse.ArgumentTypeError(
+            f"must be one non-empty path component other than '.' and '..', got {text!r}"
+        )
+    return text
+
+
 def _add_sim_options(
     sub: argparse.ArgumentParser,
     seed_default: int | None = DEFAULT_SEED,
@@ -487,7 +507,7 @@ def _add_sim_options(
         "--patterns", type=_positive_int, default=None,
         help="override patterns per run",
     )
-    sub.add_argument("--seed", type=int, default=seed_default, help=seed_help)
+    sub.add_argument("--seed", type=_seed, default=seed_default, help=seed_help)
     sub.add_argument(
         "--method",
         default="auto",
@@ -536,6 +556,7 @@ def _add_sim_options(
     )
     sub.add_argument(
         "--run-id",
+        type=_run_id,
         default=None,
         metavar="ID",
         help="journal this invocation as a durable run: every resolved "
@@ -694,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted --run-id run from its manifest, "
         "reusing every completed point whose cache entry verifies",
     )
-    sub_resume.add_argument("run_id", metavar="RUN_ID")
+    sub_resume.add_argument("run_id", type=_run_id, metavar="RUN_ID")
     sub_resume.add_argument(
         "--runs-dir",
         default=None,
@@ -842,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen_gen.add_argument("file", metavar="SCENARIO_TOML")
     scen_gen.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_seed, default=None,
         help="override the scenario file's master seed",
     )
     scen_run = scen_sub.add_parser(

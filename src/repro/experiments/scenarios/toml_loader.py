@@ -182,6 +182,8 @@ def load_scenario_toml(
         master_seed = int(master_seed)
     except (TypeError, ValueError) as exc:
         raise _fail(path, f"[scenario] seed: {exc}") from exc
+    if master_seed < 0:
+        raise _fail(path, f"[scenario] seed must be a non-negative integer, got {master_seed}")
 
     transforms = []
     resample_counts = []

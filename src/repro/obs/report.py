@@ -16,6 +16,8 @@ the questions a 40-minute sweep raises afterwards:
 * **studies / fates** — per-study computed/served tallies
   (per declaration, matching the metrics registry) and unique-key
   fates (last event wins, matching the run manifest exactly);
+* **analytic** — models the analytic pass evaluated and the memo
+  served, its hit rate and milliseconds per evaluated model;
 * **critical path** — per study, first declare to the latest of its
   last delivered point, its declare's end and its table emission: the
   studies that bounded the run's wall clock.
@@ -165,13 +167,20 @@ def summarize(events: list[dict]) -> dict:
     }
     lookups = cache["hit"] + cache["miss"]
     cache["hit_rate"] = round(cache["hit"] / lookups, 4) if lookups else None
-    analytic = {"evaluated": 0, "served": 0}
+    analytic = {"evaluated": 0, "served": 0, "seconds": None}
     for event in events:
         if event["ev"] == "analytic_batch":
             analytic["evaluated"] += event["evaluated"]
             analytic["served"] += event["served"]
+            if "dur" in event:
+                analytic["seconds"] = round((analytic["seconds"] or 0.0) + event["dur"], 6)
     total = analytic["evaluated"] + analytic["served"]
     analytic["hit_rate"] = round(analytic["served"] / total, 4) if total else None
+    analytic["ms_per_evaluated"] = (
+        round(1e3 * analytic["seconds"] / analytic["evaluated"], 3)
+        if analytic["seconds"] is not None and analytic["evaluated"]
+        else None
+    )
 
     # Adaptive waves.
     adaptive: dict[str, dict] = {}
@@ -304,9 +313,13 @@ def render_summary_text(summary: dict) -> list[str]:
     rate = (
         f"{analytic['hit_rate']:.2%}" if analytic["hit_rate"] is not None else "n/a"
     )
+    per_model = (
+        f", {analytic['ms_per_evaluated']:.3f} ms per evaluated model"
+        if analytic["ms_per_evaluated"] is not None else ""
+    )
     lines.append(
         f"[analytic] {analytic['evaluated']} evaluated, "
-        f"{analytic['served']} memo-served (hit rate {rate})"
+        f"{analytic['served']} memo-served (hit rate {rate}){per_model}"
     )
     for family, entry in summary["adaptive"].items():
         lines.append(

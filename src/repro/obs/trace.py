@@ -103,7 +103,8 @@ EVENT_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
     "cache_miss": (frozenset({"key"}), frozenset()),
     "cache_store": (frozenset({"key", "kind"}), frozenset()),
     "memo_serve": (frozenset({"study", "count"}), frozenset()),
-    "analytic_batch": (frozenset({"study", "evaluated", "served"}), frozenset()),
+    # dur: wall seconds of the batch (1.21+; older journals lack it)
+    "analytic_batch": (frozenset({"study", "evaluated", "served"}), frozenset({"dur"})),
     # adaptive replicate engine
     "wave_stage": (
         frozenset({"family", "wave", "start", "stop"}),

@@ -31,7 +31,7 @@ import numpy as np
 from ..core.pattern import PatternModel, stack_models
 from ..exceptions import InvalidParameterError, OptimizationError
 from .grid import refine_log_minimum_batch
-from .period import optimize_period, optimize_period_batch, optimize_period_batch_grouped
+from .period import _optimize_columns, optimize_period, optimize_period_batch
 
 __all__ = ["AllocationResult", "optimize_allocation", "optimize_allocation_batch"]
 
@@ -175,12 +175,12 @@ def optimize_allocation_batch(
     Batch counterpart of :func:`optimize_allocation`: the outer
     processor zoom runs all models as columns of one
     :func:`repro.optimize.grid.refine_log_minimum_batch` search, and the
-    inner period solves go through
-    :func:`repro.optimize.period.optimize_period_batch_grouped` — every
-    outer round is a single broadcast ``(T, P)`` overhead evaluation
-    over ``points * len(models)`` columns instead of a per-model Python
-    loop.  This is the figure sweeps' hot path: a whole grid column of
-    scenario models resolves per call.
+    inner period solves are one grouped period zoom per outer round
+    (see :func:`repro.optimize.period.optimize_period_batch_grouped`)
+    over the ``points`` columns of every still-active model, instead of
+    a per-model Python loop.  The models are stacked once per call and
+    the zooms share one workspace's memory.  This is the figure sweeps'
+    hot path: a whole grid column of scenario models resolves per call.
 
     Per model the returned :class:`AllocationResult` is bit-identical to
     a scalar :func:`optimize_allocation` call with the same options: the
@@ -216,9 +216,14 @@ def optimize_allocation_batch(
         p_maxs[j] = p_max if p_max is not None else max(1e4, 100.0 / lam)
         if not (0.0 < p_min < p_maxs[j]):
             raise OptimizationError(f"invalid processor range [{p_min}, {p_maxs[j]}]")
+    # Stack once: every outer round prepares its abscissae on all
+    # stacked columns and zooms the still-active models' columns, taken
+    # by index (the preparation is elementwise, so each column keeps
+    # its bits).
+    stacked = None
     if len(models) > 1:
         try:
-            stack_models(models)
+            stacked = stack_models(models, repeat=points)
         except InvalidParameterError:
             return [
                 optimize_allocation(
@@ -227,6 +232,9 @@ def optimize_allocation_batch(
                 )
                 for model in models
             ]
+    abscissae = np.empty((len(models), points))
+    offsets = np.arange(points)
+    buffers: list[np.ndarray] = []  # every round's zoom workspace memory
 
     def objective(xs: np.ndarray, idx: np.ndarray):
         # xs is (points, k) for the k still-active models; flatten
@@ -234,8 +242,17 @@ def optimize_allocation_batch(
         # the grouped period solve.
         k = idx.size
         flat_P = xs.T.ravel()
-        Ts, Hs = optimize_period_batch_grouped(
-            [models[i] for i in idx], flat_P, np.full(k, points)
+        if k == 1:
+            # One model zooms alone, unstacked, like a one-model call.
+            columns = models[idx[0]].prepare(flat_P)
+        else:
+            abscissae[idx] = xs.T
+            columns = stacked.prepare(abscissae.ravel())
+            if k < len(models):
+                columns = columns.take((idx[:, None] * points + offsets).ravel())
+        Ts, Hs = _optimize_columns(
+            columns, [models[i] for i in idx], flat_P, np.full(k, points),
+            buffers=buffers,
         )
         return Hs.reshape(k, points).T, Ts.reshape(k, points).T
 

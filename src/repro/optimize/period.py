@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.first_order import optimal_period
-from ..core.pattern import PatternModel, stack_models
+from ..core.pattern import (
+    PatternModel,
+    PreparedColumns,
+    _validate_overhead_period,
+    stack_models,
+)
 from ..exceptions import OptimizationError
 from .scalar import minimize_scalar
 
@@ -114,14 +119,14 @@ def optimize_period(model: PatternModel, P: float, seed: float | None = None) ->
 
 
 def _zoom_batch_grouped(
-    model: PatternModel,
-    P: np.ndarray,
+    columns: PreparedColumns,
     lo: np.ndarray,
     hi: np.ndarray,
     points: int,
     rounds: int,
     starts: np.ndarray,
     group_of: np.ndarray,
+    buffers: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column log-space zoom of the exact overhead over ``[lo, hi]``.
 
@@ -133,30 +138,118 @@ def _zoom_batch_grouped(
     bracket updates and break round are bit-identical to a one-group
     call on that group alone.
 
-    ``P`` is fixed for the whole zoom, so its terms are prepared once
-    (:meth:`~repro.core.pattern.PatternModel.prepare`); overflowed
-    regions of the search domain read as +inf, never NaN, so the argmins
-    stay well-defined.
+    ``P`` is fixed for the whole zoom, so its terms come prepared
+    (:meth:`~repro.core.pattern.PatternModel.prepare`) and every round
+    evaluates in place in one :class:`~repro.core.pattern.ColumnWorkspace`
+    carved from ``buffers``; overflowed regions of the search domain
+    read as +inf, never NaN, so the argmins stay well-defined.
     """
-    columns = model.prepare(P)
-    rows = np.arange(points)[:, None]
-    cols = np.arange(P.size)
+    n = lo.size
+    ws = columns.workspace((points, n), buffers)
+    T, flat_T = ws.T, ws.T.reshape(-1)
+    rows = np.arange(points)
+    exponents = rows[:, None] / (points - 1)
+    cols = np.arange(n)
+    # Flat offsets in T of the rows bracketing each possible argmin row.
+    below = np.maximum(rows - 1, 0) * n
+    above = np.minimum(rows + 1, points - 1) * n
     active = np.ones(starts.size, dtype=bool)
-    col_active = np.ones(P.size, dtype=bool)
-    for _ in range(rounds):
-        ratio = hi / lo
-        Ts = lo[None, :] * ratio[None, :] ** (rows / (points - 1))
-        Hs = columns.overhead(Ts)
-        best = np.argmin(Hs, axis=0)
-        lo = np.where(col_active, Ts[np.maximum(best - 1, 0), cols], lo)
-        hi = np.where(col_active, Ts[np.minimum(best + 1, points - 1), cols], hi)
-        group_max = np.maximum.reduceat(hi / lo, starts)
-        active &= ~(group_max - 1.0 < 1e-11)
-        if not active.any():
-            break
-        col_active = active[group_of]
+    col_active = None  # every column zooms until some group converges
+    ratio = hi / lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for r in range(rounds):
+            np.power(ratio[None, :], exponents, out=T)
+            np.multiply(lo[None, :], T, out=T)
+            if r == 0:
+                # Later rounds stay inside this round's brackets.
+                _validate_overhead_period(T, T)
+            H = ws.overhead()
+            best = np.argmin(H, axis=0)
+            lo_new = flat_T.take(below.take(best) + cols)
+            hi_new = flat_T.take(above.take(best) + cols)
+            if col_active is None:
+                lo, hi = lo_new, hi_new
+            else:
+                lo = np.where(col_active, lo_new, lo)
+                hi = np.where(col_active, hi_new, hi)
+            ratio = hi / lo
+            active &= ~(np.maximum.reduceat(ratio, starts) - 1.0 < 1e-11)
+            left = np.count_nonzero(active)
+            if not left:
+                break
+            if left < active.size:
+                col_active = active[group_of]
     T_opt = np.sqrt(lo * hi)
     return T_opt, columns.overhead(T_opt)
+
+
+def _optimize_columns(
+    columns: PreparedColumns,
+    models,
+    P: np.ndarray,
+    sizes: np.ndarray,
+    points: int = 17,
+    rounds: int = 14,
+    seed_decades: float = _SEED_DECADES,
+    buffers: list | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`optimize_period_batch_grouped` on already prepared columns.
+
+    ``columns`` holds ``P`` prepared for the models stacked in blocks of
+    ``sizes`` (the model itself when there is one); the widened re-zoom
+    prepares the pinned columns of each member model on its own.  Every
+    zoom carves its workspace from ``buffers`` (see
+    :class:`~repro.core.pattern.ColumnWorkspace`).
+    """
+    if buffers is None:
+        buffers = []
+    # Theorem 1's first-order period centres each column's window,
+    # computed from the prepared terms in optimal_period's operation order.
+    lam_eff = columns.lam_f / 2.0 + columns.lam_s
+    if np.any(lam_eff <= 0.0):
+        raise OptimizationError("error-free platform: optimal period unbounded")
+    T0 = np.sqrt((columns.C + columns.V) / lam_eff)
+    lo = T0 * 10.0**-seed_decades
+    hi = T0 * 10.0**seed_decades
+
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    group_of = np.repeat(np.arange(len(models)), sizes)
+    T_opt, H_opt = _zoom_batch_grouped(
+        columns, lo, hi, points, rounds, starts, group_of, buffers
+    )
+    # Columns whose overhead overflows everywhere legitimately report
+    # +inf (the outer allocation search discards them); only a *finite*
+    # optimum sitting on a bracket edge means the seed window was off.
+    pinned = ((T_opt / lo < 1.001) | (hi / T_opt < 1.001)) & np.isfinite(H_opt)
+    if np.any(pinned):
+        # Widen those once (1e3 each side, like the scalar path) and
+        # re-zoom only the pinned columns, per owning model (the widened
+        # re-zoom is rare and small, so scalar-model calls are fine).
+        T_opt = T_opt.copy()
+        H_opt = H_opt.copy()
+        for g, member in enumerate(models):
+            idx = np.flatnonzero(pinned & (group_of == g))
+            if idx.size == 0:
+                continue
+            lo_w = lo[idx] * 1e-3
+            hi_w = hi[idx] * 1e3
+            T_wide, H_wide = _zoom_batch_grouped(
+                member.prepare(P[idx]), lo_w, hi_w, points, rounds,
+                np.zeros(1, dtype=int), np.zeros(idx.size, dtype=int), buffers,
+            )
+            T_opt[idx] = T_wide
+            H_opt[idx] = H_wide
+            still = ((T_wide / lo_w < 1.001) | (hi_w / T_wide < 1.001)) & np.isfinite(
+                H_wide
+            )
+            if np.any(still):
+                bad = P[idx][still]
+                raise OptimizationError(
+                    f"optimal period not interior to the widened bracket for "
+                    f"P={np.array2string(bad, max_line_width=60)}; the overhead "
+                    "appears monotone in T"
+                )
+    return T_opt, H_opt
 
 
 def optimize_period_batch_grouped(
@@ -199,51 +292,9 @@ def optimize_period_batch_grouped(
     # A single group needs no stacking: use the model as-is, which also
     # keeps exotic (non-stackable) speedup profiles working.
     stacked = models[0] if len(models) == 1 else stack_models(models, repeat=sizes)
-    lam_eff = stacked.errors.fail_stop_rate(P) / 2.0 + stacked.errors.silent_rate(P)
-    if np.any(lam_eff <= 0.0):
-        raise OptimizationError("error-free platform: optimal period unbounded")
-    T0 = np.asarray(optimal_period(P, stacked.errors, stacked.costs), dtype=float)
-    lo = T0 * 10.0**-seed_decades
-    hi = T0 * 10.0**seed_decades
-
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    group_of = np.repeat(np.arange(len(models)), sizes)
-    T_opt, H_opt = _zoom_batch_grouped(
-        stacked, P, lo, hi, points, rounds, starts, group_of
+    return _optimize_columns(
+        stacked.prepare(P), models, P, sizes, points, rounds, seed_decades
     )
-    # Columns whose overhead overflows everywhere legitimately report
-    # +inf (the outer allocation search discards them); only a *finite*
-    # optimum sitting on a bracket edge means the seed window was off.
-    pinned = ((T_opt / lo < 1.001) | (hi / T_opt < 1.001)) & np.isfinite(H_opt)
-    if np.any(pinned):
-        # Widen those once (1e3 each side, like the scalar path) and
-        # re-zoom only the pinned columns, per owning model (the widened
-        # re-zoom is rare and small, so scalar-model calls are fine).
-        T_opt = T_opt.copy()
-        H_opt = H_opt.copy()
-        for g, member in enumerate(models):
-            idx = np.flatnonzero(pinned & (group_of == g))
-            if idx.size == 0:
-                continue
-            lo_w = lo[idx] * 1e-3
-            hi_w = hi[idx] * 1e3
-            T_wide, H_wide = _zoom_batch_grouped(
-                member, P[idx], lo_w, hi_w, points, rounds,
-                np.zeros(1, dtype=int), np.zeros(idx.size, dtype=int),
-            )
-            T_opt[idx] = T_wide
-            H_opt[idx] = H_wide
-            still = ((T_wide / lo_w < 1.001) | (hi_w / T_wide < 1.001)) & np.isfinite(
-                H_wide
-            )
-            if np.any(still):
-                bad = P[idx][still]
-                raise OptimizationError(
-                    f"optimal period not interior to the widened bracket for "
-                    f"P={np.array2string(bad, max_line_width=60)}; the overhead "
-                    "appears monotone in T"
-                )
-    return T_opt, H_opt
 
 
 def optimize_period_batch(

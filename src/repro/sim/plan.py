@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -153,6 +154,29 @@ def canonical_signature(obj):
     )
 
 
+#: ``id(model)`` -> (weak reference to the model, ``repr`` of its signature).
+_MODEL_SIGNATURES: dict[int, tuple[weakref.ref, str]] = {}
+
+
+def _model_signature_repr(model) -> str:
+    """``repr(canonical_signature(model))``, computed once per object.
+
+    Keyed by identity, never by value: models that compare equal can
+    still sign differently (``0.0 == -0.0``, but their ``hex()`` differ).
+    An entry goes when its model is collected, before its id can be
+    reused.  The ``repr`` is kept rather than the tuple: a fifth of the
+    memory, and it is what the key hashes.
+    """
+    key = id(model)
+    entry = _MODEL_SIGNATURES.get(key)
+    if entry is not None and entry[0]() is model:
+        return entry[1]
+    text = repr(canonical_signature(model))
+    ref = weakref.ref(model, lambda _, key=key: _MODEL_SIGNATURES.pop(key, None))
+    _MODEL_SIGNATURES[key] = (ref, text)
+    return text
+
+
 def _digest(payload: tuple) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
@@ -164,22 +188,23 @@ def request_key(request: SimRequest) -> str:
     same numbers for both: same model parameters, pattern, budget,
     seed, resolved backend, and backend version.
     """
-    method = request.resolved_method
-    return _digest(
-        (
-            "overhead",
-            BACKEND_VERSION,
-            canonical_signature(request.model),
-            float(request.T).hex(),
-            float(request.P).hex(),
-            request.n_runs,
-            request.n_patterns,
-            DEFAULT_SEED if request.seed is None else request.seed,
-            method,
-            # Former worker-count slot, kept so existing keys stay valid.
-            None,
-        )
-    )
+    fields = [
+        "overhead",
+        BACKEND_VERSION,
+        float(request.T).hex(),
+        float(request.P).hex(),
+        request.n_runs,
+        request.n_patterns,
+        DEFAULT_SEED if request.seed is None else request.seed,
+        request.resolved_method,
+        # Former worker-count slot, kept so existing keys stay valid.
+        None,
+    ]
+    # The repr of the tuple ("overhead", BACKEND_VERSION, signature, T,
+    # P, ...), spelled out so the signature's repr can come memoised.
+    items = [repr(v) for v in fields]
+    items.insert(2, _model_signature_repr(request.model))
+    return hashlib.sha256(f"({', '.join(items)})".encode()).hexdigest()
 
 
 def call_key(fn: Callable, args: tuple, kwargs: dict) -> str:

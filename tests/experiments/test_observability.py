@@ -196,6 +196,13 @@ class TestTraceCli:
                         "[fates]", "[cache]"):
             assert section in out
         assert "occupancy" in out
+        analytic = next(line for line in out.splitlines() if line.startswith("[analytic]"))
+        assert analytic.endswith(" ms per evaluated model")
+
+    def test_analytic_batches_carry_durations(self, run):
+        batches = [e for e in load_trace(run / "runs" / "r1" / "trace.jsonl")
+                   if e["ev"] == "analytic_batch"]
+        assert batches and all(e["dur"] >= 0.0 for e in batches)
 
     def test_summary_json_matches_manifest_fates(self, run, capsys):
         assert main(["trace", "summary", "r1",

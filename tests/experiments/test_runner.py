@@ -29,6 +29,21 @@ width = 1.0
 count = 2
 """
 
+#: A valid two-member jitter family of fig5 (master seed 3).
+JITTER_SCENARIO = """\
+[scenario]
+name = "jitter"
+study = "fig5"
+seed = 3
+
+[[transform]]
+kind = "jitter"
+axis = "lambda_ind"
+distribution = "uniform"
+width = 0.1
+count = 2
+"""
+
 
 class TestParser:
     def test_tables_command(self):
@@ -254,6 +269,62 @@ class TestPipelineFlags:
         assert result.stderr.splitlines()[-1].startswith(
             "neg.toml: lambda_ind must be finite and >= 0, got -0.166"
         )
+        assert result.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["neg.toml"]
+
+    @staticmethod
+    def _refused(tmp_path, monkeypatch, capsys, argv) -> str:
+        """Run ``argv`` in ``tmp_path``; assert exit 2 from argparse with
+        nothing written, and return the last stderr line."""
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        return captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("run_id", ["", "a/b", "../../x", ".", ".."])
+    @pytest.mark.parametrize("command", ["fig5", "resume"])
+    def test_run_id_outside_runs_dir_is_refused(
+        self, tmp_path, monkeypatch, capsys, run_id, command
+    ):
+        """A run id is one path component: the journal stays in --runs-dir."""
+        argv = (
+            ("fig5", "--cache-dir", "c", "--runs-dir", "runs", "--run-id", run_id)
+            if command == "fig5"
+            else ("resume", run_id, "--runs-dir", "runs")
+        )
+        last = self._refused(tmp_path, monkeypatch, capsys, argv)
+        assert last.endswith(
+            "must be one non-empty path component other than '.' and '..', "
+            f"got {run_id!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig5", "--seed", "-1", "--cache-dir", "c"),
+            ("sweep", "fig5", "--seed", "-1", "--cache-dir", "c"),
+            ("scenario", "report", "jitter.toml", "--seed", "-3", "--cache-dir", "c"),
+            ("scenario", "generate", "jitter.toml", "--seed", "-3"),
+        ],
+    )
+    def test_negative_seed_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+        (tmp_path / "jitter.toml").write_text(JITTER_SCENARIO)
+        last = self._refused(tmp_path, monkeypatch, capsys, argv)
+        assert last.endswith("error: argument --seed: must be a non-negative integer, "
+                             f"got {argv[argv.index('--seed') + 1]}")
+
+    def test_negative_toml_seed_is_refused(self, tmp_path):
+        (tmp_path / "neg.toml").write_text(JITTER_SCENARIO.replace("seed = 3", "seed = -5"))
+        result = self._cli(tmp_path, "scenario", "report", "neg.toml", "--cache-dir", "c")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "neg.toml: [scenario] seed must be a non-negative integer, got -5"
+        ]
         assert result.stdout == ""
         assert [p.name for p in tmp_path.iterdir()] == ["neg.toml"]
 

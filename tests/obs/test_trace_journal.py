@@ -128,6 +128,12 @@ class TestValidation:
                  "key": None}
             )
 
+    def test_analytic_batch_dur_is_optional(self):
+        batch = {"ev": "analytic_batch", "t": 0.0, "study": "fig5",
+                 "evaluated": 3, "served": 1}
+        validate_event(batch)  # journals from before 1.21
+        validate_event(dict(batch, dur=0.0075))
+
     def test_missing_timestamp_rejected(self):
         with pytest.raises(ReproError, match="numeric timestamp"):
             validate_event({"ev": "cache_hit", "key": "k"})

@@ -35,7 +35,7 @@ def _events():
         {"ev": "point", "t": 0.62, "study": None, "status": "computed",
          "key": None},
         {"ev": "analytic_batch", "t": 0.63, "study": "fig5", "evaluated": 3,
-         "served": 1},
+         "served": 1, "dur": 0.0075},
         {"ev": "emit", "t": 0.7, "study": "fig5", "tables": 1},
         {"ev": "trace_end", "t": 0.8, "status": "complete"},
     ]
@@ -90,6 +90,21 @@ class TestSummarize:
         }
         assert summary["analytic"]["evaluated"] == 3
         assert summary["analytic"]["hit_rate"] == pytest.approx(0.25)
+
+    def test_analytic_ms_per_evaluated_model(self):
+        analytic = summarize(_events())["analytic"]
+        assert analytic["seconds"] == pytest.approx(0.0075)
+        assert analytic["ms_per_evaluated"] == pytest.approx(2.5)
+
+    def test_analytic_batches_without_dur_report_no_rate(self):
+        # Journals written before analytic_batch carried a dur.
+        events = [dict(e) for e in _events()]
+        for event in events:
+            event.pop("dur") if event["ev"] == "analytic_batch" else None
+        analytic = summarize(events)["analytic"]
+        assert analytic["seconds"] is None and analytic["ms_per_evaluated"] is None
+        lines = render_summary_text(summarize(events))
+        assert "[analytic] 3 evaluated, 1 memo-served (hit rate 25.00%)" in lines
 
     def test_critical_path_ranks_by_extent(self):
         critical = summarize(_events())["critical_path"]
@@ -158,6 +173,13 @@ class TestRender:
                         "[critical-path]"):
             assert section in text
         assert "occupancy 75% of window 2" in text
+
+    def test_analytic_line_reports_ms_per_evaluated_model(self):
+        lines = render_summary_text(summarize(_events()))
+        assert (
+            "[analytic] 3 evaluated, 1 memo-served (hit rate 25.00%), "
+            "2.500 ms per evaluated model"
+        ) in lines
 
     def test_fates_line_and_studies_header(self):
         lines = render_summary_text(summarize(_events()))

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy import optimize as sp_optimize
 
 from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 from repro.core.first_order import optimal_period
+from repro.core.pattern import ColumnWorkspace, PreparedColumns
 from repro.exceptions import OptimizationError
 from repro.experiments.fig3_processors import default_processor_grid
 from repro.optimize.period import optimize_period, optimize_period_batch
@@ -150,14 +149,26 @@ class TestBatchEdgePinnedBracket:
         assert H[0] == pytest.approx(scalar.overhead, rel=1e-9)
 
     def test_monotone_objective_raises_per_column(self, hera_sc1):
-        class MonotoneModel(PatternModel):
+        class MonotoneWorkspace(ColumnWorkspace):
             """Strictly decreasing overhead: no interior optimum exists."""
 
+            __slots__ = ()
+
+            def overhead(self):
+                np.divide(1.0, self.T, out=self.H)
+                return np.add(self.H, 1.0, out=self.H)
+
+        class MonotoneColumns(PreparedColumns):
+            __slots__ = ()
+
+            def workspace(self, shape, buffers=None):
+                return MonotoneWorkspace(self, shape, buffers)
+
+        class MonotoneModel(PatternModel):
             def prepare(self, P):
-                # The batch zoom evaluates through the prepared columns.
-                return SimpleNamespace(
-                    overhead=lambda T: 1.0 + 1.0 / np.asarray(T, dtype=float)
-                )
+                # The batch zoom evaluates through the prepared columns'
+                # workspaces.
+                return MonotoneColumns(P, self.errors, self.costs, self.speedup)
 
         stub = MonotoneModel(
             errors=hera_sc1.errors, costs=hera_sc1.costs, speedup=hera_sc1.speedup

@@ -74,6 +74,37 @@ class TestRequestKey:
             "588720ce6f37dfaccfbabee64d24b2d26cdd1428ae9043611187964c490f2097"
         )
 
+    def test_model_signed_once_per_object(self, monkeypatch):
+        import repro.sim.plan as plan_mod
+
+        model = build_model("Hera", 1)
+        walks = []
+        sign = plan_mod.canonical_signature
+        monkeypatch.setattr(
+            plan_mod, "canonical_signature",
+            lambda obj: (walks.append(obj) if obj is model else None) or sign(obj),
+        )
+        requests = [SimRequest(model, T, 256.0, 8, 10, seed=3) for T in (6000.0, 7000.0)]
+        keys = [request_key(r) for r in requests + requests]
+        assert len(walks) == 1  # one walk of the model tree for four keys
+        assert keys[:2] == keys[2:]
+        # Byte-identical to the digest of the payload tuple's repr.
+        assert keys[0] == plan_mod._digest((
+            "overhead", BACKEND_VERSION, sign(model), (6000.0).hex(), (256.0).hex(),
+            8, 10, 3, "batch", None,
+        ))
+
+    def test_equal_models_with_signed_zeros_keep_their_keys(self):
+        """The memo is by identity: 0.0 == -0.0, but their keys differ."""
+        base = build_model("Hera", 1)
+        plus = base.with_downtime(0.0)
+        minus = base.with_downtime(-0.0)
+        assert plus == minus
+        first = request_key(SimRequest(plus, 6000.0, 256.0))
+        second = request_key(SimRequest(minus, 6000.0, 256.0))
+        assert first != second
+        assert request_key(SimRequest(base.with_downtime(-0.0), 6000.0, 256.0)) == second
+
     def test_auto_resolves_to_concrete_backend(self, hera_sc1):
         # auto and its resolution share one key (and one cache entry).
         auto = SimRequest(hera_sc1, 6000.0, 256.0, 8, 10, seed=3, method="auto")
