@@ -1,4 +1,4 @@
-"""Batched analytic-optimum engine vs the historical scalar pass.
+"""Batched analytic-optimum engine vs the per-cell pass.
 
 The declare phase of every default-evaluator study solves one
 first-order closed form and one numerical ``(T, P)`` optimisation per
@@ -10,18 +10,20 @@ cross-replicate memo that serves repeated cells without recompute.
 
 The acceptance workload is the Figure 5 scenario-family analytic pass
 (3 resampled replicates of the 27-cell error-rate grid, no
-simulation): the batched+memoized engine must beat the historical
-scalar loop (one ``optimal_pattern`` + ``optimize_allocation`` per
-cell, no memo — installed by :func:`_forced_scalar`) by
-``REPRO_BENCH_OPTIMUM_FLOOR`` (default 5x; the measured gain is ~3x
-memo x ~4x batch).  The workload is pure
+simulation): the batched+memoized engine must beat the per-cell loop
+(one ``optimal_pattern`` + ``optimize_allocation`` per cell, no memo —
+installed by :func:`_forced_scalar`) by ``REPRO_BENCH_OPTIMUM_FLOOR``
+(default 5x; the measured gain is ~3x memo x ~4x batch).  Since 1.22
+``optimize_allocation`` is a one-model call of the engine, which costs
+per model what the old scalar outer loop did, so the baseline and the
+floors are unchanged.  The workload is pure
 single-process compute, so the bench is 1-CPU-safe: the gain measures
 vectorization and dedup, not parallelism.  An exact assertion pins the
 emitted tables of both modes byte-identical — the engine trades only
 time, never bits.  A second acceptance times ext-segments' whole
 declare step (its own hook, outside the engine) against the per-k
 Brent scan (a copy of the oracle in ``tests/extensions/test_twolevel.py``)
-plus per-platform ``optimize_allocation``: at least ``SEGMENTS_FLOOR`` (3x locally),
+plus per-platform one-model ``optimize_allocation``: at least ``SEGMENTS_FLOOR`` (3x locally),
 tables byte-identical.  Every measurement lands in
 ``BENCH_optimum.json`` (path overridable via
 ``REPRO_BENCH_OPTIMUM_JSON``).
@@ -111,7 +113,7 @@ def _timed(fn, repeats: int = 2):
 
 
 def _scalar_point(model) -> AnalyticPoint:
-    """One cell through the scalar optimisers (the baseline's unit of work)."""
+    """One cell through one-model calls (the baseline's unit of work)."""
     try:
         fo = optimal_pattern(model)
     except ValidityError:
@@ -128,7 +130,7 @@ def _scalar_point(model) -> AnalyticPoint:
 
 
 def _forced_scalar(fn):
-    """Run ``fn`` with the scalar loop in place of the batch engine + memo."""
+    """Run ``fn`` with the per-cell loop in place of the batch engine + memo."""
 
     def wrapped():
         engine = SimulationPipeline.evaluate_analytic

@@ -244,41 +244,18 @@ def optimal_pattern(model: PatternModel) -> FirstOrderSolution:
 
 
 def optimal_pattern_batch(models) -> list["FirstOrderSolution | None"]:
-    """Closed-form optimal patterns for a whole column of models.
+    """:func:`optimal_pattern` for a column of models, ``None`` where it raises.
 
-    Batch counterpart of :func:`optimal_pattern` for the sweep engine:
-    instead of a try/except per grid point, the validity classification
-    (Amdahl profile, interior ``alpha``, positive rate, LINEAR/CONSTANT
-    regime) runs vectorised over the column, and models with no finite
-    first-order optimum map to ``None`` — exactly the set for which
-    :func:`optimal_pattern` raises :class:`~repro.exceptions.ValidityError`.
-
-    The closed-form arithmetic itself deliberately stays on Python
-    floats: numpy's SIMD ``**`` kernel for arrays differs from the libm
-    ``pow`` used for scalars in the last ulp (measured: ~5% of random
-    inputs for exponents 1/4, 1/3, 2/3), and the figure goldens pin the
-    scalar bit patterns.  Classification is where the per-point Python
-    overhead lived; the per-valid-point kernels are a handful of flops.
+    The sweep engine's closed-form column: models with no finite
+    first-order optimum (the :class:`~repro.exceptions.ValidityError`
+    cases) map to ``None``.
     """
-    models = list(models)
-    amdahl = np.fromiter(
-        (isinstance(m.speedup, AmdahlSpeedup) for m in models), bool, len(models)
-    )
-    alpha = np.fromiter(
-        (m.speedup.alpha if ok else np.nan for m, ok in zip(models, amdahl)),
-        float,
-        len(models),
-    )
-    c = np.fromiter((m.costs.c for m in models), float, len(models))
-    d = np.fromiter((m.costs.d for m in models), float, len(models))
-    L = np.fromiter((m.errors.effective_lambda for m in models), float, len(models))
-    linear = c != 0.0
-    constant = ~linear & (d != 0.0)
-    valid = amdahl & (alpha > 0.0) & (alpha < 1.0) & (L > 0.0) & (linear | constant)
-    out: list[FirstOrderSolution | None] = [None] * len(models)
-    for j in np.flatnonzero(valid):
-        solve = theorem2_solution if linear[j] else theorem3_solution
-        out[j] = solve(models[j])
+    out: list[FirstOrderSolution | None] = []
+    for model in models:
+        try:
+            out.append(optimal_pattern(model))
+        except ValidityError:
+            out.append(None)
     return out
 
 

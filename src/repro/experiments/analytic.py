@@ -2,12 +2,12 @@
 
 The declare phase of every default-evaluator study spends nearly all of
 its time on the *analytic* columns: a first-order closed form plus a
-numerical ``(T, P)`` optimisation per grid cell, ~20 ms each and run
-one cell at a time.  This module turns that pass into two array sweeps
-— :func:`repro.core.first_order.optimal_pattern_batch` for the closed
-forms and :func:`repro.optimize.allocation.optimize_allocation_batch`
-for the numerical optima — so a whole study column resolves per
-broadcast round, bit-identical to the scalar evaluators.
+numerical ``(T, P)`` optimisation per grid cell, ~10 ms each when run
+one cell at a time.  This module hands a whole study column to
+:func:`repro.core.first_order.optimal_pattern_batch` for the closed
+forms and to one :func:`repro.optimize.allocation.optimize_allocation_batch`
+call for the numerical optima, so the column resolves per broadcast
+round, bit-identical to solving each cell alone.
 
 On top sits :class:`AnalyticMemo`: scenario families re-run the same
 study with jittered *simulation* settings, so their analytic cells are
@@ -17,8 +17,8 @@ repeats without recompute, within one run (always) and across runs
 (persisted to ``analytic_memo.json`` inside the pipeline's cache
 directory, so ``--no-cache`` also disables persistence).
 
-The per-cell scalar optimisers remain the parity oracle: the test suite
-checks every study's ``--no-sim`` tables against them byte for byte.
+Solving one cell at a time remains the parity oracle: the test suite
+checks every study's ``--no-sim`` tables against it byte for byte.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ __all__ = [
 ]
 
 #: Bump when the optimisers' numerics change: persisted memo entries
-#: from another version are discarded wholesale on load.
-ANALYTIC_VERSION = 1
+#: from another version are discarded wholesale on load.  Version 2:
+#: optima no longer depend on the batch width, and a version-1 entry
+#: solved in a wide batch may hold the width-dependent bits.
+ANALYTIC_VERSION = 2
 
 
 @dataclass(frozen=True)

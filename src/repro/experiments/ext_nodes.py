@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pattern import PatternModel
-from ..optimize.allocation import optimize_allocation
+from ..optimize.allocation import optimize_allocation_batch
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
 from ..platforms.scenarios import build_model
 from ..sim.nodes import simulate_run_nodes
@@ -71,9 +71,12 @@ def _declare(ctx: StudyContext):
     n_patterns = min(n_patterns, 60)
 
     panels = []
-    for scenario_id in ctx.scenarios:
-        model = build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
-        opt = optimize_allocation(model, integer=True)
+    models = [
+        build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
+        for scenario_id in ctx.scenarios
+    ]
+    optima = optimize_allocation_batch(models, integer=True)
+    for scenario_id, model, opt in zip(ctx.scenarios, models, optima):
         T, P = opt.period, int(opt.processors)
         lam_node = model.errors.lambda_ind * model.errors.fail_stop_fraction
         weibull = WeibullArrivals.from_mean(shape, 1.0 / lam_node)

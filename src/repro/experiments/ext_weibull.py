@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pattern import PatternModel
-from ..optimize.allocation import optimize_allocation
+from ..optimize.allocation import optimize_allocation_batch
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
 from ..platforms.scenarios import build_model
 from ..sim.renewal import simulate_run_renewal
@@ -68,9 +68,12 @@ def _declare(ctx: StudyContext):
 
     rows = []
     notes = []
-    for scenario_id in ctx.scenarios:
-        model = build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
-        opt = optimize_allocation(model)
+    models = [
+        build_model(ctx.platform, scenario_id, alpha=alpha, downtime=downtime)
+        for scenario_id in ctx.scenarios
+    ]
+    optima = optimize_allocation_batch(models)
+    for scenario_id, model, opt in zip(ctx.scenarios, models, optima):
         T, P = opt.period, opt.processors
         lam_f = float(model.errors.fail_stop_rate(P))
         row: list = [scenario_id, round(P, 1), round(T, 1), opt.overhead]

@@ -43,7 +43,7 @@ from ..constants import (
     PLATFORM_NAMES,
     TRACE_NAME,
 )
-from ..exceptions import InvalidParameterError, ReproError
+from ..exceptions import InvalidParameterError, OptimizationError, ReproError
 from ..io.tables import render_table
 from .registry import REGISTRY, STUDIES, find_spec, get_spec
 
@@ -195,6 +195,12 @@ def _pipeline_from_args(
             "--run-id needs a result cache (--cache-dir): the manifest "
             "journals point fates; the cache holds the values a resume reuses"
         )
+    if run_id is not None and getattr(args, "resume", False):
+        from ..sim.manifest import manifest_path
+
+        path = manifest_path(getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR, run_id)
+        if not path.is_file():
+            raise SystemExit(f"no run manifest at {path}")
     # Every flag is checked above: only from here on may the invocation
     # touch the disk (the trace writer opens its file).
     pipeline = SimulationPipeline(
@@ -1345,7 +1351,9 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
                 staged = [
                     stage for family in families for stage in family.staged
                 ]
-        except InvalidParameterError as exc:
+        except (InvalidParameterError, OptimizationError) as exc:
+            # A member can also leave the domain where the optimum is
+            # finite (every period overflows).
             raise SystemExit(f"{args.file}: {exc}") from None
         if args.dry_run:
             # Adaptive dry runs preview wave 0 only: later waves are

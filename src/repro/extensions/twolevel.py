@@ -265,13 +265,10 @@ def optimize_segments(
         raise InvalidParameterError(f"k_max must be an integer >= 1, got {k_max!r}")
     ks = np.arange(1, int(k_max) + 1, dtype=float)
     seeds = segmented_period(P, ks, model.errors, model.costs)
-    lo = seeds * 1e-3
     result = refine_log_minimum_batch(
         lambda Ts, idx: segmented_overhead(Ts, P, ks[idx], model),
-        lo,
+        seeds * 1e-3,
         seeds * 1e3,
-        init_x=lo,
-        require_finite=False,
     )
     best = 0
     rising = 0

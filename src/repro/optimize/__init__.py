@@ -10,9 +10,12 @@ provides those solvers:
     Batched log-space zooming grid search (processor counts span
     1e0..1e13).
 ``period``
-    Optimal ``T`` for fixed ``P`` (scalar and vectorised-batch forms).
+    Optimal ``T`` for fixed ``P``: Brent for one ``P``, a vectorised
+    zoom for an array of them.
 ``allocation``
-    Joint ``(T, P)`` optimum — the paper's "optimal" solution.
+    Joint ``(T, P)`` optimum — the paper's "optimal" solution.  One
+    engine, ``optimize_allocation_batch``, solves a list of models;
+    ``optimize_allocation`` is its one-model call.
 ``relaxation``
     Alternating T/P fixed-point baseline (Jin et al. style).
 """
@@ -26,7 +29,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".grid": ("BatchGridResult", "log_grid", "refine_log_minimum_batch"),
     ".period": (
         "PeriodResult", "optimize_period", "optimize_period_batch",
-        "optimize_period_batch_grouped",
     ),
     ".relaxation": ("RelaxationResult", "relaxation_optimize"),
     ".scalar": ("ScalarResult", "brent", "minimize_scalar"),
@@ -42,7 +44,6 @@ __all__ = [
     "PeriodResult",
     "optimize_period",
     "optimize_period_batch",
-    "optimize_period_batch_grouped",
     "AllocationResult",
     "optimize_allocation",
     "optimize_allocation_batch",

@@ -11,7 +11,9 @@ with :math:`E` from Proposition 1.  The structure is a nested search:
 the inner problem (optimal ``T`` for fixed ``P``) is solved by the
 vectorised zoom of :mod:`repro.optimize.period`, and the outer problem
 is a log-space zoom over ``P`` (values of interest span 1e2 … 1e13
-across the figures).  The outer objective
+across the figures).  One engine, :func:`optimize_allocation_batch`,
+solves both for a whole list of models; :func:`optimize_allocation` is
+its one-model call.  The outer objective
 :math:`g(P) = \\min_T H(T, P)` is unimodal: parallelism reduces the
 error-free term :math:`H(P)` while failures and resilience costs grow
 with ``P``.
@@ -31,7 +33,7 @@ import numpy as np
 from ..core.pattern import PatternModel, stack_models
 from ..exceptions import InvalidParameterError, OptimizationError
 from .grid import refine_log_minimum_batch
-from .period import _optimize_columns, optimize_period, optimize_period_batch
+from .period import _POINTS, _ROUNDS, _optimize_columns, optimize_period
 
 __all__ = ["AllocationResult", "optimize_allocation", "optimize_allocation_batch"]
 
@@ -47,9 +49,8 @@ class AllocationResult:
     period:
         Optimal period ``T_opt`` at that allocation.
     overhead:
-        Exact expected overhead at ``(T_opt, P_opt)``.
-    expected_time:
-        Exact expected pattern time at the optimum.
+        Exact expected overhead at ``(T_opt, P_opt)`` (the expected
+        pattern time is ``model.expected_time(period, processors)``).
     nfev:
         Total overhead evaluations across both nesting levels.
     at_lower / at_upper:
@@ -60,7 +61,6 @@ class AllocationResult:
     processors: float
     period: float
     overhead: float
-    expected_time: float
     nfev: int
     at_lower: bool = False
     at_upper: bool = False
@@ -84,6 +84,8 @@ def optimize_allocation(
 ) -> AllocationResult:
     """Minimise the exact overhead jointly over ``(T, P)``.
 
+    The one-model call of :func:`optimize_allocation_batch`.
+
     Parameters
     ----------
     model:
@@ -103,63 +105,17 @@ def optimize_allocation(
         With boundary flags set when the objective is monotone over the
         requested range instead of raising, since "enroll the whole
         machine" is a meaningful answer for case-3/4 models.
+
+    Raises
+    ------
+    OptimizationError
+        For an error-free platform, an empty processor range, or a model
+        whose exact overhead overflows for every ``P`` in range.
     """
-    lam = model.errors.lambda_ind
-    if lam <= 0.0:
-        raise OptimizationError("error-free platform: enrol all processors, never checkpoint")
-    if p_max is None:
-        p_max = max(1e4, 100.0 / lam)
-    if not (0.0 < p_min < p_max):
-        raise OptimizationError(f"invalid processor range [{p_min}, {p_max}]")
-
-    nfev = 0
-    lo, hi = p_min, p_max
-    best_P = lo
-    best_T = np.nan
-    best_H = np.inf
-    for _ in range(rounds):
-        Ps = np.logspace(np.log10(lo), np.log10(hi), points)
-        Ts, Hs = optimize_period_batch(model, Ps)
-        nfev += Ps.size * 17 * 14  # inner grid budget (points * rounds)
-        Hs = np.where(np.isfinite(Hs), Hs, np.inf)
-        i = int(np.argmin(Hs))
-        if Hs[i] < best_H:
-            best_H = float(Hs[i])
-            best_P = float(Ps[i])
-            best_T = float(Ts[i])
-        lo_new = Ps[max(i - 1, 0)]
-        hi_new = Ps[min(i + 1, points - 1)]
-        if hi_new / lo_new - 1.0 < 1e-10:
-            break
-        lo, hi = lo_new, hi_new
-
-    at_lower = best_P / p_min < 1.0 + 1e-6
-    at_upper = p_max / best_P < 1.0 + 1e-6
-
-    if integer:
-        candidates = sorted({max(1, int(np.floor(best_P))), max(1, int(np.ceil(best_P)))})
-        results = [(optimize_period(model, float(P)), P) for P in candidates]
-        nfev += sum(r.nfev for r, _ in results)
-        inner, P_int = min(results, key=lambda pair: pair[0].overhead)
-        return AllocationResult(
-            processors=float(P_int),
-            period=inner.period,
-            overhead=inner.overhead,
-            expected_time=inner.expected_time,
-            nfev=nfev,
-            at_lower=at_lower,
-            at_upper=at_upper,
-        )
-
-    return AllocationResult(
-        processors=best_P,
-        period=best_T,
-        overhead=best_H,
-        expected_time=float(model.expected_time(best_T, best_P)),
-        nfev=nfev,
-        at_lower=at_lower,
-        at_upper=at_upper,
-    )
+    return optimize_allocation_batch(
+        [model], p_min=p_min, p_max=p_max, integer=integer,
+        points=points, rounds=rounds,
+    )[0]
 
 
 def optimize_allocation_batch(
@@ -172,36 +128,35 @@ def optimize_allocation_batch(
 ) -> list[AllocationResult]:
     """Jointly optimise ``(T, P)`` for many models in one array sweep.
 
-    Batch counterpart of :func:`optimize_allocation`: the outer
-    processor zoom runs all models as columns of one
+    The outer processor zoom runs all models as columns of one
     :func:`repro.optimize.grid.refine_log_minimum_batch` search, and the
     inner period solves are one grouped period zoom per outer round
-    (see :func:`repro.optimize.period.optimize_period_batch_grouped`)
     over the ``points`` columns of every still-active model, instead of
     a per-model Python loop.  The models are stacked once per call and
     the zooms share one workspace's memory.  This is the figure sweeps'
     hot path: a whole grid column of scenario models resolves per call.
 
-    Per model the returned :class:`AllocationResult` is bit-identical to
-    a scalar :func:`optimize_allocation` call with the same options: the
-    abscissa grids, overhead evaluations, best-so-far updates and break
-    rounds all replicate the scalar loop exactly (numpy's elementwise
-    kernels do not depend on array width), and converged models drop out
-    of later rounds without perturbing the rest.
+    Per model the returned :class:`AllocationResult` does not depend on
+    the other models in the call: the abscissa grids, overhead
+    evaluations, best-so-far updates and break rounds are per model,
+    converged models drop out of later rounds without perturbing the
+    rest, and every elementwise kernel sees operand layouts that do not
+    change with the batch width.  A stacked model equals its one-model
+    call field for field.
 
     One exception: :class:`~repro.core.speedup.PowerLawSpeedup`.  A
     stacked model carries ``gamma`` as an array, and numpy's float64
     ``power`` uses a different loop for a scalar (stride-0) exponent
     than for an array one; the two differ in the last ulp for some
-    exponents (``P ** -1.0`` at ``gamma = 1``, ``P ** 0.5``).  Power-law
-    profiles agree with the scalar model to 1 ulp and the optimal
-    overhead to 1e-12 relative (pinned in
+    exponents (``P ** -1.0`` at ``gamma = 1``, ``P ** 0.5``).  Stacked
+    power-law profiles agree with the one-model call to 1 ulp and the
+    optimal overhead to 1e-12 relative (pinned in
     ``tests/optimize/test_batch_optimizers.py``).  Amdahl and Gustafson
     profiles use no ``power`` and stay bit-identical.
 
     Models whose parameters cannot be stacked into one array-parameter
     model (heterogeneous speedup profile types, mixed recovery
-    overrides) transparently fall back to per-model scalar solves.
+    overrides) fall back to one-model calls.
     """
     models = list(models)
     if not models:
@@ -257,57 +212,37 @@ def optimize_allocation_batch(
         return Hs.reshape(k, points).T, Ts.reshape(k, points).T
 
     result = refine_log_minimum_batch(
-        objective,
-        p_min,
-        p_maxs,
-        points=points,
-        rounds=rounds,
-        rtol=1e-10,
-        init_x=p_min,
-        require_finite=False,
+        objective, p_min, p_maxs, points=points, rounds=rounds, rtol=1e-10,
         track_aux=True,
     )
-    # The scalar path flags edges with a 1e-6 tolerance (wider than the
-    # batch engine's rtol-based one); reproduce it from the argmins.
+    overflowed = np.flatnonzero(~np.isfinite(result.fun))
+    if overflowed.size:
+        j = overflowed[0]
+        raise OptimizationError(
+            f"the exact overhead overflows for every P in [{p_min:g}, "
+            f"{p_maxs[j]:g}] (lambda_ind={models[j].errors.lambda_ind:g}): "
+            "no finite optimum"
+        )
+    # An optimum within 1e-6 of a bound is the bound: the objective is
+    # monotone over the range in that direction.
     at_lower = result.x / p_min < 1.0 + 1e-6
     at_upper = p_maxs / result.x < 1.0 + 1e-6
 
     out: list[AllocationResult] = []
     for j, model in enumerate(models):
-        # Inner grid budget: 17 * 14 overhead points per outer abscissa.
-        nfev = int(result.nfev[j]) * 17 * 14
-        best_P = float(result.x[j])
+        # Every outer abscissa costs one inner period zoom.
+        nfev = int(result.nfev[j]) * _POINTS * _ROUNDS
+        P, T, H = float(result.x[j]), float(result.aux[j]), float(result.fun[j])
         if integer:
-            candidates = sorted(
-                {max(1, int(np.floor(best_P))), max(1, int(np.ceil(best_P)))}
-            )
-            inner_results = [
-                (optimize_period(model, float(P)), P) for P in candidates
-            ]
+            candidates = sorted({max(1, int(np.floor(P))), max(1, int(np.ceil(P)))})
+            inner_results = [(optimize_period(model, float(c)), c) for c in candidates]
             nfev += sum(r.nfev for r, _ in inner_results)
             inner, P_int = min(inner_results, key=lambda pair: pair[0].overhead)
-            out.append(
-                AllocationResult(
-                    processors=float(P_int),
-                    period=inner.period,
-                    overhead=inner.overhead,
-                    expected_time=inner.expected_time,
-                    nfev=nfev,
-                    at_lower=bool(at_lower[j]),
-                    at_upper=bool(at_upper[j]),
-                )
-            )
-            continue
-        best_T = float(result.aux[j])
+            P, T, H = float(P_int), inner.period, inner.overhead
         out.append(
             AllocationResult(
-                processors=best_P,
-                period=best_T,
-                overhead=float(result.fun[j]),
-                expected_time=float(model.expected_time(best_T, best_P)),
-                nfev=nfev,
-                at_lower=bool(at_lower[j]),
-                at_upper=bool(at_upper[j]),
+                processors=P, period=T, overhead=H, nfev=nfev,
+                at_lower=bool(at_lower[j]), at_upper=bool(at_upper[j]),
             )
         )
     return out

@@ -13,16 +13,17 @@ budget of ``points * rounds`` evaluations.
 The zoom loop assumes unimodality on the searched interval (true for the
 overhead objective: parallelism gains vs. growing error rates produce a
 single interior optimum, or a monotone edge case which the caller
-detects via the boundary flags).
+detects from the returned argmin).
 
 :func:`refine_log_minimum_batch` zooms many columns at once (one
 objective call per round evaluates a ``(points, columns)`` matrix) with
 per-column convergence masking.  The relaxation baseline's allocation
-half-step and the outer loop of
-:func:`repro.optimize.allocation.optimize_allocation_batch` go through
-it (a single search is a one-column call).  numpy's elementwise kernels
-are value-deterministic regardless of array width, so batched columns
-are bit-identical to one-column solves.
+half-step, ext-segments' period search and the outer loop of
+:func:`repro.optimize.allocation.optimize_allocation` go through it (a
+single search is a one-column call).  Its own arithmetic is per column,
+so a column's abscissae, updates and break round do not depend on the
+other columns; the objective must keep that property for batched
+columns to equal one-column solves.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ class BatchGridResult:
         Per-column objective evaluations (``points`` per executed round).
     rounds:
         Zoom rounds each column executed before converging.
-    at_lower / at_upper:
-        Per-column boundary flags against the *original* interval.
     """
 
     x: np.ndarray
@@ -67,8 +66,6 @@ class BatchGridResult:
     aux: np.ndarray | None
     nfev: np.ndarray
     rounds: np.ndarray
-    at_lower: np.ndarray
-    at_upper: np.ndarray
 
 
 def log_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -91,8 +88,6 @@ def refine_log_minimum_batch(
     points: int = 33,
     rounds: int = 14,
     rtol: float = 1e-10,
-    init_x=None,
-    require_finite: bool = True,
     track_aux: bool = False,
 ) -> BatchGridResult:
     """Minimise a column-vectorised objective over per-column intervals.
@@ -104,21 +99,12 @@ def refine_log_minimum_batch(
         abscissa matrix for the ``k`` still-active columns and ``idx``
         their original column indices; returns a matching value matrix
         (or a ``(values, aux)`` pair when ``track_aux``).  Non-finite
-        values are treated as ``+inf``.  Converged columns are dropped
-        from subsequent calls, so expensive objectives never waste work
-        on frozen columns.
+        values are treated as ``+inf``; a column that never produces a
+        finite value reports its lower bound with ``fun = inf``.
+        Converged columns are dropped from subsequent calls, so
+        expensive objectives never waste work on frozen columns.
     lo, hi:
         Per-column search intervals (scalars broadcast to all columns).
-    init_x:
-        Per-column fallback argmin reported if a column's objective
-        never produces a finite value (the historical scalar loops
-        return the lower bound there).  Required when
-        ``require_finite`` is off; ignored otherwise because the first
-        round always improves on ``+inf``.
-    require_finite:
-        Raise :class:`OptimizationError` when any active column's round
-        evaluates non-finite everywhere; with it off such columns keep
-        zooming and fall back to ``init_x``.
     track_aux:
         Capture the objective's auxiliary payload at each column's
         best-so-far point.
@@ -126,8 +112,7 @@ def refine_log_minimum_batch(
     Returns
     -------
     BatchGridResult
-        Per-column argmins, objective values, evaluation counts and
-        boundary flags against the original intervals.
+        Per-column argmins, objective values and evaluation counts.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
     hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
@@ -135,16 +120,7 @@ def refine_log_minimum_batch(
         lo, hi = np.broadcast_arrays(lo, hi)
         lo, hi = lo.copy(), hi.copy()
     n = lo.size
-    if init_x is None:
-        if not require_finite:
-            raise OptimizationError(
-                "refine_log_minimum_batch needs init_x when require_finite is off"
-            )
-        best_x = np.full(n, np.nan)
-    else:
-        best_x = np.broadcast_to(np.asarray(init_x, dtype=float), (n,)).astype(float)
-        best_x = best_x.copy()
-    orig_lo, orig_hi = lo.copy(), hi.copy()
+    best_x = lo.copy()
     best_f = np.full(n, np.inf)
     best_aux = np.full(n, np.nan) if track_aux else None
     nfev = np.zeros(n, dtype=int)
@@ -160,9 +136,6 @@ def refine_log_minimum_batch(
         fs = np.where(np.isfinite(np.asarray(fs, dtype=float)), fs, np.inf)
         nfev[idx] += points
         executed[idx] += 1
-        finite_cols = np.any(np.isfinite(fs), axis=0)
-        if require_finite and not np.all(finite_cols):
-            raise OptimizationError("objective is non-finite over the whole grid")
         i = np.argmin(fs, axis=0)
         cols = np.arange(idx.size)
         round_best = fs[i, cols]
@@ -179,14 +152,7 @@ def refine_log_minimum_batch(
         lo[idx] = lo_i
         hi[idx] = hi_i
         active[idx[done]] = False
-    edge_tol = 1.0 + 10.0 * rtol
     return BatchGridResult(
-        x=best_x,
-        fun=best_f,
-        aux=best_aux,
-        nfev=nfev,
-        rounds=executed,
-        at_lower=best_x / orig_lo < edge_tol,
-        at_upper=orig_hi / best_x < edge_tol,
+        x=best_x, fun=best_f, aux=best_aux, nfev=nfev, rounds=executed
     )
 

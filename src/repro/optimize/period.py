@@ -11,7 +11,8 @@ machine precision in a few dozen evaluations.
 A vectorised variant optimises the period for a whole *array* of
 processor counts at once (all rounds evaluate a 2-D ``(T, P)`` grid in a
 single broadcast call), which is the hot path of the allocation
-optimiser and the figure sweeps.
+optimiser and the figure sweeps.  Its result for a column does not
+depend on how many other columns share the call.
 """
 
 from __future__ import annotations
@@ -21,24 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.first_order import optimal_period
-from ..core.pattern import (
-    PatternModel,
-    PreparedColumns,
-    _validate_overhead_period,
-    stack_models,
-)
+from ..core.pattern import PatternModel, PreparedColumns, _validate_overhead_period
 from ..exceptions import OptimizationError
 from .scalar import minimize_scalar
 
-__all__ = [
-    "PeriodResult",
-    "optimize_period",
-    "optimize_period_batch",
-    "optimize_period_batch_grouped",
-]
+__all__ = ["PeriodResult", "optimize_period", "optimize_period_batch"]
 
 #: Log-width of the initial search window around the first-order seed.
 _SEED_DECADES = 3.0
+
+#: Abscissae per column and rounds of the vectorised period zoom:
+#: ``_POINTS * _ROUNDS`` overhead evaluations per column.
+_POINTS = 17
+_ROUNDS = 14
 
 
 @dataclass(frozen=True)
@@ -50,9 +46,8 @@ class PeriodResult:
     period:
         Argmin :math:`T^{opt}_P` of the exact overhead.
     overhead:
-        Exact expected overhead at the optimum.
-    expected_time:
-        Exact expected pattern time :math:`E(T^{opt}_P, P)`.
+        Exact expected overhead at the optimum (the expected pattern
+        time is ``model.expected_time(period, P)``).
     nfev:
         Objective evaluations used.
     converged:
@@ -61,7 +56,6 @@ class PeriodResult:
 
     period: float
     overhead: float
-    expected_time: float
     nfev: int
     converged: bool
 
@@ -112,7 +106,6 @@ def optimize_period(model: PatternModel, P: float, seed: float | None = None) ->
     return PeriodResult(
         period=result.x,
         overhead=result.fun,
-        expected_time=float(model.expected_time(result.x, P)),
         nfev=result.nfev,
         converged=result.converged,
     )
@@ -122,8 +115,6 @@ def _zoom_batch_grouped(
     columns: PreparedColumns,
     lo: np.ndarray,
     hi: np.ndarray,
-    points: int,
-    rounds: int,
     starts: np.ndarray,
     group_of: np.ndarray,
     buffers: list | None = None,
@@ -144,6 +135,7 @@ def _zoom_batch_grouped(
     carved from ``buffers``; overflowed regions of the search domain
     read as +inf, never NaN, so the argmins stay well-defined.
     """
+    points, rounds = _POINTS, _ROUNDS
     n = lo.size
     ws = columns.workspace((points, n), buffers)
     T, flat_T = ws.T, ws.T.reshape(-1)
@@ -158,7 +150,13 @@ def _zoom_batch_grouped(
     ratio = hi / lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in range(rounds):
-            np.power(ratio[None, :], exponents, out=T)
+            # numpy's power takes another loop for a broadcast (points, 1)
+            # exponent on wide arrays (about 2,800 columns up), and its
+            # bits differ from a narrow call's: raise to a contiguous
+            # (points, n) exponent matrix, staged in H, which is free
+            # until this round's overhead().
+            np.copyto(ws.H, exponents)
+            np.power(ratio[None, :], ws.H, out=T)
             np.multiply(lo[None, :], T, out=T)
             if r == 0:
                 # Later rounds stay inside this round's brackets.
@@ -188,18 +186,24 @@ def _optimize_columns(
     models,
     P: np.ndarray,
     sizes: np.ndarray,
-    points: int = 17,
-    rounds: int = 14,
     seed_decades: float = _SEED_DECADES,
     buffers: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`optimize_period_batch_grouped` on already prepared columns.
+    """Optimal periods for several models' ``P`` columns in one sweep.
 
-    ``columns`` holds ``P`` prepared for the models stacked in blocks of
-    ``sizes`` (the model itself when there is one); the widened re-zoom
-    prepares the pinned columns of each member model on its own.  Every
-    zoom carves its workspace from ``buffers`` (see
+    ``columns`` holds the flat ``P`` prepared for ``models`` stacked in
+    contiguous blocks of ``sizes`` (the model itself when there is
+    one), so every zoom round is one ``(_POINTS, P.size)`` overhead
+    evaluation.  Each block stops on its own columns' joint tolerance,
+    and the widened re-zoom prepares the pinned columns of each member
+    model on its own, so a block's result equals a one-model call on it.
+    Every zoom carves its workspace from ``buffers`` (see
     :class:`~repro.core.pattern.ColumnWorkspace`).
+
+    Returns
+    -------
+    (T_opt, H_opt):
+        Flat arrays aligned with ``P``.
     """
     if buffers is None:
         buffers = []
@@ -214,9 +218,7 @@ def _optimize_columns(
 
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     group_of = np.repeat(np.arange(len(models)), sizes)
-    T_opt, H_opt = _zoom_batch_grouped(
-        columns, lo, hi, points, rounds, starts, group_of, buffers
-    )
+    T_opt, H_opt = _zoom_batch_grouped(columns, lo, hi, starts, group_of, buffers)
     # Columns whose overhead overflows everywhere legitimately report
     # +inf (the outer allocation search discards them); only a *finite*
     # optimum sitting on a bracket edge means the seed window was off.
@@ -234,7 +236,7 @@ def _optimize_columns(
             lo_w = lo[idx] * 1e-3
             hi_w = hi[idx] * 1e3
             T_wide, H_wide = _zoom_batch_grouped(
-                member.prepare(P[idx]), lo_w, hi_w, points, rounds,
+                member.prepare(P[idx]), lo_w, hi_w,
                 np.zeros(1, dtype=int), np.zeros(idx.size, dtype=int), buffers,
             )
             T_opt[idx] = T_wide
@@ -252,66 +254,16 @@ def _optimize_columns(
     return T_opt, H_opt
 
 
-def optimize_period_batch_grouped(
-    models,
-    P: np.ndarray,
-    sizes,
-    points: int = 17,
-    rounds: int = 14,
-    seed_decades: float = _SEED_DECADES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Period optimisation for several models' ``P`` columns in one sweep.
-
-    ``models`` is a list of scalar-parameter models; model ``g`` takes the
-    next ``sizes[g]`` entries of the flat ``P`` array (contiguous,
-    model-major layout).  All models are fused into one array-parameter
-    model via :func:`repro.core.pattern.stack_models` so every zoom round
-    is a single broadcast ``(points, sum(sizes))`` overhead evaluation —
-    this is what lets the allocation optimiser resolve a whole grid
-    column of models per round instead of looping model by model.
-
-    Per column the result is bit-identical to
-    ``optimize_period_batch(models[g], P[block_g])``: the overhead
-    evaluators are elementwise, the zoom brackets never interact across
-    columns, and each group breaks on its own columns' joint tolerance.
-
-    Returns
-    -------
-    (T_opt, H_opt):
-        Flat arrays aligned with ``P``.
-    """
-    P = np.asarray(P, dtype=float)
-    sizes = np.asarray(sizes, dtype=int)
-    if P.ndim != 1 or P.size == 0:
-        raise OptimizationError("P must be a non-empty 1-D array")
-    if sizes.size != len(models) or np.any(sizes < 1) or sizes.sum() != P.size:
-        raise OptimizationError(
-            f"group sizes {sizes!r} do not partition {P.size} columns "
-            f"over {len(models)} models"
-        )
-    # A single group needs no stacking: use the model as-is, which also
-    # keeps exotic (non-stackable) speedup profiles working.
-    stacked = models[0] if len(models) == 1 else stack_models(models, repeat=sizes)
-    return _optimize_columns(
-        stacked.prepare(P), models, P, sizes, points, rounds, seed_decades
-    )
-
-
 def optimize_period_batch(
-    model: PatternModel,
-    P: np.ndarray,
-    points: int = 17,
-    rounds: int = 14,
-    seed_decades: float = _SEED_DECADES,
+    model: PatternModel, P: np.ndarray, seed_decades: float = _SEED_DECADES
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised per-``P`` period optimisation.
 
     For each entry of ``P`` the exact overhead is minimised over ``T``
     by a per-column log-space zoom: every round evaluates one broadcast
-    ``(points, len(P))`` overhead matrix and shrinks each column's
-    bracket around its own argmin.  Precision after ``rounds`` rounds is
-    ``(2 * seed_decades) * (2/(points-1))**rounds`` decades — below 1e-9
-    relative with the defaults.
+    ``(17, len(P))`` overhead matrix and shrinks each column's bracket
+    around its own argmin.  Precision after its 14 rounds is
+    ``(2 * seed_decades) * (2/16)**14`` decades — below 1e-9 relative.
 
     Columns whose optimum pins to a bracket edge (the first-order seed
     was off by more than ``seed_decades`` decades) are re-zoomed once on
@@ -321,14 +273,12 @@ def optimize_period_batch(
     is still edge-pinned after widening (the overhead appears monotone
     over the searchable range).
 
-    This is :func:`optimize_period_batch_grouped` with a single group.
-
     Returns
     -------
     (T_opt, H_opt):
         Arrays of optimal periods and exact overheads, aligned with ``P``.
     """
     P = np.asarray(P, dtype=float)
-    return optimize_period_batch_grouped(
-        [model], P, [P.size], points, rounds, seed_decades
-    )
+    if P.ndim != 1 or P.size == 0:
+        raise OptimizationError("P must be a non-empty 1-D array")
+    return _optimize_columns(model.prepare(P), [model], P, [P.size], seed_decades)

@@ -69,14 +69,7 @@ def _optimize_p_for_fixed_t(
             return np.asarray(model.overhead(T, xs[:, 0]), dtype=float)[:, None]
 
     result = refine_log_minimum_batch(
-        objective,
-        p_min,
-        p_max,
-        points=points,
-        rounds=rounds,
-        rtol=1e-9,
-        init_x=p_min,
-        require_finite=False,
+        objective, p_min, p_max, points=points, rounds=rounds, rtol=1e-9
     )
     return float(result.x[0])
 

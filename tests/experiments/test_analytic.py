@@ -15,7 +15,7 @@ from repro.core import (
     stack_models,
 )
 from repro.exceptions import ValidityError
-from repro.experiments import analytic, ext_segments
+from repro.experiments import analytic, ext_segments, fig4_alpha
 from repro.experiments.analytic import (
     ANALYTIC_VERSION,
     AnalyticMemo,
@@ -23,9 +23,11 @@ from repro.experiments.analytic import (
     evaluate_analytic,
     model_key,
 )
+from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import main
+from repro.experiments.spec import run_study
 from repro.extensions.twolevel import (
     SegmentedSolution,
     expected_segmented_time,
@@ -157,7 +159,7 @@ class TestEvaluateAnalytic:
 
 
 def _scalar_point(model) -> AnalyticPoint:
-    """The per-cell scalar optimisers: the batch engine's parity oracle."""
+    """One cell at a time (closed form, one-model optimum): the parity oracle."""
     try:
         fo = optimal_pattern(model)
     except ValidityError:
@@ -236,6 +238,19 @@ class TestSweepEngineParity:
         for name in REGISTRY:
             assert _no_sim_tables(name, capsys) == batch[name], name
         assert len(REGISTRY) == 10
+
+    def test_fig4_grid_size_does_not_change_a_cell(self):
+        """A 120-alpha grid solves 360 models in one batch; every cell
+        must equal the same cell solved in a 3-alpha grid, bit for bit."""
+        settings = SimSettings(simulate=False)
+        alphas = tuple(float(a) for a in np.geomspace(1e-4, 0.5, 120))
+        wide = run_study(fig4_alpha.SPEC, grid=alphas, settings=settings)
+        rows = {(r.figure_id, row[0]): row for r in wide for row in r.rows}
+        for start in range(40):
+            narrow = run_study(fig4_alpha.SPEC, grid=alphas[start::40], settings=settings)
+            for result in narrow:
+                for row in result.rows:
+                    assert rows[result.figure_id, row[0]] == row
 
     def test_ext_segments_never_calls_the_scalar_minimiser(self, monkeypatch, capsys):
         calls = []

@@ -318,6 +318,27 @@ class TestPipelineFlags:
         assert last.endswith("error: argument --seed: must be a non-negative integer, "
                              f"got {argv[argv.index('--seed') + 1]}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig5", "--cache-dir", "c", "--run-id", "r", "--resume"),
+            ("scenario", "report", "jitter.toml", "--cache-dir", "c",
+             "--run-id", "r", "--resume"),
+        ],
+        ids=["study", "scenario-report"],
+    )
+    def test_resume_without_manifest_writes_nothing(self, tmp_path, argv):
+        """Resuming a run id with no journal exits 1 before the pipeline
+        creates the cache directory or its analytic memo."""
+        (tmp_path / "jitter.toml").write_text(JITTER_SCENARIO)
+        result = self._cli(tmp_path, *argv)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"no run manifest at {Path('.repro-runs', 'r', 'manifest.json')}"
+        ]
+        assert result.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["jitter.toml"]
+
     def test_negative_toml_seed_is_refused(self, tmp_path):
         (tmp_path / "neg.toml").write_text(JITTER_SCENARIO.replace("seed = 3", "seed = -5"))
         result = self._cli(tmp_path, "scenario", "report", "neg.toml", "--cache-dir", "c")

@@ -76,10 +76,10 @@ class TestOptimizeAllocation:
         lam = model.errors.lambda_ind
         assert 0.1 * lam**-0.5 < result.processors < 10 * lam**-0.5
 
-    def test_expected_time_consistent(self, hera_sc3):
+    def test_overhead_consistent(self, hera_sc3):
         result = optimize_allocation(hera_sc3)
-        assert result.expected_time == pytest.approx(
-            hera_sc3.expected_time(result.period, result.processors), rel=1e-9
+        assert result.overhead == pytest.approx(
+            hera_sc3.overhead(result.period, result.processors), rel=1e-12
         )
 
     def test_speedup_property(self, hera_sc1):
@@ -98,6 +98,16 @@ class TestOptimizeAllocation:
     def test_invalid_range_raises(self, hera_sc1):
         with pytest.raises(OptimizationError):
             optimize_allocation(hera_sc1, p_min=100.0, p_max=10.0)
+
+    def test_overhead_overflowing_everywhere_raises(self, hera_sc1):
+        # Hera's scenario-5 checkpoint (153,600 s / P) at lambda_ind ~ 0.73:
+        # e^{lambda P C_P} overflows for every P in range, so no finite
+        # optimum exists, alone or in a batch.
+        doomed = build_model("Hera", 5, lambda_ind=0.73)
+        with pytest.raises(OptimizationError, match="no finite optimum"):
+            optimize_allocation(doomed)
+        with pytest.raises(OptimizationError, match="lambda_ind=0.73"):
+            optimize_allocation_batch([hera_sc1, doomed])
 
     def test_downtime_shifts_optimum_down(self, hera_sc1):
         # Figure 7: larger D argues for fewer processors.

@@ -1,11 +1,12 @@
-"""Batched optimisers vs their scalar references — bit-level parity.
+"""Batched optimisers vs their one-model calls — bit-level parity.
 
-The batch engine's contract is strict: per column it must reproduce the
-scalar search *exactly* (same abscissas, same best-so-far updates, same
-break rounds), because the figure goldens are pinned byte-for-byte.
-These tests drive randomized valid models through both code paths and
-compare every result field with exact float equality, plus the
-``{:.6g}`` rendering the table emitters apply.
+The batch engine's contract is strict: a model's result must not depend
+on the other models in the call (same abscissas, same best-so-far
+updates, same break rounds), because the figure goldens are pinned
+byte-for-byte and the analytic memo keeps whichever value it computed
+first.  These tests stack randomized and catalog models into one call,
+solve each alone, and compare every result field with exact float
+equality, plus the ``{:.6g}`` rendering the table emitters apply.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from repro.core import (
 )
 from repro.optimize.allocation import optimize_allocation, optimize_allocation_batch
 from repro.optimize.grid import refine_log_minimum_batch
-from repro.optimize.period import (
-    optimize_period_batch,
-    optimize_period_batch_grouped,
-)
-from repro.platforms import build_model
+from repro.optimize.period import _optimize_columns, optimize_period_batch
+from repro.platforms import PLATFORM_NAMES, build_model
 
 FLOATFMT = "{:.6g}"  # the emitters' float rendering (FigureResult.table)
 
@@ -60,19 +58,11 @@ def random_model(rng: np.random.Generator) -> PatternModel:
     )
 
 
-def assert_results_identical(batch, scalar):
+def assert_results_identical(batch, alone):
     """Every AllocationResult field bit-identical (NaN-aware)."""
-    assert len(batch) == len(scalar)
-    for got, want in zip(batch, scalar):
-        for field in (
-            "processors",
-            "period",
-            "overhead",
-            "expected_time",
-            "nfev",
-            "at_lower",
-            "at_upper",
-        ):
+    assert len(batch) == len(alone)
+    for got, want in zip(batch, alone):
+        for field in ("processors", "period", "overhead", "nfev", "at_lower", "at_upper"):
             g, w = getattr(got, field), getattr(want, field)
             if isinstance(w, float) and math.isnan(w):
                 assert math.isnan(g), f"{field}: {g!r} != NaN"
@@ -89,50 +79,67 @@ def assert_results_identical(batch, scalar):
 
 
 class TestAllocationBatchParity:
+    """A stacked call against one-model calls of the same engine."""
+
     def test_randomized_models_bit_identical(self):
         rng = np.random.default_rng(20160920)  # the paper's conference date
         models = [random_model(rng) for _ in range(24)]
-        scalar = [optimize_allocation(m) for m in models]
+        alone = [optimize_allocation(m) for m in models]
         batch = optimize_allocation_batch(models)
-        assert_results_identical(batch, scalar)
+        assert_results_identical(batch, alone)
 
     def test_platform_scenarios_bit_identical(self):
         models = [build_model("Hera", sc) for sc in (1, 2, 3, 4, 5, 6)]
-        scalar = [optimize_allocation(m) for m in models]
+        alone = [optimize_allocation(m) for m in models]
         batch = optimize_allocation_batch(models)
-        assert_results_identical(batch, scalar)
+        assert_results_identical(batch, alone)
+
+    def test_batch_width_does_not_change_the_optimum(self):
+        # 192 catalog models stack into inner zooms of up to 6,336
+        # columns, past the width (about 2,800) where a broadcast
+        # exponent column made numpy's power take another loop.
+        models = [
+            build_model(platform, sc, alpha=alpha, downtime=downtime)
+            for platform in PLATFORM_NAMES
+            for sc in (1, 2, 3, 4, 5, 6)
+            for alpha in (0.0, 1e-6, 1e-3, 0.1)
+            for downtime in (0.0, 60.0)
+        ]
+        assert len(models) == 192
+        alone = [optimize_allocation(m) for m in models]
+        assert_results_identical(optimize_allocation_batch(models), alone)
 
     def test_edge_pinned_brackets(self, hera_sc1, hera_sc3):
         # Hera's interior optimum sits near P ~ 200: a range entirely
         # above it is monotone increasing (lower-pinned), one entirely
         # below it monotone decreasing (upper-pinned).
-        scalar = [
+        alone = [
             optimize_allocation(hera_sc1, p_min=1e4),
             optimize_allocation(hera_sc3, p_min=1e4),
         ]
         batch = optimize_allocation_batch([hera_sc1, hera_sc3], p_min=1e4)
-        assert_results_identical(batch, scalar)
-        assert scalar[0].at_lower and scalar[1].at_lower
+        assert_results_identical(batch, alone)
+        assert all(r.at_lower and not r.at_upper for r in batch)
 
-        scalar = [
+        alone = [
             optimize_allocation(hera_sc1, p_max=50.0),
             optimize_allocation(hera_sc3, p_max=50.0),
         ]
         batch = optimize_allocation_batch([hera_sc1, hera_sc3], p_max=50.0)
-        assert_results_identical(batch, scalar)
-        assert scalar[0].at_upper and scalar[1].at_upper
+        assert_results_identical(batch, alone)
+        assert all(r.at_upper and not r.at_lower for r in batch)
 
     def test_mixed_speedup_profiles_fall_back(self, hera_sc1):
         # Heterogeneous profile types cannot stack; the batch entry
-        # point must still answer, via per-model scalar solves.
+        # point must still answer, via one-model calls.
         gustafson = PatternModel(
             errors=hera_sc1.errors, costs=hera_sc1.costs,
             speedup=GustafsonSpeedup(0.1),
         )
         models = [hera_sc1, gustafson]
-        scalar = [optimize_allocation(m) for m in models]
+        alone = [optimize_allocation(m) for m in models]
         batch = optimize_allocation_batch(models)
-        assert_results_identical(batch, scalar)
+        assert_results_identical(batch, alone)
 
     def test_single_model_and_empty(self, hera_sc3):
         assert_results_identical(
@@ -144,9 +151,9 @@ class TestAllocationBatchParity:
     def test_integer_mode(self):
         rng = np.random.default_rng(7)
         models = [random_model(rng) for _ in range(6)]
-        scalar = [optimize_allocation(m, integer=True) for m in models]
+        alone = [optimize_allocation(m, integer=True) for m in models]
         batch = optimize_allocation_batch(models, integer=True)
-        assert_results_identical(batch, scalar)
+        assert_results_identical(batch, alone)
         assert all(r.processors == int(r.processors) for r in batch)
 
 
@@ -164,17 +171,11 @@ class TestGroupedPeriodBatch:
             T, H = optimize_period_batch(model, P)
             want_T.append(T)
             want_H.append(H)
-        got_T, got_H = optimize_period_batch_grouped(
-            models, np.concatenate(Ps), sizes
-        )
+        P = np.concatenate(Ps)
+        columns = stack_models(models, repeat=sizes).prepare(P)
+        got_T, got_H = _optimize_columns(columns, models, P, sizes)
         np.testing.assert_array_equal(got_T, np.concatenate(want_T))
         np.testing.assert_array_equal(got_H, np.concatenate(want_H))
-
-    def test_sizes_must_partition(self, hera_sc1):
-        with pytest.raises(Exception):
-            optimize_period_batch_grouped(
-                [hera_sc1], np.array([100.0, 200.0]), np.array([3])
-            )
 
 
 class TestRefineLogMinimumBatch:
@@ -188,8 +189,6 @@ class TestRefineLogMinimumBatch:
         np.testing.assert_allclose(result.x, targets, rtol=1e-8)
         assert result.x.shape == (3,)
         assert np.all(result.nfev > 0)
-        assert not result.at_lower.any()
-        assert not result.at_upper.any()
 
     def test_columns_match_one_column_solves(self):
         targets = np.array([3.0, 50.0, 700.0])
@@ -209,27 +208,24 @@ class TestRefineLogMinimumBatch:
             assert single.nfev[0] == batch.nfev[j]
             assert single.rounds[0] == batch.rounds[j]
 
-    def test_monotone_objectives_flag_bounds(self):
+    def test_monotone_objectives_pin_bounds(self):
         def objective(xs, idx):
             # column 0 decreasing (upper-pinned), column 1 increasing.
             return np.where(idx == 0, -np.log(xs), np.log(xs))
 
         result = refine_log_minimum_batch(objective, 1.0, np.array([1e4, 1e4]))
-        assert bool(result.at_upper[0]) and not bool(result.at_lower[0])
-        assert bool(result.at_lower[1]) and not bool(result.at_upper[1])
+        assert result.x[0] == pytest.approx(1e4, rel=1e-9)
+        assert result.x[1] == 1.0
 
-    def test_all_infinite_column_keeps_init(self):
+    def test_all_infinite_column_reports_lower_bound(self):
         def objective(xs, idx):
             out = np.full_like(xs, np.inf)
             out[:, idx == 1] = (np.log(xs) - np.log(50.0))[:, idx == 1] ** 2
             return out
 
-        result = refine_log_minimum_batch(
-            objective, 1.0, np.array([1e4, 1e4]),
-            init_x=1.0, require_finite=False,
-        )
-        # The doomed column stays at its init with an infinite value and
-        # must not perturb its healthy neighbour.
+        result = refine_log_minimum_batch(objective, 1.0, np.array([1e4, 1e4]))
+        # The doomed column stays at its lower bound with an infinite
+        # value and must not perturb its healthy neighbour.
         assert result.x[0] == 1.0
         assert math.isinf(result.fun[0])
         np.testing.assert_allclose(result.x[1], 50.0, rtol=1e-8)

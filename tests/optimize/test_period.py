@@ -50,10 +50,10 @@ class TestOptimizePeriod:
         result = optimize_period(model, P)
         assert result.period == pytest.approx(T_fo, rel=1e-3)
 
-    def test_expected_time_consistent(self, hera_sc1):
+    def test_overhead_consistent(self, hera_sc1):
         result = optimize_period(hera_sc1, 256.0)
-        assert result.expected_time == pytest.approx(
-            hera_sc1.expected_time(result.period, 256.0)
+        assert result.overhead == pytest.approx(
+            hera_sc1.overhead(result.period, 256.0), rel=1e-12
         )
 
     def test_custom_seed_agrees(self, hera_sc1):

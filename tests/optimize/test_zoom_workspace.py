@@ -30,9 +30,10 @@ from repro.core import (
 )
 from repro.core.first_order import optimal_period
 from repro.core.pattern import PreparedColumns
+from repro.optimize import period
 from repro.optimize.allocation import optimize_allocation_batch
 from repro.optimize.grid import refine_log_minimum_batch
-from repro.optimize.period import optimize_period_batch, optimize_period_batch_grouped
+from repro.optimize.period import _optimize_columns, optimize_period_batch
 from repro.platforms import PLATFORM_NAMES, build_model
 
 #: Processor columns from one processor to far past every optimum.
@@ -71,11 +72,15 @@ def _oracle_zoom(model, P, lo, hi, points, rounds, starts, group_of):
     return T_opt, _overhead(model, T_opt, P), stopped
 
 
+def _stacked(models, sizes) -> PatternModel:
+    return models[0] if len(models) == 1 else stack_models(models, repeat=sizes)
+
+
 def _oracle_grouped(models, P, sizes, points=17, rounds=14, seed_decades=3.0):
-    """``optimize_period_batch_grouped`` through the allocating zoom."""
+    """The grouped period solve (``_optimize_columns``) through the allocating zoom."""
     P = np.asarray(P, dtype=float)
     sizes = np.asarray(sizes, dtype=int)
-    stacked = models[0] if len(models) == 1 else stack_models(models, repeat=sizes)
+    stacked = _stacked(models, sizes)
     T0 = np.asarray(optimal_period(P, stacked.errors, stacked.costs), dtype=float)
     lo = T0 * 10.0**-seed_decades
     hi = T0 * 10.0**seed_decades
@@ -108,7 +113,7 @@ def _oracle_allocation(models, points=33, rounds=12):
 
     return refine_log_minimum_batch(
         objective, 1.0, p_maxs, points=points, rounds=rounds, rtol=1e-10,
-        init_x=1.0, require_finite=False, track_aux=True,
+        track_aux=True,
     )
 
 
@@ -134,9 +139,13 @@ def _platform(lambda_ind, f, speedup, recovery=None) -> PatternModel:
 
 
 class TestZoomWorkspaceParity:
-    def _assert_grouped(self, models, P, sizes, **options):
-        T, H = optimize_period_batch_grouped(models, P, sizes, **options)
-        T_want, H_want, stopped, pinned = _oracle_grouped(models, P, sizes, **options)
+    def _assert_grouped(self, models, P, sizes, seed_decades=3.0):
+        T, H = _optimize_columns(
+            _stacked(models, sizes).prepare(P), models, P, sizes, seed_decades
+        )
+        T_want, H_want, stopped, pinned = _oracle_grouped(
+            models, P, sizes, rounds=period._ROUNDS, seed_decades=seed_decades
+        )
         assert _same_bits(T, T_want)
         assert _same_bits(H, H_want)
         return stopped, pinned
@@ -183,14 +192,15 @@ class TestZoomWorkspaceParity:
         _, pinned = self._assert_grouped(models, P, [9, 9], seed_decades=0.01)
         assert pinned.any() and not pinned.all()
 
-    def test_groups_converging_in_different_rounds(self):
+    def test_groups_converging_in_different_rounds(self, monkeypatch):
         # A column that overflows everywhere zooms onto its bracket's lower
         # edge, a sixteenth of the log-width per round, and its group stops
         # rounds before the finite one: the workspace must freeze it from
         # that round on, exactly as the allocating zoom did.
         models = [build_model("Hera", 1), build_model("Atlas", 3), build_model("Hera", 1)]
         P = np.concatenate((np.geomspace(64.0, 4096.0, 5), [1e5, 3e5], [1e12, 1e13]))
-        stopped, _ = self._assert_grouped(models, P, [5, 2, 2], rounds=40)
+        monkeypatch.setattr(period, "_ROUNDS", 40)
+        stopped, _ = self._assert_grouped(models, P, [5, 2, 2])
         assert len(set(stopped.tolist())) > 1
         assert stopped.max() < 40
 

@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.21.0"
+        assert repro.__version__ == "1.22.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -34,6 +34,36 @@ class TestTopLevel:
         assert not hasattr(repro.sim, name)
         assert not hasattr(repro.sim.executors, name)
         assert not hasattr(repro.sim.executors.Executor, "owns")
+
+    @pytest.mark.parametrize("module", ["repro.optimize", "repro.optimize.period"])
+    def test_removed_grouped_period_wrapper_is_gone(self, module):
+        """One joint optimiser since 1.22: nothing re-exports the wrapper."""
+        module = importlib.import_module(module)
+        assert not hasattr(module, "optimize_period_batch_grouped")
+        assert "optimize_period_batch_grouped" not in module.__all__
+
+    def test_removed_result_fields_are_gone(self):
+        import dataclasses
+
+        from repro.optimize import AllocationResult, BatchGridResult, PeriodResult
+
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert "expected_time" not in fields(AllocationResult) | fields(PeriodResult)
+        assert {"at_lower", "at_upper"}.isdisjoint(fields(BatchGridResult))
+
+    def test_removed_refine_knobs_are_gone(self):
+        import inspect
+
+        from repro.optimize import optimize_period_batch, refine_log_minimum_batch
+
+        assert {"require_finite", "init_x"}.isdisjoint(
+            inspect.signature(refine_log_minimum_batch).parameters
+        )
+        assert {"points", "rounds"}.isdisjoint(
+            inspect.signature(optimize_period_batch).parameters
+        )
 
     def test_key_classes_importable_from_top(self):
         assert repro.PatternModel is not None
