@@ -73,12 +73,19 @@ def test_paper_budget_vectorized(benchmark, workload_points, fig):
     )
 
 
-def _best_of(fn, reps: int = 7) -> float:
-    best = float("inf")
+def _best_of_alternating(fns, reps: int = 7) -> list[float]:
+    """Best wall time of each of ``fns``, run in turn ``reps`` times.
+
+    Alternating the callables inside one loop lets every one of them
+    see the same machine state: drift between two separate timing
+    phases cannot skew their ratio.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -94,8 +101,7 @@ def test_vectorized_speedup_at_least_5x(workload_points, wallclock_assertions, f
         simulate_vectorized(model, T, P, PAPER.n_runs, PAPER.n_patterns, seed=SEED)
 
     run_batch(), run_vectorized()  # warm both paths
-    t_batch = _best_of(run_batch)
-    t_vec = _best_of(run_vectorized)
+    t_batch, t_vec = _best_of_alternating([run_batch, run_vectorized])
     speedup = t_batch / t_vec
     print(f"\n  {fig}: batch {t_batch * 1e3:.2f} ms, "
           f"vectorized {t_vec * 1e3:.2f} ms, speedup {speedup:.1f}x")

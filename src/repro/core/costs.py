@@ -80,7 +80,9 @@ class CheckpointCost:
 
     def __call__(self, P):
         """Evaluate :math:`C_P` for scalar or array ``P``."""
-        P = positive_processors(P)
+        return self._at(positive_processors(P))
+
+    def _at(self, P):
         return self.a + self.b / P + self.c * P
 
     def derivative(self, P):
@@ -126,7 +128,9 @@ class VerificationCost:
 
     def __call__(self, P):
         """Evaluate :math:`V_P` for scalar or array ``P``."""
-        P = positive_processors(P)
+        return self._at(positive_processors(P))
+
+    def _at(self, P):
         return self.v + self.u / P
 
     def derivative(self, P):

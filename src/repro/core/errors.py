@@ -99,11 +99,17 @@ class ErrorModel:
 
     def fail_stop_rate(self, P):
         """:math:`\\lambda^f_P = f \\lambda_{ind} P`."""
-        return self.fail_stop_fraction * self.lambda_ind * positive_processors(P)
+        return self._fail_stop_rate(positive_processors(P))
+
+    def _fail_stop_rate(self, P):
+        return self.fail_stop_fraction * self.lambda_ind * P
 
     def silent_rate(self, P):
         """:math:`\\lambda^s_P = s \\lambda_{ind} P`."""
-        return self.s * self.lambda_ind * positive_processors(P)
+        return self._silent_rate(positive_processors(P))
+
+    def _silent_rate(self, P):
+        return self.s * self.lambda_ind * P
 
     def total_rate(self, P):
         """Total platform error rate :math:`\\lambda_{ind} P`."""
@@ -139,10 +145,6 @@ class ErrorModel:
         lam = self.silent_rate(P)
         return -np.expm1(-lam * np.asarray(W, dtype=float)) if np.ndim(W) or np.ndim(P) \
             else -np.expm1(-lam * float(W))
-
-    def expected_time_lost_fail_stop(self, P, W):
-        """:math:`E_{lost}(W)` for the platform fail-stop rate."""
-        return expected_time_lost(self.fail_stop_rate(P), W)
 
     # -- constructors -----------------------------------------------------
 

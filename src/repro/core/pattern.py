@@ -52,7 +52,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from .costs import CheckpointCost, ResilienceCosts, VerificationCost
 from .errors import ErrorModel
-from .speedup import AmdahlSpeedup, GustafsonSpeedup, PowerLawSpeedup, SpeedupModel
+from .speedup import AmdahlSpeedup, GustafsonSpeedup, PowerLawSpeedup, SpeedupModel, positive_processors
 
 __all__ = [
     "expected_pattern_time",
@@ -300,12 +300,15 @@ class PreparedColumns:
     __slots__ = _FACTORS + ("fail_stop",)
 
     def __init__(self, P, errors: ErrorModel, costs: ResilienceCosts, speedup: SpeedupModel):
-        self.lam_f = lam_f = np.asarray(errors.fail_stop_rate(P), dtype=float)
-        self.lam_s = np.asarray(errors.silent_rate(P), dtype=float)
-        self.C = C = np.asarray(costs.checkpoint_cost(P), dtype=float)
-        self.R = R = np.asarray(costs.recovery_cost(P), dtype=float)
-        self.V = np.asarray(costs.verification_cost(P), dtype=float)
-        self.floor = np.asarray(speedup.overhead(P))
+        # P is checked once; the models' unchecked forms take it as is.
+        P = positive_processors(P)
+        recovery = costs.recovery if costs.recovery is not None else costs.checkpoint
+        self.lam_f = lam_f = np.asarray(errors._fail_stop_rate(P), dtype=float)
+        self.lam_s = np.asarray(errors._silent_rate(P), dtype=float)
+        self.C = C = np.asarray(costs.checkpoint._at(P), dtype=float)
+        self.R = R = np.asarray(recovery._at(P), dtype=float)
+        self.V = np.asarray(costs.verification._at(P), dtype=float)
+        self.floor = np.asarray(speedup._overhead(P))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.lf_R = lam_f * R
             self.exp_lf_C = np.exp(lam_f * C)
@@ -477,17 +480,9 @@ class PatternModel:
         """Failure-free floor :math:`H(P)`."""
         return self.speedup.overhead(P)
 
-    def expected_recovery(self, P):
-        """:math:`E(R_P)` (proof of Proposition 1)."""
-        return expected_recovery_time(P, self.errors, self.costs)
-
     def expected_work(self, T, P):
         """:math:`E(T + V_P)` (proof of Proposition 1)."""
         return expected_work_time(T, P, self.errors, self.costs)
-
-    def expected_checkpoint(self, T, P):
-        """:math:`E(C_P)` (proof of Proposition 1)."""
-        return expected_checkpoint_time(T, P, self.errors, self.costs)
 
     # -- makespan projection ----------------------------------------------
 

@@ -58,6 +58,10 @@ class SpeedupModel(ABC):
     def overhead(self, P):
         """Execution overhead :math:`H(P) = 1/S(P)` (scalar or array)."""
 
+    def _overhead(self, P):
+        """:meth:`overhead` at a ``P`` :func:`positive_processors` returned."""
+        return self.overhead(P)
+
     @abstractmethod
     def overhead_derivative(self, P):
         """Derivative :math:`dH/dP`, used by numerical optimisers."""
@@ -102,7 +106,9 @@ class AmdahlSpeedup(SpeedupModel):
         return 1.0 / self.overhead(P)
 
     def overhead(self, P):
-        P = positive_processors(P)
+        return self._overhead(positive_processors(P))
+
+    def _overhead(self, P):
         return self.alpha + (1.0 - self.alpha) / P
 
     def overhead_derivative(self, P):
@@ -184,7 +190,9 @@ class PowerLawSpeedup(SpeedupModel):
         return P**self.gamma
 
     def overhead(self, P):
-        P = positive_processors(P)
+        return self._overhead(positive_processors(P))
+
+    def _overhead(self, P):
         return P ** (-self.gamma)
 
     def overhead_derivative(self, P):

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
+import os
 import re
 import sys
 import time
@@ -49,7 +51,6 @@ from .registry import REGISTRY, STUDIES, find_spec, get_spec
 
 if TYPE_CHECKING:
     from ..io.stream import StreamingEmitter
-    from ..obs.trace import TraceWriter
     from ..sim.manifest import RunRecorder
     from .common import FigureResult, SimSettings
     from .pipeline import SimulationPipeline
@@ -129,35 +130,38 @@ def _settings_from_args(args: argparse.Namespace) -> SimSettings:
     )
 
 
-def _trace_from_args(
-    args: argparse.Namespace, argv: Sequence[str]
-) -> TraceWriter | None:
-    """The :class:`TraceWriter` implied by ``--trace``/``--trace-file``.
+def _trace_path(args: argparse.Namespace) -> Path | None:
+    """Where ``--trace``/``--trace-file`` journal events (``None``: off).
 
     ``--trace-file`` names the journal explicitly; bare ``--trace``
     puts it next to the run's manifest (``<runs-dir>/<run-id>/``) when
-    the invocation is journaled, else directly under the runs
-    directory.  Returns ``None`` when tracing is off — the pipeline
-    then holds the null writer and the hot paths pay one flag check.
+    the invocation is journaled, else directly under the runs directory.
     """
     trace_file = getattr(args, "trace_file", None)
-    if not getattr(args, "trace", False) and trace_file is None:
+    if trace_file is not None:
+        return Path(trace_file)
+    if not getattr(args, "trace", False):
         return None
-    from ..obs.trace import TraceWriter
+    runs_dir = Path(getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR)
+    run_id = getattr(args, "run_id", None)
+    return (runs_dir / run_id if run_id is not None else runs_dir) / TRACE_NAME
 
-    if trace_file is None:
-        runs_dir = getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR
-        run_id = getattr(args, "run_id", None)
-        base = Path(runs_dir) / run_id if run_id is not None else Path(runs_dir)
-        trace_file = base / TRACE_NAME
-    writer = TraceWriter(
-        trace_file,
-        argv=list(argv),
-        run_id=getattr(args, "run_id", None),
-        command=getattr(args, "command", None),
-    )
-    print(f"[trace] journaling events to {writer.path}", file=sys.stderr)
-    return writer
+
+def _make_output_dirs(dirs: Sequence[tuple[str, Path]]) -> None:
+    """Create the ``(flag, directory)`` pairs an invocation writes into,
+    before any work; refuse an unusable one in one line, leaving nothing."""
+    made: list[Path] = []
+    for flag, path in dirs:
+        made += [p for p in (path, *path.parents) if not p.exists()]
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+            if not os.access(path, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        except OSError as exc:
+            for created in sorted(made, key=lambda p: len(p.parts), reverse=True):
+                with contextlib.suppress(OSError):
+                    created.rmdir()
+            raise SystemExit(f"{flag} {path}: unusable directory ({exc.strerror})") from None
 
 
 def _pipeline_from_args(
@@ -202,13 +206,29 @@ def _pipeline_from_args(
         if not path.is_file():
             raise SystemExit(f"no run manifest at {path}")
     # Every flag is checked above: only from here on may the invocation
-    # touch the disk (the trace writer opens its file).
+    # touch the disk, creating the directories it writes into first.
+    dirs = [] if cache_dir is None else [("--cache-dir", Path(cache_dir))]
+    if run_id is not None and not getattr(args, "dry_run", False):
+        dirs.append(("--runs-dir", Path(args.runs_dir or DEFAULT_RUNS_DIR) / run_id))
+    trace_path = _trace_path(args)
+    if trace_path is not None:
+        dirs.append(("--trace-file" if args.trace_file else "--runs-dir", trace_path.parent))
+    _make_output_dirs(dirs)
+    # Without --trace the pipeline holds the null writer, and the hot
+    # paths pay one flag check.
+    writer = None
+    if trace_path is not None:
+        from ..obs.trace import TraceWriter
+
+        writer = TraceWriter(trace_path, argv=list(argv), run_id=run_id,
+                             command=getattr(args, "command", None))
+        print(f"[trace] journaling events to {writer.path}", file=sys.stderr)
     pipeline = SimulationPipeline(
         jobs=jobs,
         cache_dir=cache_dir,
         max_inflight=max_inflight,
         fault=fault,
-        trace=_trace_from_args(args, argv),
+        trace=writer,
         metrics=MetricsRegistry(),
     )
     if fault is not None and pipeline.cache is not None:
@@ -282,11 +302,6 @@ def _progress_printer(staged: Sequence, pipeline: SimulationPipeline,
         )
 
     return on_event
-
-
-def _journal(recorder: RunRecorder | None):
-    """Context that compacts ``recorder``'s journal on any exit."""
-    return recorder if recorder is not None else contextlib.nullcontext()
 
 
 def _validate_resumed(
@@ -374,9 +389,6 @@ def _run_round(
                     run.replay(recorder.manifest)
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
-        # The journal's ``computed`` fates promise entries that survive
-        # a power loss, so a journaled run fsyncs each entry it stores.
-        pipeline.cache.durable = True
         if args.resume:
             _validate_resumed(recorder, pipeline, argv)
     if run is not None:
@@ -398,7 +410,7 @@ def _run_round(
         for cb in callbacks:
             cb(event)
 
-    with _journal(recorder):
+    with recorder or contextlib.nullcontext():  # compacts on any exit
         pipeline.resolve(
             on_event=on_event if callbacks else None,
             on_round=run.on_round if run is not None else None,
@@ -567,9 +579,9 @@ def _add_sim_options(
         metavar="ID",
         help="journal this invocation as a durable run: every resolved "
         "point's fate is appended to the run's journal under --runs-dir "
-        "(computed fates fsynced; served ones flushed and made durable by "
-        "the next fsync), so an interrupted run can be resumed "
-        "(`repro-experiments resume ID`); requires --cache-dir",
+        "and flushed, so an interrupted run can be resumed "
+        "(`repro-experiments resume ID`); after a power loss whatever "
+        "verifies is served and the rest recomputes; requires --cache-dir",
     )
     sub.add_argument(
         "--runs-dir",

@@ -16,6 +16,8 @@ the questions a 40-minute sweep raises afterwards:
 * **studies / fates** — per-study computed/served tallies
   (per declaration, matching the metrics registry) and unique-key
   fates (last event wins, matching the run manifest exactly);
+* **cache** — result-cache hits, misses and stores, and milliseconds
+  per stored entry;
 * **analytic** — models the analytic pass evaluated and the memo
   served, its hit rate and milliseconds per evaluated model;
 * **critical path** — per study, first declare to the latest of its
@@ -167,6 +169,9 @@ def summarize(events: list[dict]) -> dict:
     }
     lookups = cache["hit"] + cache["miss"]
     cache["hit_rate"] = round(cache["hit"] / lookups, 4) if lookups else None
+    # Journals written before cache_store carried a dur report no rate.
+    timed = [e["dur"] for e in events if e["ev"] == "cache_store" and "dur" in e]
+    cache["ms_per_store"] = round(1e3 * sum(timed) / len(timed), 3) if timed else None
     analytic = {"evaluated": 0, "served": 0, "seconds": None}
     for event in events:
         if event["ev"] == "analytic_batch":
@@ -305,9 +310,11 @@ def render_summary_text(summary: dict) -> list[str]:
     )
     cache = summary["cache"]
     rate = f"{cache['hit_rate']:.2%}" if cache["hit_rate"] is not None else "n/a"
+    ms = cache["ms_per_store"]
+    per_store = f", {ms:.3f} ms per stored entry" if ms is not None else ""
     lines.append(
         f"[cache] {cache['hit']} hits, {cache['miss']} misses, "
-        f"{cache['store']} stores (hit rate {rate})"
+        f"{cache['store']} stores (hit rate {rate}){per_store}"
     )
     analytic = summary["analytic"]
     rate = (

@@ -101,7 +101,8 @@ EVENT_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
     # result cache / analytic memo
     "cache_hit": (frozenset({"key"}), frozenset()),
     "cache_miss": (frozenset({"key"}), frozenset()),
-    "cache_store": (frozenset({"key", "kind"}), frozenset()),
+    # dur: wall seconds of the store (1.23+; older journals lack it)
+    "cache_store": (frozenset({"key", "kind"}), frozenset({"dur"})),
     "memo_serve": (frozenset({"study", "count"}), frozenset()),
     # dur: wall seconds of the batch (1.21+; older journals lack it)
     "analytic_batch": (frozenset({"study", "evaluated", "served"}), frozenset({"dur"})),

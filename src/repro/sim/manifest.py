@@ -1,11 +1,8 @@
 """Durable runs: a checkpointed, append-only journal per CLI invocation.
 
-A killed ``all``/``scenario run`` used to restart from whatever the
-npz cache happened to hold — the cache deduplicates work, but nothing
-represented *the run itself* as a durable object: which points it
-planned, which completed, under which code/config world.  This module
-adds that object, dogfooding the paper's own checkpoint-recovery
-story:
+The run itself as a durable object — which points it planned, which
+completed, under which code/config world — dogfooding the paper's own
+checkpoint-recovery story:
 
 * a :class:`RunManifest` records the run id, the full CLI ``argv``, a
   config hash over the result-relevant arguments,
@@ -13,45 +10,33 @@ story:
   with their fates (``computed`` / ``served``);
 * a :class:`RunRecorder` journals each fate the event-driven scheduler
   delivers as one ``[key, fate]`` JSON line appended to
-  ``<run>/fates.log`` — O(1) per point, whatever the run's size.  Every
-  line is written and flushed at once, so it survives a ``kill -9``.
-  Only ``computed`` lines are fsynced, after their cache entry's own
-  fsync: they are the ones that protect work.  A ``served`` line is
-  made durable by the next fsync of the log (or the next compaction);
-  one lost to a power cut only means its point is served
-  again from its durable entry.
-  ``manifest.json`` is the compacted checkpoint: rewritten atomically
+  ``<run>/fates.log`` — O(1) per point, whatever the run's size.  Each
+  line is flushed at once, so a ``kill -9`` loses nothing delivered.
+  ``manifest.json`` is the compacted checkpoint, rewritten atomically
   (temp file + fsync + ``os.replace``) when the run is created or
-  resumed, when the adaptive engine journals a decision, at
-  :meth:`~RunRecorder.finish` and when the recorder closes (any
-  Python-level exit, an injected crash included, leaves ``status``
-  ``running`` unless the run finished).  Each compaction folds the log
-  into the checkpoint and deletes it.  A ``kill -9`` at any instant
-  leaves checkpoint + log, and :meth:`RunManifest.load` replays the
-  log over the checkpoint to recover exactly the delivered prefix.  A
-  torn or unparsable line (a write the kill interrupted) ends the
-  replay: it and anything after it are never trusted, so those points
-  recompute;
-* on resume (``repro-experiments resume <run-id>``),
-  :func:`validate_resume` re-derives the plan from the *current*
-  world and checks every journaled fate against it — the REQ-10
-  "checkpoint recovery integrity" pattern: a checkpoint faithfully
-  restores internal state, but the world may have moved on.  A fate
-  whose plan key still exists in the new plan and whose cache entry
-  verifies is **reused** (served from the payload the verification
-  already read, so each reused entry is read from disk once); a key
-  the new plan no longer produces (code/config drift,
-  ``BACKEND_VERSION`` bump) is **stale**; a key whose cache entry is
-  missing or corrupt is **invalidated** (the corrupt entry is deleted
-  so it reads as a clean miss).  Only invalidated/stale work is
-  recomputed, through the same event-driven round — resumed output is
-  byte-identical to an uninterrupted run because the cache-served
-  values are the very estimates the interrupted run computed.
+  resumed, at each adaptive decision, at :meth:`~RunRecorder.finish`
+  and when the recorder closes (``status`` stays ``running`` unless
+  the run finished).  Each compaction folds the log into the
+  checkpoint and deletes it; :meth:`RunManifest.load` replays a log a
+  ``kill -9`` left over its checkpoint, up to the first torn or
+  unparsable line, which is never trusted;
+* those rewrites are the only fsyncs: neither log lines nor cache
+  entries are synced, and a power loss is covered by validation.  On
+  resume, :func:`validate_resume` re-derives the plan from the
+  *current* world and checks every journaled fate against it (REQ-10,
+  "checkpoint recovery integrity").  A fate whose key is still planned
+  and whose cache entry verifies is **reused**, served from the
+  payload the check already read; a key the new plan no longer
+  produces (config drift, a ``BACKEND_VERSION`` bump) is **stale**; a
+  key whose entry is missing or damaged is **missing** or
+  **invalidated** (the damaged file is deleted).  A fate line lost to
+  a power cut only means its point is served if its entry verifies
+  and recomputed if not.  Recomputation is deterministic, so resumed
+  output is byte-identical to an uninterrupted run.
 
 The manifest never stores results — those live in the
 content-addressed :class:`~repro.sim.plan.ResultCache`, which is why
-``--run-id`` requires a cache directory: fates without cached values
-could prove *what* completed but not reuse it.
+``--run-id`` requires a cache directory.
 """
 
 from __future__ import annotations
@@ -269,10 +254,8 @@ class RunRecorder:
     carrying a plan key that changes the fate map appends one
     ``[key, fate]`` line to ``fates.log`` and flushes it, so a process
     killed between any two events leaves checkpoint + log holding
-    exactly the delivered prefix.  ``computed`` lines are also fsynced
-    (surviving a power cut); ``served`` lines become durable with the
-    next fsync or compaction.  :meth:`write` compacts: it rewrites
-    ``manifest.json`` atomically and deletes the folded log.
+    exactly the delivered prefix.  :meth:`write` compacts: it rewrites
+    ``manifest.json`` atomically (the one fsync) and deletes the log.
 
     Use the recorder as a context manager: leaving the block by any
     route (an exception or an injected crash included) compacts the
@@ -373,20 +356,12 @@ class RunRecorder:
             self._append(key, event.status)
 
     def _append(self, key: str, fate: str) -> None:
-        """One log line: write and flush; fsync only a ``computed`` fate.
-
-        A flushed line survives a ``kill -9``.  Only a ``computed`` line
-        protects work, so only it pays an fsync; a ``served`` line lost
-        to a power cut costs nothing (its point is served again from its
-        durable entry), and the next fsync of this file makes it durable
-        anyway.
-        """
+        """One log line, flushed (it survives a ``kill -9``), never
+        fsynced: a line a power loss takes costs at most a recompute."""
         if self._log is None:
             self._log = open(self.log_path, "a")
         self._log.write(json.dumps([key, fate]) + "\n")
         self._log.flush()
-        if fate == "computed":
-            os.fsync(self._log.fileno())
 
     def record_adaptive(self, journal: dict) -> None:
         """Journal the adaptive engine's staging/stopping decisions.

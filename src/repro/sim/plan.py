@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import time
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -402,10 +403,6 @@ class ResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        #: Fsync each entry before publishing it.  A journaled run sets
-        #: this: its ``computed`` fates promise entries that survive a
-        #: power loss.  Without a journal a lost entry is only a miss.
-        self.durable = False
         # Observability hooks (see bind_obs): None until a pipeline
         # attaches its trace writer and metrics registry.
         self.trace = None
@@ -445,16 +442,21 @@ class ResultCache:
         return decode_entry(path.read_bytes())
 
     def _load(self, key: str, kind: str) -> dict | None:
+        """One lookup, counted: the entry's fields, or ``None`` (a miss)."""
         data = self._verified.pop(key, None)
         if data is None:
             path = self._path(key)
-            if not path.exists():
-                return None
             try:
-                data = self._read(path)
+                data = self._read(path) if path.exists() else None
             except (OSError, CorruptEntry):
-                return None  # gone, corrupt or foreign: treat as a miss
-        return data if str(data.get("kind")) == kind else None
+                pass  # gone, corrupt or foreign: a miss
+        if data is None or str(data.get("kind")) != kind:
+            self.misses += 1
+            self._note("miss", key)
+            return None
+        self.hits += 1
+        self._note("hit", key)
+        return data
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists for ``key`` (no hit/miss accounting).
@@ -528,31 +530,25 @@ class ResultCache:
 
     def _store(self, key: str, **fields) -> None:
         # Atomic publish: one write of the whole encoded entry to a
-        # private temp file (fsynced when :attr:`durable`), then rename
-        # over the final name.  A reader or a process crash can
-        # therefore never observe a torn entry — only the old state, or
-        # the complete new one.  A power loss may leave an unsynced
-        # entry empty or torn; it then reads as a miss and recomputes.
-        data = encode_entry(fields)
+        # private temp file, then rename over the final name, so a
+        # reader or a process crash never observes a torn entry.  It is
+        # never fsynced: a power loss may leave it empty, short or
+        # zero-filled, which the codec rejects, so it recomputes.
+        started = time.perf_counter()
         path = self._path(key)
         tmp = path.with_name(f".{key}.{os.getpid()}.tmp.npz")
         with open(tmp, "wb") as handle:
-            handle.write(data)
-            if self.durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.write(encode_entry(fields))
         os.replace(tmp, path)
+        dur = round(time.perf_counter() - started, 6)
+        self._note("store", key, kind=fields["kind"], dur=dur)
 
     # -- overhead estimates ------------------------------------------------
 
     def get_estimate(self, key: str) -> OverheadEstimate | None:
         data = self._load(key, "estimate")
         if data is None:
-            self.misses += 1
-            self._note("miss", key)
             return None
-        self.hits += 1
-        self._note("hit", key)
         return OverheadEstimate(
             mean=float(data["mean"]),
             std=float(data["std"]),
@@ -563,7 +559,6 @@ class ResultCache:
         )
 
     def put_estimate(self, key: str, estimate: OverheadEstimate) -> None:
-        self._note("store", key, kind="estimate")
         self._store(
             key,
             kind="estimate",
@@ -579,16 +574,9 @@ class ResultCache:
 
     def get_value(self, key: str) -> float | None:
         data = self._load(key, "value")
-        if data is None:
-            self.misses += 1
-            self._note("miss", key)
-            return None
-        self.hits += 1
-        self._note("hit", key)
-        return float(data["value"])
+        return None if data is None else float(data["value"])
 
     def put_value(self, key: str, value: float) -> None:
-        self._note("store", key, kind="value")
         self._store(key, kind="value", value=float(value))
 
     # -- introspection and garbage collection ------------------------------

@@ -178,6 +178,71 @@ class TestHardKill:
         assert (manifest["reused"], manifest["recomputed"]) == (2, 0)
 
 
+class TestPowerLoss:
+    """Nothing is fsynced but the checkpoint: after a power loss a resume
+    must serve only what verifies and recompute the rest."""
+
+    #: entry damage -> what a power loss can leave of an unsynced file
+    DAMAGE = {
+        "empty": lambda path: path.write_bytes(b""),
+        "short": lambda path: path.write_bytes(path.read_bytes()[:57]),
+        "zeroed": lambda path: path.write_bytes(bytes(path.stat().st_size)),
+        "deleted": lambda path: path.unlink(),
+    }
+
+    @pytest.mark.parametrize("journal", ["log", "checkpoint"])
+    def test_lost_writes_recompute_to_the_golden(
+        self, tmp_path, capsys, monkeypatch, journal
+    ):
+        assert main(["fig5", *FAST_ARGS]) == 0
+        golden = _strip_volatile(capsys.readouterr().out)
+        runs = tmp_path / "runs" / "r1"
+        with monkeypatch.context() as patch:
+            if journal == "log":  # a kill -9: no compaction, only the log
+                patch.setattr(RunRecorder, "close", lambda self: None)
+            assert main(_run_args(tmp_path) + ["--fault-plan", "crash-after=12"]) \
+                == CRASH_EXIT_CODE
+        capsys.readouterr()
+
+        # 1. The newest 4 journaled fates are lost.
+        if journal == "log":
+            log = runs / FATES_LOG_NAME
+            lines = log.read_text().splitlines(keepends=True)
+            journaled = [json.loads(line)[0] for line in lines]
+            log.write_text("".join(lines[:-4]))
+        else:
+            checkpoint = json.loads((runs / "manifest.json").read_text())
+            journaled = sorted(checkpoint["fates"])
+            for key in journaled[-4:]:
+                del checkpoint["fates"][key]
+            (runs / "manifest.json").write_text(json.dumps(checkpoint))
+        assert len(journaled) == 12
+        surviving, lost = journaled[:-4], journaled[-4:]
+
+        # 2. Entries with a surviving fate and entries without one are
+        #    damaged in every way an unsynced file can be.
+        cache = plan_mod.ResultCache(tmp_path / "cache")
+        damaged = dict(zip(surviving[:4], self.DAMAGE))
+        damaged.update(zip(lost, self.DAMAGE))
+        good = {key: cache._path(key).read_bytes() for key in damaged}
+        for key, damage in damaged.items():
+            self.DAMAGE[damage](cache._path(key))
+
+        # 3. The resume recomputes every damaged entry, serves the rest.
+        assert main(_run_args(tmp_path) + ["--resume"]) == 0
+        captured = capsys.readouterr()
+        assert _strip_volatile(captured.out) == golden
+        assert ("[resume] 4 reusable from cache, 3 invalidated (corrupt), "
+                "1 missing, 0 stale") in captured.err
+        fates = _manifest(tmp_path / "runs", "r1")["fates"]
+        assert {key: fates[key] for key in damaged} == dict.fromkeys(damaged, "computed")
+        assert all(fates[key] == "served" for key in surviving[4:])
+        for key, data in good.items():
+            assert cache._path(key).read_bytes() == data  # rebuilt, same bytes
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert " 0 corrupt" in capsys.readouterr().out
+
+
 class TestResumeReads:
     def test_each_reusable_entry_is_read_once(self, tmp_path, capsys, monkeypatch):
         assert main(_run_args(tmp_path) + ["--fault-plan", "crash-after=3"]) \
@@ -295,6 +360,45 @@ class TestCliValidation:
         assert result.stderr.strip().startswith(message)
         assert result.stdout == ""  # refused before declaring any study
         assert list(tmp_path.iterdir()) == []  # no cache, runs dir or trace
+
+    @staticmethod
+    def _refused_before_work(tmp_path, monkeypatch, capsys, flags) -> str:
+        """Run fig5 with ``flags`` in ``tmp_path`` (holding one plain file,
+        ``blocker``); assert it is refused with nothing written and
+        return the message."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", *FAST_ARGS, *flags])
+        assert capsys.readouterr().out == ""  # refused before any study ran
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+        return str(exc.value.code)
+
+    @pytest.mark.parametrize("runs_dir", ["blocker/runs", "/proc/nope"])
+    def test_unusable_runs_dir_refused_before_any_write(
+        self, tmp_path, monkeypatch, capsys, runs_dir
+    ):
+        if Path(runs_dir).is_absolute() and not Path("/proc/self").is_dir():
+            pytest.skip("no /proc on this system")
+        message = self._refused_before_work(
+            tmp_path, monkeypatch, capsys,
+            ["--cache-dir", "c", "--run-id", "r", "--runs-dir", runs_dir],
+        )
+        assert message.startswith(f"--runs-dir {runs_dir}/r: unusable directory")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("cache_dir", ["blocker/cache", "/proc/nope"])
+    def test_unusable_cache_dir_refused_before_any_write(
+        self, tmp_path, monkeypatch, capsys, cache_dir
+    ):
+        if Path(cache_dir).is_absolute() and not Path("/proc/self").is_dir():
+            pytest.skip("no /proc on this system")
+        message = self._refused_before_work(
+            tmp_path, monkeypatch, capsys,
+            ["--cache-dir", cache_dir, "--run-id", "r", "--runs-dir", "runs"],
+        )
+        assert message.startswith(f"--cache-dir {cache_dir}: unusable directory")
+        assert "\n" not in message
 
     def test_rerun_without_resume_refuses(self, tmp_path, capsys):
         assert main(_run_args(tmp_path)) == 0

@@ -27,7 +27,8 @@ def _events():
          "worker": 11},
         {"ev": "job_complete", "t": 0.55, "job": "1.1", "dur": 0.4,
          "worker": 12},
-        {"ev": "cache_store", "t": 0.56, "key": "k1", "kind": "value"},
+        {"ev": "cache_store", "t": 0.56, "key": "k1", "kind": "value",
+         "dur": 0.0002},
         {"ev": "point", "t": 0.6, "study": "fig5", "status": "computed",
          "key": "k1"},
         {"ev": "point", "t": 0.61, "study": "fig5", "status": "served",
@@ -86,7 +87,7 @@ class TestSummarize:
     def test_cache_and_analytic_rates(self):
         summary = summarize(_events())
         assert summary["cache"] == {
-            "hit": 1, "miss": 1, "store": 1, "hit_rate": 0.5,
+            "hit": 1, "miss": 1, "store": 1, "hit_rate": 0.5, "ms_per_store": 0.2,
         }
         assert summary["analytic"]["evaluated"] == 3
         assert summary["analytic"]["hit_rate"] == pytest.approx(0.25)
@@ -105,6 +106,25 @@ class TestSummarize:
         assert analytic["seconds"] is None and analytic["ms_per_evaluated"] is None
         lines = render_summary_text(summarize(events))
         assert "[analytic] 3 evaluated, 1 memo-served (hit rate 25.00%)" in lines
+
+    def test_cache_line_reports_ms_per_stored_entry(self):
+        events = _events() + [
+            {"ev": "cache_store", "t": 0.57, "key": "k3", "kind": "estimate",
+             "dur": 0.0004},
+        ]
+        assert summarize(events)["cache"]["ms_per_store"] == pytest.approx(0.3)
+        lines = render_summary_text(summarize(events))
+        assert ("[cache] 1 hits, 1 misses, 2 stores (hit rate 50.00%), "
+                "0.300 ms per stored entry") in lines
+
+    def test_cache_stores_without_dur_report_no_rate(self):
+        # Journals written before cache_store carried a dur.
+        events = [dict(e) for e in _events()]
+        for event in events:
+            event.pop("dur") if event["ev"] == "cache_store" else None
+        assert summarize(events)["cache"]["ms_per_store"] is None
+        lines = render_summary_text(summarize(events))
+        assert "[cache] 1 hits, 1 misses, 1 stores (hit rate 50.00%)" in lines
 
     def test_critical_path_ranks_by_extent(self):
         critical = summarize(_events())["critical_path"]

@@ -487,11 +487,9 @@ class TestEntryCodec:
 
 
 class TestEntryDurability:
-    """Entries are fsynced only for a journaled run (see DESIGN.md)."""
+    """Entries are never fsynced; a damaged one recomputes (see DESIGN.md)."""
 
-    @staticmethod
-    def _fsyncs(monkeypatch) -> list[int]:
-        """The fds the cache module fsyncs (the journal's are not counted)."""
+    def test_a_cache_does_not_fsync(self, tmp_path, monkeypatch):
         calls: list[int] = []
 
         class CountingOs:
@@ -503,30 +501,10 @@ class TestEntryDurability:
                 return getattr(os, name)
 
         monkeypatch.setattr(plan_mod, "os", CountingOs())
-        return calls
-
-    def test_an_unjournaled_cache_does_not_fsync(self, tmp_path, monkeypatch):
-        fsyncs = self._fsyncs(monkeypatch)
         cache = ResultCache(tmp_path)
         cache.put_value("v", 1.0)
-        assert fsyncs == []
-        cache.durable = True
-        cache.put_value("w", 2.0)
-        assert len(fsyncs) == 1
-        assert cache.get_value("v") == 1.0 and cache.get_value("w") == 2.0
-
-    def test_a_journaled_run_fsyncs_every_entry(self, tmp_path, monkeypatch):
-        from repro.experiments.runner import main
-
-        fsyncs = self._fsyncs(monkeypatch)
-        common = ["fig5", "--runs", "4", "--patterns", "3"]
-        assert main(common + ["--cache-dir", str(tmp_path / "plain")]) == 0
-        assert fsyncs == []
-        assert main(common + [
-            "--cache-dir", str(tmp_path / "journaled"),
-            "--runs-dir", str(tmp_path / "runs"), "--run-id", "r1",
-        ]) == 0
-        assert len(fsyncs) == len(ResultCache(tmp_path / "journaled").entries()) > 0
+        assert calls == []
+        assert cache.get_value("v") == 1.0
 
     def test_empty_and_truncated_entries_recompute_and_rewrite(self, tmp_path):
         with SimulationPipeline(jobs=1, cache_dir=tmp_path) as pipe:

@@ -247,60 +247,44 @@ class TestFateLog:
 
 
 class TestJournalDurability:
-    """fsync protects computed work only; flushes cover every line."""
+    """The checkpoint is the one fsync: no entry and no log line pays one."""
 
-    def test_fsync_only_for_computed_fate_changes(self, tmp_path, monkeypatch):
-        recorder = RunRecorder.create(tmp_path, "r1", ["cmd"])
-        synced: list[int] = []
-        real = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
-        steps = [
-            ("k0", "computed", 1), ("k1", "served", 0), ("k2", "served", 0),
-            ("k3", "computed", 1), ("k0", "served", 0), ("k0", "computed", 1),
-            ("k0", "computed", 0),  # no fate change, no line
-        ]
-        for key, status, fsyncs in steps:
-            before = len(synced)
-            recorder.on_event(_Event(key, status))
-            assert len(synced) - before == fsyncs, (key, status)
-            assert _read_fates_log(recorder.log_path)[key] == status
-        log_inode = os.stat(recorder.log_path).st_ino
-        assert all(os.fstat(fd).st_ino == log_inode for fd in synced)
-        recorder.close()
-
-    def test_entry_fsync_precedes_its_computed_line(self, tmp_path, monkeypatch):
+    def test_a_journaled_run_fsyncs_once_per_checkpoint_write(
+        self, tmp_path, monkeypatch
+    ):
         from repro.experiments.runner import main
+        from repro.sim.faults import CRASH_EXIT_CODE
 
-        cache_dir, runs_dir = tmp_path / "cache", tmp_path / "runs"
-        log = runs_dir / "r1" / FATES_LOG_NAME
-        order: list[tuple[str, str]] = []
-        real = os.fsync
+        runs_dir = tmp_path / "runs"
+        checkpoint_tmp = runs_dir / "r1" / f".manifest.json.{os.getpid()}.tmp"
+        synced: list[str] = []
+        writes: list[int] = []
+        real_fsync, real_write = os.fsync, RunRecorder.write
 
-        def spy(fd):
+        def fsync(fd):
             inode = os.fstat(fd).st_ino
-            if log.exists() and os.stat(log).st_ino == inode:
-                key, fate = json.loads(log.read_text().splitlines()[-1])
-                order.append((fate, key))
-            else:
-                for tmp in cache_dir.glob(".*.tmp.npz"):  # ".<key>.<pid>.tmp.npz"
-                    if tmp.stat().st_ino == inode:
-                        order.append(("entry", tmp.name.split(".")[1]))
-            real(fd)
+            checkpoint = checkpoint_tmp.exists() and checkpoint_tmp.stat().st_ino == inode
+            synced.append("checkpoint" if checkpoint else "other")
+            real_fsync(fd)
 
-        monkeypatch.setattr(os, "fsync", spy)
-        assert main([
-            "fig5", "--runs", "4", "--patterns", "3", "--cache-dir", str(cache_dir),
-            "--runs-dir", str(runs_dir), "--run-id", "r1",
-        ]) == 0
-        computed = [key for fate, key in order if fate == "computed"]
-        assert computed and {fate for fate, _ in order} == {"entry", "computed"}
-        manifest = RunManifest.load(manifest_path(runs_dir, "r1"))
-        assert sorted(computed) == sorted(
-            key for key, fate in manifest.fates.items() if fate == "computed"
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(
+            RunRecorder, "write", lambda self: (writes.append(1), real_write(self))
         )
-        for key in computed:
-            assert order.index(("entry", key)) < order.index(("computed", key)), key
-
+        args = [
+            "fig5", "--runs", "4", "--patterns", "3",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--runs-dir", str(runs_dir), "--run-id", "r1",
+        ]
+        # A crashed run, then its resume: create, crash-time close,
+        # resume, post-validation compaction and finish.
+        assert main(args + ["--fault-plan", "crash-after=3"]) == CRASH_EXIT_CODE
+        assert main(args + ["--resume"]) == 0
+        manifest = RunManifest.load(manifest_path(runs_dir, "r1"))
+        computed = sum(fate == "computed" for fate in manifest.fates.values())
+        assert computed > 0 and len(ResultCache(tmp_path / "cache").entries()) > 0
+        assert len(writes) == 5
+        assert synced == ["checkpoint"] * len(writes)
 
 class TestValidateResume:
     def _manifest(self, fates):

@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.22.0"
+        assert repro.__version__ == "1.23.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
