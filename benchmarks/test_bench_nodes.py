@@ -4,7 +4,7 @@ Prints the Palm-Khintchine table — simulated overhead of the Hera/sc1
 optimal pattern when failures are generated per node (exponential,
 stationary Weibull, fresh Weibull) against the aggregated-platform
 analytic prediction — and times the node-level simulator against the
-aggregated event-driven reference.
+aggregated-platform protocol loop.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Ablation: event-driven reference simulator vs vectorised sampler.
+"""Ablation: the event-level protocol loop vs the vectorised sampler.
 
-DESIGN.md's "two simulators, one distribution" choice is justified here:
-both are benchmarked on the same workload (Hera scenario 1 at its
+DESIGN.md's choice of several samplers for one distribution is justified
+here: both are benchmarked on the same workload (Hera scenario 1 at its
 numerical optimum), so the report shows the speedup factor bought by the
 closed-form vectorised sampling.  The equivalence of the distributions
-is asserted statistically in ``tests/sim/test_batch.py``.
+is asserted statistically in ``tests/sim/test_batch.py`` and against
+Proposition 1 in ``tests/sim/test_prop1_conformance.py``.
 """
 
 from __future__ import annotations

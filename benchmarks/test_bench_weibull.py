@@ -17,7 +17,7 @@ import numpy as np
 from repro.io.tables import render_table
 from repro.optimize import optimize_allocation
 from repro.platforms import build_model
-from repro.sim.renewal import simulate_run_renewal
+from repro.sim.protocol import simulate_run
 from repro.sim.rng import spawn_rngs
 from repro.sim.streams import WeibullArrivals
 
@@ -38,7 +38,7 @@ def test_weibull_robustness(benchmark):
             stream = WeibullArrivals.from_mean(shape, 1.0 / lam_f)
             times = np.array(
                 [
-                    simulate_run_renewal(
+                    simulate_run(
                         model, T, P, N_PATTERNS, rng, fail_stop=stream
                     ).total_time
                     for rng in spawn_rngs(N_RUNS, seed=100 + i)

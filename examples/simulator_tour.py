@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""A tour of the discrete-event simulator: where does the time go?
+"""A tour of the event-level simulator: where does the time go?
 
-Runs the event-driven reference simulator at three checkpoint periods —
-too short, optimal, too long — and prints the full activity breakdown
-(useful work, wasted work, verification, checkpointing, recovery,
-downtime, time destroyed by fail-stop errors), illustrating *why* the
-Young/Daly trade-off exists:
+Runs the protocol loop (:func:`repro.sim.simulate_run`) at three
+checkpoint periods — too short, optimal, too long — and prints the full
+activity breakdown (useful work, wasted work, verification,
+checkpointing, recovery, downtime, time destroyed by fail-stop errors),
+illustrating *why* the Young/Daly trade-off exists:
 
 * short periods waste time on checkpoint overheads;
 * long periods waste time on re-executed work after errors.

@@ -5,7 +5,7 @@ Uses the waste-accounting toolkit to split the expected overhead of a
 pattern into its physical channels — the deterministic resilience bill
 (verification + checkpoint), the fail-stop re-execution loss and the
 silent re-execution loss — across a range of periods, then validates
-the totals against the event-driven simulator's activity breakdown.
+the totals against the event-level simulator's activity breakdown.
 
 The punchline is the generalised Young/Daly equilibrium: at the optimal
 period the deterministic bill exactly balances the expected error loss.

@@ -15,7 +15,7 @@ from ..core.pattern import PatternModel
 from ..optimize.allocation import optimize_allocation_batch
 from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME
 from ..platforms.scenarios import build_model
-from ..sim.renewal import simulate_run_renewal
+from ..sim.protocol import simulate_run
 from ..sim.rng import spawn_seed_sequences
 from ..sim.streams import WeibullArrivals
 from .common import FigureResult
@@ -46,7 +46,7 @@ def _renewal_overhead(
     seeds = spawn_seed_sequences(n_runs, seed=seed)
     times = np.array(
         [
-            simulate_run_renewal(
+            simulate_run(
                 model, T, P, n_patterns, np.random.default_rng(ss),
                 fail_stop=stream,
             ).total_time

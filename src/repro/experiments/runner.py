@@ -213,6 +213,11 @@ def _pipeline_from_args(
     trace_path = _trace_path(args)
     if trace_path is not None:
         dirs.append(("--trace-file" if args.trace_file else "--runs-dir", trace_path.parent))
+    out = getattr(args, "out", None)
+    if out is not None and not getattr(args, "dry_run", False):
+        # ``report --out`` names a file, ``scenario run --out`` a directory.
+        out = Path(out)
+        dirs.append(("--out", out.parent if args.command == "report" else out))
     _make_output_dirs(dirs)
     # Without --trace the pipeline holds the null writer, and the hot
     # paths pay one flag check.
@@ -531,7 +536,7 @@ def _add_sim_options(
         default="auto",
         choices=list(METHODS),
         help="simulation backend: auto picks vectorized for paper-size "
-        "budgets, batch below; des is the slow event-driven reference",
+        "budgets, batch below; des is the slow event-level protocol loop",
     )
     sub.add_argument(
         "--jobs",
@@ -1431,14 +1436,29 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
     return 0
 
 
+def _strip_options(argv: Sequence[str], flags: set[str]) -> list[str]:
+    """``argv`` without each ``FLAG VALUE`` / ``FLAG=VALUE`` of ``flags``."""
+    kept: list[str] = []
+    skip = False
+    for arg in argv:
+        if skip:
+            skip = False
+        elif arg in flags:
+            skip = True
+        elif arg.partition("=")[0] not in flags:
+            kept.append(arg)
+    return kept
+
+
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Replay an interrupted run's stored argv with ``--resume`` appended.
 
-    Execution-only overrides (``--jobs``, ``--max-inflight``, …) are
-    appended after the stored arguments, so argparse's last-wins rule
-    applies them without touching the result-relevant configuration —
-    which is exactly the set the manifest's config hash covers, so the
-    resumed round still validates against the original run.
+    Execution-only overrides (``--jobs``, ``--max-inflight``, …) replace
+    the stored ones and are appended after the stored arguments, so
+    they never touch the result-relevant configuration — which is
+    exactly the set the manifest's config hash covers, so the resumed
+    round still validates against the original run.  Each flag stays
+    once in the replayed argv, however often the run is resumed.
     """
     from ..sim.manifest import RunManifest, manifest_path
 
@@ -1447,36 +1467,25 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         manifest = RunManifest.load(manifest_path(runs_dir, args.run_id))
     except ReproError as exc:
         raise SystemExit(str(exc)) from None
+    overrides = {
+        "--runs-dir": args.runs_dir,
+        "--jobs": args.jobs,
+        "--max-inflight": args.max_inflight,
+        "--fault-plan": args.fault_plan,
+        "--trace-file": args.trace_file,
+    }
     # Injected faults are one-shot: replaying the crash that interrupted
     # the run would just crash it again, forever.
-    replay: list[str] = []
-    skip = 0
-    for arg in manifest.argv:
-        if skip:
-            skip -= 1
-            continue
-        if arg == "--fault-plan":
-            skip = 1
-            continue
-        if arg.startswith("--fault-plan="):
-            continue
-        replay.append(arg)
+    stripped = {"--fault-plan"} | {f for f, v in overrides.items() if v is not None}
+    replay = _strip_options(manifest.argv, stripped)
     if "--resume" not in replay:
         replay.append("--resume")
-    if args.runs_dir is not None:
-        replay += ["--runs-dir", args.runs_dir]
-    if args.jobs is not None:
-        replay += ["--jobs", str(args.jobs)]
-    if args.max_inflight is not None:
-        replay += ["--max-inflight", str(args.max_inflight)]
-    if args.progress:
-        replay.append("--progress")
-    if args.fault_plan is not None:
-        replay += ["--fault-plan", args.fault_plan]
-    if args.trace and "--trace" not in replay:
-        replay.append("--trace")
-    if args.trace_file is not None:
-        replay += ["--trace-file", args.trace_file]
+    for flag, value in overrides.items():
+        if value is not None:
+            replay += [flag, str(value)]
+    for flag, on in (("--progress", args.progress), ("--trace", args.trace)):
+        if on and flag not in replay:
+            replay.append(flag)
     print(f"[resume] replaying: {' '.join(replay)}", file=sys.stderr)
     return main(replay)
 

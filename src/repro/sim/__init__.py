@@ -2,26 +2,25 @@
 
 Three backends sample the paper's exponential model, one distribution:
 
-``protocol``
-    Event-driven reference (legible specification, per-event stats).
+``des``
+    The event-level protocol loop (:func:`~repro.sim.protocol.simulate_run`;
+    the legible specification, with per-event stats).
 ``batch``
-    Vectorised closed-form sampler (~1000x faster than the reference).
+    Vectorised closed-form sampler, one row per pattern.
 ``vectorized``
     Whole-budget aggregated sampler (negative-binomial failure counts,
     chunked dispatch; the paper-fidelity hot path).
 
-Two more drive one shared protocol loop with a persistent failure
-stream, for the laws the closed forms cannot express:
+The event-level loop keeps a persistent failure stream, so it also
+runs the laws the closed forms cannot express: a renewal fail-stop
+law (``simulate_run(..., fail_stop=law)``, the Weibull robustness
+studies) and ``P`` superposed per-node streams
+(:func:`~repro.sim.nodes.simulate_run_nodes`, Proposition 1.2).
 
-``renewal``
-    One renewal fail-stop stream (Weibull robustness studies).
-``nodes``
-    ``P`` per-node streams, superposed (Proposition 1.2).
-
-Plus the :class:`~repro.sim.engine.EventEngine` kernel, reproducible
-RNG streams, estimators, the fused planner (:mod:`repro.sim.plan`),
-through which every Monte-Carlo point maps to jobs, and the
-single-point :func:`~repro.sim.montecarlo.simulate_overhead` driver.
+Plus reproducible RNG streams, estimators, the fused planner
+(:mod:`repro.sim.plan`), through which every Monte-Carlo point maps to
+jobs, and the single-point
+:func:`~repro.sim.montecarlo.simulate_overhead` driver.
 """
 
 from .._lazy import lazy_exports
@@ -31,8 +30,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "BatchStats", "PatternRates", "merge_batch_stats", "plan_chunks",
         "simulate_batch", "truncated_exponential",
     ),
-    ".engine": ("EventEngine",),
-    ".events": ("Event", "EventKind"),
     ".montecarlo": (
         "FAST", "METHODS", "PAPER", "VECTORIZED_THRESHOLD", "Fidelity",
         "resolve_method", "simulate_overhead",
@@ -44,18 +41,13 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "BACKEND_VERSION", "ResultCache", "SimRequest", "SimulationPlan",
         "plan_simulations", "simulate_requests",
     ),
-    ".renewal": ("simulate_run_renewal",),
     ".vectorized": ("simulate_vectorized",),
     ".results": ("OverheadEstimate", "overhead_estimate", "overhead_samples"),
     ".rng": ("make_rng", "spawn_rngs", "spawn_seed_sequences"),
     ".streams": ("ArrivalProcess", "ExponentialArrivals", "WeibullArrivals"),
-    ".trace": ("Trace", "TraceEvent", "TraceEventKind", "format_trace"),
 })
 
 __all__ = [
-    "EventEngine",
-    "Event",
-    "EventKind",
     "RunStats",
     "TimeBreakdown",
     "simulate_run",
@@ -89,14 +81,9 @@ __all__ = [
     "make_executor",
     "plan_simulations",
     "simulate_requests",
-    "simulate_run_renewal",
     "NodePool",
     "simulate_run_nodes",
     "ArrivalProcess",
     "ExponentialArrivals",
     "WeibullArrivals",
-    "Trace",
-    "TraceEvent",
-    "TraceEventKind",
-    "format_trace",
 ]

@@ -28,7 +28,7 @@ renewal structure of a pattern:
 Every step above is a closed-form sample (geometric counts, inverse-CDF
 truncated exponentials) evaluated in bulk numpy arrays; per-run sums
 use ``bincount`` segment reductions.  The equivalence with the
-event-driven reference is asserted statistically in the test suite, and
+event-level protocol loop is asserted statistically in the test suite, and
 the empirical mean converges to Proposition 1 by construction.
 
 The scalar protocol rates (:class:`PatternRates`) and the per-failure
@@ -291,7 +291,8 @@ def simulate_batch(
     """Simulate ``n_runs`` independent runs of ``n_patterns`` patterns each.
 
     Distribution-identical to looping :func:`repro.sim.protocol.simulate_run`,
-    about three orders of magnitude faster.
+    about 20x faster at 20 runs x 50 patterns
+    (``benchmarks/test_bench_simulators.py``).
     """
     return _simulate_batch_rates(
         PatternRates.from_model(model, T, P), n_runs, n_patterns, rng

@@ -17,8 +17,9 @@ size, only the CI widens).
 Backends
 --------
 ``"des"``
-    Event-driven reference (:func:`repro.sim.protocol.simulate_run`);
-    legible specification, ~1000x slower, for validation.
+    The event-level protocol loop (:func:`repro.sim.protocol.simulate_run`);
+    legible specification, about 20x slower than ``"batch"``, for
+    validation.
 ``"batch"``
     Per-pattern closed-form sampler (:func:`repro.sim.batch.simulate_batch`).
 ``"vectorized"``
@@ -113,8 +114,8 @@ def simulate_overhead(
         One of :data:`METHODS`.  ``"auto"`` (default) picks
         ``"vectorized"`` for budgets of at least
         :data:`VECTORIZED_THRESHOLD` cells and ``"batch"`` below;
-        ``"des"`` is the event-driven reference (~1000x slower, for
-        validation).
+        ``"des"`` is the event-level protocol loop (about 20x slower
+        than ``"batch"``, for validation).
 
     One call runs in-process; to spread many points over worker
     processes, batch them through :func:`repro.sim.plan.simulate_requests`

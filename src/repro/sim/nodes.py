@@ -24,10 +24,10 @@ error-free-downtime assumption).  When a node fails, only *its* stream
 renews — other nodes keep their ages, which is exactly what makes the
 non-exponential case physically meaningful.
 
-The protocol loop is the renewal simulator's
-(:mod:`repro.sim.renewal`): a :class:`NodePool` offers the same
-``peek()`` / ``fail_and_renew()`` interface as a single renewal stream,
-so the two simulators differ only in the failure stream they drive.
+The protocol loop is :func:`repro.sim.protocol.simulate_run`'s: a
+:class:`NodePool` offers the same ``peek()`` / ``fail_and_renew()``
+interface as a single renewal stream, so the two simulators differ only
+in the failure stream they drive.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ import numpy as np
 
 from ..core.pattern import PatternModel
 from ..exceptions import SimulationError
-from .protocol import RunStats
-from .renewal import _RenewalRun
+from .protocol import RunStats, _RenewalRun
 from .streams import ArrivalProcess, ExponentialArrivals
 
 __all__ = ["NodePool", "simulate_run_nodes"]

@@ -86,7 +86,7 @@ __all__ = [
 
 #: Version tag mixed into every cache key.  Bump whenever a backend's
 #: sampled stream changes, so stale cached results can never be served.
-BACKEND_VERSION = 2
+BACKEND_VERSION = 3
 
 #: Upper bound on the jobs one DES request expands into (each job
 #: simulates a consecutive slice of the request's runs).

@@ -1,12 +1,10 @@
-"""Reference discrete-event simulation of the VC protocol.
+"""Event-level simulation of the VC protocol: the one protocol loop.
 
-This is the *legible specification* of the protocol of Section II,
-driven event-by-event on the :class:`~repro.sim.engine.EventEngine`:
+This is the *legible specification* of the protocol of Section II:
 
 * each pattern attempt runs a **work + verification** segment of length
   ``T + V_P``, then a **checkpoint** segment of length ``C_P``;
-* fail-stop errors arrive as a Poisson process of rate
-  :math:`\\lambda^f_P` and interrupt any segment (work, verification,
+* fail-stop errors interrupt any segment (work, verification,
   checkpoint, recovery) immediately — the platform then pays the
   constant downtime ``D`` (error-free by assumption) and a **recovery**
   segment ``R_P``, itself interruptible, before re-executing the
@@ -16,14 +14,23 @@ driven event-by-event on the :class:`~repro.sim.engine.EventEngine`:
   by the verification at the end of the segment, which triggers a
   recovery (no downtime: the processors are alive) and re-execution.
   A silent error masked by a later fail-stop in the same attempt needs
-  no detection since the attempt is discarded anyway;
-* the exponential inter-arrival clocks are resampled per segment,
-  which is distribution-identical to a persistent Poisson stream by
-  memorylessness (and keeps downtime windows error-free for free).
+  no detection since the attempt is discarded anyway.
 
-The vectorised sampler in :mod:`repro.sim.batch` reproduces the same
-distribution about three orders of magnitude faster; the test suite
-holds the two against each other and against Proposition 1.
+Fail-stop errors come from one **persistent renewal stream**: the next
+arrival is a point in cumulative *exposed time* (time excluding
+downtime), segments consume exposed time, and the stream renews when an
+arrival fires.  By default the stream is the paper's Poisson process of
+rate :math:`\\lambda^f_P`; a :class:`~repro.sim.streams.WeibullArrivals`
+law answers the robustness question the exponential assumption leaves
+open, and :class:`repro.sim.nodes.NodePool` drives the same loop with
+``P`` superposed per-node streams.  Silent errors remain Poisson (they
+model independent radiation-induced bit flips, for which the memoryless
+assumption is uncontroversial).
+
+The closed-form samplers in :mod:`repro.sim.batch` and
+:mod:`repro.sim.vectorized` reproduce the exponential case's
+distribution much faster; the test suite holds all three against
+Proposition 1.
 """
 
 from __future__ import annotations
@@ -34,9 +41,7 @@ import numpy as np
 
 from ..core.pattern import PatternModel
 from ..exceptions import SimulationError
-from .engine import EventEngine
-from .events import EventKind
-from .trace import Trace, TraceEventKind
+from .streams import ArrivalProcess, ExponentialArrivals
 
 __all__ = ["RunStats", "TimeBreakdown", "simulate_run"]
 
@@ -86,8 +91,42 @@ class RunStats:
     breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
 
 
-class _ProtocolRun:
-    """Mutable state of one VC-protocol run on the event engine."""
+class _RenewalStream:
+    """One fail-stop renewal stream on the exposed-time clock.
+
+    The failure-stream interface :class:`_RenewalRun` drives: ``peek()``
+    is the exposed-time instant of the next arrival, ``fail_and_renew()``
+    consumes it and draws the next inter-arrival.
+    :class:`repro.sim.nodes.NodePool` is the ``P``-stream superposition
+    with the same interface.
+    """
+
+    def __init__(self, process: ArrivalProcess, rng: np.random.Generator) -> None:
+        self.process = process
+        self.rng = rng
+        self._next = process.sample_interarrival(rng)
+
+    def peek(self) -> float:
+        return self._next
+
+    def fail_and_renew(self) -> None:
+        self._next += self.process.sample_interarrival(self.rng)
+
+
+class _NeverFails:
+    """The fail-stop stream of a platform with no fail-stop errors."""
+
+    def peek(self) -> float:
+        return np.inf
+
+
+class _RenewalRun:
+    """One VC-protocol run driven by a persistent failure stream.
+
+    ``failures`` has the :class:`_RenewalStream` interface; its next
+    arrival is cached in ``next_fail`` and refreshed only after a
+    failure, so a segment costs one float compare.
+    """
 
     def __init__(
         self,
@@ -95,22 +134,19 @@ class _ProtocolRun:
         T: float,
         P: float,
         rng: np.random.Generator,
-        trace: Trace | None = None,
+        failures,
     ) -> None:
-        if T <= 0.0:
-            raise SimulationError(f"pattern period must be positive, got {T!r}")
-        if P <= 0.0:
-            raise SimulationError(f"processor count must be positive, got {P!r}")
-        self.engine = EventEngine()
         self.rng = rng
-        self.trace = trace
         self.T = float(T)
-        self.lam_f = float(model.errors.fail_stop_rate(P))
+        self.failures = failures
         self.lam_s = float(model.errors.silent_rate(P))
         self.C = float(model.costs.checkpoint_cost(P))
         self.R = float(model.costs.recovery_cost(P))
         self.V = float(model.costs.verification_cost(P))
         self.D = float(model.costs.downtime)
+        self.wall = 0.0  # wall-clock (includes downtime)
+        self.exposed = 0.0  # exposure clock (excludes downtime)
+        self.next_fail = failures.peek()
         self.stats = RunStats(
             total_time=0.0,
             n_patterns=0,
@@ -122,96 +158,69 @@ class _ProtocolRun:
             n_downtimes=0,
         )
 
-    # -- primitives -----------------------------------------------------
+    def run(self, n_patterns: int) -> RunStats:
+        """Run ``n_patterns`` patterns and return the run's statistics."""
+        for _ in range(n_patterns):
+            self.run_pattern()
+        self.stats.total_time = self.wall
+        return self.stats
 
-    def _record(self, kind: TraceEventKind, detail: str = "") -> None:
-        if self.trace is not None:
-            self.trace.record(self.engine.now, kind, detail)
-
-    def _run_segment(self, duration: float, label: str) -> float | None:
-        """Execute one interruptible segment.
-
-        Returns ``None`` on clean completion, or the elapsed time at
-        which a fail-stop error struck.  The engine clock advances to
-        the completion / interruption instant either way.
-        """
-        start = self.engine.now
-        end_handle = self.engine.schedule(duration, EventKind.SEGMENT_END, label)
-        fail_handle = None
-        if self.lam_f > 0.0:
-            arrival = self.rng.exponential(1.0 / self.lam_f)
-            if arrival < duration:
-                fail_handle = self.engine.schedule(arrival, EventKind.FAIL_STOP, label)
-        event = self.engine.pop()
-        if event.kind is EventKind.FAIL_STOP:
-            self.engine.cancel(end_handle)
+    def _run_segment(self, duration: float) -> float | None:
+        """Consume exposed time; return elapsed-at-failure or None."""
+        if self.next_fail < self.exposed + duration:
+            elapsed = self.next_fail - self.exposed
+            self.exposed = self.next_fail
+            self.wall += elapsed
             self.stats.n_fail_stop += 1
-            self._record(TraceEventKind.FAIL_STOP, f"during {label}")
-            return event.time - start
-        if fail_handle is not None:
-            self.engine.cancel(fail_handle)
+            # Renew the stream at the arrival.
+            self.failures.fail_and_renew()
+            self.next_fail = self.failures.peek()
+            return elapsed
+        self.exposed += duration
+        self.wall += duration
         return None
 
     def _downtime(self) -> None:
-        """Pay the constant downtime D (no errors strike during it)."""
-        self.engine.advance(self.D)
+        # Downtime advances the wall clock only: errors cannot strike,
+        # and the failure stream (defined on exposed time) is paused.
+        self.wall += self.D
         self.stats.n_downtimes += 1
         self.stats.breakdown.downtime += self.D
-        self._record(TraceEventKind.DOWNTIME)
 
     def _recover(self) -> None:
-        """Complete one recovery, retrying through fail-stop errors."""
         while True:
-            failed_at = self._run_segment(self.R, "recovery")
+            failed_at = self._run_segment(self.R)
             if failed_at is None:
                 self.stats.n_recoveries += 1
                 self.stats.breakdown.recovery += self.R
-                self._record(TraceEventKind.RECOVERY_DONE)
                 return
             self.stats.breakdown.lost += failed_at
             self._downtime()
 
-    def _silent_struck_within(self, computed: float) -> bool:
-        """Did a silent error strike within ``computed`` seconds of work?"""
+    def _silent_within(self, computed: float) -> bool:
         if self.lam_s <= 0.0 or computed <= 0.0:
             return False
-        arrival = self.rng.exponential(1.0 / self.lam_s)
-        return arrival < computed
-
-    # -- pattern loop -----------------------------------------------------
+        return self.rng.exponential(1.0 / self.lam_s) < computed
 
     def run_pattern(self) -> None:
-        """Execute one pattern to successful (verified) checkpoint."""
-        self._record(
-            TraceEventKind.PATTERN_START, f"pattern {self.stats.n_patterns + 1}"
-        )
         while True:
             self.stats.n_attempts += 1
-            self._record(
-                TraceEventKind.SEGMENT_START, f"attempt {self.stats.n_attempts}"
-            )
-            # Work + verification segment.
-            failed_at = self._run_segment(self.T + self.V, "work+verify")
+            failed_at = self._run_segment(self.T + self.V)
             if failed_at is not None:
-                # A silent error may have struck the computed prefix; it
-                # is masked by the fail-stop error but counted for stats.
-                if self._silent_struck_within(min(failed_at, self.T)):
+                if self._silent_within(min(failed_at, self.T)):
                     self.stats.n_silent_struck += 1
                 self.stats.breakdown.lost += failed_at
                 self._downtime()
                 self._recover()
                 continue
-            # Segment completed: the verification now rules on silent errors.
-            if self._silent_struck_within(self.T):
+            if self._silent_within(self.T):
                 self.stats.n_silent_struck += 1
                 self.stats.n_silent_detected += 1
-                self._record(TraceEventKind.SILENT_DETECTED, "at verification")
                 self.stats.breakdown.wasted_work += self.T
                 self.stats.breakdown.verification += self.V
                 self._recover()
                 continue
-            # Checkpoint segment.
-            failed_at = self._run_segment(self.C, "checkpoint")
+            failed_at = self._run_segment(self.C)
             if failed_at is not None:
                 self.stats.breakdown.wasted_work += self.T
                 self.stats.breakdown.verification += self.V
@@ -223,8 +232,6 @@ class _ProtocolRun:
             self.stats.breakdown.useful_work += self.T
             self.stats.breakdown.verification += self.V
             self.stats.breakdown.checkpoint += self.C
-            self._record(TraceEventKind.CHECKPOINT_DONE)
-            self._record(TraceEventKind.PATTERN_DONE, f"pattern {self.stats.n_patterns}")
             return
 
 
@@ -234,7 +241,7 @@ def simulate_run(
     P: float,
     n_patterns: int,
     rng: np.random.Generator,
-    trace: Trace | None = None,
+    fail_stop: ArrivalProcess | None = None,
 ) -> RunStats:
     """Simulate ``n_patterns`` consecutive patterns of the VC protocol.
 
@@ -250,9 +257,12 @@ def simulate_run(
         >= 500 per run).
     rng:
         Run-private generator (see :func:`repro.sim.rng.spawn_rngs`).
-    trace:
-        Optional :class:`~repro.sim.trace.Trace` receiving a
-        timestamped event log of the run (costs nothing when omitted).
+    fail_stop:
+        The fail-stop inter-arrival law.  ``None`` uses the model's
+        exponential rate :math:`\\lambda^f_P` (the paper's model); pass a
+        :class:`~repro.sim.streams.WeibullArrivals` (typically built
+        with ``from_mean(shape, 1/lambda_f_P)``) for the robustness
+        studies.
 
     Returns
     -------
@@ -262,8 +272,12 @@ def simulate_run(
     """
     if n_patterns <= 0:
         raise SimulationError(f"n_patterns must be positive, got {n_patterns!r}")
-    run = _ProtocolRun(model, T, P, rng, trace=trace)
-    for _ in range(n_patterns):
-        run.run_pattern()
-    run.stats.total_time = run.engine.now
-    return run.stats
+    if T <= 0.0:
+        raise SimulationError(f"pattern period must be positive, got {T!r}")
+    if P <= 0.0:
+        raise SimulationError(f"processor count must be positive, got {P!r}")
+    if fail_stop is None:
+        lam_f = float(model.errors.fail_stop_rate(P))
+        fail_stop = ExponentialArrivals(lam_f) if lam_f > 0.0 else None
+    failures = _NeverFails() if fail_stop is None else _RenewalStream(fail_stop, rng)
+    return _RenewalRun(model, T, P, rng, failures).run(n_patterns)

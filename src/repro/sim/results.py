@@ -107,7 +107,7 @@ def overhead_estimate(
 
     Accepts a :class:`~repro.sim.batch.BatchStats` (vectorised
     simulator) or an iterable of :class:`~repro.sim.protocol.RunStats`
-    (event-driven reference).
+    (event-level protocol loop).
     """
     if isinstance(results, BatchStats):
         samples = overhead_samples(model, T, P, results.run_times, results.n_patterns)

@@ -4,9 +4,9 @@ Section II assumes Poisson (exponential inter-arrival) error processes,
 which makes the analysis tractable but is an idealisation — field
 studies commonly fit platform failures with **Weibull** inter-arrivals
 of shape < 1 (bursty: a failure makes the next one more likely soon).
-This module abstracts the arrival law so the renewal simulator
-(:mod:`repro.sim.renewal`) can quantify how robust the paper's
-exponential-optimal patterns are under non-memoryless failures.
+This module abstracts the arrival law so the protocol simulator
+(:func:`repro.sim.protocol.simulate_run`) can quantify how robust the
+paper's exponential-optimal patterns are under non-memoryless failures.
 
 Arrival processes are *renewal* processes: inter-arrival times are
 i.i.d. draws; the clock renews at each arrival.  Streams live in

@@ -21,7 +21,7 @@ one level higher and samples whole ``(runs x patterns)`` budgets:
 
 The sampled per-run wall-clock distribution is *exactly* the batch
 backend's (sums of iid pattern costs commute), so the two agree with
-the event-driven reference to statistical identity — the test suite
+the event-level protocol loop to statistical identity — the test suite
 pins this — while the work drops from ``O(runs x patterns)`` to
 ``O(runs + failures)``.  At the paper's protocol on the Figure 5-7
 workloads that is a 10-50x speedup (see

@@ -113,6 +113,21 @@ class TestCrashResume:
         assert _strip_volatile(capsys.readouterr().out) == golden
         assert _manifest(tmp_path / "runs", "r1")["recomputed"] == 0
 
+    def test_resumed_twice_stores_each_flag_once(self, tmp_path, capsys):
+        """Each resume replaces the stored execution-only flags instead of
+        appending to them, so the replayed argv does not grow."""
+        runs = str(tmp_path / "runs")
+        assert main(_run_args(tmp_path) + ["--fault-plan", "crash-after=2"]) \
+            == CRASH_EXIT_CODE
+        for jobs in ("2", "1"):
+            assert main(["resume", "r1", "--runs-dir", runs, "--jobs", jobs]) == 0
+        assert capsys.readouterr().err.count(f"--runs-dir {runs}") == 2
+        argv = _manifest(tmp_path / "runs", "r1")["argv"]
+        for flag in ("--runs-dir", "--jobs", "--resume", "--cache-dir", "--run-id"):
+            assert argv.count(flag) == 1, argv
+        assert argv[argv.index("--jobs") + 1] == "1"  # the latest override
+        assert "--fault-plan" not in argv
+
     def test_corrupt_entry_is_invalidated_and_recomputed(self, tmp_path, capsys):
         assert main(_run_args(tmp_path)) == 0
         total = len(_manifest(tmp_path / "runs", "r1")["fates"])
@@ -399,6 +414,32 @@ class TestCliValidation:
         )
         assert message.startswith(f"--cache-dir {cache_dir}: unusable directory")
         assert "\n" not in message
+
+    @pytest.mark.parametrize("where", ["blocker", "/proc/nope"])
+    @pytest.mark.parametrize("surface", ["scenario run", "report"])
+    def test_unusable_out_refused_before_any_write(
+        self, tmp_path, monkeypatch, capsys, surface, where
+    ):
+        """``scenario run --out DIR`` and ``report --out FILE`` (its
+        parent) are refused before any point is simulated or cached."""
+        if where.startswith("/") and not Path("/proc/self").is_dir():
+            pytest.skip("no /proc on this system")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        if surface == "report":
+            argv, out_dir = ["report", "--out", f"{where}/r.md"], where
+        else:
+            example = Path(__file__).parents[2] / "examples" / "scenario_jitter.toml"
+            argv = ["scenario", "run", str(example), "--out", f"{where}/out"]
+            out_dir = f"{where}/out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *FAST_ARGS, "--cache-dir", "c", "--run-id", "r",
+                  "--runs-dir", "runs"])
+        message = str(exc.value.code)
+        assert message.startswith(f"--out {out_dir}: unusable directory")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
 
     def test_rerun_without_resume_refuses(self, tmp_path, capsys):
         assert main(_run_args(tmp_path)) == 0

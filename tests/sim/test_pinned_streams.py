@@ -1,11 +1,13 @@
-"""Pinned random streams of the simulators (values recorded at v1.15.0).
+"""Pinned random streams of the simulators (values recorded at v1.15.0;
+``overhead-des`` re-recorded at v1.24.0, when ``des`` became the
+renewal loop).
 
 Statistical tests tolerate a reordered RNG stream; these do not.  Each
 case pins the exact :class:`~repro.sim.protocol.RunStats` of one run
 (every counter and breakdown float, floats as ``float.hex()``) or the
 exact :class:`~repro.sim.results.OverheadEstimate` of one point, so any
-change to the order or number of draws — in the renewal and node-level
-loops, or in how :func:`~repro.sim.montecarlo.simulate_overhead` maps a
+change to the order or number of draws — in the protocol loop, under a
+renewal or a node-level failure stream, or in how :func:`~repro.sim.montecarlo.simulate_overhead` maps a
 point to jobs — fails here even where the FAST goldens do not reach.
 """
 
@@ -20,7 +22,7 @@ from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 from repro.platforms import build_model
 from repro.sim.montecarlo import simulate_overhead
 from repro.sim.nodes import simulate_run_nodes
-from repro.sim.renewal import simulate_run_renewal
+from repro.sim.protocol import simulate_run
 from repro.sim.rng import make_rng
 from repro.sim.streams import WeibullArrivals
 
@@ -58,16 +60,16 @@ def _estimate_pin(est) -> dict:
 def _hera_weibull():
     hera = build_model("Hera", 3, lambda_ind=2e-7)
     law = _weibull(0.5, float(hera.errors.fail_stop_rate(300.0)))
-    return simulate_run_renewal(hera, 8000.0, 300.0, 100, make_rng(24), fail_stop=law)
+    return simulate_run(hera, 8000.0, 300.0, 100, make_rng(24), fail_stop=law)
 
 
 RUNS = {
-    "renewal-exponential": lambda: simulate_run_renewal(_model(), T, P, N, make_rng(21)),
-    "renewal-weibull-0.7": lambda: simulate_run_renewal(
+    "renewal-exponential": lambda: simulate_run(_model(), T, P, N, make_rng(21)),
+    "renewal-weibull-0.7": lambda: simulate_run(
         _model(), T, P, N, make_rng(22),
         fail_stop=_weibull(0.7, float(_model().errors.fail_stop_rate(P))),
     ),
-    "renewal-silent-only": lambda: simulate_run_renewal(_model(f=0.0), T, P, N, make_rng(23)),
+    "renewal-silent-only": lambda: simulate_run(_model(f=0.0), T, P, N, make_rng(23)),
     "renewal-hera-weibull-0.5": _hera_weibull,
     "nodes-exponential": lambda: simulate_run_nodes(_model(), T, P, N, make_rng(31)),
     "nodes-weibull-stationary": lambda: simulate_run_nodes(
@@ -212,11 +214,11 @@ PINS = {'renewal-exponential': {'total_time': '0x1.145eb5e711cd4p+17',
                          'ci_low': '0x1.bc68a348031bcp-4',
                          'ci_high': '0x1.c82ecf5a8aeaap-4',
                          'n_runs': 20},
- 'overhead-des': {'mean': '0x1.be9499e67eddbp-4',
-                  'std': '0x1.7dd16cd1e4c5bp-9',
-                  'stderr': '0x1.37c0ce2d34b86p-10',
-                  'ci_low': '0x1.b508805d161dcp-4',
-                  'ci_high': '0x1.c820b36fe79dap-4',
+ 'overhead-des': {'mean': '0x1.baf32203d7549p-4',
+                  'std': '0x1.67fb4541e24a3p-9',
+                  'stderr': '0x1.25ec769b532e1p-10',
+                  'ci_low': '0x1.b1f2d04335180p-4',
+                  'ci_high': '0x1.c3f373c479912p-4',
                   'n_runs': 6},
  'overhead-batch-chunked': {'mean': '0x1.bf43f184bd0bbp-4',
                             'std': '0x1.514b5f9d85ba5p-8',

@@ -1,4 +1,4 @@
-"""Event-driven reference simulator of the VC protocol."""
+"""The event-level protocol loop: exponential paths and Proposition 1."""
 
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ class TestDeterministicPaths:
         model = _model(4e-4, 0.0)
         stats = simulate_run(model, T=1000.0, P=10, n_patterns=3, rng=make_rng(2))
         assert stats.n_patterns == 3
+        assert stats.n_fail_stop == 0
         assert stats.n_silent_detected > 0
         # Silent recoveries pay no downtime.
         assert stats.n_downtimes == 0

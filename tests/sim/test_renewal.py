@@ -1,4 +1,4 @@
-"""Renewal-stream protocol simulator (exponential equivalence + Weibull)."""
+"""The renewal-stream protocol loop (exponential equivalence + Weibull)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 from repro.exceptions import SimulationError
-from repro.sim.renewal import simulate_run_renewal
+from repro.sim.protocol import simulate_run
 from repro.sim.rng import make_rng, spawn_rngs
 from repro.sim.streams import WeibullArrivals
 
@@ -26,7 +26,7 @@ class TestExponentialEquivalence:
         T, P = 1500.0, 20
         times = np.array(
             [
-                simulate_run_renewal(model, T, P, 40, rng).total_time / 40
+                simulate_run(model, T, P, 40, rng).total_time / 40
                 for rng in spawn_rngs(60, seed=21)
             ]
         )
@@ -36,26 +36,26 @@ class TestExponentialEquivalence:
 
     def test_error_free(self):
         model = _model(lambda_ind=0.0)
-        stats = simulate_run_renewal(model, 1000.0, 10, 5, make_rng(1))
+        stats = simulate_run(model, 1000.0, 10, 5, make_rng(1))
         assert stats.total_time == pytest.approx(5 * 1070.0)
         assert stats.n_fail_stop == 0
 
     def test_silent_only(self):
         model = _model(lambda_ind=1e-4, f=0.0)
-        stats = simulate_run_renewal(model, 1000.0, 20, 30, make_rng(2))
+        stats = simulate_run(model, 1000.0, 20, 30, make_rng(2))
         assert stats.n_fail_stop == 0
         assert stats.n_silent_detected > 0
         assert stats.n_downtimes == 0
 
     def test_breakdown_sums(self):
         model = _model()
-        stats = simulate_run_renewal(model, 1500.0, 30, 40, make_rng(3))
+        stats = simulate_run(model, 1500.0, 30, 40, make_rng(3))
         assert stats.breakdown.total == pytest.approx(stats.total_time, rel=1e-12)
 
     def test_reproducible(self):
         model = _model()
-        a = simulate_run_renewal(model, 1000.0, 20, 20, make_rng(4))
-        b = simulate_run_renewal(model, 1000.0, 20, 20, make_rng(4))
+        a = simulate_run(model, 1000.0, 20, 20, make_rng(4))
+        b = simulate_run(model, 1000.0, 20, 20, make_rng(4))
         assert a.total_time == b.total_time
 
 
@@ -67,7 +67,7 @@ class TestWeibull:
         w = WeibullArrivals.from_mean(1.0, 1.0 / lam_f)
         times = np.array(
             [
-                simulate_run_renewal(model, T, P, 40, rng, fail_stop=w).total_time / 40
+                simulate_run(model, T, P, 40, rng, fail_stop=w).total_time / 40
                 for rng in spawn_rngs(60, seed=31)
             ]
         )
@@ -85,7 +85,7 @@ class TestWeibull:
         def total_failures(shape, seed):
             w = WeibullArrivals.from_mean(shape, 1.0 / lam_f)
             return sum(
-                simulate_run_renewal(model, T, P, 50, rng, fail_stop=w).n_fail_stop
+                simulate_run(model, T, P, 50, rng, fail_stop=w).n_fail_stop
                 for rng in spawn_rngs(30, seed=seed)
             )
 
@@ -107,13 +107,13 @@ class TestWeibull:
         w = WeibullArrivals.from_mean(0.7, 1.0 / lam_f)
         exp_times = np.array(
             [
-                simulate_run_renewal(model, T, P, 60, rng).total_time
+                simulate_run(model, T, P, 60, rng).total_time
                 for rng in spawn_rngs(80, seed=51)
             ]
         )
         weib_times = np.array(
             [
-                simulate_run_renewal(model, T, P, 60, rng, fail_stop=w).total_time
+                simulate_run(model, T, P, 60, rng, fail_stop=w).total_time
                 for rng in spawn_rngs(80, seed=52)
             ]
         )
@@ -124,4 +124,4 @@ class TestWeibull:
 
     def test_rejects_bad_pattern_count(self):
         with pytest.raises(SimulationError):
-            simulate_run_renewal(_model(), 100.0, 10, 0, make_rng(1))
+            simulate_run(_model(), 100.0, 10, 0, make_rng(1))

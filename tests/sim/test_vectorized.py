@@ -68,7 +68,7 @@ class TestAgainstProposition1:
 
 class TestAgainstReferenceBackends:
     """Same model + seed: the vectorized mean must sit inside the
-    event-driven reference's confidence interval (the acceptance bar),
+    event-level loop's confidence interval (the acceptance bar),
     and agree with the batch sampler within pooled sampling error."""
 
     def test_mean_inside_des_ci_fig5_workload(self, hera_sc1):

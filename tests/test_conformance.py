@@ -41,14 +41,11 @@ class TestDesignInventory:
             "repro.platforms.catalog",
             "repro.platforms.scenarios",
             "repro.sim.rng",
-            "repro.sim.engine",
             "repro.sim.protocol",
             "repro.sim.batch",
             "repro.sim.results",
             "repro.sim.streams",
-            "repro.sim.renewal",
             "repro.sim.nodes",
-            "repro.sim.trace",
             "repro.analysis.asymptotics",
             "repro.analysis.sensitivity",
             "repro.analysis.waste",

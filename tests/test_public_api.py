@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -41,6 +41,21 @@ class TestTopLevel:
         module = importlib.import_module(module)
         assert not hasattr(module, "optimize_period_batch_grouped")
         assert "optimize_period_batch_grouped" not in module.__all__
+
+    @pytest.mark.parametrize(
+        "name",
+        ["EventEngine", "Event", "EventKind", "Trace", "TraceEvent",
+         "TraceEventKind", "format_trace", "simulate_run_renewal"],
+    )
+    def test_removed_event_kernel_names_are_gone(self, name):
+        """One event-level loop since 1.24: the kernel and trace are gone."""
+        import inspect
+
+        import repro.sim
+
+        assert not hasattr(repro.sim, name)
+        assert name not in repro.sim.__all__
+        assert "trace" not in inspect.signature(repro.sim.simulate_run).parameters
 
     def test_removed_result_fields_are_gone(self):
         import dataclasses
@@ -97,16 +112,12 @@ class TestTopLevel:
         "repro.baselines.failstop_only",
         "repro.sim",
         "repro.sim.rng",
-        "repro.sim.engine",
-        "repro.sim.events",
         "repro.sim.protocol",
         "repro.sim.batch",
         "repro.sim.results",
         "repro.sim.montecarlo",
         "repro.sim.streams",
-        "repro.sim.renewal",
         "repro.sim.nodes",
-        "repro.sim.trace",
         "repro.analysis",
         "repro.analysis.asymptotics",
         "repro.analysis.sensitivity",
