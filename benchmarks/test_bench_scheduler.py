@@ -141,11 +141,11 @@ def test_scheduled_all_cli_wallclock(wallclock_assertions):
 
     start = time.perf_counter()
     with redirect_stdout(StringIO()) as out:
-        code = main(["all", "--jobs", "2", "--max-inflight", str(MAX_INFLIGHT)])
+        code = main(["all", "--jobs", "2"])
     elapsed = time.perf_counter() - start
     assert code == 0
     assert "[done in" in out.getvalue()
     RESULTS["all_jobs2_scheduled_seconds"] = elapsed
-    print(f"\n  all --jobs 2 --max-inflight {MAX_INFLIGHT}: {elapsed:.2f} s")
+    print(f"\n  all --jobs 2: {elapsed:.2f} s")
     # Generous ceiling: catches pathological regressions, not noise.
     assert elapsed < 120.0

@@ -15,7 +15,7 @@ literally identical across family members.  The memo keys each model by
 a hash of its result-relevant parameters (:func:`model_key`) and serves
 repeats without recompute, within one run (always) and across runs
 (persisted to ``analytic_memo.json`` inside the pipeline's cache
-directory, so ``--no-cache`` also disables persistence).
+directory, so a run without ``--cache-dir`` persists nothing).
 
 Solving one cell at a time remains the parity oracle: the test suite
 checks every study's ``--no-sim`` tables against it byte for byte.

@@ -69,7 +69,6 @@ __all__ = [
     "PointEvent",
     "SimulationPipeline",
     "materialize",
-    "private_pipeline",
 ]
 
 
@@ -127,16 +126,6 @@ class PointEvent:
     key: str | None = None
 
 
-def private_pipeline() -> "SimulationPipeline":
-    """A figure module's fallback pipeline when none was passed in.
-
-    Serial and uncached; callers wanting a process pool or a disk
-    cache pass their own :class:`SimulationPipeline`.  The creator must
-    :meth:`SimulationPipeline.close` it after resolving.
-    """
-    return SimulationPipeline()
-
-
 def materialize(obj):
     """Replace every :class:`Deferred` inside nested rows by its value."""
     if isinstance(obj, Deferred):
@@ -192,15 +181,11 @@ class SimulationPipeline:
     executor:
         An explicit :class:`repro.sim.executors.Executor` overriding
         the one implied by ``jobs``.
-    max_inflight:
-        Bound on concurrently in-flight chunk jobs across the whole
-        invocation (the scheduler's global window).  ``None`` sizes it
-        from the executor's worker count; ``1`` degenerates to strict
-        serial submission order.
     retry:
         The scheduler's :class:`~repro.sim.scheduler.RetryPolicy` for
-        transient job failures.  The sentinel ``"default"`` uses the
-        scheduler's own default policy; ``None`` restores fail-fast.
+        transient job failures; ``None`` restores fail-fast.  The
+        scheduler's in-flight window is always its default, sized from
+        the executor's worker count.
     fault:
         A deterministic :class:`~repro.sim.faults.FaultPlan` threaded
         into every scheduling round (dev/test harness).
@@ -219,8 +204,7 @@ class SimulationPipeline:
         jobs: int | None = 1,
         cache_dir=None,
         executor: Executor | None = None,
-        max_inflight: int | None = None,
-        retry="default",
+        retry: RetryPolicy | None = RetryPolicy(),
         fault=None,
         trace=None,
         metrics=None,
@@ -231,12 +215,11 @@ class SimulationPipeline:
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if self.cache is not None:
             self.cache.bind_obs(self.trace, self.metrics)
-        self.max_inflight = max_inflight
         self.retry = retry
         self.fault = fault
         #: Cross-replicate memo of analytic optima.  Always deduplicates
         #: in memory; persists alongside the npz cache only when disk
-        #: caching is on, so ``--no-cache`` runs leave no state behind.
+        #: caching is on, so runs without a cache leave no state behind.
         self.analytic_memo = AnalyticMemo(
             Path(cache_dir) / "analytic_memo.json" if cache_dir is not None else None
         )
@@ -539,8 +522,7 @@ class SimulationPipeline:
         # executor; each point resolves the moment its last chunk lands.
         scheduler = Scheduler(
             self.executor,
-            self.max_inflight,
-            retry=RetryPolicy() if self.retry == "default" else self.retry,
+            retry=self.retry,
             fault=self.fault,
             trace=self.trace,
             metrics=self.metrics,

@@ -7,8 +7,8 @@ entry point: :func:`~repro.experiments.spec.run_study` runs one
 a shared pipeline (CLI).  The runner derives its subcommands, help text
 and the ``index --check`` drift guard from this table, so a figure
 exists exactly once: here.  User-defined studies (TOML files) resolve
-through :func:`find_spec` as well, which is what
-``repro-experiments sweep`` calls.
+through :func:`find_spec` as well, which is what a scenario file's
+``study =`` entry calls.
 
 The table keeps what the CLI needs to build its parser (name,
 description, platform flag) as plain data in :data:`STUDIES`; a study

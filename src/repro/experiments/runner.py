@@ -47,7 +47,7 @@ from ..constants import (
 )
 from ..exceptions import InvalidParameterError, OptimizationError, ReproError
 from ..io.tables import render_table
-from .registry import REGISTRY, STUDIES, find_spec, get_spec
+from .registry import REGISTRY, STUDIES, get_spec
 
 if TYPE_CHECKING:
     from ..io.stream import StreamingEmitter
@@ -180,7 +180,6 @@ def _pipeline_from_args(
     from .pipeline import SimulationPipeline
 
     jobs = 1 if args.jobs is None else args.jobs
-    max_inflight = getattr(args, "max_inflight", None)
     fault = None
     fault_spec = getattr(args, "fault_plan", None)
     if fault_spec:
@@ -190,7 +189,7 @@ def _pipeline_from_args(
             fault = parse_fault_plan(fault_spec)
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
-    cache_dir = None if args.no_cache else args.cache_dir
+    cache_dir = args.cache_dir
     run_id = getattr(args, "run_id", None)
     if run_id is None and getattr(args, "resume", False):
         raise SystemExit("--resume requires --run-id (whose manifest to resume)")
@@ -218,6 +217,9 @@ def _pipeline_from_args(
         # ``report --out`` names a file, ``scenario run --out`` a directory.
         out = Path(out)
         dirs.append(("--out", out.parent if args.command == "report" else out))
+    csv = getattr(args, "csv", None)
+    if csv is not None and not args.dry_run:
+        dirs.append(("--csv", Path(csv)))
     _make_output_dirs(dirs)
     # Without --trace the pipeline holds the null writer, and the hot
     # paths pay one flag check.
@@ -231,7 +233,6 @@ def _pipeline_from_args(
     pipeline = SimulationPipeline(
         jobs=jobs,
         cache_dir=cache_dir,
-        max_inflight=max_inflight,
         fault=fault,
         trace=writer,
         metrics=MetricsRegistry(),
@@ -481,7 +482,7 @@ def _print_dry_run(pipeline: SimulationPipeline, stream=None) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a budget, pool width or window: an integer >= 1."""
+    """argparse type of a budget or pool width: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -546,14 +547,6 @@ def _add_sim_options(
         "pool (default: serial)",
     )
     sub.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="bound on concurrently in-flight chunk jobs across the whole "
-        "invocation (default: 4x the pool width; 1 = strict serial order)",
-    )
-    sub.add_argument(
         "--progress",
         action="store_true",
         help="print per-study computed/served counts to stderr as "
@@ -571,11 +564,6 @@ def _add_sim_options(
         metavar="DIR",
         help="content-addressed on-disk cache of simulation results; "
         "re-runs skip every already-computed point",
-    )
-    sub.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache even when --cache-dir is set",
     )
     sub.add_argument(
         "--run-id",
@@ -626,7 +614,9 @@ def _add_sim_options(
 
 
 def _add_common_options(
-    sub: argparse.ArgumentParser, platform_default: str | None = "Hera"
+    sub: argparse.ArgumentParser,
+    platform_default: str | None = "Hera",
+    csv: bool = True,
 ) -> None:
     sub.add_argument(
         "--platform",
@@ -637,7 +627,8 @@ def _add_common_options(
         else "platform from Table II (default: the spec's own platform grid)",
     )
     _add_sim_options(sub)
-    sub.add_argument("--csv", default=None, metavar="DIR", help="also dump CSV files")
+    if csv:
+        sub.add_argument("--csv", default=None, metavar="DIR", help="also dump CSV files")
 
 
 def _add_scenario_sim_options(sub: argparse.ArgumentParser) -> None:
@@ -648,37 +639,11 @@ def _add_scenario_sim_options(sub: argparse.ArgumentParser) -> None:
         seed_default=None,
         seed_help="override the scenario file's master seed",
     )
-    adaptive = sub.add_argument_group(
-        "adaptive replicates",
-        "stage replicates in waves and stop per grid row once its band "
-        "width stabilizes, instead of simulating a fixed count "
-        "(defaults shown; a scenario file's [adaptive] table overrides "
-        "them, these flags override the file)",
-    )
-    adaptive.add_argument(
+    sub.add_argument(
         "--adaptive", action="store_true",
-        help="enable adaptive replicate scheduling",
-    )
-    adaptive.add_argument(
-        "--min-replicates", type=int, default=None, metavar="N",
-        help="replicates per variant in the initial wave (default 3)",
-    )
-    adaptive.add_argument(
-        "--max-replicates", type=int, default=None, metavar="N",
-        help="hard replicate ceiling per variant (default 12)",
-    )
-    adaptive.add_argument(
-        "--wave", type=int, default=None, metavar="N",
-        help="replicates per follow-up wave (default 2)",
-    )
-    adaptive.add_argument(
-        "--band-tol", type=float, default=None, metavar="TOL",
-        help="a grid row converges once its relative band width moves "
-        "by <= TOL between waves (default 0.05)",
-    )
-    adaptive.add_argument(
-        "--stable-waves", type=int, default=None, metavar="K",
-        help="consecutive quiet waves required to converge (default 2)",
+        help="stage replicates in waves and stop per grid row once its band "
+        "width stabilizes, instead of simulating a fixed count; the "
+        "scenario file's [adaptive] table sets the policy",
     )
 
 
@@ -709,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub_report = subparsers.add_parser(
         "report", help="regenerate everything into one markdown report"
     )
-    _add_common_options(sub_report)
+    _add_common_options(sub_report, csv=False)
     sub_report.add_argument("--all-platforms", action="store_true")
     sub_report.add_argument(
         "--out", default="report.md", metavar="FILE", help="output markdown path"
@@ -717,17 +682,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_sweep = subparsers.add_parser(
         "sweep",
-        help="run one study: a registered name or a TOML spec file",
-    )
-    sub_sweep.add_argument(
-        "study",
-        nargs="?",
-        default=None,
-        help="registered study name (see `index`)",
+        help="run one user-defined study from a TOML spec file",
     )
     sub_sweep.add_argument(
         "--spec",
-        default=None,
+        required=True,
         metavar="FILE",
         help="TOML study spec (see examples/custom_study.toml)",
     )
@@ -749,10 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int, default=None,
         help="override the run's worker-process count (execution-only; "
         "the result bytes are unaffected)",
-    )
-    sub_resume.add_argument(
-        "--max-inflight", type=_positive_int, default=None, metavar="N",
-        help="override the run's in-flight window (execution-only)",
     )
     sub_resume.add_argument(
         "--progress", action="store_true", help="per-study progress to stderr"
@@ -1262,43 +1217,6 @@ def _machine_readable_bands(results: Sequence[FigureResult], fmt: str) -> None:
                 )
 
 
-def _adaptive_policy_from_args(args: argparse.Namespace, sset):
-    """Resolve adaptive mode: CLI flags over the file's ``[adaptive]``.
-
-    Returns the effective
-    :class:`~repro.experiments.scenarios.adaptive.AdaptivePolicy`, or
-    ``None`` when adaptive mode is off (the byte-identical fixed path).
-    """
-    import dataclasses
-
-    from .scenarios import AdaptivePolicy
-
-    overrides = {
-        key: value
-        for key, value in (
-            ("min_replicates", args.min_replicates),
-            ("max_replicates", args.max_replicates),
-            ("wave", args.wave),
-            ("band_tol", args.band_tol),
-            ("stable_waves", args.stable_waves),
-        )
-        if value is not None
-    }
-    if not (args.adaptive or sset.adaptive_enabled):
-        if overrides:
-            raise SystemExit(
-                "--min-replicates/--max-replicates/--wave/--band-tol/"
-                "--stable-waves need --adaptive (or an enabled [adaptive] "
-                "table in the scenario file)"
-            )
-        return None
-    base = sset.adaptive if sset.adaptive is not None else AdaptivePolicy()
-    try:
-        return dataclasses.replace(base, **overrides) if overrides else base
-    except InvalidParameterError as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
     from ..io.bands import BandedEmitter
     from .scenarios import (
@@ -1318,6 +1236,8 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
         if args.format != "text":
             _machine_readable_bands(results, args.format)
             return 0
+        if args.csv is not None:
+            _make_output_dirs([("--csv", Path(args.csv))])
         emitter = BandedEmitter(csv_dir=args.csv)
         emitter.emit_results(results)
         return 0
@@ -1344,7 +1264,13 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
     # run | report: one shared pipeline, one event-driven round.
     if args.scenario_command == "run" and not args.dry_run and args.out is None:
         raise SystemExit("scenario run requires --out DIR (or use --dry-run)")
-    policy = _adaptive_policy_from_args(args, sset)
+    # The scenario file's [adaptive] table is the policy's one source;
+    # --adaptive only switches it on for a file that leaves it off.
+    policy = None
+    if args.adaptive or sset.adaptive_enabled:
+        from .scenarios import AdaptivePolicy
+
+        policy = sset.adaptive if sset.adaptive is not None else AdaptivePolicy()
     settings = _settings_from_args(args)
     try:
         # A jitter draw can leave the model's domain (e.g. an additive
@@ -1453,7 +1379,7 @@ def _strip_options(argv: Sequence[str], flags: set[str]) -> list[str]:
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Replay an interrupted run's stored argv with ``--resume`` appended.
 
-    Execution-only overrides (``--jobs``, ``--max-inflight``, …) replace
+    Execution-only overrides (``--jobs``, ``--fault-plan``, …) replace
     the stored ones and are appended after the stored arguments, so
     they never touch the result-relevant configuration — which is
     exactly the set the manifest's config hash covers, so the resumed
@@ -1470,7 +1396,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     overrides = {
         "--runs-dir": args.runs_dir,
         "--jobs": args.jobs,
-        "--max-inflight": args.max_inflight,
         "--fault-plan": args.fault_plan,
         "--trace-file": args.trace_file,
     }
@@ -1528,10 +1453,10 @@ def _dispatch(args: argparse.Namespace, argv: list[str]) -> int:
         return _cmd_scenario(args, argv)
 
     if args.command == "sweep":
-        if (args.study is None) == (args.spec is None):
-            raise SystemExit("sweep needs exactly one of: a study name, or --spec FILE")
+        from .spec import load_toml_spec
+
         try:
-            specs = [find_spec(args.spec if args.spec is not None else args.study)]
+            specs = [load_toml_spec(args.spec)]
         except InvalidParameterError as exc:
             raise SystemExit(str(exc)) from None
     elif args.command in ("all", "report"):

@@ -22,7 +22,7 @@ fold strictly in wave order (a later wave completing first — easy with
 a warm cache — waits), all simulated values are bit-identical across
 executors, and the reductions are order-independent, so the staged
 waves, the stopping decisions and the final band tables are identical
-whatever ``--jobs``/``--max-inflight`` produced them.
+whatever ``--jobs`` produced them.
 
 Every staging decision is journaled into the run manifest
 (:meth:`~repro.sim.manifest.RunRecorder.record_adaptive`), so
@@ -407,7 +407,7 @@ class AdaptiveRun:
                 f"adaptive journal mismatch: the run manifest was recorded "
                 f"with policy {stored_policy!r} but this resume uses "
                 f"{self.policy.to_dict()!r}; re-run with the original "
-                "adaptive flags"
+                "[adaptive] table"
             )
         stored = journal.get("families", {})
         for family in self.families:

@@ -213,7 +213,7 @@ class ScenarioSet:
         self.band = band
         self.adaptive = adaptive
         #: Whether the scenario file asks for adaptive mode by default
-        #: (``[adaptive] enabled``); the CLI flag overrides.
+        #: (``[adaptive] enabled``); ``--adaptive`` turns it on as well.
         self.adaptive_enabled = adaptive is not None
 
     # -- derivation --------------------------------------------------------

@@ -110,7 +110,7 @@ def _adaptive_from_table(path: Path, payload: dict):
     """Parse the optional ``[adaptive]`` table into (policy, enabled).
 
     The table enables adaptive mode unless it says ``enabled = false``
-    (then it only supplies defaults for the ``--adaptive`` CLI flag).
+    (then it only supplies the policy the ``--adaptive`` CLI flag runs).
     """
     table = payload.get("adaptive")
     if table is None:

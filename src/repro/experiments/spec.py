@@ -40,7 +40,7 @@ from ..platforms.catalog import DEFAULT_ALPHA, DEFAULT_DOWNTIME, PLATFORM_NAMES
 from ..platforms.scenarios import SCENARIO_IDS, build_model
 from .analytic import evaluate_analytic
 from .common import FigureResult, SimSettings
-from .pipeline import Deferred, SimulationPipeline, materialize, private_pipeline
+from .pipeline import Deferred, SimulationPipeline, materialize
 
 __all__ = [
     "AxisSpec",
@@ -518,7 +518,7 @@ def run_study(
     regenerates a figure; the overrides are :func:`stage_study`'s.
     With no ``pipeline``, a private serial one is created and closed.
     """
-    pipe = pipeline if pipeline is not None else private_pipeline()
+    pipe = pipeline if pipeline is not None else SimulationPipeline()
     try:
         staged = stage_study(
             spec,

@@ -39,7 +39,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".protocol": ("RunStats", "TimeBreakdown", "simulate_run"),
     ".plan": (
         "BACKEND_VERSION", "ResultCache", "SimRequest", "SimulationPlan",
-        "plan_simulations", "simulate_requests",
+        "plan_simulations",
     ),
     ".vectorized": ("simulate_vectorized",),
     ".results": ("OverheadEstimate", "overhead_estimate", "overhead_samples"),
@@ -80,7 +80,6 @@ __all__ = [
     "PoolExecutor",
     "make_executor",
     "plan_simulations",
-    "simulate_requests",
     "NodePool",
     "simulate_run_nodes",
     "ArrivalProcess",

@@ -79,7 +79,6 @@ MANIFEST_FORMAT = 1
 #: override them (e.g. resume a serial run with ``--jobs 4``).
 _EXECUTION_FLAGS = {
     "--jobs": 1,
-    "--max-inflight": 1,
     "--progress": 0,
     "--dry-run": 0,
     "--run-id": 1,

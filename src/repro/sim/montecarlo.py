@@ -118,8 +118,10 @@ def simulate_overhead(
         than ``"batch"``, for validation).
 
     One call runs in-process; to spread many points over worker
-    processes, batch them through :func:`repro.sim.plan.simulate_requests`
-    with a :class:`~repro.sim.executors.PoolExecutor` (bit-identical).
+    processes, declare them on a
+    :class:`~repro.experiments.pipeline.SimulationPipeline` with
+    ``jobs > 1`` (:meth:`~repro.experiments.pipeline.SimulationPipeline.simulate_mean`,
+    then ``resolve``): its memoised estimates are bit-identical.
     """
     # The point runs as the planner's jobs, in-process: one dispatch for
     # every backend (``plan`` imports this module, hence the local import).

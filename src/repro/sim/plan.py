@@ -31,9 +31,8 @@ nothing is shared or cached across points.  This module amortises that:
   already-computed point.
 
 The experiment-facing wrapper (deferred values, generic DES jobs for
-the extension studies, CLI flags) lives in
-:mod:`repro.experiments.pipeline`; :func:`simulate_requests` is the
-same path for library callers holding a plain list of requests.
+the extension studies, the event-driven scheduling round) lives in
+:mod:`repro.experiments.pipeline`.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .batch import (
     plan_chunk_jobs,
 )
 from .entry_codec import CorruptEntry, decode_entry, encode_entry
-from .executors import SerialExecutor
 from .montecarlo import FAST, resolve_method
 from .protocol import simulate_run
 from .results import OverheadEstimate, overhead_estimate
@@ -80,7 +78,6 @@ __all__ = [
     "run_job",
     "PointJobs",
     "claim_serve_expand",
-    "simulate_requests",
     "DISPATCH_ORDER",
 ]
 
@@ -740,35 +737,3 @@ def claim_serve_expand(
         tagged.extend((job, (i, part)) for part, job in enumerate(jobs))
     return values, tagged, books
 
-
-def simulate_requests(
-    requests: Sequence[SimRequest],
-    executor=None,
-    cache: ResultCache | None = None,
-) -> list[OverheadEstimate]:
-    """Plan, schedule and fan out: one estimate per *submitted* request.
-
-    The experiment pipeline's path without its deferred values: plan,
-    :func:`claim_serve_expand`, the event-driven scheduler, and
-    :func:`merge_request_results`.  Bit-identical to calling
-    :func:`repro.sim.montecarlo.simulate_overhead` once per request
-    with the same arguments, for any executor and cache state.
-    ``executor`` defaults to serial and stays open (the caller closes
-    it).
-    """
-    from .scheduler import Scheduler  # the scheduler imports this module
-
-    plan = plan_simulations(requests)
-    executor = executor if executor is not None else SerialExecutor()
-    estimates, tagged, books = claim_serve_expand(plan, cache)
-    scheduler = Scheduler(executor)
-    for job, tag in tagged:
-        scheduler.add(job, tag)
-    for (i, part), result in scheduler.events():
-        if books[i].deliver(part, result):
-            estimates[i] = merge_request_results(
-                plan.requests[i], plan.methods[i], books[i].parts
-            )
-            if cache is not None:
-                cache.put_estimate(plan.keys[i], estimates[i])
-    return [estimates[slot] for slot in plan.slots]

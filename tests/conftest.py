@@ -1,7 +1,9 @@
-"""Shared fixtures: representative models at several parameter scales."""
+"""Shared fixtures: representative models at several parameter scales,
+and an executor that completes jobs out of order."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -13,6 +15,40 @@ from repro.core import (
     VerificationCost,
 )
 from repro.platforms import build_model
+from repro.sim.executors import Executor, JobFuture
+
+
+class ShuffledExecutor(Executor):
+    """Defers execution and completes futures in seeded random order.
+
+    A worst-case stand-in for a process pool: nothing completes in
+    submission order, so any hidden completion-order dependence in the
+    pipeline's bookkeeping would corrupt the merged results.  Its
+    ``workers`` sizes the scheduler's default in-flight window.
+    """
+
+    def __init__(self, seed=0, workers=1):
+        self.workers = workers
+        self._rng = np.random.default_rng(seed)
+        self._waiting: list[JobFuture] = []
+
+    def submit(self, fn, item, tag=None):
+        future = JobFuture(fn, item, tag)
+        self._waiting.append(future)
+        return future
+
+    def next_completed(self):
+        if not self._waiting:
+            return None
+        future = self._waiting.pop(int(self._rng.integers(len(self._waiting))))
+        future._run_inline()
+        return future
+
+
+@pytest.fixture
+def shuffled_executor():
+    """The :class:`ShuffledExecutor` class: ``shuffled_executor(seed)``."""
+    return ShuffledExecutor
 
 
 @pytest.fixture

@@ -176,7 +176,9 @@ def _scalar_point(model) -> AnalyticPoint:
 
 
 def _no_sim_tables(name: str, capsys) -> str:
-    assert main(["sweep", name, "--no-sim"]) == 0
+    """The study's ``--no-sim`` tables over every platform of its spec."""
+    every = ["--all-platforms"] if REGISTRY[name].supports_all_platforms else []
+    assert main([name, "--no-sim", *every]) == 0
     out = capsys.readouterr().out
     return "\n".join(l for l in out.splitlines() if not l.startswith("[done in"))
 

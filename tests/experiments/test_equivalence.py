@@ -5,7 +5,7 @@ pre-registry figure modules printed at FAST fidelity with the default
 seed (captured before the refactor).  Every registry-built study must
 reproduce them byte-identically — serially, over a process pool, served
 from a copied cache directory, and under the event-driven scheduler at
-any in-flight window — because
+any in-flight window and completion order — because
 the plan/key layer guarantees the same chunk jobs, seeds and (chunk-
 ordered) reduction whatever the executor or completion interleaving.
 ``goldens/all_jobs2.txt`` additionally pins the full ``all --jobs 2``
@@ -79,33 +79,28 @@ class TestScheduledGolden:
     """Event-driven scheduling: any window, any executor, same bytes."""
 
     @pytest.mark.parametrize("name", ALL_STUDIES)
-    @pytest.mark.parametrize("inflight", [1, 8])
-    def test_scheduled_windows_bit_identical(self, name, inflight):
-        with SimulationPipeline(jobs=2, max_inflight=inflight) as pipe:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_scheduled_windows_bit_identical(self, name, workers, shuffled_executor):
+        executor = shuffled_executor(seed=workers, workers=workers)
+        with SimulationPipeline(executor=executor) as pipe:
             got = run_tables(name, pipeline=pipe)
         assert got == GOLDENS[name]
 
     def test_all_cli_scheduled_matches_wave_golden(self, capsys):
-        """`all --jobs 2 --max-inflight 8` == the pre-scheduler golden.
+        """`all --jobs 2` == the pre-scheduler golden.
 
         The golden transcript was captured from the wave-barriered
         runner; the event-driven global window must emit the identical
         bytes (the last line is a normalized `[done in Xs]`).
         """
         golden = (Path(__file__).parent / "goldens" / "all_jobs2.txt").read_text()
-        assert main(["all", "--jobs", "2", "--max-inflight", "8"]) == 0
+        assert main(["all", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         normalized = re.sub(r"\[done in [0-9.]+s\]", "[done in Xs]", out)
         assert normalized == golden
 
 
 class TestSchedulerCLI:
-    def test_max_inflight_validated(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fig5", "--max-inflight", "0"])
-        assert exc.value.code == 2
-        assert "argument --max-inflight" in capsys.readouterr().err
-
     def test_progress_lines_on_stderr_only(self, capsys):
         assert main(["fig2", "--progress", "--runs", "4", "--patterns", "6"]) == 0
         captured = capsys.readouterr()
@@ -142,7 +137,7 @@ class TestSchedulerCLI:
         cache = str(tmp_path / "cache")
         assert main(["fig5", "--cache-dir", cache]) == 0
         capsys.readouterr()
-        assert main(["sweep", "fig5", "--dry-run", "--cache-dir", cache]) == 0
+        assert main(["fig5", "--dry-run", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "54 cache hits, 0 to compute -> 0 chunk jobs" in out
 

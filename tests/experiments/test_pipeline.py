@@ -145,14 +145,16 @@ class TestPointDeterminism:
         ]
 
 
-class TestPrivatePipeline:
-    def test_private_pipeline_is_serial(self):
-        from repro.experiments.pipeline import private_pipeline
+class TestDefaultPipeline:
+    def test_default_pipeline_is_serial(self):
+        """What ``run_study`` creates when no pipeline is passed in."""
         from repro.sim.executors import SerialExecutor
+        from repro.sim.scheduler import RetryPolicy
 
-        with private_pipeline() as pipe:
+        with SimulationPipeline() as pipe:
             assert isinstance(pipe.executor, SerialExecutor)
             assert pipe.cache is None
+            assert pipe.retry == RetryPolicy()
 
 
 class TestDeferredSemantics:

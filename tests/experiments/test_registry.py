@@ -127,28 +127,23 @@ class TestTomlSpecs:
         out = capsys.readouterr().out
         assert "Custom [Hera]" in out and "Custom [Atlas]" in out
 
-    def test_sweep_registry_name(self, capsys):
-        assert main(["sweep", "fig2", "--no-sim"]) == 0
-        assert "Figure 2" in capsys.readouterr().out
-
     def test_sweep_needs_exactly_one_source(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep"])
-        with pytest.raises(SystemExit):
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "fig2", "--spec", str(EXAMPLE_TOML)])
+        assert exc.value.code == 2
 
     def test_sweep_unknown_study_is_a_clean_cli_error(self):
-        """A typo'd name exits with a message, not a traceback."""
-        with pytest.raises(SystemExit, match="neither a registered study"):
-            main(["sweep", "nosuchstudy"])
+        """A typo'd spec exits with a message, not a traceback; a
+        registered name is not a spec file."""
+        with pytest.raises(SystemExit, match="cannot load study spec nosuchstudy"):
+            main(["sweep", "--spec", "nosuchstudy"])
+        with pytest.raises(SystemExit, match="cannot load study spec fig2"):
+            main(["sweep", "--spec", "fig2"])
         with pytest.raises(SystemExit, match="cannot load study spec"):
             main(["sweep", "--spec", "missing_file.toml"])
-
-    def test_sweep_ext_segments_emits_once(self, capsys):
-        """The study's own platform loop must not be re-fanned by sweep."""
-        assert main(["sweep", "ext-segments", "--no-sim"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("Extension: overhead vs verified segments") == 1
 
     def test_report_refuses_shard_flags(self, tmp_path):
         """Sharded runs are gone: argparse refuses the flags (exit 2)."""

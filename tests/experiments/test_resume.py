@@ -108,7 +108,7 @@ class TestCrashResume:
         # the manifest's config hash ignores execution-only flags.
         assert main(
             ["resume", "r1", "--runs-dir", str(tmp_path / "runs"),
-             "--jobs", "1", "--max-inflight", "2"]
+             "--jobs", "2"]
         ) == 0
         assert _strip_volatile(capsys.readouterr().out) == golden
         assert _manifest(tmp_path / "runs", "r1")["recomputed"] == 0
@@ -356,7 +356,7 @@ class TestCliValidation:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--no-cache", "--run-id", "q", "--trace"],
+            (["--run-id", "q", "--trace"],
              "--run-id needs a result cache"),
             (["--cache-dir", "c", "--resume", "--trace"],
              "--resume requires --run-id"),
@@ -440,6 +440,51 @@ class TestCliValidation:
         assert "\n" not in message
         assert capsys.readouterr().out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    @pytest.mark.parametrize("where", ["blocker", "/proc/nope"])
+    @pytest.mark.parametrize("surface", ["fig5", "all", "sweep", "scenario report"])
+    def test_unusable_csv_refused_before_any_write(
+        self, tmp_path, monkeypatch, capsys, surface, where
+    ):
+        """``--csv DIR`` is refused before any point is simulated or
+        cached, like ``--out``."""
+        if where.startswith("/") and not Path("/proc/self").is_dir():
+            pytest.skip("no /proc on this system")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        examples = Path(__file__).parents[2] / "examples"
+        argv = {
+            "sweep": ["sweep", "--spec", str(examples / "custom_study.toml")],
+            "scenario report": ["scenario", "report",
+                                str(examples / "scenario_jitter.toml")],
+        }.get(surface, [surface])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *FAST_ARGS, "--csv", f"{where}/csv", "--cache-dir", "c",
+                  "--run-id", "r", "--runs-dir", "runs"])
+        message = str(exc.value.code)
+        assert message.startswith(f"--csv {where}/csv: unusable directory")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+    @pytest.mark.parametrize("where", ["blocker", "/proc/nope"])
+    def test_unusable_aggregate_csv_refused_before_any_write(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        """``scenario aggregate --csv DIR`` prints no table it cannot
+        also write."""
+        if where.startswith("/") and not Path("/proc/self").is_dir():
+            pytest.skip("no /proc on this system")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        example = Path(__file__).parents[2] / "examples" / "scenario_jitter.toml"
+        assert main(["scenario", "run", str(example), "--no-sim", "--out", "res"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "aggregate", "res", "--csv", f"{where}/csv"])
+        assert str(exc.value.code).startswith(f"--csv {where}/csv: unusable directory")
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "res"]
 
     def test_rerun_without_resume_refuses(self, tmp_path, capsys):
         assert main(_run_args(tmp_path)) == 0

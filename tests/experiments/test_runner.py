@@ -68,7 +68,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig2", "--platform", "Summit"])
 
-    @pytest.mark.parametrize("flag", ["--runs", "--patterns", "--jobs", "--max-inflight"])
+    @pytest.mark.parametrize("flag", ["--runs", "--patterns", "--jobs"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command", [["fig5"], ["scenario", "report", "x.toml"]])
     def test_rejects_non_positive_budgets(self, command, flag, value, capsys):
@@ -159,7 +159,7 @@ class TestPipelineFlags:
         shard flag exits 2 before any cache, shard or run directory is
         written."""
         result = self._cli(
-            tmp_path, "sweep", "fig5", "--cache-dir", "c", "--runs-dir",
+            tmp_path, "fig5", "--cache-dir", "c", "--runs-dir",
             "runs", "--run-id", "x", *flag,
         )
         assert result.returncode == 2
@@ -182,7 +182,7 @@ class TestPipelineFlags:
         refuses: exit 2, and nothing is added under the runs dir."""
         from repro.sim.manifest import RunManifest, manifest_path
 
-        argv = ("sweep", "fig5", "--shard-index", "0", "--shard-count", "2",
+        argv = ("fig5", "--shard-index", "0", "--shard-count", "2",
                 "--shard-dir", "s0", "--runs-dir", "runs", "--run-id", "x")
         path = manifest_path(tmp_path / "runs", "x")
         path.parent.mkdir(parents=True)
@@ -237,24 +237,6 @@ class TestPipelineFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("fig5", "--max-inflight", "0", "--cache-dir", "c",
-             "--runs-dir", "runs", "--run-id", "x"),
-            ("resume", "x", "--max-inflight", "0", "--runs-dir", "runs"),
-        ],
-    )
-    def test_non_positive_max_inflight_fails_fast(self, tmp_path, argv):
-        """--max-inflight parses like --jobs: 0 exits 2 from argparse."""
-        result = self._cli(tmp_path, *argv)
-        assert result.returncode == 2
-        assert result.stderr.splitlines()[-1].endswith(
-            "error: argument --max-inflight: must be a positive integer, got 0"
-        )
-        assert result.stdout == ""
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
             ("report", "neg.toml", "--cache-dir", "c", "--run-id", "r1",
              "--runs-dir", "runs", "--trace"),
             ("run", "neg.toml", "--out", "out", "--cache-dir", "c"),
@@ -286,6 +268,68 @@ class TestPipelineFlags:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         return captured.err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "argv, spelling",
+        [
+            pytest.param(("fig5", "--max-inflight", "8", "--cache-dir", "c",
+                          "--runs-dir", "runs", "--run-id", "x"),
+                         "--max-inflight 8", id="fig5 --max-inflight"),
+            pytest.param(("resume", "x", "--max-inflight", "8", "--runs-dir", "runs"),
+                         "--max-inflight 8", id="resume --max-inflight"),
+            pytest.param(("fig2", "--no-cache", "--cache-dir", "c"), "--no-cache",
+                         id="--no-cache"),
+            *(
+                pytest.param(("scenario", "report", "jitter.toml", "--adaptive",
+                              flag, value, "--cache-dir", "c"),
+                             f"{flag} {value}", id=flag)
+                for flag, value in (
+                    ("--min-replicates", "3"), ("--max-replicates", "12"),
+                    ("--wave", "2"), ("--band-tol", "0.05"),
+                    ("--stable-waves", "2"),
+                )
+            ),
+            pytest.param(("report", "--no-sim", "--csv", "d"), "--csv d",
+                         id="report --csv"),
+            pytest.param(("sweep", "fig5", "--spec", "study.toml", "--cache-dir", "c"),
+                         "fig5", id="sweep STUDY"),
+        ],
+    )
+    def test_removed_spellings_are_refused(
+        self, tmp_path, monkeypatch, capsys, argv, spelling
+    ):
+        """Each value with a second spelling keeps one (1.25): the other
+        exits 2 from argparse before anything is written."""
+        last = self._refused(tmp_path, monkeypatch, capsys, argv)
+        assert last.endswith(f"error: unrecognized arguments: {spelling}")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("fig5", "--max-inflight", "8"),
+             "unrecognized arguments: --max-inflight 8"),
+            (("scenario", "report", "jitter.toml", "--adaptive",
+              "--band-tol", "0.1"), "unrecognized arguments: --band-tol 0.1"),
+            (("sweep", "fig5"), "the following arguments are required: --spec"),
+        ],
+    )
+    def test_resuming_a_run_with_a_removed_spelling_is_refused(
+        self, tmp_path, monkeypatch, capsys, argv, error
+    ):
+        """A journal stored before 1.25 replays an argv argparse refuses:
+        exit 2, and nothing is added under the runs dir."""
+        from repro.sim.manifest import RunManifest, manifest_path
+
+        argv = (*argv, "--cache-dir", "c", "--runs-dir", "runs", "--run-id", "x")
+        path = manifest_path(tmp_path / "runs", "x")
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(RunManifest(run_id="x", argv=argv).to_json()))
+        before = sorted((tmp_path / "runs").rglob("*"))
+        last = self._refused(
+            tmp_path, monkeypatch, capsys, ("resume", "x", "--runs-dir", "runs")
+        )
+        assert last.endswith(f"error: {error}")
+        assert sorted((tmp_path / "runs").rglob("*")) == before
+
     @pytest.mark.parametrize("run_id", ["", "a/b", "../../x", ".", ".."])
     @pytest.mark.parametrize("command", ["fig5", "resume"])
     def test_run_id_outside_runs_dir_is_refused(
@@ -307,7 +351,7 @@ class TestPipelineFlags:
         "argv",
         [
             ("fig5", "--seed", "-1", "--cache-dir", "c"),
-            ("sweep", "fig5", "--seed", "-1", "--cache-dir", "c"),
+            ("sweep", "--spec", "study.toml", "--seed", "-1", "--cache-dir", "c"),
             ("scenario", "report", "jitter.toml", "--seed", "-3", "--cache-dir", "c"),
             ("scenario", "generate", "jitter.toml", "--seed", "-3"),
         ],
@@ -348,15 +392,6 @@ class TestPipelineFlags:
         ]
         assert result.stdout == ""
         assert [p.name for p in tmp_path.iterdir()] == ["neg.toml"]
-
-    def test_no_cache_bypasses_cache_dir(self, tmp_path):
-        from repro.experiments.runner import _pipeline_from_args
-
-        args = build_parser().parse_args(
-            ["fig2", "--cache-dir", str(tmp_path), "--no-cache"]
-        )
-        with _pipeline_from_args(args) as pipe:
-            assert pipe.cache is None
 
     def test_cache_dir_enables_cache(self, tmp_path):
         from repro.experiments.runner import _pipeline_from_args

@@ -1,8 +1,8 @@
 """Adaptive replicate scheduling: convergence, determinism, resume.
 
 The acceptance contract of the adaptive engine: an adaptive scenario
-report is **byte-identical** across serial, pooled and scheduled
-execution (pinned against ``goldens/scenario_fig5_adaptive_bands.txt``),
+report is **byte-identical** across serial and pooled execution
+(pinned against ``goldens/scenario_fig5_adaptive_bands.txt``),
 ``run --out`` followed by ``aggregate`` reproduces the exact band
 tables from disk, a run killed mid-flight resumes to the identical
 output with zero recomputation and the journaled stopping decisions
@@ -38,7 +38,6 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.scenarios.transforms import Jitter
 from repro.experiments.spec import StagedStudy
-from repro.sim.executors import Executor, JobFuture
 from repro.sim.faults import CRASH_EXIT_CODE
 
 GOLDEN = Path(__file__).parent / "goldens" / "scenario_fig5_adaptive_bands.txt"
@@ -282,7 +281,6 @@ class TestAdaptiveCli:
         modes = (
             [],                                      # serial, cold cache
             ["--jobs", "2"],                         # pooled, warm cache
-            ["--jobs", "2", "--max-inflight", "8"],  # scheduled window
         )
         for extra in modes:
             assert main(
@@ -368,18 +366,34 @@ class TestAdaptiveCli:
         cells = sum(len(r.rows) * (len(r.columns) - 1) for r in results)
         assert len(lines) == 1 + cells
 
-    def test_adaptive_flags_require_adaptive_mode(self):
-        with pytest.raises(SystemExit, match="--adaptive"):
-            main(["scenario", "report", str(EXAMPLE), *FAST_ARGS,
-                  "--band-tol", "0.1"])
+    def test_adaptive_flag_runs_the_file_policy(self, tmp_path, capsys):
+        """``--adaptive`` switches on a dormant ``[adaptive]`` table: the
+        file is the policy's one source."""
+        scenario = _with_adaptive_table(
+            tmp_path, "enabled = false\nband_tol = 0.2\n"
+        )
+        out = tmp_path / "results"
+        assert main(
+            ["scenario", "run", str(scenario), "--adaptive", *FAST_ARGS,
+             "--out", str(out)]
+        ) == 0
+        policy = json.loads((out / "manifest.json").read_text())["adaptive"]["policy"]
+        assert policy == AdaptivePolicy(band_tol=0.2).to_dict()
 
-    def test_invalid_policy_exits_cleanly(self):
+    def test_invalid_policy_exits_cleanly(self, tmp_path):
+        scenario = _with_adaptive_table(tmp_path, "min_replicates = 0\n")
         with pytest.raises(SystemExit, match="min replicates"):
-            main(["scenario", "report", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-                  "--min-replicates", "0"])
+            main(["scenario", "report", str(scenario), "--adaptive", *FAST_ARGS])
 
 
 # -- crash -> resume: replayed decisions, zero duplicate work ----------------
+
+
+def _with_adaptive_table(tmp_path, table: str) -> Path:
+    """A copy of the example scenario file with an ``[adaptive]`` table."""
+    path = tmp_path / "scenario.toml"
+    path.write_text(EXAMPLE.read_text() + "\n[adaptive]\n" + table)
+    return path
 
 
 def _manifest(runs_dir, run_id) -> dict:
@@ -442,13 +456,17 @@ class TestAdaptiveResume:
         assert _out_snapshot(out) == _out_snapshot(reference)
 
     def test_policy_change_on_resume_refuses(self, tmp_path, capsys):
+        """Editing the ``[adaptive]`` table between crash and resume."""
+        scenario = _with_adaptive_table(tmp_path, "band_tol = 0.05\n")
         out = tmp_path / "out"
         args = self._args(tmp_path, out)
+        args[args.index(str(EXAMPLE))] = str(scenario)
         assert main(args + ["--fault-plan", "crash-after=40"]) \
             == CRASH_EXIT_CODE
         capsys.readouterr()
+        _with_adaptive_table(tmp_path, "band_tol = 0.2\n")
         with pytest.raises(SystemExit, match="adaptive journal mismatch"):
-            main(args + ["--resume", "--band-tol", "0.2"])
+            main(args + ["--resume"])
 
     def test_tampered_journal_refuses(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -531,29 +549,6 @@ def _scan_ready(obj) -> bool:
     return True
 
 
-class _ShuffledExecutor(Executor):
-    """Completes submitted jobs in seeded random order."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self._waiting: list[JobFuture] = []
-
-    def submit(self, fn, item, tag=None):
-        future = JobFuture(fn, item, tag)
-        self._waiting.append(future)
-        return future
-
-    def next_completed(self):
-        if not self._waiting:
-            return None
-        future = self._waiting.pop(int(self._rng.integers(len(self._waiting))))
-        future._run_inline()
-        return future
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
 class TestIncrementalReadiness:
     @pytest.mark.parametrize("seed", range(4))
     def test_staged_study_flips_exactly_on_the_last_deferred(self, seed):
@@ -574,10 +569,10 @@ class TestIncrementalReadiness:
     def test_a_state_without_deferreds_is_ready(self):
         assert StagedStudy(ctx=None, state={"rows": [(1.0, "a")]}, n_pending=0).ready()
 
-    def _pipeline(self, seed):
+    def _pipeline(self, executor):
         from repro.experiments.pipeline import SimulationPipeline
 
-        return SimulationPipeline(executor=_ShuffledExecutor(seed), max_inflight=4)
+        return SimulationPipeline(executor=executor)
 
     def _settings(self):
         from repro.experiments.common import SimSettings
@@ -586,12 +581,12 @@ class TestIncrementalReadiness:
         return SimSettings(fidelity=Fidelity(n_runs=3, n_patterns=4))
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_fixed_families_match_a_full_rescan(self, seed):
+    def test_fixed_families_match_a_full_rescan(self, seed, shuffled_executor):
         from repro.experiments.registry import REGISTRY
 
         sset = ScenarioSet("tiny", REGISTRY["fig5"], [Resample(3)])
         flips = []
-        with self._pipeline(seed) as pipe:
+        with self._pipeline(shuffled_executor(seed)) as pipe:
             (family,) = sset.stage(pipe, self._settings())
 
             def on_event(event):
@@ -606,7 +601,9 @@ class TestIncrementalReadiness:
         assert flips[-1] and not any(flips[:-1])
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_adaptive_waves_staged_mid_round_match_a_full_rescan(self, seed):
+    def test_adaptive_waves_staged_mid_round_match_a_full_rescan(
+        self, seed, shuffled_executor
+    ):
         from repro.experiments.registry import REGISTRY
         from repro.experiments.scenarios import AdaptiveRun
 
@@ -614,7 +611,7 @@ class TestIncrementalReadiness:
                                 band_tol=1e-12, stable_waves=3)
         sset = ScenarioSet("tiny", REGISTRY["fig5"], [Resample(4)])
         probes = 0
-        with self._pipeline(seed) as pipe:
+        with self._pipeline(shuffled_executor(seed)) as pipe:
             run = AdaptiveRun(sset, policy, pipe, self._settings())
             run.stage_initial()
 

@@ -1,11 +1,11 @@
 """Scenario lab: transforms, TOML loading, banding, dedup, determinism.
 
 The acceptance contract: a scenario set with a fixed master seed
-produces **byte-identical** aggregate band tables across serial,
-pooled (``--jobs 2``) and scheduled (``--max-inflight 8``) execution
-(pinned against ``goldens/scenario_fig5_bands.txt``), and replicates
-sharing a base point are served from the result cache rather than
-recomputed (the dedup ratio reported by ``--progress``).
+produces **byte-identical** aggregate band tables across serial and
+pooled (``--jobs 2``, an in-flight window of 8) execution (pinned
+against ``goldens/scenario_fig5_bands.txt``), and replicates sharing a
+base point are served from the result cache rather than recomputed
+(the dedup ratio reported by ``--progress``).
 """
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ class TestBandTables:
 
 
 class TestScenarioEquivalence:
-    """One golden, three executors, one shared cache."""
+    """One golden, two executors, one shared cache."""
 
     def test_band_tables_byte_identical_across_executors(self, tmp_path, capsys):
         golden = GOLDEN.read_text()
@@ -352,7 +352,6 @@ class TestScenarioEquivalence:
         modes = (
             [],                                   # serial, cold cache
             ["--jobs", "2"],                      # pooled, warm cache
-            ["--jobs", "2", "--max-inflight", "8"],  # scheduled window
         )
         for extra in modes:
             assert main(
@@ -364,7 +363,7 @@ class TestScenarioEquivalence:
     def test_replicate_zero_hits_the_cache_of_a_plain_run(self, tmp_path, capsys):
         """Warm base grid -> the unperturbed replicate is served, not computed."""
         cache = str(tmp_path / "cache")
-        assert main(["sweep", "fig5", *FAST_ARGS, "--cache-dir", cache]) == 0
+        assert main(["fig5", *FAST_ARGS, "--cache-dir", cache]) == 0
         capsys.readouterr()
         assert main(
             ["scenario", "run", str(EXAMPLE), *FAST_ARGS, "--cache-dir", cache,

@@ -18,11 +18,7 @@ from repro.sim.executors import (
     make_executor,
 )
 from repro.sim.executors import pooled
-from repro.sim.plan import (
-    ResultCache,
-    SimRequest,
-    simulate_requests,
-)
+from repro.sim.plan import SimRequest
 
 
 def _double(x):
@@ -74,25 +70,23 @@ class TestMakeExecutor:
 
 
 class TestCopiedCache:
-    def test_copied_cache_serves_serial_means(self, tmp_path):
+    def test_copied_cache_serves_serial_means(self, tmp_path, resolve_requests):
         """A cache directory copied elsewhere serves every point, bit for bit."""
         requests = fig_requests(5)
-        serial = simulate_requests(requests)
-        simulate_requests(requests, cache=ResultCache(tmp_path / "a"))
+        serial, _ = resolve_requests(requests)
+        resolve_requests(requests, cache_dir=tmp_path / "a")
         shutil.copytree(tmp_path / "a", tmp_path / "b")
-        copy = ResultCache(tmp_path / "b")
-        served = simulate_requests(requests, cache=copy)
-        assert (copy.hits, copy.misses) == (5, 0)
+        served, copy = resolve_requests(requests, cache_dir=tmp_path / "b")
+        assert copy.cache_stats == (5, 0)
         assert [e.mean for e in served] == [e.mean for e in serial]
         assert [e.std for e in served] == [e.std for e in serial]
 
 
 class TestNumericalStability:
-    def test_pool_and_serial_identical(self):
+    def test_pool_and_serial_identical(self, resolve_requests):
         requests = fig_requests(4)
-        serial = simulate_requests(requests)
-        with PoolExecutor(2) as executor:
-            pooled = simulate_requests(requests, executor)
+        serial, _ = resolve_requests(requests)
+        pooled, _ = resolve_requests(requests, executor=PoolExecutor(2))
         assert np.array_equal(
             [e.mean for e in serial], [e.mean for e in pooled]
         )

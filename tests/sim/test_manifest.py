@@ -38,7 +38,7 @@ class TestConfigHash:
     def test_execution_flags_are_ignored(self):
         base = ["fig5", "--runs", "6", "--cache-dir", "c"]
         noisy = base + [
-            "--jobs", "4", "--max-inflight", "8", "--progress",
+            "--jobs", "4", "--progress",
             "--run-id", "x", "--runs-dir", "r", "--resume",
             "--fault-plan", "crash-after=3",
         ]

@@ -17,7 +17,6 @@ from repro.sim.plan import (
     plan_simulations,
     request_jobs,
     request_key,
-    simulate_requests,
 )
 from repro.sim.results import OverheadEstimate
 
@@ -132,12 +131,14 @@ class TestPlanSimulations:
         groups = plan.groups()
         assert set(groups) == {"batch", "des"}
 
-    def test_dispatch_order_puts_slow_backends_first(self, hera_sc1, request_):
+    def test_dispatch_order_puts_slow_backends_first(
+        self, hera_sc1, request_, resolve_requests
+    ):
         des = SimRequest(hera_sc1, 6000.0, 256.0, 4, 5, seed=3, method="des")
         plan = plan_simulations([request_, des])  # batch is unique index 0
         assert plan.dispatch_order() == [1, 0]
         # Dispatch order never changes the returned values or alignment.
-        fused = simulate_requests([request_, des])
+        fused, _ = resolve_requests([request_, des])
         assert fused[0].n_runs == request_.n_runs
         assert fused[1].n_runs == 4
 
@@ -159,11 +160,14 @@ class TestRequestJobs:
 
 
 class TestBitIdentity:
-    """The fused path must equal per-point simulate_overhead bit for bit."""
+    """The pipeline's memoised estimates must equal per-point
+    simulate_overhead bit for bit."""
 
     @pytest.mark.parametrize("method", ["batch", "vectorized", "des"])
     @pytest.mark.parametrize("jobs", [None, 2])
-    def test_matches_sequential(self, hera_sc1, hera_sc3, method, jobs):
+    def test_matches_sequential(
+        self, hera_sc1, hera_sc3, method, jobs, resolve_requests
+    ):
         n_runs, n_patterns = (6, 8) if method == "des" else (10, 20)
         points = [(hera_sc1, 6000.0, 256.0), (hera_sc3, 5000.0, 512.0)]
         sequential = [
@@ -175,13 +179,12 @@ class TestBitIdentity:
             for m, T, P in points
         ]
         if jobs is None:
-            fused = simulate_requests(requests)
+            fused, _ = resolve_requests(requests)
         else:
-            with PoolExecutor(jobs) as executor:
-                fused = simulate_requests(requests, executor=executor)
+            fused, _ = resolve_requests(requests, executor=PoolExecutor(jobs))
         assert fused == sequential
 
-    def test_pool_width_never_changes_results(self, hera_sc1):
+    def test_pool_width_never_changes_results(self, hera_sc1, resolve_requests):
         # 120 x 40000 cells: two memory-bounded chunks, so the pool
         # really runs one point's jobs in different processes.
         requests = [
@@ -191,12 +194,11 @@ class TestBitIdentity:
             SimRequest(hera_sc1, 7000.0, 256.0, 10, 20, seed=5),
         ]
         assert len(request_jobs(requests[0])) == 2
-        serial = simulate_requests(requests)
-        with PoolExecutor(2) as executor:
-            pooled = simulate_requests(requests, executor=executor)
+        serial, _ = resolve_requests(requests)
+        pooled, _ = resolve_requests(requests, executor=PoolExecutor(2))
         assert serial == pooled
 
-    def test_error_free_point(self):
+    def test_error_free_point(self, resolve_requests):
         from repro.core import AmdahlSpeedup, ErrorModel, PatternModel, ResilienceCosts
 
         model = PatternModel(
@@ -205,7 +207,7 @@ class TestBitIdentity:
             speedup=AmdahlSpeedup(0.1),
         )
         req = SimRequest(model, 3600.0, 100.0, 5, 10, seed=1)
-        est = simulate_requests([req])[0]
+        (est,), _ = resolve_requests([req])
         seq = simulate_overhead(model, 3600.0, 100.0, 5, 10, seed=1)
         assert est == seq
 
@@ -236,22 +238,22 @@ class TestResultCache:
         (tmp_path / ("c" * 64 + ".npz")).write_bytes(b"not an npz")
         assert cache.get_estimate("c" * 64) is None
 
-    def test_simulate_requests_uses_cache(self, tmp_path, hera_sc1):
+    def test_pipeline_uses_cache(self, tmp_path, hera_sc1, resolve_requests):
         req = SimRequest(hera_sc1, 6000.0, 256.0, 10, 20, seed=5)
-        cache = ResultCache(tmp_path)
-        cold = simulate_requests([req], cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        warm_cache = ResultCache(tmp_path)
-        warm = simulate_requests([req], cache=warm_cache)
-        assert (warm_cache.hits, warm_cache.misses) == (1, 0)
+        cold, pipe = resolve_requests([req], cache_dir=tmp_path)
+        assert pipe.cache_stats == (0, 1)
+        warm, pipe = resolve_requests([req], cache_dir=tmp_path)
+        assert pipe.cache_stats == (1, 0)
         assert warm == cold
 
-    def test_partly_warm_cache_serves_or_expands_every_point(self, tmp_path, hera_sc1):
+    def test_partly_warm_cache_serves_or_expands_every_point(
+        self, tmp_path, hera_sc1, resolve_requests
+    ):
         """Each point gets a value or a job book; none is left out."""
         from repro.sim.plan import claim_serve_expand
 
         requests = [SimRequest(hera_sc1, 6000.0 + i, 256.0, 4, 6) for i in range(4)]
-        cold = simulate_requests(requests[:2], cache=ResultCache(tmp_path))
+        cold, _ = resolve_requests(requests[:2], cache_dir=tmp_path)
         cache = ResultCache(tmp_path)
         plan = plan_simulations(requests)
         values, tagged, books = claim_serve_expand(plan, cache)
@@ -260,7 +262,7 @@ class TestResultCache:
         assert served | set(books) == set(range(plan.n_unique))
         assert len(served) == 2 and (cache.hits, cache.misses) == (2, 2)
         assert {tag[0] for _, tag in tagged} == set(books)
-        warm = simulate_requests(requests, cache=ResultCache(tmp_path))
+        warm, _ = resolve_requests(requests, cache_dir=tmp_path)
         assert None not in warm and warm[:2] == cold
 
     def test_backend_version_isolates_entries(self, hera_sc1, request_, monkeypatch):

@@ -9,18 +9,13 @@ a pure function of its arguments.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.experiments.common import SimSettings
 from repro.experiments.pipeline import SimulationPipeline
 from repro.platforms.scenarios import build_model
-from repro.sim.executors import (
-    Executor,
-    JobFuture,
-    SerialExecutor,
-)
+from repro.sim.executors import Executor, SerialExecutor
 from repro.sim.montecarlo import Fidelity
 from repro.sim.scheduler import Scheduler, default_inflight
 
@@ -60,35 +55,6 @@ class RecordingExecutor(Executor):
             self.outstanding -= 1
             self.completed.append(future.tag)
         return future
-
-
-class ShuffledExecutor(Executor):
-    """Defers execution and completes futures in seeded random order.
-
-    A worst-case stand-in for a process pool: nothing completes in
-    submission order, so any hidden completion-order dependence in the
-    pipeline's bookkeeping would corrupt the merged results.
-    """
-
-    def __init__(self, seed=0):
-        self._rng = np.random.default_rng(seed)
-        self._waiting: list[JobFuture] = []
-
-    def submit(self, fn, item, tag=None):
-        future = JobFuture(fn, item, tag)
-        self._waiting.append(future)
-        return future
-
-    def next_completed(self):
-        if not self._waiting:
-            return None
-        index = int(self._rng.integers(len(self._waiting)))
-        future = self._waiting.pop(index)
-        future._run_inline()
-        return future
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
 
 
 class TestSchedulerLoop:
@@ -170,32 +136,33 @@ class TestSchedulerLoop:
 class TestInterleavingDeterminism:
     """Out-of-order completion must not change a single byte."""
 
-    def _tables(self, executor=None, max_inflight=None):
+    def _tables(self, executor=None):
         from repro.experiments.registry import REGISTRY
         from repro.experiments.spec import stage_study
 
-        with SimulationPipeline(executor=executor, max_inflight=max_inflight) as pipe:
+        with SimulationPipeline(executor=executor) as pipe:
             staged = stage_study(REGISTRY["fig2"], settings=SETTINGS, pipeline=pipe)
             pipe.resolve()
             return [r.table() for r in staged.finish()]
 
-    def test_shuffled_completion_is_bit_identical(self):
+    def test_shuffled_completion_is_bit_identical(self, shuffled_executor):
         reference = self._tables()
         for seed in (1, 2, 3):
-            assert self._tables(ShuffledExecutor(seed), max_inflight=4) == reference
+            assert self._tables(shuffled_executor(seed)) == reference
 
-    def test_window_size_never_changes_tables(self):
+    def test_window_size_never_changes_tables(self, shuffled_executor):
         reference = self._tables()
-        for window in (1, 2, 16):
-            assert self._tables(max_inflight=window) == reference
+        for workers in (1, 2, 4):  # windows of 4, 8 and 16 jobs
+            executor = shuffled_executor(seed=workers, workers=workers)
+            assert self._tables(executor) == reference
 
-    def test_shuffled_pipeline_points_match_serial(self):
+    def test_shuffled_pipeline_points_match_serial(self, shuffled_executor):
         model = build_model("Hera", 1)
         points = [(model, 4000.0 + 100 * i, 256.0) for i in range(6)]
         with SimulationPipeline() as pipe:
             serial = [pipe.simulate_mean(m, T, P, SETTINGS) for m, T, P in points]
             pipe.resolve()
-        with SimulationPipeline(executor=ShuffledExecutor(9), max_inflight=2) as pipe:
+        with SimulationPipeline(executor=shuffled_executor(9)) as pipe:
             shuffled = [pipe.simulate_mean(m, T, P, SETTINGS) for m, T, P in points]
             pipe.resolve()
         assert [d.value for d in shuffled] == [d.value for d in serial]
@@ -249,7 +216,7 @@ class TestRetry:
         assert slept == [policy.delay(1), policy.delay(2), policy.delay(3)]
         assert slept == sorted(slept)  # exponential: non-decreasing
 
-    def test_backoff_never_stalls_dispatch(self):
+    def test_backoff_never_stalls_dispatch(self, shuffled_executor):
         """A retry waits out its backoff beside the loop: ready jobs are
         submitted and completions consumed meanwhile, and the scheduler
         sleeps only with nothing in flight, until the retry is due."""
@@ -264,7 +231,7 @@ class TestRetry:
             slept.append(seconds)
             now[0] += seconds
 
-        class Recording(ShuffledExecutor):
+        class Recording(shuffled_executor):
             def __init__(self, seed):
                 super().__init__(seed)
                 self.submitted = []

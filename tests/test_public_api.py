@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.24.0"
+        assert repro.__version__ == "1.25.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -56,6 +56,24 @@ class TestTopLevel:
         assert not hasattr(repro.sim, name)
         assert name not in repro.sim.__all__
         assert "trace" not in inspect.signature(repro.sim.simulate_run).parameters
+
+    def test_removed_pipeline_entry_points_are_gone(self):
+        """One plan -> schedule -> merge loop since 1.25: the pipeline's."""
+        import inspect
+
+        import repro.experiments.pipeline as pipeline
+        import repro.sim
+        import repro.sim.plan
+
+        for module, name in (
+            (repro.sim, "simulate_requests"),
+            (repro.sim.plan, "simulate_requests"),
+            (pipeline, "private_pipeline"),
+        ):
+            assert not hasattr(module, name)
+            assert name not in module.__all__
+        params = inspect.signature(pipeline.SimulationPipeline).parameters
+        assert "max_inflight" not in params
 
     def test_removed_result_fields_are_gone(self):
         import dataclasses
