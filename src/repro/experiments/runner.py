@@ -1228,6 +1228,15 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
     )
 
     if args.scenario_command == "aggregate":
+        if args.csv is not None and args.format != "text":
+            # The CSV dump is of the rendered tables; the machine-readable
+            # formats print instead of rendering, so --csv would be ignored.
+            print(
+                "repro-experiments scenario aggregate: error: argument --csv: "
+                f"not allowed with --format {args.format}",
+                file=sys.stderr,
+            )
+            return 2
         try:
             manifest, families = load_member_results(args.results)
             results = aggregate_results(manifest, families)

@@ -8,11 +8,12 @@ the questions a 40-minute sweep raises afterwards:
   execute), so "where did the time go" has a number per layer, plus
   the points the spans report (points a declare staged, entries a
   resume validated) where they report any;
-* **scheduler** — integrated in-flight time over the scheduling
-  window: mean in-flight depth, occupancy against the configured
-  window, high-water mark, retry and inline-fallback counts;
+* **scheduler** — jobs, the tasks they were coalesced into and jobs
+  per task; integrated tasks-in-flight time over the scheduling
+  window: mean in-flight depth and occupancy against the configured
+  window (tasks, so never above 1); retry and inline-fallback counts;
 * **workers** — per-worker job counts and busy seconds (utilisation
-  against the execute window) from the timed job envelopes;
+  against the execute window) from the per-job timings;
 * **studies / fates** — per-study computed/served tallies
   (per declaration, matching the metrics registry) and unique-key
   fates (last event wins, matching the run manifest exactly);
@@ -41,26 +42,35 @@ __all__ = ["summarize", "render_summary_text", "render_timeline", "SUMMARY_SCHEM
 SUMMARY_SCHEMA = "repro-trace-summary/1"
 
 
-def _job_intervals(events):
-    """(submit_t, complete_t, dur, worker) per completed job."""
-    submitted: dict[str, list[float]] = defaultdict(list)
-    intervals = []
-    for event in events:
+def _scheduled_work(events):
+    """Per-job completions and per-task in-flight intervals.
+
+    Returns ``(jobs, tasks)``: ``jobs`` holds ``(dur, worker)`` per
+    completed job (``job_complete`` or ``job_inline``); ``tasks`` holds
+    ``[submit_t, end_t]`` per submitted task, where a task ends at the
+    first completion or retry of any of its members — the moment its
+    result reached the scheduler.  A journal written before
+    ``job_submit`` carried a ``task`` counts each submission as its own
+    task.
+    """
+    submitted: dict[str, list] = defaultdict(list)  # job -> [task key, ...]
+    tasks: dict = {}
+    jobs = []
+    for n, event in enumerate(events):
         ev = event["ev"]
         if ev == "job_submit":
-            submitted[event["job"]].append(event["t"])
-        elif ev in ("job_complete", "job_inline"):
-            job = event["job"]
-            start = submitted[job].pop(0) if submitted[job] else event["t"]
-            intervals.append(
-                (
-                    start,
-                    event["t"],
-                    event.get("dur"),
-                    event.get("worker", "inline" if ev == "job_inline" else None),
-                )
-            )
-    return intervals
+            key = event.get("task", ("job", n))
+            submitted[event["job"]].append(key)
+            tasks.setdefault(key, [event["t"], None])
+        elif ev in ("job_complete", "job_retry"):
+            if submitted[event["job"]]:
+                window = tasks[submitted[event["job"]].pop(0)]
+                if window[1] is None or event["t"] < window[1]:
+                    window[1] = event["t"]
+        if ev in ("job_complete", "job_inline"):
+            worker = event.get("worker", "inline" if ev == "job_inline" else None)
+            jobs.append((event.get("dur"), worker))
+    return jobs, [window for window in tasks.values() if window[1] is not None]
 
 
 def _mean_inflight(intervals) -> tuple[float, float]:
@@ -125,17 +135,22 @@ def summarize(events: list[dict]) -> dict:
     for fate in fate_by_key.values():
         fates[fate] = fates.get(fate, 0) + 1
 
-    # Scheduler occupancy from the submit/complete interval set.
-    intervals = _job_intervals(events)
-    span, busy = _mean_inflight(intervals)
+    # Scheduler occupancy from the per-task submit/complete intervals.
+    jobs, task_windows = _scheduled_work(events)
+    span, busy = _mean_inflight(task_windows)
     max_inflight = max(
         (e["max_inflight"] for e in events if e["ev"] == "schedule"), default=None
     )
     retries = sum(1 for e in events if e["ev"] == "job_retry")
     inline = sum(1 for e in events if e["ev"] == "job_inline")
+    submits = sum(1 for e in events if e["ev"] == "job_submit")
     mean_inflight = busy / span if span > 0 else 0.0
     scheduler = {
-        "jobs": len(intervals),
+        "jobs": len(jobs),
+        "tasks": len(task_windows),
+        "jobs_per_task": (
+            round(submits / len(task_windows), 3) if task_windows else None
+        ),
         "retries": retries,
         "inline_fallbacks": inline,
         "max_inflight": max_inflight,
@@ -147,9 +162,9 @@ def summarize(events: list[dict]) -> dict:
         ),
     }
 
-    # Worker utilisation from the timed job envelopes.
+    # Worker utilisation from the per-job timings.
     workers: dict[str, dict] = {}
-    for _, _, dur, worker in intervals:
+    for dur, worker in jobs:
         if worker is None:
             continue
         entry = workers.setdefault(str(worker), {"jobs": 0, "busy_seconds": 0.0})
@@ -271,9 +286,15 @@ def render_summary_text(summary: dict) -> list[str]:
         if sched["occupancy"] is not None
         else "n/a"
     )
+    per_task = (
+        f" ({sched['jobs_per_task']:.1f} jobs per task)"
+        if sched["jobs_per_task"] is not None
+        else ""
+    )
     lines.append(
-        f"[scheduler] {sched['jobs']} jobs over {sched['span_seconds']:.3f}s, "
-        f"mean in-flight {sched['mean_inflight']:.2f} (occupancy {occupancy}), "
+        f"[scheduler] {sched['jobs']} jobs in {sched['tasks']} tasks{per_task} "
+        f"over {sched['span_seconds']:.3f}s, "
+        f"mean in-flight {sched['mean_inflight']:.2f} tasks (occupancy {occupancy}), "
         f"{sched['retries']} retries, {sched['inline_fallbacks']} inline fallbacks"
     )
     if summary["workers"]:

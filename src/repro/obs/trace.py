@@ -64,10 +64,11 @@ __all__ = [
 #: Current trace schema version (stamped into ``trace_start``).
 TRACE_FORMAT = 1
 
-#: Fields whose values vary run-to-run (timing, process identity) even
-#: when the computation is identical — stripped before determinism
-#: comparisons and by ``trace timeline``'s compact detail column.
-VOLATILE_FIELDS = frozenset({"t", "dur", "worker", "pid"})
+#: Fields whose values vary run-to-run (timing, process identity, the
+#: task a job rode in) even when the computation is identical — stripped
+#: before determinism comparisons and by ``trace timeline``'s compact
+#: detail column.
+VOLATILE_FIELDS = frozenset({"t", "dur", "worker", "pid", "task"})
 
 #: Events that describe the execution environment (argv, worker
 #: counts, window sizes) rather than the computation — dropped before
@@ -94,7 +95,9 @@ EVENT_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
     "point": (frozenset({"study", "status", "key"}), frozenset()),
     # scheduler
     "schedule": (frozenset({"jobs", "max_inflight", "workers"}), frozenset()),
-    "job_submit": (frozenset({"job", "attempt"}), frozenset()),
+    # task: id of the pool task the job rides in (1.26+; older journals
+    # lack it, and each of their jobs counts as its own task)
+    "job_submit": (frozenset({"job", "attempt"}), frozenset({"task"})),
     "job_complete": (frozenset({"job"}), frozenset({"dur", "worker"})),
     "job_retry": (frozenset({"job", "attempt", "error"}), frozenset()),
     "job_inline": (frozenset({"job"}), frozenset({"dur"})),

@@ -59,11 +59,34 @@ __all__ = [
     "plan_chunks",
     "plan_chunk_jobs",
     "merge_batch_stats",
+    "check_failure_budget",
 ]
 
 #: Soft cap on ``runs x patterns`` cells simulated per chunk; keeps the
 #: transient arrays of a paper-fidelity sweep in the tens of megabytes.
+#: It also caps a chunk's *expected failed attempts*, which size the
+#: samplers' per-failure arrays (see :func:`check_failure_budget`).
 MAX_CHUNK_ELEMENTS = 4_000_000
+
+
+def check_failure_budget(rates: "PatternRates", n_cells: int) -> None:
+    """Refuse a chunk whose expected failed attempts exceed the cap.
+
+    The array samplers allocate per failed attempt, and a pattern fails
+    ``1/p_success - 1`` times on average, so a chunk of ``n_cells``
+    patterns expects ``n_cells * (1/p_success - 1)`` of them.  That grows
+    as ``exp(lambda * P * T)``: a period far beyond the optimum would
+    need gigabytes.  Raising here, before any array exists, turns that
+    into a :class:`SimulationError` instead of an out-of-memory kill.
+    """
+    p = rates.p_success
+    expected = float("inf") if p <= 0.0 else n_cells * (1.0 / p - 1.0)
+    if expected > MAX_CHUNK_ELEMENTS:
+        raise SimulationError(
+            f"a chunk of {n_cells} patterns expects {expected:.3g} failed "
+            f"attempts (success probability {p:.3g} per attempt), more than "
+            f"the {MAX_CHUNK_ELEMENTS} the samplers hold in memory"
+        )
 
 
 def truncated_exponential(
@@ -255,6 +278,7 @@ def _simulate_batch_rates(
 
     if rates.p_success >= 1.0:  # error-free: every attempt succeeds
         return _error_free_stats(rates, n_runs, n_patterns)
+    check_failure_budget(rates, n_runs * n_patterns)
 
     n_total = n_runs * n_patterns
     base_time = n_patterns * rates.base_pattern_time

@@ -23,9 +23,10 @@ class PoolExecutor(Executor):
     single-core box) runs serially in-process.  The pool is created
     lazily on the first submission and reused until :meth:`close`.
 
-    A killed worker breaks its pool: every job in flight on it fails
-    with ``BrokenProcessPool``, and the scheduler's
-    :class:`~repro.sim.scheduler.RetryPolicy` resubmits them.  The dead
+    A killed worker breaks its pool: every job in flight on it (a
+    scheduler task) fails with ``BrokenProcessPool``, and the scheduler's
+    :class:`~repro.sim.scheduler.RetryPolicy` resubmits their member
+    jobs.  The dead
     pool is shut down once, and the next submission forks a fresh one,
     up to :data:`MAX_POOL_REBUILDS` times.  Past that cap, and whenever
     a pool cannot be used at all (a sandbox refusing to fork, an

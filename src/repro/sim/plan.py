@@ -54,6 +54,7 @@ from . import batch as _batch
 from .batch import (
     PatternRates,
     _batch_chunk_worker,
+    check_failure_budget,
     merge_batch_stats,
     plan_chunk_jobs,
 )
@@ -357,9 +358,13 @@ def request_jobs(request: SimRequest, method: str | None = None) -> list[tuple]:
     rates = PatternRates.from_model(model, T, P)
     if method == "batch" and request.n_cells <= _batch.MAX_CHUNK_ELEMENTS:
         # Single-pass sampler with its historical RNG stream.
+        check_failure_budget(rates, request.n_cells)
         return [(_batch_single_job, (rates, n_runs, n_patterns, request.seed), {})]
     worker = _batch_chunk_worker if method == "batch" else simulate_chunk
     chunk_plan, seeds = plan_chunk_jobs(n_runs, n_patterns, request.seed)
+    # Refused at planning time, before any job runs; the first chunk is
+    # the largest.
+    check_failure_budget(rates, chunk_plan[0] * n_patterns)
     if len(chunk_plan) == 1:
         return [(worker, (rates, n_runs, n_patterns, seeds[0]), {})]
     return [

@@ -45,6 +45,7 @@ from .batch import (
     BatchStats,
     PatternRates,
     _error_free_stats,
+    check_failure_budget,
     merge_batch_stats,
     plan_chunk_jobs,
     truncated_exponential,
@@ -82,10 +83,10 @@ def simulate_chunk(
     """
     if n_runs <= 0 or n_patterns <= 0:
         raise SimulationError("n_runs and n_patterns must be positive")
-    rng = np.random.default_rng(seed)
-
     if rates.p_success >= 1.0:  # error-free: every attempt succeeds
         return _error_free_stats(rates, n_runs, n_patterns)
+    check_failure_budget(rates, n_runs * n_patterns)
+    rng = np.random.default_rng(seed)
 
     # Failures per run: sum of n_patterns iid Geometric(p) failure
     # counts == NegativeBinomial(n_patterns, p).

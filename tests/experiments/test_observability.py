@@ -199,6 +199,18 @@ class TestTraceCli:
         analytic = next(line for line in out.splitlines() if line.startswith("[analytic]"))
         assert analytic.endswith(" ms per evaluated model")
 
+    def test_pooled_run_coalesces_jobs_into_tasks(self, run, capsys):
+        events = load_trace(run / "runs" / "r1" / "trace.jsonl")
+        submits = [e for e in events if e["ev"] == "job_submit"]
+        assert submits and all("task" in e for e in submits)
+        assert len({e["task"] for e in submits}) < len(submits)
+        assert main(["trace", "summary", "r1", "--runs-dir", str(run / "runs"),
+                     "--format", "json"]) == 0
+        sched = json.loads(capsys.readouterr().out)["scheduler"]
+        assert sched["jobs"] == len(submits)
+        assert sched["jobs_per_task"] > 1
+        assert 0 < sched["occupancy"] <= 1
+
     def test_analytic_batches_carry_durations(self, run):
         batches = [e for e in load_trace(run / "runs" / "r1" / "trace.jsonl")
                    if e["ev"] == "analytic_batch"]

@@ -486,6 +486,28 @@ class TestCliValidation:
         assert capsys.readouterr().out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "res"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_aggregate_csv_refused_with_machine_readable_format(
+        self, tmp_path, monkeypatch, capsys, fmt
+    ):
+        """``--format json|csv`` prints instead of rendering tables, so a
+        ``--csv DIR`` dump would be silently skipped: refused up front."""
+        monkeypatch.chdir(tmp_path)
+        example = Path(__file__).parents[2] / "examples" / "scenario_jitter.toml"
+        assert main(["scenario", "run", str(example), "--no-sim", "--out", "res"]) == 0
+        capsys.readouterr()
+        # A results directory that does not exist: the refusal comes first.
+        for results in ("res", "missing"):
+            argv = ["scenario", "aggregate", results, "--csv", "dcsv", "--format", fmt]
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "repro-experiments scenario aggregate: error: argument --csv: "
+                f"not allowed with --format {fmt}\n"
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res"]
+
     def test_rerun_without_resume_refuses(self, tmp_path, capsys):
         assert main(_run_args(tmp_path)) == 0
         with pytest.raises(SystemExit, match="already has a manifest"):

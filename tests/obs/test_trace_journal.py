@@ -134,6 +134,12 @@ class TestValidation:
         validate_event(batch)  # journals from before 1.21
         validate_event(dict(batch, dur=0.0075))
 
+    def test_job_submit_task_is_optional(self):
+        # Journals written before tasks (1.26) carry no task id.
+        submit = {"ev": "job_submit", "t": 0.1, "job": "1.0", "attempt": 0}
+        validate_event(submit)
+        validate_event(dict(submit, task=7))
+
     def test_missing_timestamp_rejected(self):
         with pytest.raises(ReproError, match="numeric timestamp"):
             validate_event({"ev": "cache_hit", "key": "k"})
@@ -172,13 +178,18 @@ class TestComparable:
             {"ev": "trace_start", "t": 0.0, "format": 1, "pid": 9, "argv": []},
             {"ev": "schedule", "t": 0.1, "jobs": 4, "max_inflight": 8,
              "workers": 2},
+            {"ev": "job_submit", "t": 0.15, "job": "1.0", "attempt": 0,
+             "task": 3},
             {"ev": "job_complete", "t": 0.2, "job": "1.0", "dur": 0.05,
              "worker": 1234},
             {"ev": "point", "t": 0.3, "study": "fig5", "status": "computed",
              "key": "k"},
         ]
         core = comparable_events(events)
+        # The task a job rode in is placement, like its worker: serial and
+        # pooled runs coalesce the same jobs into different tasks.
         assert core == [
+            {"ev": "job_submit", "job": "1.0", "attempt": 0},
             {"ev": "job_complete", "job": "1.0"},
             {"ev": "point", "study": "fig5", "status": "computed", "key": "k"},
         ]

@@ -78,6 +78,64 @@ class TestSummarize:
         assert sched["mean_inflight"] == pytest.approx(1.5)
         assert sched["occupancy"] == pytest.approx(0.75)
 
+    def test_journal_without_task_ids_counts_one_task_per_job(self):
+        sched = summarize(_events())["scheduler"]
+        assert sched["tasks"] == 2
+        assert sched["jobs_per_task"] == 1.0
+
+    def test_occupancy_counts_tasks_not_jobs(self):
+        """Six jobs in two tasks of a window of 2: the window is full for
+        the whole span, and occupancy reads 1, not the 3 that counting
+        jobs in flight would give."""
+        events = [
+            {"ev": "schedule", "t": 0.0, "jobs": 6, "max_inflight": 2,
+             "workers": 2},
+        ]
+        for task, jobs in ((0, ("1.0", "1.1", "1.2")), (1, ("2.0", "2.1", "2.2"))):
+            events += [
+                {"ev": "job_submit", "t": 0.1, "job": job, "attempt": 0,
+                 "task": task}
+                for job in jobs
+            ]
+        for t, job in ((0.5, "1.0"), (0.5, "2.0"), (0.51, "1.1"), (0.52, "2.1"),
+                       (0.53, "1.2"), (0.54, "2.2")):
+            events.append({"ev": "job_complete", "t": t, "job": job,
+                           "dur": 0.1, "worker": 11})
+        sched = summarize(events)["scheduler"]
+        assert sched["jobs"] == 6
+        assert sched["tasks"] == 2
+        assert sched["jobs_per_task"] == 3.0
+        # Each task ends when its first member lands, at 0.5.
+        assert sched["span_seconds"] == pytest.approx(0.4)
+        assert sched["mean_inflight"] == pytest.approx(2.0)
+        assert sched["occupancy"] == pytest.approx(1.0)
+        lines = render_summary_text(summarize(events))
+        assert any(
+            line.startswith("[scheduler] 6 jobs in 2 tasks (3.0 jobs per task) ")
+            and "occupancy 100% of window 2" in line
+            for line in lines
+        )
+
+    def test_retried_job_rejoins_a_later_task(self):
+        events = [
+            {"ev": "job_submit", "t": 0.0, "job": "1.0", "attempt": 0, "task": 0},
+            {"ev": "job_submit", "t": 0.0, "job": "1.1", "attempt": 0, "task": 0},
+            {"ev": "job_retry", "t": 0.2, "job": "1.0", "attempt": 1,
+             "error": "BrokenProcessPool"},
+            {"ev": "job_retry", "t": 0.2, "job": "1.1", "attempt": 1,
+             "error": "BrokenProcessPool"},
+            {"ev": "job_submit", "t": 0.3, "job": "1.0", "attempt": 1, "task": 1},
+            {"ev": "job_submit", "t": 0.3, "job": "1.1", "attempt": 1, "task": 1},
+            {"ev": "job_complete", "t": 0.5, "job": "1.0", "dur": 0.1, "worker": 1},
+            {"ev": "job_complete", "t": 0.5, "job": "1.1", "dur": 0.1, "worker": 1},
+        ]
+        sched = summarize(events)["scheduler"]
+        assert (sched["jobs"], sched["tasks"], sched["retries"]) == (2, 2, 2)
+        assert sched["jobs_per_task"] == 2.0
+        # Task 0 was in flight 0.0-0.2 and task 1 0.3-0.5.
+        assert sched["busy_seconds"] == pytest.approx(0.4)
+        assert sched["span_seconds"] == pytest.approx(0.5)
+
     def test_worker_utilization(self):
         workers = summarize(_events())["workers"]
         assert workers["11"]["jobs"] == 1
@@ -177,6 +235,8 @@ class TestSummarize:
         summary = summarize([])
         assert summary["events"] == 0
         assert summary["scheduler"]["occupancy"] is None
+        assert summary["scheduler"]["tasks"] == 0
+        assert summary["scheduler"]["jobs_per_task"] is None
         assert summary["cache"]["hit_rate"] is None
 
     def test_summary_is_json_serialisable(self):

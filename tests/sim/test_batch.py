@@ -153,3 +153,55 @@ class TestBookkeeping:
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(SimulationError):
             simulate_batch(_model(1e-6, 0.5), rng=make_rng(1), **kwargs)
+
+
+class TestFailureBudget:
+    """A chunk expecting more failed attempts than the samplers can hold
+    is refused before any array is allocated, on every entry point."""
+
+    # lambda*P*T ~ 10 expected errors per pattern: ~2.2e4 failed attempts
+    # per pattern, ~2.4e8 over 200 x 50 cells.
+    MODEL = _model(1e-4, 1.0, C=30.0, V=5.0, D=10.0)
+    T, P = 5000.0, 20.0
+
+    def test_expected_failures_formula(self):
+        from repro.sim.batch import MAX_CHUNK_ELEMENTS, PatternRates, check_failure_budget
+
+        rates = PatternRates.from_model(self.MODEL, self.T, self.P)
+        assert 1e4 * (1 / rates.p_success - 1) > MAX_CHUNK_ELEMENTS
+        with pytest.raises(SimulationError, match=r"expects 2.36e\+08 failed attempts"):
+            check_failure_budget(rates, 10_000)
+        check_failure_budget(rates, 10)  # ~2.4e5 expected: within budget
+
+    def test_zero_success_probability_is_refused(self):
+        from repro.sim.batch import PatternRates, check_failure_budget
+
+        rates = PatternRates.from_model(_model(1.0, 0.5), 1e6, 1e6)
+        assert rates.p_success == 0.0
+        with pytest.raises(SimulationError, match="expects inf failed attempts"):
+            check_failure_budget(rates, 1)
+
+    def test_simulate_batch_refuses(self):
+        with pytest.raises(SimulationError, match="failed attempts"):
+            simulate_batch(self.MODEL, self.T, self.P, 200, 50, make_rng(1))
+
+    def test_simulate_vectorized_refuses(self):
+        from repro.sim.vectorized import simulate_vectorized
+
+        with pytest.raises(SimulationError, match="failed attempts"):
+            simulate_vectorized(self.MODEL, self.T, self.P, 200, 50, seed=1)
+
+    @pytest.mark.parametrize("method", ["batch", "vectorized"])
+    def test_request_jobs_refuses_at_planning(self, method):
+        from repro.sim.plan import SimRequest, request_jobs
+
+        request = SimRequest(self.MODEL, self.T, self.P, 200, 50, 1, method)
+        with pytest.raises(SimulationError, match="failed attempts"):
+            request_jobs(request)
+
+    def test_paper_budget_near_the_optimum_is_accepted(self):
+        from repro.sim.plan import SimRequest, request_jobs
+
+        # 500 x 500 cells at p_success ~0.6: ~1.7e5 expected failures.
+        request = SimRequest(self.MODEL, 50.0, self.P, 500, 500, 1, "vectorized")
+        assert request_jobs(request)

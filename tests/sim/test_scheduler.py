@@ -57,6 +57,22 @@ class RecordingExecutor(Executor):
         return future
 
 
+class ListTrace:
+    """An in-memory trace writer: the scheduler's events as dicts."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def event(self, ev, **fields):
+        self.events.append({"ev": ev, **fields})
+
+    def submitted(self):
+        """Job labels in submission order, resubmissions included."""
+        return [e["job"] for e in self.events if e["ev"] == "job_submit"]
+
+
 class TestSchedulerLoop:
     def test_yields_every_job_with_its_tag(self):
         scheduler = Scheduler(SerialExecutor(), max_inflight=3)
@@ -133,28 +149,30 @@ class TestSchedulerLoop:
         assert scheduler.pending == 0 and scheduler.outstanding == 0
 
 
+def _fig2_tables(executor=None):
+    """Figure 2's tables at :data:`SETTINGS`, resolved on ``executor``."""
+    from repro.experiments.registry import REGISTRY
+    from repro.experiments.spec import stage_study
+
+    with SimulationPipeline(executor=executor) as pipe:
+        staged = stage_study(REGISTRY["fig2"], settings=SETTINGS, pipeline=pipe)
+        pipe.resolve()
+        return [r.table() for r in staged.finish()]
+
+
 class TestInterleavingDeterminism:
     """Out-of-order completion must not change a single byte."""
 
-    def _tables(self, executor=None):
-        from repro.experiments.registry import REGISTRY
-        from repro.experiments.spec import stage_study
-
-        with SimulationPipeline(executor=executor) as pipe:
-            staged = stage_study(REGISTRY["fig2"], settings=SETTINGS, pipeline=pipe)
-            pipe.resolve()
-            return [r.table() for r in staged.finish()]
-
     def test_shuffled_completion_is_bit_identical(self, shuffled_executor):
-        reference = self._tables()
+        reference = _fig2_tables()
         for seed in (1, 2, 3):
-            assert self._tables(shuffled_executor(seed)) == reference
+            assert _fig2_tables(shuffled_executor(seed)) == reference
 
     def test_window_size_never_changes_tables(self, shuffled_executor):
-        reference = self._tables()
+        reference = _fig2_tables()
         for workers in (1, 2, 4):  # windows of 4, 8 and 16 jobs
             executor = shuffled_executor(seed=workers, workers=workers)
-            assert self._tables(executor) == reference
+            assert _fig2_tables(executor) == reference
 
     def test_shuffled_pipeline_points_match_serial(self, shuffled_executor):
         model = build_model("Hera", 1)
@@ -231,20 +249,11 @@ class TestRetry:
             slept.append(seconds)
             now[0] += seconds
 
-        class Recording(shuffled_executor):
-            def __init__(self, seed):
-                super().__init__(seed)
-                self.submitted = []
-
-            def submit(self, fn, item, tag=None):
-                self.submitted.append(tag)
-                return super().submit(fn, item, tag=tag)
-
-        executor = Recording(3)
+        trace = ListTrace()
         policy = RetryPolicy(attempts=2, sleep=sleep, clock=lambda: now[0])
         scheduler = Scheduler(
-            executor, max_inflight=3, retry=policy,
-            fault=FaultPlan(fail_job=1, fail_times=2),
+            shuffled_executor(3), max_inflight=3, retry=policy,
+            fault=FaultPlan(fail_job=1, fail_times=2), trace=trace,
         )
         for i in range(8):
             scheduler.add(_job(i * 10), tag=i)
@@ -252,7 +261,7 @@ class TestRetry:
         assert events == {i: i * 10 for i in range(8)}
         assert scheduler.retries == 2
         # Every first submission went ahead of the not-yet-due retries.
-        assert executor.submitted == [*range(8), 0, 0]
+        assert trace.submitted() == [*map(str, range(8)), "0", "0"]
         assert slept == pytest.approx([policy.delay(1), policy.delay(2)])
 
     def test_delay_is_capped(self):
@@ -314,3 +323,130 @@ class TestRetry:
         clean = run(None)
         faulty = run(FaultPlan(fail_job=2, fail_times=2))
         assert faulty == clean
+
+
+class TestCoalescedTasks:
+    """Pooled executors receive guided-self-scheduled tasks of jobs."""
+
+    @staticmethod
+    def _pooled(shuffled_executor, seed=0, workers=2, broken=()):
+        """A shuffled pooled fake recording task sizes and the window.
+
+        Tasks whose id is in ``broken`` fail once as a whole, the way a
+        dead worker fails every task in flight on its pool.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        class Pooled(shuffled_executor):
+            def __init__(self):
+                super().__init__(seed, workers=workers)
+                self.sizes = []
+                self.peak = 0
+                self.broken = set(broken)
+
+            def submit(self, fn, item, tag=None):
+                self.sizes.append(len(item))
+                future = super().submit(fn, item, tag=tag)
+                self.peak = max(self.peak, len(self._waiting))
+                return future
+
+            def next_completed(self):
+                future = super().next_completed()
+                if future is not None and future.tag in self.broken:
+                    self.broken.discard(future.tag)
+                    future._error = BrokenProcessPool("a worker died")
+                return future
+
+        return Pooled()
+
+    def test_task_sizes_follow_guided_self_scheduling(self, shuffled_executor):
+        executor = self._pooled(shuffled_executor)
+        scheduler = Scheduler(executor, max_inflight=4)
+        for i in range(20):
+            scheduler.add(_job(i), tag=i)
+        assert dict(scheduler.events()) == {i: i for i in range(20)}
+        # ceil(queued / 4): large while the queue is long, then single jobs.
+        assert executor.sizes[:4] == [5, 4, 3, 2]
+        assert executor.sizes[-1] == 1
+        assert sum(executor.sizes) == 20
+        assert scheduler.tasks == len(executor.sizes)
+
+    def test_serial_executor_keeps_single_job_tasks(self):
+        executor = RecordingExecutor()
+        scheduler = Scheduler(executor, max_inflight=2)
+        for i in range(9):
+            scheduler.add(_job(i), tag=i)
+        assert [tag for tag, _ in scheduler.events()] == list(range(9))
+        assert scheduler.tasks == 9
+
+    def test_tasks_in_flight_never_exceed_the_window(self, shuffled_executor):
+        for window in (1, 3, 8):
+            executor = self._pooled(shuffled_executor, seed=window)
+            scheduler = Scheduler(executor, max_inflight=window)
+            for i in range(50):
+                scheduler.add(_job(i), tag=i)
+            assert dict(scheduler.events()) == {i: i for i in range(50)}
+            assert executor.peak <= window
+            assert max(executor.sizes) > 1
+
+    def test_shuffled_multi_job_tasks_are_bit_identical(self, shuffled_executor):
+        reference = _fig2_tables()
+        for seed in (1, 2):
+            executor = self._pooled(shuffled_executor, seed=seed, workers=2)
+            tables = _fig2_tables(executor)
+            assert tables == reference
+            assert max(executor.sizes) > 1
+
+    def test_transient_member_failure_retries_only_that_member(
+        self, shuffled_executor
+    ):
+        from repro.sim.faults import FaultPlan
+
+        trace = ListTrace()
+        policy, _ = TestRetry._policy()
+        scheduler = Scheduler(
+            self._pooled(shuffled_executor), max_inflight=2, retry=policy,
+            fault=FaultPlan(fail_job=3), trace=trace,
+        )
+        for i in range(8):
+            scheduler.add(_job(i * 10), tag=i)
+        assert dict(scheduler.events()) == {i: i * 10 for i in range(8)}
+        submits = [e for e in trace.events if e["ev"] == "job_submit"]
+        # Job 2 (the third submitted) shared its first task with jobs 0-3.
+        assert [e["job"] for e in submits if e["task"] == 0] == ["0", "1", "2", "3"]
+        attempts = {}
+        for event in submits:
+            attempts.setdefault(event["job"], []).append(event["attempt"])
+        assert attempts.pop("2") == [0, 1]
+        assert all(seen == [0] for seen in attempts.values())
+        assert scheduler.retries == 1 and scheduler.inline_fallbacks == 0
+
+    def test_broken_pool_retries_every_member_of_its_task(self, shuffled_executor):
+        trace = ListTrace()
+        policy, _ = TestRetry._policy()
+        scheduler = Scheduler(
+            self._pooled(shuffled_executor, broken={1}), max_inflight=2,
+            retry=policy, trace=trace,
+        )
+        for i in range(8):
+            scheduler.add(_job(i * 10), tag=i)
+        assert dict(scheduler.events()) == {i: i * 10 for i in range(8)}
+        submits = [e for e in trace.events if e["ev"] == "job_submit"]
+        broken = [e["job"] for e in submits if e["task"] == 1]
+        assert broken == ["4", "5"]  # ceil(4 / 2) jobs, after task 0 took 4
+        retried = [e["job"] for e in submits if e["attempt"] == 1]
+        assert sorted(retried) == broken
+        assert [e["job"] for e in trace.events if e["ev"] == "job_retry"] == broken
+        assert scheduler.retries == 2
+
+    def test_deterministic_member_error_propagates(self, shuffled_executor):
+        policy, slept = TestRetry._policy()
+        scheduler = Scheduler(
+            self._pooled(shuffled_executor), max_inflight=2, retry=policy
+        )
+        for i in range(6):
+            scheduler.add(_job(i), tag=i)
+        scheduler.add((_boom, (7,), {}), tag="bad")
+        with pytest.raises(ValueError, match="job 7 failed"):
+            list(scheduler.events())
+        assert scheduler.retries == 0 and slept == []

@@ -28,7 +28,13 @@ from repro.core import (
 )
 from repro.core.errors import expected_time_lost
 from repro.optimize.scalar import brent
-from repro.sim.batch import simulate_batch, truncated_exponential
+from repro.exceptions import SimulationError
+from repro.sim.batch import (
+    MAX_CHUNK_ELEMENTS,
+    PatternRates,
+    simulate_batch,
+    truncated_exponential,
+)
 from repro.sim.rng import make_rng
 
 # -- strategies ----------------------------------------------------------
@@ -232,6 +238,13 @@ class TestSimulationProperties:
             speedup=AmdahlSpeedup(0.1),
         )
         P = 20.0
+        rates = PatternRates.from_model(model, T, P)
+        if 200 * 50 * (1 / rates.p_success - 1) > MAX_CHUNK_ELEMENTS:
+            # Periods far beyond the optimum expect more failed attempts
+            # than the sampler holds in memory: refused, not sampled.
+            with pytest.raises(SimulationError, match="failed attempts"):
+                simulate_batch(model, T, P, n_runs=200, n_patterns=50, rng=make_rng(seed))
+            return
         stats = simulate_batch(model, T, P, n_runs=200, n_patterns=50, rng=make_rng(seed))
         analytic = model.expected_time(T, P)
         per_run = stats.run_times / stats.n_patterns
