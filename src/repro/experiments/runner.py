@@ -213,10 +213,9 @@ def _pipeline_from_args(
     if trace_path is not None:
         dirs.append(("--trace-file" if args.trace_file else "--runs-dir", trace_path.parent))
     out = getattr(args, "out", None)
-    if out is not None and not getattr(args, "dry_run", False):
-        # ``report --out`` names a file, ``scenario run --out`` a directory.
-        out = Path(out)
-        dirs.append(("--out", out.parent if args.command == "report" else out))
+    if out is not None and not args.dry_run:
+        # ``report --out`` names a file: its directory must be usable.
+        dirs.append(("--out", Path(out).parent))
     csv = getattr(args, "csv", None)
     if csv is not None and not args.dry_run:
         dirs.append(("--csv", Path(csv)))
@@ -354,7 +353,6 @@ def _run_round(
     emitter: StreamingEmitter | None = None,
     run=None,
     on_start: Callable[[], None] | None = None,
-    on_resolved: Callable[[], None] | None = None,
 ) -> None:
     """Journal, observe and resolve one invocation's staged studies.
 
@@ -372,8 +370,8 @@ def _run_round(
        ``--progress`` printer (reading ``staged`` live), ``run`` and
        ``emitter`` — whose studies the caller queued — in that order;
        ``run`` also stages new waves between rounds;
-    3. drain ``emitter``, finalize ``run``, ``on_resolved()``, and only
-       then seal the journal and print a resumed round's reuse summary.
+    3. drain ``emitter`` and finalize ``run``, and only then seal the
+       journal and print a resumed round's reuse summary.
 
     All journal reporting goes to stderr.
     """
@@ -425,8 +423,6 @@ def _run_round(
             emitter.drain()
         if run is not None:
             run.finalize()
-        if on_resolved is not None:
-            on_resolved()
         if recorder is None:
             return
         recorder.finish()
@@ -492,14 +488,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type of an RNG seed: an integer >= 0."""
+def _non_negative_int(text: str) -> int:
+    """argparse type of an RNG seed or a count limit: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type of a ``cache prune`` threshold: a finite number >= 0.
+
+    A negative age or size would select every entry for deletion.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -531,7 +541,9 @@ def _add_sim_options(
         "--patterns", type=_positive_int, default=None,
         help="override patterns per run",
     )
-    sub.add_argument("--seed", type=_seed, default=seed_default, help=seed_help)
+    sub.add_argument(
+        "--seed", type=_non_negative_int, default=seed_default, help=seed_help
+    )
     sub.add_argument(
         "--method",
         default="auto",
@@ -629,22 +641,6 @@ def _add_common_options(
     _add_sim_options(sub)
     if csv:
         sub.add_argument("--csv", default=None, metavar="DIR", help="also dump CSV files")
-
-
-def _add_scenario_sim_options(sub: argparse.ArgumentParser) -> None:
-    """Simulation/pipeline flags of `scenario run|report` (no platform
-    flag: the scenario file declares the platform grid)."""
-    _add_sim_options(
-        sub,
-        seed_default=None,
-        seed_help="override the scenario file's master seed",
-    )
-    sub.add_argument(
-        "--adaptive", action="store_true",
-        help="stage replicates in waves and stop per grid row once its band "
-        "width stabilizes, instead of simulating a fixed count; the "
-        "scenario file's [adaptive] table sets the policy",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -756,13 +752,13 @@ def build_parser() -> argparse.ArgumentParser:
         if cache_cmd == "prune":
             c.add_argument(
                 "--max-age-days",
-                type=float,
+                type=_non_negative_float,
                 default=None,
                 help="drop entries older than this many days",
             )
             c.add_argument(
                 "--max-size-mb",
-                type=float,
+                type=_non_negative_float,
                 default=None,
                 help="evict oldest entries until the cache fits this size",
             )
@@ -815,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
         if trace_cmd == "timeline":
             t.add_argument(
                 "--limit",
-                type=int,
+                type=_non_negative_int,
                 default=None,
                 metavar="N",
                 help="show only the first N events (default: all)",
@@ -832,8 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub_scen = subparsers.add_parser(
         "scenario",
         help="resampled/perturbed study families: derive variants of a "
-        "registered study, run them as one fused round, aggregate "
-        "replicate bands (generate | run | aggregate | report)",
+        "registered study, run them as one fused round, print "
+        "replicate bands (generate | report)",
     )
     scen_sub = sub_scen.add_subparsers(dest="scenario_command", required=True)
     scen_gen = scen_sub.add_parser(
@@ -841,43 +837,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen_gen.add_argument("file", metavar="SCENARIO_TOML")
     scen_gen.add_argument(
-        "--seed", type=_seed, default=None,
+        "--seed", type=_non_negative_int, default=None,
         help="override the scenario file's master seed",
-    )
-    scen_run = scen_sub.add_parser(
-        "run",
-        help="run every derived member through one shared pipeline; write "
-        "per-member tables as JSON for later aggregation",
-    )
-    scen_run.add_argument("file", metavar="SCENARIO_TOML")
-    scen_run.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="result directory (manifest.json + one JSON per member); "
-        "required unless --dry-run",
-    )
-    _add_scenario_sim_options(scen_run)
-    scen_agg = scen_sub.add_parser(
-        "aggregate",
-        help="reduce a `scenario run --out` directory into quantile-band tables",
-    )
-    scen_agg.add_argument("results", metavar="DIR")
-    scen_agg.add_argument("--csv", default=None, metavar="DIR",
-                          help="also dump the band tables as CSV")
-    scen_agg.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format: rendered tables (text, default), one JSON "
-        "document of every band table (json), or tidy "
-        "figure/row/column/value CSV on stdout (csv)",
     )
     scen_rep = scen_sub.add_parser(
         "report",
-        help="run and aggregate in one go, streaming each family's band "
-        "tables the moment its last member resolves",
+        help="run every derived member in one fused round, streaming each "
+        "family's band tables the moment its last member resolves; "
+        "re-run on a filled --cache-dir to print them again without "
+        "simulating",
     )
     scen_rep.add_argument("file", metavar="SCENARIO_TOML")
     scen_rep.add_argument("--csv", default=None, metavar="DIR",
                           help="also dump the band tables as CSV")
-    _add_scenario_sim_options(scen_rep)
+    # No platform flag: the scenario file declares the platform grid.
+    _add_sim_options(
+        scen_rep,
+        seed_default=None,
+        seed_help="override the scenario file's master seed",
+    )
+    scen_rep.add_argument(
+        "--adaptive", action="store_true",
+        help="stage replicates in waves and stop per grid row once its band "
+        "width stabilizes, instead of simulating a fixed count; the "
+        "scenario file's [adaptive] table sets the policy",
+    )
 
     sub_index = subparsers.add_parser(
         "index", help="list every experiment command; --check verifies EXPERIMENTS.md"
@@ -1180,76 +1164,9 @@ def _scenario_manifest_rows(members) -> list[tuple]:
     return rows
 
 
-def _machine_readable_bands(results: Sequence[FigureResult], fmt: str) -> None:
-    """``scenario aggregate --format json|csv``: band tables on stdout.
-
-    ``json`` emits one document with every table's full payload (the
-    shape of a ``scenario run`` member file, so the same loaders
-    apply); ``csv`` emits tidy ``figure,row,column,value`` records —
-    one per data cell — which spreadsheet/dataframe tooling ingests
-    without per-table headers.
-    """
-    if fmt == "json":
-        payload = [
-            {
-                "figure_id": result.figure_id,
-                "title": result.title,
-                "columns": list(result.columns),
-                "rows": [list(row) for row in result.rows],
-                "notes": list(result.notes),
-            }
-            for result in results
-        ]
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-        return
-    import csv
-
-    writer = csv.writer(sys.stdout)
-    writer.writerow(("figure", "row", "column", "value"))
-    for result in results:
-        for row in result.rows:
-            for j, column in enumerate(result.columns[1:], start=1):
-                value = row[j]
-                writer.writerow(
-                    (result.figure_id, row[0], column,
-                     "" if value is None else value)
-                )
-
-
 def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
     from ..io.bands import BandedEmitter
-    from .scenarios import (
-        AdaptiveRun,
-        aggregate_results,
-        load_member_results,
-        load_scenario_toml,
-        write_member_results,
-    )
-
-    if args.scenario_command == "aggregate":
-        if args.csv is not None and args.format != "text":
-            # The CSV dump is of the rendered tables; the machine-readable
-            # formats print instead of rendering, so --csv would be ignored.
-            print(
-                "repro-experiments scenario aggregate: error: argument --csv: "
-                f"not allowed with --format {args.format}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            manifest, families = load_member_results(args.results)
-            results = aggregate_results(manifest, families)
-        except InvalidParameterError as exc:
-            raise SystemExit(str(exc)) from None
-        if args.format != "text":
-            _machine_readable_bands(results, args.format)
-            return 0
-        if args.csv is not None:
-            _make_output_dirs([("--csv", Path(args.csv))])
-        emitter = BandedEmitter(csv_dir=args.csv)
-        emitter.emit_results(results)
-        return 0
+    from .scenarios import AdaptiveRun, load_scenario_toml
 
     try:
         sset = load_scenario_toml(args.file, seed=args.seed)
@@ -1270,10 +1187,8 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
             print(f"  {line}")
         return 0
 
-    # run | report: one shared pipeline, one event-driven round.
-    if args.scenario_command == "run" and not args.dry_run and args.out is None:
-        raise SystemExit("scenario run requires --out DIR (or use --dry-run)")
-    # The scenario file's [adaptive] table is the policy's one source;
+    # report: one shared pipeline, one event-driven round.  The
+    # scenario file's [adaptive] table is the policy's one source;
     # --adaptive only switches it on for a file that leaves it off.
     policy = None
     if args.adaptive or sset.adaptive_enabled:
@@ -1335,30 +1250,12 @@ def _cmd_scenario(args: argparse.Namespace, argv: Sequence[str] = ()) -> int:
                 file=sys.stderr,
             )
 
-        def write_members() -> None:
-            # Before the journal is sealed: a crash here leaves a
-            # resumable run, never a complete one without its files.
-            path = write_member_results(
-                args.out, sset, families,
-                band=run.band if run is not None else None,
-                adaptive=run.journal if run is not None else None,
-            )
-            n_written = len(members) if run is None else run.n_members
-            print(
-                f"[scenario] wrote {n_written} member result files -> "
-                f"{path.parent}",
-                file=sys.stderr,
-            )
-
-        emitter = None
-        if args.scenario_command == "report":
-            emitter = BandedEmitter(csv_dir=args.csv, trace=pipeline.trace)
-            for family in families:
-                emitter.add(family)
+        emitter = BandedEmitter(csv_dir=args.csv, trace=pipeline.trace)
+        for family in families:
+            emitter.add(family)
         _run_round(
             args, argv, pipeline, staged, emitter=emitter, run=run,
             on_start=preview,
-            on_resolved=write_members if args.scenario_command == "run" else None,
         )
         if pipeline.cache is not None:
             hits, misses = pipeline.cache_stats

@@ -13,7 +13,7 @@ quantile bands with optimum-flip robustness flags
 (:mod:`~repro.experiments.scenarios.aggregate`).  Scenario files are
 TOML (:func:`~repro.experiments.scenarios.toml_loader.load_scenario_toml`,
 see ``examples/scenario_jitter.toml``), driven by
-``repro-experiments scenario generate|run|aggregate|report``.
+``repro-experiments scenario generate|report``.
 """
 
 from .adaptive import AdaptiveFamily, AdaptivePolicy, AdaptiveRun
@@ -21,18 +21,10 @@ from .aggregate import (
     OPTIMUM_COLUMNS,
     BandSpec,
     FamilyAccumulator,
-    adaptive_notes,
     band_tables,
     relative_width,
 )
-from .scenario_set import (
-    ScenarioFamily,
-    ScenarioMember,
-    ScenarioSet,
-    aggregate_results,
-    load_member_results,
-    write_member_results,
-)
+from .scenario_set import ScenarioFamily, ScenarioMember, ScenarioSet
 from .toml_loader import load_scenario_toml
 from .transforms import (
     DISTRIBUTIONS,
@@ -56,15 +48,11 @@ __all__ = [
     "BandSpec",
     "FamilyAccumulator",
     "OPTIMUM_COLUMNS",
-    "adaptive_notes",
     "band_tables",
     "relative_width",
     "ScenarioSet",
     "ScenarioFamily",
     "ScenarioMember",
-    "write_member_results",
-    "load_member_results",
-    "aggregate_results",
     "load_scenario_toml",
     "GridTransform",
     "Jitter",

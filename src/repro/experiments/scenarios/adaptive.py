@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from ...exceptions import InvalidParameterError, ReproError
 from ..common import FigureResult, SimSettings
 from ..spec import StagedStudy, ready_prefix, stage_study
-from .aggregate import BandSpec, FamilyAccumulator, adaptive_notes
+from .aggregate import FamilyAccumulator
 from .scenario_set import ScenarioMember, ScenarioSet, _resolve_member
 from .transforms import Variant, derive_variants, replicate_seed, split_replicates
 
@@ -103,9 +103,7 @@ class AdaptiveWave:
     """One staged replicate range of one family.
 
     ``rows`` are the global grid rows the wave covers (``None`` = the
-    full grid; wave 0 always covers it).  ``tables`` caches each
-    member's assembled panels once the wave folds, so persistence does
-    not re-assemble.
+    full grid; wave 0 always covers it).
     """
 
     index: int
@@ -114,7 +112,6 @@ class AdaptiveWave:
     rows: tuple[int, ...] | None
     members: list[ScenarioMember] = field(default_factory=list)
     staged: list[StagedStudy] = field(default_factory=list)
-    tables: list[list[FigureResult]] | None = None
     #: Leading members known resolved (see :func:`ready_prefix`).
     _ready_upto: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -158,22 +155,6 @@ class AdaptiveFamily:
         """Every staged member, in wave (= replicate-major) order."""
         return [m for wave in self.waves for m in wave.members]
 
-    def member_results(self) -> list[list[FigureResult]]:
-        """Every member's assembled tables (requires every wave folded)."""
-        out: list[list[FigureResult]] = []
-        for wave in self.waves:
-            if wave.tables is None:
-                raise ReproError(
-                    f"adaptive family {self.label!r} has unfolded waves; "
-                    "resolve the pipeline before collecting member results"
-                )
-            out.extend(wave.tables)
-        return out
-
-    def member_rows(self) -> list[tuple[int, ...] | None]:
-        """Per member: the grid rows it covers (aligned with members)."""
-        return [wave.rows for wave in self.waves for _ in wave.members]
-
     def active_rows(self, after_wave: int) -> list[int]:
         """Rows still unconverged once wave ``after_wave`` folded."""
         return [
@@ -206,8 +187,27 @@ class AdaptiveFamily:
 
     def finish(self) -> list[FigureResult]:
         return self.accum.finish(
-            extra_notes=adaptive_notes(self.policy.to_dict(), self.summary())
+            extra_notes=_adaptive_notes(self.policy, self.summary())
         )
+
+
+def _adaptive_notes(policy: AdaptivePolicy, summary: dict) -> tuple[str, str]:
+    """The two table notes recording an adaptive family's provenance:
+    its policy and its :meth:`AdaptiveFamily.summary` counters."""
+    return (
+        (
+            f"adaptive replicates: {policy.min_replicates}.."
+            f"{policy.max_replicates} in waves of {policy.wave} "
+            f"(band tol {policy.band_tol:g}, "
+            f"{policy.stable_waves} stable waves)"
+        ),
+        (
+            f"converged {summary['rows_converged']}/{summary['n_rows']} grid "
+            f"rows; simulated {summary['rows_staged']} member-rows of "
+            f"{summary['fixed_rows']} fixed-path equivalent "
+            f"({summary['saved_rows']} saved)"
+        ),
+    )
 
 
 class AdaptiveRun:
@@ -242,9 +242,6 @@ class AdaptiveRun:
         self.settings = settings
         self.progress = progress
         self.stream = stream if stream is not None else sys.stderr
-        #: The family band always carries the consistency score —
-        #: adaptive coverage is ragged, so per-row evidence matters.
-        self.band = dataclasses.replace(sset.band, consistency=True)
         transforms, declared = split_replicates(sset.transforms)
         self._transforms = transforms
         self.declared_replicates = declared
@@ -270,6 +267,9 @@ class AdaptiveRun:
 
     def stage_initial(self) -> list[AdaptiveFamily]:
         """Build the families and stage wave 0 (``min_replicates``)."""
+        # The family band always carries the consistency score —
+        # adaptive coverage is ragged, so per-row evidence matters.
+        band = dataclasses.replace(self.sset.band, consistency=True)
         panel_columns = (
             tuple(panel.columns for panel in self.sset.spec.panels)
             if self.sset.spec.panels
@@ -292,7 +292,7 @@ class AdaptiveRun:
                 grid=base.grid,
                 policy=self.policy,
                 accum=FamilyAccumulator(
-                    band=self.band,
+                    band=band,
                     panel_columns=panel_columns,
                     provenance=self.sset.provenance(),
                 ),
@@ -473,9 +473,8 @@ class AdaptiveRun:
         return progressed
 
     def _fold(self, family: AdaptiveFamily, wave: AdaptiveWave) -> None:
-        wave.tables = [stage.finish() for stage in wave.staged]
-        for tables in wave.tables:
-            family.accum.add_member(tables, rows=wave.rows)
+        for stage in wave.staged:
+            family.accum.add_member(stage.finish(), rows=wave.rows)
         if family.n_rows == 0:
             family.n_rows = family.accum.n_rows
         elif family.n_rows != family.accum.n_rows:

@@ -31,7 +31,6 @@ __all__ = [
     "BandSpec",
     "OPTIMUM_COLUMNS",
     "FamilyAccumulator",
-    "adaptive_notes",
     "band_tables",
     "relative_width",
 ]
@@ -173,32 +172,6 @@ def band_tables(
     for tables in member_tables:
         accum.add_member(tables)
     return accum.finish()
-
-
-def adaptive_notes(policy: dict, summary: dict) -> tuple[str, str]:
-    """The two table notes recording an adaptive family's provenance.
-
-    ``policy`` is the serialized
-    :class:`~repro.experiments.scenarios.adaptive.AdaptivePolicy` and
-    ``summary`` the per-family counters journaled in the run manifest.
-    Both the live report path and ``scenario aggregate`` (reading the
-    counters back from disk) build their notes through this function,
-    so the two outputs stay byte-identical.
-    """
-    return (
-        (
-            f"adaptive replicates: {policy['min_replicates']}.."
-            f"{policy['max_replicates']} in waves of {policy['wave']} "
-            f"(band tol {policy['band_tol']:g}, "
-            f"{policy['stable_waves']} stable waves)"
-        ),
-        (
-            f"converged {summary['rows_converged']}/{summary['n_rows']} grid "
-            f"rows; simulated {summary['rows_staged']} member-rows of "
-            f"{summary['fixed_rows']} fixed-path equivalent "
-            f"({summary['saved_rows']} saved)"
-        ),
-    )
 
 
 def _member_cells(table: FigureResult, row: int) -> list:

@@ -25,9 +25,7 @@ other families are still simulating.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 from ...exceptions import InvalidParameterError
@@ -42,17 +40,10 @@ from ..spec import (
     ready_prefix,
     stage_study,
 )
-from .aggregate import BandSpec, FamilyAccumulator, adaptive_notes, band_tables
+from .aggregate import BandSpec, band_tables
 from .transforms import GridTransform, Perturbation, Variant, derive_variants
 
-__all__ = [
-    "ScenarioMember",
-    "ScenarioFamily",
-    "ScenarioSet",
-    "write_member_results",
-    "load_member_results",
-    "aggregate_results",
-]
+__all__ = ["ScenarioMember", "ScenarioFamily", "ScenarioSet"]
 
 
 @dataclass(frozen=True)
@@ -141,14 +132,10 @@ class ScenarioFamily:
         self._ready_upto = ready_prefix(self.staged, self._ready_upto)
         return self._ready_upto == len(self.staged)
 
-    def member_results(self) -> list[list[FigureResult]]:
-        """Every member's assembled tables, in derive order."""
-        return [stage.finish() for stage in self.staged]
-
     def finish(self) -> list[FigureResult]:
         """The family's banded tables (requires the pipeline resolved)."""
         return band_tables(
-            self.member_results(),
+            [stage.finish() for stage in self.staged],
             band=self.band,
             panel_columns=self.panel_columns,
             provenance=self.provenance,
@@ -303,182 +290,3 @@ class ScenarioSet:
             family.staged.append(staged)
         return list(families.values())
 
-
-# -- on-disk member results (scenario run -> scenario aggregate) -----------
-
-
-def _figure_payload(result: FigureResult) -> dict:
-    return {
-        "figure_id": result.figure_id,
-        "title": result.title,
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-        "notes": list(result.notes),
-    }
-
-
-def _figure_from_payload(payload: dict) -> FigureResult:
-    return FigureResult(
-        figure_id=payload["figure_id"],
-        title=payload["title"],
-        columns=tuple(payload["columns"]),
-        rows=tuple(tuple(row) for row in payload["rows"]),
-        notes=tuple(payload["notes"]),
-    )
-
-
-def write_member_results(
-    directory: str | Path,
-    sset: ScenarioSet,
-    families: Sequence,
-    band: BandSpec | None = None,
-    adaptive: dict | None = None,
-) -> Path:
-    """Persist every member's tables (JSON floats round-trip exactly).
-
-    Layout: one ``manifest.json`` naming the set, band parameters and
-    members, plus one ``member_<i>.json`` per member — the input of
-    ``repro-experiments scenario aggregate``.
-
-    ``families`` may also be
-    :class:`~repro.experiments.scenarios.adaptive.AdaptiveFamily`
-    objects: partial members then record the grid ``rows`` they cover,
-    ``band`` overrides the set's band (the adaptive run forces the
-    consistency column on), and ``adaptive`` stores the run's journal
-    so ``scenario aggregate`` reproduces the adaptive report
-    byte-identically.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    band = band if band is not None else sset.band
-    band_payload = {
-        "q_lo": band.q_lo,
-        "q_hi": band.q_hi,
-        "flip_tolerance": band.flip_tolerance,
-    }
-    if band.consistency:
-        band_payload["consistency"] = True
-    manifest: dict = {
-        "scenario_set": sset.name,
-        "study": sset.spec.name,
-        "master_seed": sset.master_seed,
-        "band": band_payload,
-        "panel_columns": [list(panel.columns) for panel in sset.spec.panels],
-        "provenance": list(sset.provenance()),
-        "families": [],
-    }
-    if adaptive:
-        manifest["adaptive"] = adaptive
-    index = 0
-    for family in families:
-        entry = {"label": family.label, "members": []}
-        rows_list = (
-            family.member_rows()
-            if hasattr(family, "member_rows")
-            else [None] * len(family.members)
-        )
-        for member, rows, tables in zip(
-            family.members, rows_list, family.member_results()
-        ):
-            name = f"member_{index:03d}.json"
-            payload = {
-                "name": member.name,
-                "platform": member.platform,
-                "label": member.label,
-                "replicate": member.replicate,
-                "seed": member.seed,
-                "figures": [_figure_payload(t) for t in tables],
-            }
-            if rows is not None:
-                payload["rows"] = list(rows)
-            (directory / name).write_text(json.dumps(payload, indent=2) + "\n")
-            entry["members"].append({"name": member.name, "file": name})
-            index += 1
-        manifest["families"].append(entry)
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
-
-
-def load_member_results(directory: str | Path) -> tuple[dict, list[dict]]:
-    """Read a ``scenario run --out`` directory back into memory."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise InvalidParameterError(
-            f"{directory} is not a scenario result directory (no manifest.json)"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        families = []
-        for entry in manifest["families"]:
-            members = []
-            for ref in entry["members"]:
-                member_path = directory / ref["file"]
-                try:
-                    payload = json.loads(member_path.read_text())
-                    payload["figures"] = [
-                        _figure_from_payload(f) for f in payload["figures"]
-                    ]
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    raise InvalidParameterError(
-                        f"cannot read scenario member {member_path}: {exc!r} "
-                        "(re-run `scenario run` to regenerate the directory)"
-                    ) from exc
-                members.append(payload)
-            families.append({"label": entry["label"], "members": members})
-    except InvalidParameterError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InvalidParameterError(
-            f"malformed scenario manifest {manifest_path}: {exc!r}"
-        ) from exc
-    return manifest, families
-
-
-def aggregate_results(manifest: dict, families: list[dict]) -> list[FigureResult]:
-    """Band every family of a loaded result directory.
-
-    Every family folds its members through one
-    :class:`~repro.experiments.scenarios.aggregate.FamilyAccumulator`,
-    reproducing the live report byte-identically: fixed-path
-    directories in the fixed layout, adaptive ones (an ``adaptive``
-    journal in the manifest, per-member ``rows`` coverage) in the
-    adaptive layout with the journaled provenance notes.
-    """
-    band_payload = manifest.get("band", {})
-    try:
-        band = BandSpec(**band_payload)
-    except TypeError as exc:
-        raise InvalidParameterError(
-            f"malformed band parameters {band_payload!r} in the scenario "
-            f"manifest: {exc}"
-        ) from exc
-    panel_columns = tuple(
-        tuple(cols) for cols in manifest.get("panel_columns", ())
-    ) or None
-    adaptive = manifest.get("adaptive")
-    provenance = tuple(manifest.get("provenance", ()))
-    out = []
-    for family in families:
-        notes: tuple[str, ...] = ()
-        if adaptive:
-            try:
-                journal = adaptive["families"][family["label"]]
-                notes = adaptive_notes(adaptive["policy"], journal["summary"])
-            except (KeyError, TypeError) as exc:
-                raise InvalidParameterError(
-                    f"malformed adaptive journal for family "
-                    f"{family['label']!r} in the scenario manifest: {exc!r}"
-                ) from exc
-        accum = FamilyAccumulator(
-            band, panel_columns, provenance, fixed=not adaptive
-        )
-        for member in family["members"]:
-            rows = member.get("rows")
-            accum.add_member(
-                member["figures"],
-                rows=tuple(rows) if rows is not None else None,
-            )
-        out.extend(accum.finish(extra_notes=notes))
-    return out

@@ -250,6 +250,18 @@ class TestTraceCli:
         assert lines[-1].startswith("... ")
         assert "trace_start" in lines[0]
 
+    def test_timeline_negative_limit_refused(self, tmp_path, capsys):
+        """argparse refuses ``--limit -2`` before any trace is looked up."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "timeline", str(tmp_path / "missing.jsonl"),
+                  "--limit", "-2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: argument --limit: must be a non-negative integer, got -2"
+        )
+
     def test_export_round_trips(self, run, capsys):
         trace_file = run / "runs" / "r1" / "trace.jsonl"
         original = load_trace(trace_file)

@@ -44,6 +44,13 @@ width = 0.1
 count = 2
 """
 
+#: argparse's refusal of ``scenario run``, removed in 1.27 (band tables
+#: come from ``scenario report`` alone).
+SCENARIO_RUN_REFUSED = (
+    "argument scenario_command: invalid choice: 'run' "
+    "(choose from 'generate', 'report')"
+)
+
 
 class TestParser:
     def test_tables_command(self):
@@ -239,7 +246,7 @@ class TestPipelineFlags:
         [
             ("report", "neg.toml", "--cache-dir", "c", "--run-id", "r1",
              "--runs-dir", "runs", "--trace"),
-            ("run", "neg.toml", "--out", "out", "--cache-dir", "c"),
+            ("report", "neg.toml", "--csv", "out", "--cache-dir", "c"),
         ],
     )
     def test_invalid_scenario_member_writes_nothing(self, tmp_path, argv):
@@ -269,38 +276,47 @@ class TestPipelineFlags:
         return captured.err.splitlines()[-1]
 
     @pytest.mark.parametrize(
-        "argv, spelling",
+        "argv, error",
         [
             pytest.param(("fig5", "--max-inflight", "8", "--cache-dir", "c",
                           "--runs-dir", "runs", "--run-id", "x"),
-                         "--max-inflight 8", id="fig5 --max-inflight"),
+                         "unrecognized arguments: --max-inflight 8",
+                         id="fig5 --max-inflight"),
             pytest.param(("resume", "x", "--max-inflight", "8", "--runs-dir", "runs"),
-                         "--max-inflight 8", id="resume --max-inflight"),
-            pytest.param(("fig2", "--no-cache", "--cache-dir", "c"), "--no-cache",
-                         id="--no-cache"),
+                         "unrecognized arguments: --max-inflight 8",
+                         id="resume --max-inflight"),
+            pytest.param(("fig2", "--no-cache", "--cache-dir", "c"),
+                         "unrecognized arguments: --no-cache", id="--no-cache"),
             *(
                 pytest.param(("scenario", "report", "jitter.toml", "--adaptive",
                               flag, value, "--cache-dir", "c"),
-                             f"{flag} {value}", id=flag)
+                             f"unrecognized arguments: {flag} {value}", id=flag)
                 for flag, value in (
                     ("--min-replicates", "3"), ("--max-replicates", "12"),
                     ("--wave", "2"), ("--band-tol", "0.05"),
                     ("--stable-waves", "2"),
                 )
             ),
-            pytest.param(("report", "--no-sim", "--csv", "d"), "--csv d",
-                         id="report --csv"),
+            pytest.param(("report", "--no-sim", "--csv", "d"),
+                         "unrecognized arguments: --csv d", id="report --csv"),
             pytest.param(("sweep", "fig5", "--spec", "study.toml", "--cache-dir", "c"),
-                         "fig5", id="sweep STUDY"),
+                         "unrecognized arguments: fig5", id="sweep STUDY"),
+            pytest.param(("scenario", "run", "jitter.toml", "--out", "d"),
+                         SCENARIO_RUN_REFUSED, id="scenario run"),
+            pytest.param(("scenario", "aggregate", "d"),
+                         "argument scenario_command: invalid choice: 'aggregate' "
+                         "(choose from 'generate', 'report')",
+                         id="scenario aggregate"),
         ],
     )
     def test_removed_spellings_are_refused(
-        self, tmp_path, monkeypatch, capsys, argv, spelling
+        self, tmp_path, monkeypatch, capsys, argv, error
     ):
-        """Each value with a second spelling keeps one (1.25): the other
-        exits 2 from argparse before anything is written."""
+        """Each value with a second spelling keeps one (1.25), and band
+        tables have one command (1.27): the other spelling exits 2 from
+        argparse before anything is written."""
         last = self._refused(tmp_path, monkeypatch, capsys, argv)
-        assert last.endswith(f"error: unrecognized arguments: {spelling}")
+        assert last.endswith(f"error: {error}")
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -310,6 +326,7 @@ class TestPipelineFlags:
             (("scenario", "report", "jitter.toml", "--adaptive",
               "--band-tol", "0.1"), "unrecognized arguments: --band-tol 0.1"),
             (("sweep", "fig5"), "the following arguments are required: --spec"),
+            (("scenario", "run", "jitter.toml", "--out", "d"), SCENARIO_RUN_REFUSED),
         ],
     )
     def test_resuming_a_run_with_a_removed_spelling_is_refused(

@@ -2,12 +2,11 @@
 
 The acceptance contract of the adaptive engine: an adaptive scenario
 report is **byte-identical** across serial and pooled execution
-(pinned against ``goldens/scenario_fig5_adaptive_bands.txt``),
-``run --out`` followed by ``aggregate`` reproduces the exact band
-tables from disk, a run killed mid-flight resumes to the identical
-output with zero recomputation and the journaled stopping decisions
-reused — and the fixed path (no ``--adaptive``) stays byte-identical
-to the PR 5 goldens, which ``test_scenario_lab`` pins.
+(pinned against ``goldens/scenario_fig5_adaptive_bands.txt``), a
+run killed mid-flight resumes to the identical output with zero
+recomputation and the journaled stopping decisions reused — and the
+fixed path (no ``--adaptive``) stays byte-identical to the PR 5
+goldens, which ``test_scenario_lab`` pins.
 """
 
 from __future__ import annotations
@@ -28,14 +27,12 @@ from repro.experiments.scenarios import (
     FamilyAccumulator,
     Resample,
     ScenarioSet,
-    adaptive_notes,
     band_tables,
-    load_member_results,
     load_scenario_toml,
     relative_width,
     split_replicates,
-    aggregate_results,
 )
+from repro.experiments.scenarios.adaptive import _adaptive_notes
 from repro.experiments.scenarios.transforms import Jitter
 from repro.experiments.spec import StagedStudy
 from repro.sim.faults import CRASH_EXIT_CODE
@@ -217,8 +214,8 @@ class TestFamilyAccumulator:
             FamilyAccumulator().finish()
 
     def test_adaptive_notes_shape(self):
-        notes = adaptive_notes(
-            AdaptivePolicy().to_dict(),
+        notes = _adaptive_notes(
+            AdaptivePolicy(),
             {"n_rows": 9, "rows_converged": 9, "rows_staged": 130,
              "fixed_rows": 216, "saved_rows": 86},
         )
@@ -271,7 +268,7 @@ class TestAdaptiveToml:
             self._load(tmp_path, self.BASE + "[adaptive]\nmin_replicates = 0\n")
 
 
-# -- CLI: golden, determinism, aggregate round trips -------------------------
+# -- CLI: golden, determinism, the file's policy ------------------------------
 
 
 class TestAdaptiveCli:
@@ -301,83 +298,18 @@ class TestAdaptiveCli:
         assert "rows converged" in err
         assert "member-rows simulated" in err
 
-    def test_run_then_aggregate_matches_report(self, tmp_path, capsys):
-        out = tmp_path / "results"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-             "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["scenario", "aggregate", str(out)]) == 0
-        aggregated = capsys.readouterr().out
-        # The adaptive golden is the report output; aggregate re-derives
-        # the identical ragged bands from the member files on disk.
-        assert aggregated.strip() in GOLDEN.read_text()
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["adaptive"]["policy"] == AdaptivePolicy().to_dict()
-        summary = manifest["adaptive"]["families"]["fig5_jitter[Hera]"]
-        assert summary["summary"]["rows_converged"] == 9
-
-    def test_member_files_carry_their_rows(self, tmp_path):
-        out = tmp_path / "results"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-             "--out", str(out)]
-        ) == 0
-        manifest, families = load_member_results(out)
-        (family,) = families
-        rows = [m.get("rows") for m in family["members"]]
-        assert rows[0] is None          # wave 0 covers the full grid
-        assert any(r is not None for r in rows)  # later waves restrict
-
-    def test_format_json_round_trips(self, tmp_path, capsys):
-        out = tmp_path / "results"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-             "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["scenario", "aggregate", str(out), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        manifest, families = load_member_results(out)
-        expected = aggregate_results(manifest, families)
-        assert len(payload) == len(expected)
-        for doc, result in zip(payload, expected):
-            rebuilt = FigureResult(
-                figure_id=doc["figure_id"], title=doc["title"],
-                columns=tuple(doc["columns"]),
-                rows=tuple(tuple(row) for row in doc["rows"]),
-                notes=tuple(doc["notes"]),
-            )
-            assert rebuilt == result  # floats round-trip exactly via JSON
-
-    def test_format_csv_is_tidy(self, tmp_path, capsys):
-        out = tmp_path / "results"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--runs", "2", "--patterns", "2",
-             "--no-sim", "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["scenario", "aggregate", str(out), "--format", "csv"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "figure,row,column,value"
-        manifest, families = load_member_results(out)
-        results = aggregate_results(manifest, families)
-        cells = sum(len(r.rows) * (len(r.columns) - 1) for r in results)
-        assert len(lines) == 1 + cells
-
     def test_adaptive_flag_runs_the_file_policy(self, tmp_path, capsys):
         """``--adaptive`` switches on a dormant ``[adaptive]`` table: the
         file is the policy's one source."""
         scenario = _with_adaptive_table(
             tmp_path, "enabled = false\nband_tol = 0.2\n"
         )
-        out = tmp_path / "results"
         assert main(
-            ["scenario", "run", str(scenario), "--adaptive", *FAST_ARGS,
-             "--out", str(out)]
+            ["scenario", "report", str(scenario), "--adaptive", *FAST_ARGS,
+             "--cache-dir", str(tmp_path / "cache"),
+             "--runs-dir", str(tmp_path / "runs"), "--run-id", "p1"]
         ) == 0
-        policy = json.loads((out / "manifest.json").read_text())["adaptive"]["policy"]
+        policy = _manifest(tmp_path / "runs", "p1")["adaptive"]["policy"]
         assert policy == AdaptivePolicy(band_tol=0.2).to_dict()
 
     def test_invalid_policy_exits_cleanly(self, tmp_path):
@@ -400,15 +332,10 @@ def _manifest(runs_dir, run_id) -> dict:
     return json.loads((runs_dir / run_id / "manifest.json").read_text())
 
 
-def _out_snapshot(out: Path) -> dict[str, str]:
-    return {p.name: p.read_text() for p in sorted(out.glob("*.json"))}
-
-
 class TestAdaptiveResume:
-    def _args(self, tmp_path, out, run_id="a1"):
+    def _args(self, tmp_path, run_id="a1"):
         return [
-            "scenario", "run", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-            "--out", str(out),
+            "scenario", "report", str(EXAMPLE), "--adaptive", *FAST_ARGS,
             "--cache-dir", str(tmp_path / "cache"),
             "--runs-dir", str(tmp_path / "runs"),
             "--run-id", run_id,
@@ -419,26 +346,23 @@ class TestAdaptiveResume:
         self, tmp_path, capsys, crash_after
     ):
         # Uninterrupted reference run (separate cache: no cross-talk).
-        reference = tmp_path / "ref"
         assert main(
-            ["scenario", "run", str(EXAMPLE), "--adaptive", *FAST_ARGS,
-             "--out", str(reference),
+            ["scenario", "report", str(EXAMPLE), "--adaptive", *FAST_ARGS,
              "--cache-dir", str(tmp_path / "refcache")]
         ) == 0
-        capsys.readouterr()
+        reference = capsys.readouterr().out
 
-        out = tmp_path / "out"
-        args = self._args(tmp_path, out)
+        args = self._args(tmp_path)
         assert main(
             args + ["--fault-plan", f"crash-after={crash_after}"]
         ) == CRASH_EXIT_CODE
         journaled = _manifest(tmp_path / "runs", "a1")
         assert journaled["status"] == "running"
         assert journaled["adaptive"]["policy"] == AdaptivePolicy().to_dict()
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""  # no family finished
 
         assert main(args + ["--resume"]) == 0
-        capsys.readouterr()
+        resumed = capsys.readouterr().out
         manifest = _manifest(tmp_path / "runs", "a1")
         assert manifest["status"] == "complete"
         # Zero duplicate work: every point computed before the crash is
@@ -453,13 +377,12 @@ class TestAdaptiveResume:
         pre_crash = journaled["adaptive"]["families"]["fig5_jitter[Hera]"]
         assert family["waves"][: len(pre_crash["waves"])] == pre_crash["waves"]
         # The resumed output is byte-identical to the uninterrupted run.
-        assert _out_snapshot(out) == _out_snapshot(reference)
+        assert resumed == reference
 
     def test_policy_change_on_resume_refuses(self, tmp_path, capsys):
         """Editing the ``[adaptive]`` table between crash and resume."""
         scenario = _with_adaptive_table(tmp_path, "band_tol = 0.05\n")
-        out = tmp_path / "out"
-        args = self._args(tmp_path, out)
+        args = self._args(tmp_path)
         args[args.index(str(EXAMPLE))] = str(scenario)
         assert main(args + ["--fault-plan", "crash-after=40"]) \
             == CRASH_EXIT_CODE
@@ -469,8 +392,7 @@ class TestAdaptiveResume:
             main(args + ["--resume"])
 
     def test_tampered_journal_refuses(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        args = self._args(tmp_path, out)
+        args = self._args(tmp_path)
         assert main(args + ["--fault-plan", "crash-after=500"]) \
             == CRASH_EXIT_CODE
         capsys.readouterr()

@@ -10,7 +10,6 @@ base point are served from the result cache rather than recomputed
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -366,35 +365,19 @@ class TestScenarioEquivalence:
         assert main(["fig5", *FAST_ARGS, "--cache-dir", cache]) == 0
         capsys.readouterr()
         assert main(
-            ["scenario", "run", str(EXAMPLE), *FAST_ARGS, "--cache-dir", cache,
-             "--out", str(tmp_path / "out"), "--progress"]
+            ["scenario", "report", str(EXAMPLE), *FAST_ARGS, "--cache-dir", cache,
+             "--progress"]
         ) == 0
         err = capsys.readouterr().err
         # 6 members x 54 points; the base member's 54 are cache-served.
         assert "[scenario] 6 members, 324 points: 54 cache-served" in err
         assert "dedup ratio 16.67%" in err
 
-    def test_run_then_aggregate_matches_report(self, tmp_path, capsys):
-        out = tmp_path / "results"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), *FAST_ARGS, "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["scenario", "aggregate", str(out)]) == 0
-        aggregated = capsys.readouterr().out
-        assert main(["scenario", "report", str(EXAMPLE), *FAST_ARGS]) == 0
-        report = capsys.readouterr().out
-        # report adds the family banner; the band tables must be identical.
-        assert aggregated.strip() in report
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["scenario_set"] == "fig5_jitter"
-        assert len(list(out.glob("member_*.json"))) == 6
-
     def test_dry_run_previews_without_executing(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(
-            ["scenario", "run", str(EXAMPLE), *FAST_ARGS, "--dry-run",
-             "--cache-dir", str(cache), "--out", str(tmp_path / "out")]
+            ["scenario", "report", str(EXAMPLE), *FAST_ARGS, "--dry-run",
+             "--cache-dir", str(cache), "--csv", str(tmp_path / "out")]
         ) == 0
         out = capsys.readouterr().out
         assert "fig5_jitter:Hera:base" in out
@@ -408,42 +391,6 @@ class TestScenarioEquivalence:
         assert out.count("fig5_jitter:Hera:") == 6
         assert "master seed 20160913" in out
         assert "rep2" in out
-
-    def test_aggregate_rejects_a_non_result_directory(self, tmp_path):
-        with pytest.raises(SystemExit, match="manifest.json"):
-            main(["scenario", "aggregate", str(tmp_path)])
-
-    def test_aggregate_rejects_a_corrupt_member_file(self, tmp_path, capsys):
-        out = tmp_path / "results"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--runs", "2", "--patterns", "2",
-             "--no-sim", "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        (out / "member_003.json").write_text("{ truncated")
-        with pytest.raises(SystemExit, match="member_003.json"):
-            main(["scenario", "aggregate", str(out)])
-
-    def test_aggregate_rejects_unknown_band_keys(self, tmp_path, capsys):
-        out = tmp_path / "results"
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--runs", "2", "--patterns", "2",
-             "--no-sim", "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["band"]["bogus"] = 1
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SystemExit, match="malformed band parameters"):
-            main(["scenario", "aggregate", str(out)])
-
-    def test_run_dry_run_needs_no_out(self, capsys):
-        assert main(
-            ["scenario", "run", str(EXAMPLE), "--dry-run"]
-        ) == 0
-        assert "nothing executed" in capsys.readouterr().out
-        with pytest.raises(SystemExit, match="requires --out"):
-            main(["scenario", "run", str(EXAMPLE)])
 
     def test_out_of_domain_jitter_fails_with_a_message(self, tmp_path):
         """A draw leaving the model's domain exits cleanly at staging."""

@@ -182,6 +182,32 @@ class TestCacheCLI:
 
         assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-age-days", "-1"), ("--max-size-mb", "-0.5"),
+         ("--max-age-days", "nan"), ("--max-size-mb", "inf")],
+    )
+    @pytest.mark.parametrize("mode", ["--dry-run", "--yes"])
+    def test_prune_refuses_negative_or_non_finite_limits(
+        self, tmp_path, capsys, flag, value, mode
+    ):
+        """A negative age or size selects every entry: exit 2 from
+        argparse, and not one entry is removed."""
+        from repro.experiments.runner import main
+
+        cache = ResultCache(tmp_path)
+        TestCacheGC._fill(cache, 3, mtime_step=86400.0)
+        before = [e.key for e in cache.entries()]
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "prune", "--cache-dir", str(tmp_path), flag, value, mode])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {flag}: must be a finite number >= 0, got {value}"
+        )
+        assert [e.key for e in cache.entries()] == before
+
     def test_prune_refuses_without_yes_when_not_a_tty(self, tmp_path, capsys):
         """Deleting a (possibly shared) cache needs explicit consent."""
         from repro.experiments.runner import main

@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.26.0"
+        assert repro.__version__ == "1.27.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -74,6 +74,18 @@ class TestTopLevel:
             assert name not in module.__all__
         params = inspect.signature(pipeline.SimulationPipeline).parameters
         assert "max_inflight" not in params
+
+    @pytest.mark.parametrize(
+        "name",
+        ["write_member_results", "load_member_results", "aggregate_results",
+         "adaptive_notes"],
+    )
+    def test_removed_member_results_names_are_gone(self, name):
+        """One way to get band tables since 1.27: ``scenario report``."""
+        import repro.experiments.scenarios as scenarios
+
+        assert not hasattr(scenarios, name)
+        assert name not in scenarios.__all__
 
     def test_removed_result_fields_are_gone(self):
         import dataclasses
