@@ -305,10 +305,10 @@ class SimulationPipeline:
     def pending_keys(self) -> list[str]:
         """Plan keys of the pending declarations (deduplicated, in order).
 
-        The resume path validates a run manifest against exactly this
-        set: a journaled fate whose key is no longer pending is stale
-        (the plan changed — different backend version, budget, seed…)
-        and must not be reused.
+        The resume path validates a run manifest against this set
+        before each staging round: a journaled fate whose key no round
+        declares is stale (the plan changed — different backend
+        version, budget, seed…) and must not be reused.
         """
         keys: list[str] = []
         seen: set[str] = set()

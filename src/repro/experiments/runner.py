@@ -51,7 +51,7 @@ from .registry import REGISTRY, STUDIES, get_spec
 
 if TYPE_CHECKING:
     from ..io.stream import StreamingEmitter
-    from ..sim.manifest import RunRecorder
+    from ..sim.manifest import ResumeReport, RunRecorder
     from .common import FigureResult, SimSettings
     from .pipeline import SimulationPipeline
     from .spec import StudySpec
@@ -199,11 +199,15 @@ def _pipeline_from_args(
             "journals point fates; the cache holds the values a resume reuses"
         )
     if run_id is not None and getattr(args, "resume", False):
-        from ..sim.manifest import manifest_path
+        from ..sim.manifest import RunManifest, check_inputs, manifest_path
 
         path = manifest_path(getattr(args, "runs_dir", None) or DEFAULT_RUNS_DIR, run_id)
         if not path.is_file():
             raise SystemExit(f"no run manifest at {path}")
+        try:
+            check_inputs(RunManifest.load(path))
+        except ReproError as exc:
+            raise SystemExit(str(exc)) from None
     # Every flag is checked above: only from here on may the invocation
     # touch the disk, creating the directories it writes into first.
     dirs = [] if cache_dir is None else [("--cache-dir", Path(cache_dir))]
@@ -309,25 +313,50 @@ def _progress_printer(staged: Sequence, pipeline: SimulationPipeline,
     return on_event
 
 
-def _validate_resumed(
-    recorder: RunRecorder, pipeline: SimulationPipeline, argv: Sequence[str]
-) -> None:
-    """Check a resumed manifest against the pending plan keys and report.
+def _input_files(args: argparse.Namespace) -> tuple[str, ...]:
+    """The input file a command reads its studies from, if any."""
+    if args.command == "scenario":
+        return (args.file,)
+    if args.command == "sweep":
+        return (args.spec,)
+    return ()
 
-    Reuse outcomes land in the registry's ``resume_points{outcome}``
-    counters (which :func:`_run_round`'s closing summary reads) and
-    on stderr, keeping the table bytes on stdout identical to an
-    unjournaled run.
+
+def _validate_resumed(
+    recorder: RunRecorder,
+    pipeline: SimulationPipeline,
+    argv: Sequence[str],
+    report: ResumeReport | None = None,
+) -> ResumeReport:
+    """Check the journaled fates among the pending plan keys.
+
+    Runs before each staging round of a resumed run, so every journaled
+    entry is read and checked before the round that serves it; the
+    report accumulates (see
+    :func:`~repro.sim.manifest.validate_resume`) until
+    :func:`_report_resumed` prints it.
     """
     from ..sim.manifest import validate_resume
 
-    # The recovery cost of a resume: every journaled entry is read and
-    # checked before the first table prints.
+    checked = 0 if report is None else len(report.reusable) + len(report.invalidated)
     with pipeline.trace.span("validate") as span:
         report = validate_resume(
-            recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv
+            recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv, report
         )
-        span["points"] = len(report.reusable) + len(report.invalidated)
+        span["points"] = len(report.reusable) + len(report.invalidated) - checked
+    return report
+
+
+def _report_resumed(report: ResumeReport, pipeline: SimulationPipeline) -> None:
+    """Publish a resumed round's validation once the round has ended.
+
+    Only then is a journaled fate the round never declared known to be
+    stale.  The outcomes land in the registry's
+    ``resume_points{outcome}`` counters (which :func:`_run_round`'s
+    closing summary and the manifest's metrics snapshot read), the
+    trace and stderr, keeping the table bytes on stdout identical to
+    an unjournaled run.
+    """
     for outcome in ("reusable", "invalidated", "missing", "stale"):
         n = len(getattr(report, outcome))
         if n:
@@ -342,7 +371,6 @@ def _validate_resumed(
         )
     for line in report.lines():
         print(line, file=sys.stderr)
-    recorder.write()
 
 
 def _run_round(
@@ -356,26 +384,30 @@ def _run_round(
 ) -> None:
     """Journal, observe and resolve one invocation's staged studies.
 
-    The round every simulating command runs, after staging (a resume
-    validates its manifest against the pipeline's pending plan keys):
+    The round every simulating command runs, after staging:
 
     1. open the durable-run journal implied by ``--run-id``/``--resume``
        on a pipeline built by :func:`_pipeline_from_args` (which already
-       refused journal flags without a result cache).  An adaptive
-       ``run`` (:class:`~repro.experiments.scenarios.AdaptiveRun`)
-       replays its journaled waves before the validation pass, so the
-       resumed plan covers every key of the original run;
+       refused journal flags without a result cache, and a resume whose
+       input file changed);
     2. ``on_start()``, then resolve every pending point in one
        event-driven round.  Each resolved point feeds the journal, the
        ``--progress`` printer (reading ``staged`` live), ``run`` and
        ``emitter`` — whose studies the caller queued — in that order;
-       ``run`` also stages new waves between rounds;
-    3. drain ``emitter`` and finalize ``run``, and only then seal the
-       journal and print a resumed round's reuse summary.
+       an adaptive ``run``
+       (:class:`~repro.experiments.scenarios.AdaptiveRun`) also stages
+       new waves between staging rounds.  A resume checks the journaled
+       fates each staging round declares before that round resolves;
+       a resumed adaptive run re-derives its waves from the data, and
+       every wave the interrupted run staged is served from the cache;
+    3. drain ``emitter`` and finalize ``run``, and only then print a
+       resumed round's validation and reuse summary and seal the
+       journal.
 
     All journal reporting goes to stderr.
     """
     recorder = None
+    report = None
     run_id = getattr(args, "run_id", None)
     if run_id is not None:
         from ..sim.manifest import RunRecorder
@@ -384,19 +416,25 @@ def _run_round(
         try:
             if not args.resume:
                 recorder = RunRecorder.create(runs_dir, run_id, argv,
-                                              metrics=pipeline.metrics)
+                                              metrics=pipeline.metrics,
+                                              inputs=_input_files(args))
                 print(f"[run] journaling to {recorder.path}", file=sys.stderr)
             else:
                 recorder = RunRecorder.resume(runs_dir, run_id, argv,
                                               metrics=pipeline.metrics)
-                if run is not None:
-                    run.replay(recorder.manifest)
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
         if args.resume:
-            _validate_resumed(recorder, pipeline, argv)
-    if run is not None:
-        run.attach_recorder(recorder)
+            report = _validate_resumed(recorder, pipeline, argv)
+            recorder.write()
+
+    def on_round() -> bool:
+        nonlocal report
+        progressed = run.on_round()
+        if report is not None and pipeline.pending_points:
+            report = _validate_resumed(recorder, pipeline, argv, report)
+        return progressed
+
     if on_start is not None:
         on_start()
     callbacks = [
@@ -417,7 +455,7 @@ def _run_round(
     with recorder or contextlib.nullcontext():  # compacts on any exit
         pipeline.resolve(
             on_event=on_event if callbacks else None,
-            on_round=run.on_round if run is not None else None,
+            on_round=on_round if run is not None else None,
         )
         if emitter is not None:
             emitter.drain()
@@ -425,6 +463,8 @@ def _run_round(
             run.finalize()
         if recorder is None:
             return
+        if report is not None:
+            _report_resumed(report, pipeline)
         recorder.finish()
         # The summary reads the counters the journal wrote, so the
         # printed numbers cannot drift from the manifest; fresh runs

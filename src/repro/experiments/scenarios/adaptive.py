@@ -24,14 +24,10 @@ executors, and the reductions are order-independent, so the staged
 waves, the stopping decisions and the final band tables are identical
 whatever ``--jobs`` produced them.
 
-Every staging decision is journaled into the run manifest
-(:meth:`~repro.sim.manifest.RunRecorder.record_adaptive`), so
-``resume`` *replays* the journaled waves instead of re-deriving
-convergence: all plan keys of the original run are staged up front,
-completed points come back from the result cache, journaled stopping
-decisions are reused, and the recomputed tail (decisions past the
-crash point) is verified against any journaled wave it must agree
-with — a mismatch (corrupted journal, changed inputs) fails loudly.
+That is also why no decision is journaled: a resumed run re-runs the
+loop from wave 0, every wave the interrupted run staged is served from
+the result cache (cached values are bit-identical to computed ones),
+so it re-derives the same decisions and stages the same waves.
 
 Replicate ``r`` of a variant carries the exact seeds of the fixed
 path (master seed for replicate 0, ``replicate_seed`` otherwise), so
@@ -93,9 +89,6 @@ class AdaptivePolicy:
             raise InvalidParameterError(
                 f"stable waves must be >= 1, got {self.stable_waves!r}"
             )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -164,7 +157,7 @@ class AdaptiveFamily:
         ]
 
     def summary(self) -> dict:
-        """The journaled per-family counters (progress, notes, bench)."""
+        """The per-family counters (progress, notes, bench)."""
         rows_staged = 0
         for wave in self.waves:
             covered = len(wave.rows) if wave.rows is not None else self.n_rows
@@ -217,9 +210,6 @@ class AdaptiveRun:
 
     * :meth:`stage_initial` before the resolve loop (wave 0 of every
       family);
-    * :meth:`replay` as the recorder's pre-validation hook on resume
-      (re-stages every journaled wave so the resumed plan covers the
-      original run's keys);
     * :meth:`on_event` chained into the pipeline's ``on_event`` (folds
       completed waves the moment their last point lands);
     * :meth:`on_round` as the pipeline's ``on_round`` (folds waves that
@@ -260,8 +250,6 @@ class AdaptiveRun:
         #: progress printer, which re-reads it as waves land.
         self.staged_studies: list[StagedStudy] = []
         self._group_map: dict[str, AdaptiveFamily] = {}
-        self.recorder = None
-        self.journal: dict = {"policy": policy.to_dict(), "families": {}}
 
     # -- staging -------------------------------------------------------------
 
@@ -299,11 +287,6 @@ class AdaptiveRun:
                 n_rows=len(base.grid) if base.grid is not None else 0,
             )
             self.families.append(family)
-            self.journal["families"][family.label] = {
-                "waves": [],
-                "converged": {},
-                "summary": family.summary(),
-            }
             self._stage_wave(family, 0, self.policy.min_replicates, None)
         return self.families
 
@@ -356,15 +339,6 @@ class AdaptiveRun:
                 self.staged_studies.append(staged)
                 self._group_map[member.name] = family
         family.waves.append(wave)
-        entry = self.journal["families"][family.label]
-        entry["waves"].append(
-            {
-                "start": start,
-                "stop": stop,
-                "rows": list(rows) if rows is not None else None,
-            }
-        )
-        self._journal(family)
         trace = self.pipeline.trace
         if trace.enabled:
             trace.event(
@@ -385,56 +359,6 @@ class AdaptiveRun:
                 f"{len(family.variants)} variants ({covered})",
                 file=self.stream,
             )
-
-    # -- resume --------------------------------------------------------------
-
-    def replay(self, manifest) -> None:
-        """Re-stage every journaled wave of a resumed run.
-
-        Called by the runner between loading the manifest and resume
-        validation, so the resumed plan covers every key of the
-        original run and completed points come back from the cache.
-        Journaled stopping decisions are *reused*, not re-derived: the
-        converged map is seeded from the journal, and the live
-        convergence pass skips rows it already covers.
-        """
-        journal = getattr(manifest, "adaptive", None) or {}
-        if not journal:
-            return
-        stored_policy = journal.get("policy", {})
-        if stored_policy != self.policy.to_dict():
-            raise ReproError(
-                f"adaptive journal mismatch: the run manifest was recorded "
-                f"with policy {stored_policy!r} but this resume uses "
-                f"{self.policy.to_dict()!r}; re-run with the original "
-                "[adaptive] table"
-            )
-        stored = journal.get("families", {})
-        for family in self.families:
-            entry = stored.get(family.label)
-            if not entry:
-                continue
-            try:
-                family.converged = {
-                    int(r): int(w) for r, w in entry["converged"].items()
-                }
-                waves = entry["waves"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ReproError(
-                    f"adaptive journal mismatch: malformed journal entry "
-                    f"for family {family.label!r}: {exc!r}"
-                ) from exc
-            self.journal["families"][family.label]["converged"] = {
-                str(r): family.converged[r] for r in sorted(family.converged)
-            }
-            for payload in waves[len(family.waves) :]:
-                rows = payload.get("rows")
-                self._stage_wave(
-                    family,
-                    int(payload["start"]),
-                    int(payload["stop"]),
-                    tuple(int(r) for r in rows) if rows is not None else None,
-                )
 
     # -- the observe/extend loop ---------------------------------------------
 
@@ -488,8 +412,7 @@ class AdaptiveRun:
 
         Convergence is evaluated per row covered by the wave, against
         the width recorded at the previous fold; rows already converged
-        (live or seeded from a resumed journal) are skipped, so resume
-        never re-derives a journaled decision.
+        are skipped.
         """
         policy = self.policy
         already_converged = len(family.converged)
@@ -508,7 +431,6 @@ class AdaptiveRun:
                     family.converged[r] = wave.index
             else:
                 family.streaks[r] = 0
-        self._journal(family)
         active = family.active_rows(wave.index)
         newly_converged = len(family.converged) - already_converged
         if newly_converged:
@@ -534,76 +456,14 @@ class AdaptiveRun:
                 f"{len(active)} active",
                 file=self.stream,
             )
-        next_start = family.waves[-1].stop
-        stages_next = bool(active) and next_start < policy.max_replicates
-        if family.next_fold < len(family.waves):
-            self._verify_replayed(family, wave, active, stages_next)
-            return
-        if not stages_next:
+        if not active or wave.stop >= policy.max_replicates:
             family.done = True
-            self._journal(family)
             return
-        next_stop = min(next_start + policy.wave, policy.max_replicates)
+        next_stop = min(wave.stop + policy.wave, policy.max_replicates)
         rows = None if family.grid is None else tuple(active)
-        self._stage_wave(family, next_start, next_stop, rows)
+        self._stage_wave(family, wave.stop, next_stop, rows)
 
-    def _verify_replayed(
-        self,
-        family: AdaptiveFamily,
-        wave: AdaptiveWave,
-        active: list[int],
-        stages_next: bool,
-    ) -> None:
-        """Check a replayed wave against the freshly computed decision.
-
-        On resume the next wave is already staged from the journal;
-        instead of staging we verify the journaled decision is the one
-        the live algorithm would take — a disagreement means the
-        journal and the simulated data no longer describe the same run.
-        """
-        staged = family.waves[family.next_fold]
-        expected_rows = None if family.grid is None else tuple(active)
-        if not stages_next:
-            raise ReproError(
-                f"adaptive journal mismatch: family {family.label!r} is "
-                f"complete after wave {wave.index} but the journal stages "
-                f"wave {staged.index}"
-            )
-        expected_start = family.waves[family.next_fold - 1].stop
-        expected_stop = min(
-            expected_start + self.policy.wave, self.policy.max_replicates
-        )
-        if (
-            staged.start != expected_start
-            or staged.stop != expected_stop
-            or staged.rows != expected_rows
-        ):
-            raise ReproError(
-                f"adaptive journal mismatch: family {family.label!r} wave "
-                f"{staged.index} was journaled as replicates "
-                f"{staged.start}..{staged.stop - 1} over rows "
-                f"{list(staged.rows) if staged.rows is not None else 'all'}, "
-                f"but the resumed data derives replicates "
-                f"{expected_start}..{expected_stop - 1} over rows "
-                f"{list(expected_rows) if expected_rows is not None else 'all'}"
-            )
-
-    # -- journaling and reporting --------------------------------------------
-
-    def _journal(self, family: AdaptiveFamily) -> None:
-        entry = self.journal["families"][family.label]
-        entry["converged"] = {
-            str(r): family.converged[r] for r in sorted(family.converged)
-        }
-        entry["summary"] = family.summary()
-        if self.recorder is not None:
-            self.recorder.record_adaptive(self.journal)
-
-    def attach_recorder(self, recorder) -> None:
-        """Journal through ``recorder`` from now on (and write once)."""
-        self.recorder = recorder
-        if recorder is not None:
-            recorder.record_adaptive(self.journal)
+    # -- reporting ------------------------------------------------------------
 
     @property
     def n_members(self) -> int:

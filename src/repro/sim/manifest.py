@@ -5,31 +5,34 @@ completed, under which code/config world — dogfooding the paper's own
 checkpoint-recovery story:
 
 * a :class:`RunManifest` records the run id, the full CLI ``argv``, a
-  config hash over the result-relevant arguments,
+  config hash over the result-relevant arguments, the sha256 of the
+  input file the command reads (a scenario or spec file; a resume
+  whose file changed is refused, :func:`check_inputs`),
   :data:`repro.sim.plan.BACKEND_VERSION`, and a journal of plan keys
-  with their fates (``computed`` / ``served``);
+  with their fates (``computed`` / ``served``) — the run's one
+  journal: nothing derivable from it and the cache is stored;
 * a :class:`RunRecorder` journals each fate the event-driven scheduler
   delivers as one ``[key, fate]`` JSON line appended to
   ``<run>/fates.log`` — O(1) per point, whatever the run's size.  Each
   line is flushed at once, so a ``kill -9`` loses nothing delivered.
   ``manifest.json`` is the compacted checkpoint, rewritten atomically
   (temp file + fsync + ``os.replace``) when the run is created or
-  resumed, at each adaptive decision, at :meth:`~RunRecorder.finish`
-  and when the recorder closes (``status`` stays ``running`` unless
-  the run finished).  Each compaction folds the log into the
-  checkpoint and deletes it; :meth:`RunManifest.load` replays a log a
+  resumed, at :meth:`~RunRecorder.finish` and when the recorder
+  closes (``status`` stays ``running`` unless the run finished).  Each
+  compaction folds the log into the checkpoint and deletes it;
+  :meth:`RunManifest.load` replays a log a
   ``kill -9`` left over its checkpoint, up to the first torn or
   unparsable line, which is never trusted;
 * those rewrites are the only fsyncs: neither log lines nor cache
   entries are synced, and a power loss is covered by validation.  On
   resume, :func:`validate_resume` re-derives the plan from the
   *current* world and checks every journaled fate against it (REQ-10,
-  "checkpoint recovery integrity").  A fate whose key is still planned
-  and whose cache entry verifies is **reused**, served from the
-  payload the check already read; a key the new plan no longer
-  produces (config drift, a ``BACKEND_VERSION`` bump) is **stale**; a
-  key whose entry is missing or damaged is **missing** or
-  **invalidated** (the damaged file is deleted).  A fate line lost to
+  "checkpoint recovery integrity") before the staging round that
+  declares its key.  A fate whose cache entry verifies is **reused**,
+  served from the payload the check already read; a key whose entry is
+  missing or damaged is **missing** or **invalidated** (the damaged
+  file is deleted); a key the resumed round never declares (config
+  drift, a ``BACKEND_VERSION`` bump) is **stale**.  A fate line lost to
   a power cut only means its point is served if its entry verifies
   and recomputed if not.  Recomputation is deterministic, so resumed
   output is byte-identical to an uninterrupted run.
@@ -41,6 +44,7 @@ content-addressed :class:`~repro.sim.plan.ResultCache`, which is why
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -56,6 +60,7 @@ __all__ = [
     "ResumeReport",
     "validate_resume",
     "config_hash",
+    "check_inputs",
     "manifest_path",
     "DEFAULT_RUNS_DIR",
     "MANIFEST_NAME",
@@ -119,6 +124,37 @@ def manifest_path(runs_dir: str | Path, run_id: str) -> Path:
     return Path(runs_dir) / run_id / MANIFEST_NAME
 
 
+def _input_digests(paths) -> dict[str, str]:
+    """The sha256 of each input file's bytes, keyed by its path as given."""
+    import hashlib
+
+    digests = {}
+    for path in paths:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise ReproError(f"{path}: unreadable input file ({exc.strerror})") from None
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def check_inputs(manifest: "RunManifest") -> None:
+    """Refuse a resume whose input files changed since the run began.
+
+    A run's tables are a function of its input file as much as of its
+    argv; resuming over an edited file would mix two inputs under one
+    run id.  Manifests written before 1.28 record no digests and
+    resume unchecked.
+    """
+    for path, digest in _input_digests(manifest.inputs).items():
+        if digest != manifest.inputs[path]:
+            raise ReproError(
+                f"{path}: changed since run {manifest.run_id!r} started "
+                "(sha256 differs from the manifest's); restore the file "
+                "or start a new --run-id"
+            )
+
+
 def _read_fates_log(path: Path) -> dict[str, str]:
     """The fates of the log's valid prefix, in append order (last wins).
 
@@ -166,12 +202,9 @@ class RunManifest:
     #: zero-duplicate-work acceptance check.
     reused: int = 0
     recomputed: int = 0
-    #: Adaptive-replicate decision journal (``{"policy": ...,
-    #: "families": {label: {"waves": [...], "converged": ...}}}``) —
-    #: every wave the engine staged and every per-row stopping
-    #: decision, so a resume replays them verbatim instead of
-    #: re-deriving convergence.  Empty for fixed-replicate runs.
-    adaptive: dict = field(default_factory=dict)
+    #: input file path -> sha256 of its bytes when the run began
+    #: (:func:`check_inputs`).  Empty for commands without one.
+    inputs: dict = field(default_factory=dict)
     #: Metrics-registry snapshot (``repro-metrics/1``) taken when the
     #: run finished — what ``resume`` diffs its own round against.
     #: Empty until a recorder with a registry finishes.
@@ -200,11 +233,11 @@ class RunManifest:
             "recomputed": self.recomputed,
             "fates": self.fates,
         }
-        # Only adaptive runs carry the journal, and only finished runs
-        # carry a metrics snapshot; manifests written before those
-        # features keep their historical shape byte-for-byte.
-        if self.adaptive:
-            out["adaptive"] = self.adaptive
+        # Only commands that read an input file carry digests, and
+        # only finished runs carry a metrics snapshot; manifests
+        # written before those features keep their historical shape.
+        if self.inputs:
+            out["inputs"] = self.inputs
         if self.metrics:
             out["metrics"] = self.metrics
         return out
@@ -226,7 +259,7 @@ class RunManifest:
             fates=dict(data.get("fates", {})),
             reused=data.get("reused", 0),
             recomputed=data.get("recomputed", 0),
-            adaptive=dict(data.get("adaptive", {})),
+            inputs=dict(data.get("inputs", {})),
             metrics=dict(data.get("metrics", {})),
         )
 
@@ -297,8 +330,13 @@ class RunRecorder:
         run_id: str,
         argv: list[str] | tuple[str, ...],
         metrics=None,
+        inputs=(),
     ) -> "RunRecorder":
-        """Start a fresh run journal; refuses to clobber an existing one."""
+        """Start a fresh run journal; refuses to clobber an existing one.
+
+        ``inputs`` are the files the command reads (a scenario or spec
+        file): their digests pin them for :func:`check_inputs`.
+        """
         path = manifest_path(runs_dir, run_id)
         if path.exists():
             raise ReproError(
@@ -306,7 +344,10 @@ class RunRecorder:
                 f"resume it (`repro-experiments resume {run_id}` or --resume), "
                 f"or pick a new --run-id"
             )
-        return cls(path, RunManifest(run_id=run_id, argv=tuple(argv)), metrics=metrics)
+        manifest = RunManifest(
+            run_id=run_id, argv=tuple(argv), inputs=_input_digests(inputs)
+        )
+        return cls(path, manifest, metrics=metrics)
 
     @classmethod
     def resume(
@@ -362,17 +403,6 @@ class RunRecorder:
         self._log.write(json.dumps([key, fate]) + "\n")
         self._log.flush()
 
-    def record_adaptive(self, journal: dict) -> None:
-        """Journal the adaptive engine's staging/stopping decisions.
-
-        Called the moment a wave is *staged* (before any of its points
-        resolve) and after each convergence evaluation, so a crash at
-        any instant leaves every decision taken so far on disk — a
-        resume replays the journal instead of re-deriving convergence.
-        """
-        self.manifest.adaptive = journal
-        self.write()
-
     def finish(self, status: str = "complete") -> None:
         if self.metrics is not None and len(self.metrics):
             self.manifest.metrics = self.metrics.snapshot()
@@ -414,18 +444,18 @@ class ResumeReport:
     run_id: str
     backend_changed: bool
     config_changed: bool
-    reusable: tuple[str, ...]
-    invalidated: tuple[str, ...]  # cache entry corrupt: deleted, recomputed
-    missing: tuple[str, ...]  # cache entry vanished: recomputed
-    stale: tuple[str, ...]  # key absent from the re-derived plan
-    pending: int  # points the resumed round still has to deliver
+    reusable: tuple[str, ...] = ()
+    invalidated: tuple[str, ...] = ()  # cache entry corrupt: deleted, recomputed
+    missing: tuple[str, ...] = ()  # cache entry vanished: recomputed
+    stale: tuple[str, ...] = ()  # key the resumed round has not declared
+    pending: int = 0  # points the resumed round has declared
 
     def lines(self) -> list[str]:
         """Human-readable validation summary (one ``[resume]`` line each)."""
         done = len(self.reusable) + len(self.invalidated) + len(self.missing)
         out = [
             f"[resume] run {self.run_id!r}: {done + len(self.stale)} journaled "
-            f"fates, {self.pending} points pending this round",
+            f"fates, {self.pending} points declared this round",
         ]
         if self.backend_changed:
             out.append(
@@ -450,28 +480,44 @@ def validate_resume(
     pending_keys,
     cache,
     argv: list[str] | tuple[str, ...] | None = None,
+    report: ResumeReport | None = None,
 ) -> ResumeReport:
-    """Check every journaled fate against the current world.
+    """Check journaled fates against the current world.
 
     ``pending_keys`` is the set of plan keys the resumed invocation is
     about to resolve (re-derived from current code and config — these
     keys embed model parameters, seed, backend and
     :data:`~repro.sim.plan.BACKEND_VERSION`), ``cache`` the result
-    cache that would serve them.  Corrupt cache entries are deleted
-    here so they read as clean misses; everything else is reported,
-    not mutated.
+    cache that would serve them.  Each journaled fate whose key is
+    pending is checked against its entry; the others are stale *so
+    far*.  A round that declares more points as it goes (an adaptive
+    run stages each wave from the data of the last) calls this again
+    before every staging round, passing the previous ``report``: only
+    its stale fates are checked, and the counts accumulate, so what is
+    stale when the round ends is what the round never declared.
+    Corrupt cache entries are deleted here so they read as clean
+    misses; everything else is reported, not mutated.
     """
     pending_keys = set(pending_keys)
-    backend_changed = manifest.backend_version != BACKEND_VERSION
-    # The resumed round runs under the *current* backend; stamp it so
-    # the manifest reflects the world its newest fates come from (the
-    # drift was captured in backend_changed just above).
-    manifest.backend_version = BACKEND_VERSION
+    if report is None:
+        report = ResumeReport(
+            run_id=manifest.run_id,
+            backend_changed=manifest.backend_version != BACKEND_VERSION,
+            config_changed=(
+                manifest.config
+                != config_hash(argv if argv is not None else manifest.argv)
+            ),
+            stale=tuple(sorted(manifest.fates)),
+        )
+        # The resumed round runs under the *current* backend; stamp it
+        # so the manifest reflects the world its newest fates come from
+        # (the drift is captured in backend_changed just above).
+        manifest.backend_version = BACKEND_VERSION
     reusable: list[str] = []
     invalidated: list[str] = []
     missing: list[str] = []
     stale: list[str] = []
-    for key, fate in sorted(manifest.fates.items()):
+    for key in report.stale:
         if key not in pending_keys:
             stale.append(key)
             continue
@@ -483,15 +529,11 @@ def validate_resume(
         else:
             cache.invalidate(key)
             invalidated.append(key)
-    return ResumeReport(
-        run_id=manifest.run_id,
-        backend_changed=backend_changed,
-        config_changed=(
-            manifest.config != config_hash(argv if argv is not None else manifest.argv)
-        ),
-        reusable=tuple(reusable),
-        invalidated=tuple(invalidated),
-        missing=tuple(missing),
+    return dataclasses.replace(
+        report,
+        reusable=report.reusable + tuple(reusable),
+        invalidated=report.invalidated + tuple(invalidated),
+        missing=report.missing + tuple(missing),
         stale=tuple(stale),
-        pending=len(pending_keys),
+        pending=report.pending + len(pending_keys),
     )

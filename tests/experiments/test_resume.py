@@ -342,6 +342,91 @@ seed = 11
         assert capsys.readouterr().out == reference
 
 
+class TestEditedInputRefused:
+    """A resume re-reads the command's input file: if its bytes changed
+    since the run started, the resume is refused before any work (exit
+    1, nothing printed or written) instead of journaling another
+    input's tables under the original run id."""
+
+    EXAMPLES = Path(__file__).parents[2] / "examples"
+
+    @staticmethod
+    def _snapshot(tmp_path) -> dict[str, bytes]:
+        return {
+            str(path.relative_to(tmp_path)): path.read_bytes()
+            for root in ("runs", "cache")
+            for path in sorted((tmp_path / root).rglob("*"))
+            if path.is_file()
+        }
+
+    def _crash_edit_resume(self, tmp_path, capsys, argv, source, edit):
+        """Crash ``argv`` on a copy of ``source``, apply ``edit`` to the
+        copy's text, resume; return the refusal message."""
+        copy = tmp_path / source.name
+        copy.write_text(source.read_text())
+        args = [
+            *[str(copy) if a == "FILE" else a for a in argv],
+            "--cache-dir", str(tmp_path / "cache"),
+            "--runs-dir", str(tmp_path / "runs"), "--run-id", "e1",
+        ]
+        assert main(args + ["--fault-plan", "crash-after=5"]) == CRASH_EXIT_CODE
+        capsys.readouterr()
+        old, new = edit
+        assert old in copy.read_text()
+        copy.write_text(copy.read_text().replace(old, new))
+        before = self._snapshot(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", "e1", "--runs-dir", str(tmp_path / "runs")])
+        message = exc.value.code
+        assert isinstance(message, str)  # a message exit: status 1
+        assert capsys.readouterr().out == ""
+        assert self._snapshot(tmp_path) == before
+        assert message.startswith(f"{copy}: changed since run 'e1' started")
+        return message
+
+    def test_edited_scenario_file(self, tmp_path, capsys):
+        self._crash_edit_resume(
+            tmp_path, capsys,
+            ["scenario", "report", "FILE", "--runs", "4", "--patterns", "6"],
+            self.EXAMPLES / "scenario_jitter.toml",
+            ("width = 0.1", "width = 0.3"),
+        )
+
+    def test_edited_sweep_spec(self, tmp_path, capsys):
+        self._crash_edit_resume(
+            tmp_path, capsys,
+            ["sweep", "--spec", "FILE", *FAST_ARGS],
+            self.EXAMPLES / "custom_study.toml",
+            ("alpha = 0.01", "alpha = 0.02"),
+        )
+
+    def test_edited_adaptive_policy(self, tmp_path, capsys):
+        source = tmp_path / "src" / "adaptive.toml"
+        source.parent.mkdir()
+        source.write_text(
+            (self.EXAMPLES / "scenario_jitter.toml").read_text()
+            + "\n[adaptive]\nband_tol = 0.05\n"
+        )
+        self._crash_edit_resume(
+            tmp_path, capsys,
+            ["scenario", "report", "FILE", "--adaptive", "--runs", "4",
+             "--patterns", "6"],
+            source,
+            ("band_tol = 0.05", "band_tol = 0.2"),
+        )
+
+    def test_unchanged_file_resumes(self, tmp_path, capsys):
+        toml = tmp_path / "scenario_jitter.toml"
+        toml.write_text((self.EXAMPLES / "scenario_jitter.toml").read_text())
+        args = ["scenario", "report", str(toml), "--runs", "4", "--patterns", "6",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--runs-dir", str(tmp_path / "runs"), "--run-id", "e1"]
+        assert main(args + ["--fault-plan", "crash-after=30"]) == CRASH_EXIT_CODE
+        toml.touch()  # a new mtime, the same bytes
+        assert main(["resume", "e1", "--runs-dir", str(tmp_path / "runs")]) == 0
+        assert _manifest(tmp_path / "runs", "e1")["recomputed"] == 0
+
+
 class TestCliValidation:
     def test_resume_requires_run_id(self, tmp_path):
         with pytest.raises(SystemExit, match="--resume requires --run-id"):

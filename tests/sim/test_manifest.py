@@ -18,6 +18,7 @@ from repro.sim.manifest import (
     RunManifest,
     RunRecorder,
     _read_fates_log,
+    check_inputs,
     config_hash,
     manifest_path,
     validate_resume,
@@ -140,7 +141,7 @@ class TestRecorder:
         for i in range(5):
             recorder.on_event(_Event(f"k{i}", "computed"))
             assert siblings() == [FATES_LOG_NAME]  # the log, never a temp
-        recorder.record_adaptive({"policy": {}})  # a mid-run compaction
+        recorder.write()  # a mid-run compaction
         assert siblings() == []
         recorder.on_event(_Event("k5", "computed"))
         assert siblings() == [FATES_LOG_NAME]
@@ -329,6 +330,31 @@ class TestValidateResume:
         report = validate_resume(manifest, [], cache, argv=["cmd", "--jobs", "8"])
         assert not report.config_changed
 
+    def test_later_staging_rounds_accumulate(self, tmp_path):
+        """A round that declares more points as it goes (an adaptive
+        resume) checks each journaled fate when its key turns up;
+        only what is never declared stays stale."""
+        cache = ResultCache(tmp_path)
+        for key in ("w0", "w1", "w1bad"):
+            cache.put_value(key, 1.0)
+        cache._path("w1bad").write_bytes(b"torn")
+        manifest = self._manifest(
+            {"w0": "computed", "w1": "computed", "w1bad": "computed",
+             "never": "computed"}
+        )
+        manifest.backend_version -= 1
+        first = validate_resume(manifest, ["w0", "new"], cache)
+        assert first.reusable == ("w0",)
+        assert first.stale == ("never", "w1", "w1bad")
+        assert first.backend_changed
+        report = validate_resume(manifest, ["w1", "w1bad"], cache, report=first)
+        assert report.reusable == ("w0", "w1")
+        assert report.invalidated == ("w1bad",)
+        assert report.stale == ("never",)
+        assert report.pending == 4
+        assert report.backend_changed  # the first round's finding carries
+        assert not cache._path("w1bad").exists()
+
     def test_report_lines_are_stderr_ready(self, tmp_path):
         cache = ResultCache(tmp_path)
         report = validate_resume(self._manifest({}), [], cache)
@@ -409,26 +435,27 @@ def test_default_runs_dir_is_hidden():
     assert DEFAULT_RUNS_DIR.startswith(".")
 
 
-class TestAdaptiveJournal:
-    JOURNAL = {
-        "policy": {"min_replicates": 3, "max_replicates": 12, "wave": 2,
-                   "band_tol": 0.05, "stable_waves": 2},
-        "families": {"f[Hera]": {"waves": [{"start": 0, "stop": 3,
-                                            "rows": None}],
-                                 "converged": {"0": 1},
-                                 "summary": {"n_rows": 9}}},
-    }
+class TestInputDigests:
+    def test_create_pins_the_input_file(self, tmp_path):
+        spec = tmp_path / "study.toml"
+        spec.write_text("a = 1\n")
+        recorder = RunRecorder.create(tmp_path / "runs", "r1", ["sweep"],
+                                      inputs=[str(spec)])
+        stored = json.loads(recorder.path.read_text())["inputs"]
+        assert list(stored) == [str(spec)]
+        manifest = RunManifest.load(recorder.path)
+        check_inputs(manifest)  # unchanged bytes resume
+        spec.write_text("a = 2\n")
+        with pytest.raises(ReproError, match=f"{spec}: changed since run 'r1'"):
+            check_inputs(manifest)
 
-    def test_round_trips_through_json(self, tmp_path):
-        manifest = RunManifest(run_id="r1", argv=("scenario", "run"))
-        path = manifest_path(tmp_path, "r1")
-        recorder = RunRecorder(path, manifest)
-        recorder.record_adaptive(self.JOURNAL)
-        assert RunManifest.load(path).adaptive == self.JOURNAL
+    def test_commands_without_inputs_stay_free_of_the_key(self, tmp_path):
+        recorder = RunRecorder.create(tmp_path, "r1", ["fig5"])
+        assert "inputs" not in json.loads(recorder.path.read_text())
+        check_inputs(RunManifest.load(recorder.path))  # nothing to check
 
-    def test_fixed_runs_stay_free_of_the_key(self, tmp_path):
-        manifest = RunManifest(run_id="r1", argv=("fig5",))
-        path = manifest_path(tmp_path, "r1")
-        RunRecorder(path, manifest)
-        assert "adaptive" not in json.loads(path.read_text())
-        assert RunManifest.load(path).adaptive == {}
+    def test_a_vanished_input_is_refused(self, tmp_path):
+        manifest = RunManifest(run_id="r1", argv=("sweep",),
+                               inputs={str(tmp_path / "gone.toml"): "0" * 64})
+        with pytest.raises(ReproError, match="unreadable input file"):
+            check_inputs(manifest)

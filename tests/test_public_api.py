@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.27.0"
+        assert repro.__version__ == "1.28.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -86,6 +86,28 @@ class TestTopLevel:
 
         assert not hasattr(scenarios, name)
         assert name not in scenarios.__all__
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [("repro.experiments.scenarios.adaptive:AdaptiveRun", "replay"),
+         ("repro.experiments.scenarios.adaptive:AdaptiveRun", "_verify_replayed"),
+         ("repro.experiments.scenarios.adaptive:AdaptiveRun", "attach_recorder"),
+         ("repro.experiments.scenarios.adaptive:AdaptiveRun", "_journal"),
+         ("repro.experiments.scenarios.adaptive:AdaptivePolicy", "to_dict"),
+         ("repro.sim.manifest:RunRecorder", "record_adaptive")],
+    )
+    def test_removed_adaptive_journal_names_are_gone(self, owner, name):
+        """One run journal since 1.28: a resumed adaptive run re-derives
+        its decisions from the cache instead of replaying them."""
+        module, _, cls = owner.partition(":")
+        assert not hasattr(getattr(importlib.import_module(module), cls), name)
+
+    def test_removed_manifest_adaptive_field_is_gone(self):
+        import dataclasses
+
+        from repro.sim.manifest import RunManifest
+
+        assert "adaptive" not in {f.name for f in dataclasses.fields(RunManifest)}
 
     def test_removed_result_fields_are_gone(self):
         import dataclasses
