@@ -1,7 +1,6 @@
 """Ablations of the optimisation stack.
 
-* nested log-zoom allocation search vs the Jin-et-al alternating
-  relaxation (same optimum, different costs);
+* nested log-zoom allocation search;
 * vectorised batch period optimisation vs a scalar loop;
 * log-space zoom vs a naive linear scan over the processor range.
 """
@@ -13,7 +12,6 @@ import pytest
 
 from repro.optimize.allocation import optimize_allocation
 from repro.optimize.period import optimize_period, optimize_period_batch
-from repro.optimize.relaxation import relaxation_optimize
 from repro.platforms import build_model
 
 
@@ -25,14 +23,6 @@ def model():
 def test_nested_allocation_search(benchmark, model):
     result = benchmark(lambda: optimize_allocation(model))
     assert result.interior
-
-
-def test_relaxation_baseline(benchmark, model):
-    result = benchmark(lambda: relaxation_optimize(model))
-    assert result.converged
-    # Same optimum as the nested search (checked tightly in tests/).
-    nested = optimize_allocation(model)
-    assert abs(result.overhead - nested.overhead) / nested.overhead < 1e-5
 
 
 def test_period_batch_vectorised(benchmark, model):

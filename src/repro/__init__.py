@@ -19,7 +19,7 @@ Packages
 --------
 ``repro.core``
     Analytical models (speedup, costs, errors, Proposition 1,
-    Theorems 1-3, validity bounds, Young/Daly baselines).
+    Theorems 1-3, makespan projection).
 ``repro.optimize``
     Numerical optimisers for the exact objective.
 ``repro.platforms``
@@ -29,7 +29,7 @@ Packages
 ``repro.baselines``
     Error-free and fail-stop-only comparison models.
 ``repro.analysis``
-    Slope fits and sensitivity analyses.
+    Slope fits and waste breakdowns.
 ``repro.experiments``
     Figure-regeneration harness (also ``python -m repro``).
 """
@@ -42,11 +42,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "AmdahlSpeedup", "ApplicationSpec", "CheckpointCost", "CostRegime",
         "ErrorModel", "FirstOrderSolution", "GustafsonSpeedup", "PatternModel",
         "PerfectSpeedup", "PowerLawSpeedup", "ResilienceCosts", "SpeedupModel",
-        "VerificationCost", "case3_overhead", "case4_overhead", "check_pattern",
-        "daly_period", "expected_pattern_time", "optimal_pattern",
-        "optimal_period", "overhead_at_optimal_period", "pattern_overhead",
-        "project_makespan", "theorem2_solution", "theorem3_solution",
-        "young_period",
+        "VerificationCost", "expected_pattern_time", "optimal_pattern",
+        "optimal_period", "pattern_overhead", "project_makespan",
+        "theorem2_solution", "theorem3_solution",
     ),
     ".exceptions": (
         "InvalidParameterError", "OptimizationError", "ReproError",
@@ -54,8 +52,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "ValidityError",
     ),
     ".optimize": (
-        "AllocationResult", "PeriodResult", "RelaxationResult",
-        "optimize_allocation", "optimize_period", "relaxation_optimize",
+        "AllocationResult", "PeriodResult", "optimize_allocation",
+        "optimize_period",
     ),
     ".platforms": (
         "PLATFORM_NAMES", "PLATFORMS", "SCENARIO_IDS", "Platform", "Scenario",
@@ -84,15 +82,9 @@ __all__ = [
     "pattern_overhead",
     "FirstOrderSolution",
     "optimal_period",
-    "overhead_at_optimal_period",
     "optimal_pattern",
     "theorem2_solution",
     "theorem3_solution",
-    "case3_overhead",
-    "case4_overhead",
-    "check_pattern",
-    "young_period",
-    "daly_period",
     "ApplicationSpec",
     "project_makespan",
     # optimize
@@ -100,8 +92,6 @@ __all__ = [
     "optimize_period",
     "AllocationResult",
     "optimize_allocation",
-    "RelaxationResult",
-    "relaxation_optimize",
     # platforms
     "Platform",
     "PLATFORMS",

@@ -1,3 +1,3 @@
 """Version information for :mod:`repro`."""
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError
 
-__all__ = ["SlopeFit", "fit_loglog_slope", "estimate_order", "reference_power_law"]
+__all__ = ["SlopeFit", "fit_loglog_slope"]
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,3 @@ def fit_loglog_slope(x, y) -> SlopeFit:
         n_points=int(x.size),
     )
 
-
-def estimate_order(lambdas, values) -> float:
-    """Empirical order ``k`` such that ``values ~ lambda^k``.
-
-    Convention matches the paper: :math:`P^* = \\Theta(\\lambda^{-1/4})`
-    gives ``estimate_order(...) == -0.25`` (approximately).
-    """
-    return fit_loglog_slope(lambdas, values).slope
-
-
-def reference_power_law(x, exponent: float, anchor_x: float, anchor_y: float):
-    """The guide-line ``y = anchor_y * (x/anchor_x)^exponent`` of the figures."""
-    if anchor_x <= 0.0 or anchor_y <= 0.0:
-        raise InvalidParameterError("anchors must be positive")
-    return anchor_y * (np.asarray(x, dtype=float) / anchor_x) ** exponent

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..core.costs import ResilienceCosts, VerificationCost
 from ..core.errors import ErrorModel
-from ..core.first_order import FirstOrderSolution, optimal_pattern, optimal_period
+from ..core.first_order import FirstOrderSolution, optimal_pattern
 from ..core.pattern import PatternModel
 
 __all__ = [
@@ -110,11 +110,3 @@ def price_of_ignoring_silent(model: PatternModel) -> NaiveDeployment:
         optimal_overhead=optimal_overhead,
     )
 
-
-def failstop_optimal_period(model: PatternModel, P: float) -> float:
-    """Optimal period of the fail-stop-only projection at fixed ``P``.
-
-    Young-like: :math:`\\sqrt{2 C_P / \\lambda^f_P}` (no verification).
-    """
-    projected = failstop_projection(model)
-    return float(optimal_period(P, projected.errors, projected.costs))

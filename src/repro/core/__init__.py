@@ -12,10 +12,6 @@ Submodules
     Exact expected pattern time (Proposition 1) and overhead objective.
 ``first_order``
     Closed-form optimal patterns (Theorems 1-3 and degenerate cases).
-``young_daly``
-    Classical Young/Daly baselines.
-``validity``
-    First-order validity bounds (Section III-B).
 ``makespan``
     Application-level makespan projection.
 """
@@ -26,31 +22,19 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".costs": ("CheckpointCost", "CostRegime", "ResilienceCosts", "VerificationCost"),
     ".errors": ("ErrorModel", "expected_time_lost"),
     ".first_order": (
-        "FirstOrderSolution", "asymptotic_orders", "case3_overhead",
-        "case4_overhead", "optimal_pattern", "optimal_pattern_batch",
-        "optimal_period", "overhead_at_optimal_period", "theorem2_solution",
-        "theorem3_solution",
+        "FirstOrderSolution", "optimal_pattern", "optimal_pattern_batch",
+        "optimal_period", "theorem2_solution", "theorem3_solution",
     ),
     ".makespan": (
         "ApplicationSpec", "MakespanReport", "project_makespan", "weak_scaled_work",
     ),
     ".pattern": (
-        "PatternModel", "expected_checkpoint_time", "expected_pattern_time",
-        "expected_pattern_time_first_order", "expected_recovery_time",
-        "expected_work_time", "pattern_overhead", "pattern_speedup",
-        "stack_models",
+        "PatternModel", "expected_pattern_time", "expected_recovery_time",
+        "pattern_overhead", "pattern_speedup", "stack_models",
     ),
     ".speedup": (
         "AmdahlSpeedup", "GustafsonSpeedup", "PerfectSpeedup", "PowerLawSpeedup",
         "SpeedupModel",
-    ),
-    ".validity": (
-        "ValidityReport", "check_pattern", "max_period_order",
-        "max_processor_order", "period_order", "processor_order",
-    ),
-    ".young_daly": (
-        "daly_period", "daly_period_for", "generalized_period", "young_period",
-        "young_period_for",
     ),
 })
 
@@ -72,37 +56,17 @@ __all__ = [
     # pattern
     "PatternModel",
     "expected_pattern_time",
-    "expected_pattern_time_first_order",
     "expected_recovery_time",
-    "expected_checkpoint_time",
-    "expected_work_time",
     "pattern_overhead",
     "pattern_speedup",
     "stack_models",
     # first order
     "FirstOrderSolution",
     "optimal_period",
-    "overhead_at_optimal_period",
     "optimal_pattern",
     "optimal_pattern_batch",
     "theorem2_solution",
     "theorem3_solution",
-    "case3_overhead",
-    "case4_overhead",
-    "asymptotic_orders",
-    # young/daly
-    "young_period",
-    "daly_period",
-    "young_period_for",
-    "daly_period_for",
-    "generalized_period",
-    # validity
-    "ValidityReport",
-    "check_pattern",
-    "max_processor_order",
-    "max_period_order",
-    "processor_order",
-    "period_order",
     # makespan
     "ApplicationSpec",
     "MakespanReport",

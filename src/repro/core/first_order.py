@@ -37,8 +37,7 @@ finite first-order optimum exists; callers must use the numerical
 optimiser (:mod:`repro.optimize.allocation`).
 
 **Case 4** (``alpha = 0``): same situation — the overhead decreases
-monotonically in every cost regime; :func:`case4_overhead` gives the
-first-order overhead curves listed in Section III-D.4.
+monotonically in every cost regime (Section III-D.4).
 
 The striking asymptotic orders are: :math:`P^* = \\Theta(\\lambda^{-1/4})`
 with :math:`T^* = \\Theta(\\lambda^{-1/2})` for linear checkpoint cost,
@@ -60,14 +59,10 @@ from .speedup import AmdahlSpeedup
 __all__ = [
     "FirstOrderSolution",
     "optimal_period",
-    "overhead_at_optimal_period",
     "theorem2_solution",
     "theorem3_solution",
     "optimal_pattern",
     "optimal_pattern_batch",
-    "case3_overhead",
-    "case4_overhead",
-    "asymptotic_orders",
 ]
 
 
@@ -120,19 +115,6 @@ def optimal_period(P, errors: ErrorModel, costs: ResilienceCosts):
             "period is unbounded (never checkpoint)."
         )
     result = np.sqrt(np.asarray(combined) / lam_arr)
-    return float(result) if np.ndim(P) == 0 else result
-
-
-def overhead_at_optimal_period(P, model: PatternModel):
-    """Theorem 1, Eq. (8): first-order overhead :math:`H(T^*_P, P)`.
-
-    Vectorised over ``P``; this is the curve swept in Figure 3.
-    """
-    errors, costs = model.errors, model.costs
-    lam = errors.fail_stop_rate(P) / 2.0 + errors.silent_rate(P)
-    combined = costs.combined_cost(P)
-    H = model.speedup.overhead(P)
-    result = np.asarray(H) * (1.0 + 2.0 * np.sqrt(np.asarray(lam) * np.asarray(combined)))
     return float(result) if np.ndim(P) == 0 else result
 
 
@@ -258,72 +240,3 @@ def optimal_pattern_batch(models) -> list["FirstOrderSolution | None"]:
             out.append(None)
     return out
 
-
-def case3_overhead(P, model: PatternModel):
-    """Case 3 first-order overhead: ``C_P + V_P = h/P``.
-
-    :math:`H(T^*_P, P) = H(P)\\,(1 + 2\\sqrt{hL})` — monotonically
-    decreasing in ``P``; valid only while ``P`` stays within
-    :math:`O(\\lambda^{-1/2})` (Section III-B).  Vectorised over ``P``.
-    """
-    costs = model.costs
-    if costs.regime is not CostRegime.DECAYING:
-        raise ValidityError(
-            f"case3_overhead applies to the decaying regime; model is {costs.regime.value!r}."
-        )
-    h = costs.h
-    L = model.errors.effective_lambda
-    H = model.speedup.overhead(P)
-    result = np.asarray(H) * (1.0 + 2.0 * np.sqrt(h * L))
-    return float(result) if np.ndim(P) == 0 else result
-
-
-def case4_overhead(P, model: PatternModel):
-    """Case 4 (``alpha = 0``): first-order overhead of a perfectly parallel job.
-
-    Section III-D.4 gives, with :math:`L = (f/2+s)\\lambda_{ind}`:
-
-    * ``c != 0``            : :math:`1/P + 2\\sqrt{cL}`
-    * ``c = 0, d != 0``     : :math:`1/P + 2\\sqrt{dL/P}`
-    * ``c = 0, d = 0``      : :math:`(1/P)(1 + 2\\sqrt{hL})`
-
-    All decrease monotonically in ``P``; vectorised over ``P``.
-    """
-    if not (isinstance(model.speedup, AmdahlSpeedup) and model.speedup.alpha == 0.0):
-        raise ValidityError("case4_overhead requires a perfectly parallel job (alpha = 0).")
-    costs = model.costs
-    L = model.errors.effective_lambda
-    P_arr = np.asarray(P, dtype=float)
-    if costs.c != 0.0:
-        result = 1.0 / P_arr + 2.0 * np.sqrt(costs.c * L)
-    elif costs.d != 0.0:
-        result = 1.0 / P_arr + 2.0 * np.sqrt(costs.d * L / P_arr)
-    else:
-        result = (1.0 + 2.0 * np.sqrt(costs.h * L)) / P_arr
-    return float(result) if np.ndim(P) == 0 else result
-
-
-def asymptotic_orders(regime: CostRegime, alpha: float) -> dict[str, float | None]:
-    """Asymptotic orders ``P* = Θ(λ^-x)``, ``T* = Θ(λ^-y)``, ``H*-α = Θ(λ^z)``.
-
-    Returns a dict with keys ``"x"``, ``"y"``, ``"z"`` (``None`` where the
-    quantity is unbounded / not a power law).  These are the slopes the
-    Figure 5/6 log-log fits validate:
-
-    * LINEAR, alpha>0:   x=1/4, y=1/2, z=1/4   (Theorem 2)
-    * CONSTANT, alpha>0: x=1/3, y=1/3, z=1/3   (Theorem 3)
-    * LINEAR, alpha=0:   x≈1/2, y≈1/2, z≈1/2   (numerical, Fig. 6)
-    * CONSTANT/DECAYING, alpha=0: x≈1, y≈0, z≈1 (numerical, Fig. 6)
-    """
-    if alpha > 0.0:
-        if regime is CostRegime.LINEAR:
-            return {"x": 0.25, "y": 0.5, "z": 0.25}
-        if regime is CostRegime.CONSTANT:
-            return {"x": 1.0 / 3.0, "y": 1.0 / 3.0, "z": 1.0 / 3.0}
-        # Case 3: first-order P* unbounded (within validity x < 1/2).
-        return {"x": None, "y": None, "z": None}
-    if regime is CostRegime.LINEAR:
-        return {"x": 0.5, "y": 0.5, "z": 0.5}
-    if regime is CostRegime.CONSTANT:
-        return {"x": 1.0, "y": 0.0, "z": 1.0}
-    return {"x": 1.0, "y": 0.0, "z": 1.0}

@@ -23,12 +23,13 @@ The proof decomposes :math:`E = E(T + V_P) + E(C_P)` with
     E(T + V_P) &= e^{\\lambda^s T}(e^{\\lambda^f (T+V)} - 1)(1/\\lambda^f + D)
                   + (e^{\\lambda^f (T+V) + \\lambda^s T} - 1) E(R),
 
-all of which are exposed here because the Monte-Carlo simulators validate
-against them component by component.  (The published text of the paper
+of which :math:`E(R_P)` is exposed here (the two-level extension uses it);
+the other two recurrences live in ``tests/prop1_oracle.py``, where the
+tests check that they sum to Eq. (2).  (The published text of the paper
 renders the :math:`E(T+V_P)` intermediate with a stray
 :math:`e^{\\lambda^s(T+V)}(T+V)` term; re-deriving the recurrence — done in
-``tests/test_pattern.py`` symbolically and numerically — confirms the two-term
-form above, which is the one consistent with the final Eq. (2).)
+``tests/core/test_pattern.py`` numerically — confirms the two-term form
+above, which is the one consistent with the final Eq. (2).)
 
 Every function is vectorised: ``T`` and ``P`` may be scalars or numpy
 arrays (broadcast together), which is how the figure sweeps evaluate
@@ -57,9 +58,6 @@ from .speedup import AmdahlSpeedup, GustafsonSpeedup, PowerLawSpeedup, SpeedupMo
 __all__ = [
     "expected_pattern_time",
     "expected_recovery_time",
-    "expected_checkpoint_time",
-    "expected_work_time",
-    "expected_pattern_time_first_order",
     "pattern_overhead",
     "pattern_speedup",
     "PatternModel",
@@ -117,53 +115,6 @@ def expected_recovery_time(P, errors: ErrorModel, costs: ResilienceCosts):
     return _scalarize(result, P, lam_f)
 
 
-def expected_work_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
-    """Expected time to complete the work + verification segment, E(T + V_P).
-
-    Both error sources can force re-execution: fail-stop errors interrupt
-    anywhere in ``T + V_P``; silent errors (struck during ``T`` only) are
-    caught by the verification and trigger a recovery plus re-execution.
-    """
-    _validate_period(T)
-    T, lam_f, lam_s, C, R, V, D = _rates_and_costs(T, P, errors, costs)
-    A = T + V
-    ER = expected_recovery_time(P, errors, costs)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        generic = np.exp(lam_s * T) * np.expm1(lam_f * A) * (1.0 / np.asarray(lam_f) + D) + np.expm1(
-            lam_f * A + lam_s * T
-        ) * np.asarray(ER)
-        # lambda_f == 0 limit: every attempt of A survives fail-stop errors;
-        # silent errors force a geometric number of (A + R) re-executions.
-        silent_only = np.exp(lam_s * T) * A + np.expm1(lam_s * T) * np.asarray(R)
-    result = np.where(np.asarray(lam_f) > 0.0, generic, silent_only)
-    result = np.where(np.isnan(result), np.inf, result)
-    return _scalarize(result, T, P, lam_f)
-
-
-def expected_checkpoint_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
-    """Expected time to store the checkpoint at the end of a pattern, E(C_P).
-
-    A fail-stop error during checkpointing costs the lost time, the
-    downtime, a recovery and a *full pattern re-execution* before the
-    checkpoint can be retried — hence the dependence on ``T``.
-    """
-    _validate_period(T)
-    T, lam_f, lam_s, C, R, V, D = _rates_and_costs(T, P, errors, costs)
-    ER = expected_recovery_time(P, errors, costs)
-    EA = expected_work_time(T, P, errors, costs)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        generic = np.expm1(lam_f * C) * (
-            1.0 / np.asarray(lam_f) + D + np.asarray(ER) + np.asarray(EA)
-        )
-    result = np.where(np.asarray(lam_f) > 0.0, generic, np.asarray(C, dtype=float))
-    # 0 * inf (free checkpoint but overflowed work expectation) is 0: a
-    # cost-free segment completes instantly regardless.
-    zero_cost = np.asarray(C, dtype=float) == 0.0
-    result = np.where(np.isnan(result) & zero_cost, 0.0, result)
-    result = np.where(np.isnan(result), np.inf, result)
-    return _scalarize(result, T, P, lam_f)
-
-
 def expected_pattern_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
     """Exact expected execution time of PATTERN(T, P) — Proposition 1, Eq. (2).
 
@@ -219,36 +170,6 @@ def _pattern_time(T, P, errors: ErrorModel, costs: ResilienceCosts):
     # When the exponentials overflow, products involving inf can read as
     # NaN; the true expectation is beyond float range: report +inf.
     result = np.where(np.isnan(result), np.inf, result)
-    return _scalarize(result, T, P)
-
-
-def expected_pattern_time_first_order(T, P, errors: ErrorModel, costs: ResilienceCosts):
-    """Second-order Taylor expansion of E(T, P) used in the proof of Theorem 1.
-
-    .. math::
-
-        E \\approx T + V + C
-            + (\\lambda^f/2 + \\lambda^s) T^2
-            + \\lambda^f T (V + C + R + D)
-            + \\lambda^s T (V + R)
-            + \\lambda^f C (C/2 + R + V + D)
-            + \\lambda^f V (V + R + D)
-
-    Valid when all of :math:`\\lambda^f_P (T + V + C + R)` and
-    :math:`\\lambda^s_P T` are :math:`\\ll 1` (Section III-B).
-    """
-    _validate_period(T)
-    T, lam_f, lam_s, C, R, V, D = _rates_and_costs(T, P, errors, costs)
-    result = (
-        T
-        + V
-        + C
-        + (lam_f / 2.0 + lam_s) * T**2
-        + lam_f * T * (V + C + R + D)
-        + lam_s * T * (V + R)
-        + lam_f * C * (C / 2.0 + R + V + D)
-        + lam_f * V * (V + R + D)
-    )
     return _scalarize(result, T, P)
 
 
@@ -460,10 +381,6 @@ class PatternModel:
         """Exact :math:`E(T, P)` (Proposition 1)."""
         return expected_pattern_time(T, P, self.errors, self.costs)
 
-    def expected_time_first_order(self, T, P):
-        """Taylor-expanded :math:`E(T, P)` (Theorem 1 proof)."""
-        return expected_pattern_time_first_order(T, P, self.errors, self.costs)
-
     def overhead(self, T, P):
         """Expected execution overhead :math:`H(T, P)`."""
         return pattern_overhead(T, P, self.errors, self.costs, self.speedup)
@@ -479,10 +396,6 @@ class PatternModel:
     def error_free_overhead(self, P):
         """Failure-free floor :math:`H(P)`."""
         return self.speedup.overhead(P)
-
-    def expected_work(self, T, P):
-        """:math:`E(T + V_P)` (proof of Proposition 1)."""
-        return expected_work_time(T, P, self.errors, self.costs)
 
     # -- makespan projection ----------------------------------------------
 

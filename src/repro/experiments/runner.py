@@ -51,7 +51,7 @@ from .registry import REGISTRY, STUDIES, get_spec
 
 if TYPE_CHECKING:
     from ..io.stream import StreamingEmitter
-    from ..sim.manifest import ResumeReport, RunRecorder
+    from ..sim.manifest import ResumeReport, RunManifest
     from .common import FigureResult, SimSettings
     from .pipeline import SimulationPipeline
     from .spec import StudySpec
@@ -323,7 +323,7 @@ def _input_files(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _validate_resumed(
-    recorder: RunRecorder,
+    manifest: RunManifest,
     pipeline: SimulationPipeline,
     argv: Sequence[str],
     report: ResumeReport | None = None,
@@ -341,7 +341,7 @@ def _validate_resumed(
     checked = 0 if report is None else len(report.reusable) + len(report.invalidated)
     with pipeline.trace.span("validate") as span:
         report = validate_resume(
-            recorder.manifest, pipeline.pending_keys(), pipeline.cache, argv, report
+            manifest, pipeline.pending_keys(), pipeline.cache, argv, report
         )
         span["points"] = len(report.reusable) + len(report.invalidated) - checked
     return report
@@ -420,19 +420,23 @@ def _run_round(
                                               inputs=_input_files(args))
                 print(f"[run] journaling to {recorder.path}", file=sys.stderr)
             else:
+                def validate(manifest: RunManifest) -> None:
+                    nonlocal report
+                    report = _validate_resumed(manifest, pipeline, argv)
+
                 recorder = RunRecorder.resume(runs_dir, run_id, argv,
-                                              metrics=pipeline.metrics)
+                                              metrics=pipeline.metrics,
+                                              validate=validate)
+                for line in report.drift_lines():
+                    print(line, file=sys.stderr)
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
-        if args.resume:
-            report = _validate_resumed(recorder, pipeline, argv)
-            recorder.write()
 
     def on_round() -> bool:
         nonlocal report
         progressed = run.on_round()
         if report is not None and pipeline.pending_points:
-            report = _validate_resumed(recorder, pipeline, argv, report)
+            report = _validate_resumed(recorder.manifest, pipeline, argv, report)
         return progressed
 
     if on_start is not None:

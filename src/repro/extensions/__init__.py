@@ -13,8 +13,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".twolevel": (
         "SegmentedSolution", "expected_segmented_time", "optimal_segment_count",
-        "optimal_segmented_pattern", "optimize_segments", "segmented_overhead",
-        "segmented_period",
+        "optimize_segments", "segmented_overhead", "segmented_period",
     ),
 })
 
@@ -23,7 +22,6 @@ __all__ = [
     "segmented_overhead",
     "segmented_period",
     "optimal_segment_count",
-    "optimal_segmented_pattern",
     "optimize_segments",
     "SegmentedSolution",
 ]

@@ -66,7 +66,6 @@ __all__ = [
     "segmented_overhead",
     "segmented_period",
     "optimal_segment_count",
-    "optimal_segmented_pattern",
     "optimize_segments",
     "SegmentedSolution",
 ]
@@ -225,25 +224,6 @@ class SegmentedSolution:
     @property
     def segment_length(self) -> float:
         return self.period / self.segments
-
-
-def optimal_segmented_pattern(model: PatternModel, P: float) -> SegmentedSolution:
-    """First-order optimal ``(T*, k*)`` for fixed ``P``.
-
-    Continuous ``k*`` from the closed form, then the matching period;
-    overhead and expected time are evaluated on the *exact* segmented
-    model.
-    """
-    k_star = optimal_segment_count(P, model.errors, model.costs)
-    T_star = float(segmented_period(P, k_star, model.errors, model.costs))
-    return SegmentedSolution(
-        period=T_star,
-        segments=k_star,
-        overhead=float(segmented_overhead(T_star, P, k_star, model)),
-        expected_time=float(
-            expected_segmented_time(T_star, P, k_star, model.errors, model.costs)
-        ),
-    )
 
 
 def optimize_segments(

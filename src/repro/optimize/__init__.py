@@ -16,8 +16,6 @@ provides those solvers:
     Joint ``(T, P)`` optimum — the paper's "optimal" solution.  One
     engine, ``optimize_allocation_batch``, solves a list of models;
     ``optimize_allocation`` is its one-model call.
-``relaxation``
-    Alternating T/P fixed-point baseline (Jin et al. style).
 """
 
 from .._lazy import lazy_exports
@@ -30,7 +28,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".period": (
         "PeriodResult", "optimize_period", "optimize_period_batch",
     ),
-    ".relaxation": ("RelaxationResult", "relaxation_optimize"),
     ".scalar": ("ScalarResult", "brent", "minimize_scalar"),
 })
 
@@ -47,6 +44,4 @@ __all__ = [
     "AllocationResult",
     "optimize_allocation",
     "optimize_allocation_batch",
-    "RelaxationResult",
-    "relaxation_optimize",
 ]

@@ -17,10 +17,9 @@ detects from the returned argmin).
 
 :func:`refine_log_minimum_batch` zooms many columns at once (one
 objective call per round evaluates a ``(points, columns)`` matrix) with
-per-column convergence masking.  The relaxation baseline's allocation
-half-step, ext-segments' period search and the outer loop of
-:func:`repro.optimize.allocation.optimize_allocation` go through it (a
-single search is a one-column call).  Its own arithmetic is per column,
+per-column convergence masking.  Ext-segments' period search and the
+outer loop of :func:`repro.optimize.allocation.optimize_allocation` go
+through it (a single search is a one-column call).  Its own arithmetic is per column,
 so a column's abscissae, updates and break round do not depend on the
 other columns; the objective must keep that property for batched
 columns to equal one-column solves.

@@ -7,7 +7,7 @@ of ``log P`` (for ``T`` at its inner optimum).  Brent's method is
 implemented from first principles so the optimisation path is fully
 deterministic and dependency-light; the test suite cross-validates it
 against ``scipy.optimize``.  It handles one period at a fixed ``P``
-(ext-nodes' integer rounding, sensitivity, the relaxation baseline);
+(ext-nodes' integer rounding);
 the batched log-zoom of :mod:`repro.optimize.period` handles the rest.
 
 Both routines minimise; maximise by negating the objective.

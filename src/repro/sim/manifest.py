@@ -356,8 +356,15 @@ class RunRecorder:
         run_id: str,
         argv: list[str] | tuple[str, ...],
         metrics=None,
+        validate=None,
     ) -> "RunRecorder":
-        """Reopen an existing run journal for a resumed round."""
+        """Reopen an existing run journal for a resumed round.
+
+        ``validate(manifest)`` runs on the loaded manifest before the
+        reopened journal's first checkpoint write, so that one write
+        already carries what validation stamps (the current
+        ``BACKEND_VERSION``, see :func:`validate_resume`).
+        """
         path = manifest_path(runs_dir, run_id)
         manifest = RunManifest.load(path)
         manifest.status = "running"
@@ -368,6 +375,8 @@ class RunRecorder:
         # the resumed argv may override execution flags only, which the
         # hash ignores — a result-relevant drift shows up in validate.
         manifest.argv = tuple(argv)
+        if validate is not None:
+            validate(manifest)
         return cls(path, manifest, metrics=metrics)
 
     # -- journaling --------------------------------------------------------
@@ -450,6 +459,20 @@ class ResumeReport:
     stale: tuple[str, ...] = ()  # key the resumed round has not declared
     pending: int = 0  # points the resumed round has declared
 
+    def drift_lines(self) -> list[str]:
+        """The backend drift, known before the resumed round starts.
+
+        Printed at once: the reopened journal's first write stamps the
+        current backend, so after a crash in this round no later resume
+        would see the drift.
+        """
+        if not self.backend_changed:
+            return []
+        return [
+            "[resume] BACKEND_VERSION changed since the manifest was "
+            "written — every journaled key is stale and recomputes"
+        ]
+
     def lines(self) -> list[str]:
         """Human-readable validation summary (one ``[resume]`` line each)."""
         done = len(self.reusable) + len(self.invalidated) + len(self.missing)
@@ -457,11 +480,6 @@ class ResumeReport:
             f"[resume] run {self.run_id!r}: {done + len(self.stale)} journaled "
             f"fates, {self.pending} points declared this round",
         ]
-        if self.backend_changed:
-            out.append(
-                "[resume] BACKEND_VERSION changed since the manifest was "
-                "written — every journaled key is stale and recomputes"
-            )
         if self.config_changed:
             out.append(
                 "[resume] result-relevant CLI arguments changed — fates that "

@@ -20,13 +20,7 @@ __all__ = [
     "hours",
     "days",
     "years",
-    "to_hours",
-    "to_days",
-    "to_years",
-    "mtbf_to_rate",
-    "rate_to_mtbf",
     "format_duration",
-    "format_rate",
     "format_si",
 ]
 
@@ -57,35 +51,6 @@ def years(x: float) -> float:
     return x * SECONDS_PER_YEAR
 
 
-def to_hours(seconds: float) -> float:
-    """Convert *seconds* to hours."""
-    return seconds / SECONDS_PER_HOUR
-
-
-def to_days(seconds: float) -> float:
-    """Convert *seconds* to days."""
-    return seconds / SECONDS_PER_DAY
-
-
-def to_years(seconds: float) -> float:
-    """Convert *seconds* to Julian years."""
-    return seconds / SECONDS_PER_YEAR
-
-
-def mtbf_to_rate(mtbf_seconds: float) -> float:
-    """Error rate ``lambda = 1/mu`` for an MTBF ``mu`` given in seconds."""
-    if mtbf_seconds <= 0.0:
-        raise ValueError(f"MTBF must be positive, got {mtbf_seconds!r}")
-    return 1.0 / mtbf_seconds
-
-
-def rate_to_mtbf(rate: float) -> float:
-    """MTBF ``mu = 1/lambda`` in seconds for an error rate given in 1/s."""
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
-    return 1.0 / rate
-
-
 def format_duration(seconds: float) -> str:
     """Render a duration with the most natural unit.
 
@@ -110,17 +75,6 @@ def format_duration(seconds: float) -> str:
     if a < 2.0 * SECONDS_PER_YEAR:
         return f"{seconds / SECONDS_PER_DAY:.2f} d"
     return f"{seconds / SECONDS_PER_YEAR:.2f} y"
-
-
-def format_rate(rate: float) -> str:
-    """Render an error rate together with its MTBF.
-
-    >>> format_rate(1e-8)
-    '1e-08 /s (MTBF 3.17 y)'
-    """
-    if rate <= 0.0:
-        return f"{rate:g} /s"
-    return f"{rate:g} /s (MTBF {format_duration(1.0 / rate)})"
 
 
 def format_si(value: float, digits: int = 3) -> str:

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.asymptotics import (
-    estimate_order,
-    fit_loglog_slope,
-    reference_power_law,
-)
+from repro.analysis.asymptotics import fit_loglog_slope
 from repro.exceptions import InvalidParameterError
 
 
@@ -72,7 +68,7 @@ class TestOrderEstimation:
             optimal_pattern(build_model("Hera", 1, lambda_ind=float(l))).processors
             for l in lams
         ]
-        assert estimate_order(lams, P) == pytest.approx(-0.25, abs=1e-9)
+        assert fit_loglog_slope(lams, P).slope == pytest.approx(-0.25, abs=1e-9)
 
     def test_theorem3_order_on_closed_form(self):
         from repro.core import optimal_pattern
@@ -83,18 +79,5 @@ class TestOrderEstimation:
             optimal_pattern(build_model("Hera", 3, lambda_ind=float(l))).processors
             for l in lams
         ]
-        assert estimate_order(lams, P) == pytest.approx(-1.0 / 3.0, abs=1e-9)
+        assert fit_loglog_slope(lams, P).slope == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
-
-class TestReferenceLine:
-    def test_passes_through_anchor(self):
-        y = reference_power_law(2.0, -0.5, anchor_x=2.0, anchor_y=10.0)
-        assert y == pytest.approx(10.0)
-
-    def test_slope(self):
-        y = reference_power_law(np.array([1.0, 100.0]), -0.5, 1.0, 1.0)
-        assert y[1] == pytest.approx(0.1)
-
-    def test_rejects_bad_anchor(self):
-        with pytest.raises(InvalidParameterError):
-            reference_power_law(1.0, -0.5, 0.0, 1.0)

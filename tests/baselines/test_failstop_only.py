@@ -10,7 +10,6 @@ from repro.baselines import (
     naive_pattern,
     price_of_ignoring_silent,
 )
-from repro.baselines.failstop_only import failstop_optimal_period
 from repro.core import optimal_pattern, optimal_period
 
 
@@ -43,7 +42,8 @@ class TestProjection:
         P = 256.0
         lam_f = hera_sc1.errors.fail_stop_rate(P)
         C = hera_sc1.costs.checkpoint_cost(P)
-        assert failstop_optimal_period(hera_sc1, P) == pytest.approx(
+        projected = failstop_projection(hera_sc1)
+        assert optimal_period(P, projected.errors, projected.costs) == pytest.approx(
             np.sqrt(2.0 * C / lam_f)
         )
 

@@ -19,12 +19,8 @@ from repro.core import (
     PatternModel,
     ResilienceCosts,
     VerificationCost,
-    asymptotic_orders,
-    case3_overhead,
-    case4_overhead,
     optimal_pattern,
     optimal_period,
-    overhead_at_optimal_period,
     theorem2_solution,
     theorem3_solution,
 )
@@ -43,15 +39,15 @@ class TestTheorem1:
             expected
         )
 
-    def test_reduces_to_young_without_silent_errors(self):
-        # f = 1, V = 0: T* = sqrt(2 C / lambda_f) = Young with mu = 1/lambda_f.
-        errors = ErrorModel.fail_stop_only(1e-7)
-        costs = ResilienceCosts.simple(checkpoint=120.0)
-        P = 64
-        lam_f = errors.fail_stop_rate(P)
-        assert optimal_period(P, errors, costs) == pytest.approx(
-            np.sqrt(2.0 * 120.0 / lam_f)
-        )
+    def test_is_youngs_period_on_a_fail_stop_only_platform(self):
+        # The title's Young/Daly half: with f = 1 and V = 0, Theorem 1 is
+        # Young's T = sqrt(2 C_P mu_P), mu_P = 1 / lambda^f_P, for any C_P.
+        errors = ErrorModel.fail_stop_only(1e-8)
+        costs = ResilienceCosts(checkpoint=CheckpointCost(a=60.0, b=3000.0, c=0.1))
+        P = np.array([16.0, 256.0, 4096.0, 65536.0])
+        C_P = 60.0 + 3000.0 / P + 0.1 * P
+        young = np.sqrt(2.0 * C_P / (1e-8 * P))
+        assert optimal_period(P, errors, costs) == pytest.approx(young, rel=1e-12)
 
     def test_silent_only_variant(self):
         # f = 0: T* = sqrt((V + C)/lambda_s).
@@ -88,6 +84,35 @@ class TestTheorem1:
         H_opt = optimize_period(hera_sc1, P).overhead
         assert (H_fo - H_opt) / H_opt < 1e-3
 
+    def test_within_paper_bound_on_hera(self, hera_sc1, hera_sc3, hera_sc5):
+        # Figure 3(c): the first-order period costs < 0.2 percentage points
+        # of overhead over the plotted processor range.
+        from repro.optimize import optimize_period
+
+        for model in (hera_sc1, hera_sc3, hera_sc5):
+            for P in (200.0, 800.0, 1400.0):
+                H_fo = model.overhead(optimal_period(P, model.errors, model.costs), P)
+                assert 0.0 <= H_fo - optimize_period(model, P).overhead < 0.002
+
+    def test_young_daly_flatness_folklore(self, hera_sc1):
+        # Missing T* by 2x either way costs only a few percent of overhead.
+        from repro.optimize import optimize_period
+
+        P = 256.0
+        T_fo = optimal_period(P, hera_sc1.errors, hera_sc1.costs)
+        H_opt = optimize_period(hera_sc1, P).overhead
+        for factor in (0.5, 2.0):
+            assert 1.0 < hera_sc1.overhead(factor * T_fo, P) / H_opt < 1.05
+
+    def test_shorter_than_young_with_silent_errors(self):
+        # Silent errors push the period below the fail-stop-only Young rule
+        # sqrt(2 C_P / lambda^f_P): a higher effective rate, plus V_P.
+        errors = ErrorModel(lambda_ind=1e-7, fail_stop_fraction=0.5)
+        costs = ResilienceCosts.simple(checkpoint=100.0, verification=20.0)
+        P = 100
+        young = np.sqrt(2.0 * 100.0 / errors.fail_stop_rate(P))
+        assert optimal_period(P, errors, costs) < young
+
     def test_vectorised_over_p(self, hera_sc1):
         P = np.array([128.0, 512.0, 1024.0])
         T = optimal_period(P, hera_sc1.errors, hera_sc1.costs)
@@ -109,16 +134,6 @@ class TestTheorem1:
         P = np.array([128.0, 512.0, 1024.0])
         T = optimal_period(P, hera_sc3.errors, hera_sc3.costs)
         assert T[0] > T[1] > T[2]
-
-    def test_overhead_at_optimal_period_formula(self, hera_sc1):
-        P = 300.0
-        lam = (
-            hera_sc1.errors.fail_stop_rate(P) / 2.0 + hera_sc1.errors.silent_rate(P)
-        )
-        expected = hera_sc1.speedup.overhead(P) * (
-            1.0 + 2.0 * np.sqrt(lam * hera_sc1.costs.combined_cost(P))
-        )
-        assert overhead_at_optimal_period(P, hera_sc1) == pytest.approx(expected)
 
     def test_raises_on_error_free_platform(self):
         errors = ErrorModel(lambda_ind=0.0, fail_stop_fraction=0.5)
@@ -283,69 +298,59 @@ class TestDispatch:
         assert fo.overhead == pytest.approx(num.overhead, rel=1e-4)
 
 
+def _overhead_at_first_order_period(model: PatternModel, P):
+    """Exact H(T*_P, P) at Theorem 1's period."""
+    return model.overhead(optimal_period(P, model.errors, model.costs), P)
+
+
 class TestDegenerateCases:
+    """Section III-D's closed forms, checked on the exact objective.
+
+    The closed forms are first-order, so they are compared where errors are
+    rare (lambda_ind = 1e-12): there the exact overhead at T*_P must match
+    them, and decrease in P as the paper's "use every processor" reads.
+    """
+
+    LAMBDA = 1e-12
+
     def test_case3_overhead_formula(self, decaying_cost_model):
-        P = 1000.0
-        h = decaying_cost_model.costs.h
-        L = decaying_cost_model.errors.effective_lambda
-        expected = decaying_cost_model.speedup.overhead(P) * (1 + 2 * np.sqrt(h * L))
-        assert case3_overhead(P, decaying_cost_model) == pytest.approx(expected)
-
-    def test_case3_monotone_decreasing(self, decaying_cost_model):
-        P = np.logspace(1, 5, 30)
-        H = case3_overhead(P, decaying_cost_model)
-        assert np.all(np.diff(H) < 0)
-
-    def test_case3_rejects_other_regimes(self, linear_cost_model):
-        with pytest.raises(ValidityError):
-            case3_overhead(100.0, linear_cost_model)
-
-    def test_case4_linear_costs(self, linear_cost_model):
-        model = linear_cost_model.with_alpha(0.0)
-        P = 1000.0
-        c = model.costs.c
-        L = model.errors.effective_lambda
-        assert case4_overhead(P, model) == pytest.approx(1 / P + 2 * np.sqrt(c * L))
-
-    def test_case4_constant_costs(self, constant_cost_model):
-        model = constant_cost_model.with_alpha(0.0)
-        P = 1000.0
-        d = model.costs.d
-        L = model.errors.effective_lambda
-        assert case4_overhead(P, model) == pytest.approx(1 / P + 2 * np.sqrt(d * L / P))
-
-    def test_case4_decaying_costs(self, decaying_cost_model):
-        model = decaying_cost_model.with_alpha(0.0)
+        model = decaying_cost_model.with_lambda(self.LAMBDA)
         P = 1000.0
         h = model.costs.h
         L = model.errors.effective_lambda
-        assert case4_overhead(P, model) == pytest.approx((1 + 2 * np.sqrt(h * L)) / P)
+        expected = model.speedup.overhead(P) * (1 + 2 * np.sqrt(h * L))
+        assert _overhead_at_first_order_period(model, P) == pytest.approx(expected, rel=1e-4)
 
-    def test_case4_requires_alpha_zero(self, linear_cost_model):
-        with pytest.raises(ValidityError):
-            case4_overhead(100.0, linear_cost_model)
-
-    def test_case4_monotone_decreasing(self, constant_cost_model):
-        model = constant_cost_model.with_alpha(0.0)
-        P = np.logspace(1, 6, 40)
-        H = case4_overhead(P, model)
+    def test_case3_monotone_decreasing(self, decaying_cost_model):
+        model = decaying_cost_model.with_lambda(self.LAMBDA)
+        H = _overhead_at_first_order_period(model, np.logspace(1, 5, 30))
         assert np.all(np.diff(H) < 0)
 
+    def test_case4_linear_costs(self, linear_cost_model):
+        model = linear_cost_model.with_alpha(0.0).with_lambda(self.LAMBDA)
+        P = 1000.0
+        c = model.costs.c
+        L = model.errors.effective_lambda
+        expected = 1 / P + 2 * np.sqrt(c * L)
+        assert _overhead_at_first_order_period(model, P) == pytest.approx(expected, rel=1e-4)
 
-class TestAsymptoticOrders:
-    def test_theorem2_orders(self):
-        orders = asymptotic_orders(CostRegime.LINEAR, alpha=0.1)
-        assert orders == {"x": 0.25, "y": 0.5, "z": 0.25}
+    def test_case4_constant_costs(self, constant_cost_model):
+        model = constant_cost_model.with_alpha(0.0).with_lambda(self.LAMBDA)
+        P = 1000.0
+        d = model.costs.d
+        L = model.errors.effective_lambda
+        expected = 1 / P + 2 * np.sqrt(d * L / P)
+        assert _overhead_at_first_order_period(model, P) == pytest.approx(expected, rel=1e-4)
 
-    def test_theorem3_orders(self):
-        orders = asymptotic_orders(CostRegime.CONSTANT, alpha=0.1)
-        assert orders["x"] == pytest.approx(1 / 3)
-        assert orders["y"] == pytest.approx(1 / 3)
+    def test_case4_decaying_costs(self, decaying_cost_model):
+        model = decaying_cost_model.with_alpha(0.0).with_lambda(self.LAMBDA)
+        P = 1000.0
+        h = model.costs.h
+        L = model.errors.effective_lambda
+        expected = (1 + 2 * np.sqrt(h * L)) / P
+        assert _overhead_at_first_order_period(model, P) == pytest.approx(expected, rel=1e-4)
 
-    def test_case3_orders_undefined(self):
-        orders = asymptotic_orders(CostRegime.DECAYING, alpha=0.1)
-        assert orders["x"] is None
-
-    def test_alpha_zero_orders(self):
-        assert asymptotic_orders(CostRegime.LINEAR, alpha=0.0)["x"] == 0.5
-        assert asymptotic_orders(CostRegime.CONSTANT, alpha=0.0)["x"] == 1.0
+    def test_case4_monotone_decreasing(self, constant_cost_model):
+        model = constant_cost_model.with_alpha(0.0).with_lambda(self.LAMBDA)
+        H = _overhead_at_first_order_period(model, np.logspace(1, 6, 40))
+        assert np.all(np.diff(H) < 0)

@@ -17,17 +17,18 @@ from repro.core import (
     PatternModel,
     ResilienceCosts,
     expected_pattern_time,
-    expected_pattern_time_first_order,
     pattern_overhead,
     pattern_speedup,
 )
 from repro.core.errors import expected_time_lost
-from repro.core.pattern import (
+from repro.core.pattern import expected_recovery_time
+from repro.exceptions import InvalidParameterError
+
+from prop1_oracle import (
     expected_checkpoint_time,
-    expected_recovery_time,
+    expected_pattern_time_first_order,
     expected_work_time,
 )
-from repro.exceptions import InvalidParameterError
 
 
 def _params(model: PatternModel, P: float):
@@ -253,7 +254,7 @@ class TestFirstOrderExpansion:
         )
         T, P = 10_000.0, 100
         exact = model.expected_time(T, P)
-        approx = model.expected_time_first_order(T, P)
+        approx = expected_pattern_time_first_order(T, P, model.errors, model.costs)
         assert approx == pytest.approx(exact, rel=1e-6)
 
     def test_expansion_terms(self):
@@ -271,7 +272,10 @@ class TestFirstOrderExpansion:
         # The dropped higher-order terms are positive, so the truncated
         # series sits below the exact expectation.
         T, P = 5000.0, 200
-        assert simple_model.expected_time_first_order(T, P) < simple_model.expected_time(T, P)
+        approx = expected_pattern_time_first_order(
+            T, P, simple_model.errors, simple_model.costs
+        )
+        assert approx < simple_model.expected_time(T, P)
 
 
 class TestOverheadAndSpeedup:

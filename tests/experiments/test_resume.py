@@ -307,6 +307,23 @@ class TestBackendBumpInvalidation:
         assert after["recomputed"] == 0 and after["reused"] == 0
         assert after["backend_version"] == plan_mod.BACKEND_VERSION
 
+    def test_crashed_resume_prints_the_drift_and_stamps_it_first(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        assert main(_run_args(tmp_path) + ["--fault-plan", "crash-after=3"]) == (
+            CRASH_EXIT_CODE
+        )
+        capsys.readouterr()
+        monkeypatch.setattr(
+            manifest_mod, "BACKEND_VERSION", plan_mod.BACKEND_VERSION + 1
+        )
+        args = _run_args(tmp_path) + ["--resume", "--fault-plan", "crash-after=1"]
+        assert main(args) == CRASH_EXIT_CODE
+        assert "BACKEND_VERSION changed" in capsys.readouterr().err
+        # The reopened journal's one write carried the new stamp.
+        after = _manifest(tmp_path / "runs", "r1")
+        assert after["backend_version"] == manifest_mod.BACKEND_VERSION
+
 
 class TestScenarioResume:
     TOML = """

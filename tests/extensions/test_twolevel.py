@@ -17,7 +17,6 @@ from repro.extensions.twolevel import (
     SegmentedSolution,
     expected_segmented_time,
     optimal_segment_count,
-    optimal_segmented_pattern,
     optimize_segments,
     segmented_overhead,
     segmented_period,
@@ -200,9 +199,12 @@ class TestFirstOrder:
 
     def test_first_order_solution_near_numerical(self, hera_sc3):
         P = 256.0
-        fo = optimal_segmented_pattern(hera_sc3, P)
+        k_star = optimal_segment_count(P, hera_sc3.errors, hera_sc3.costs)
+        T_star = segmented_period(P, k_star, hera_sc3.errors, hera_sc3.costs)
         num = optimize_segments(hera_sc3, P)
-        assert fo.overhead == pytest.approx(num.overhead, rel=0.01)
+        assert segmented_overhead(T_star, P, k_star, hera_sc3) == pytest.approx(
+            num.overhead, rel=0.01
+        )
 
 
 class TestOptimizeSegments:

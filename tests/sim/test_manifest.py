@@ -278,13 +278,13 @@ class TestJournalDurability:
             "--runs-dir", str(runs_dir), "--run-id", "r1",
         ]
         # A crashed run, then its resume: create, crash-time close,
-        # resume, post-validation compaction and finish.
+        # the reopened journal's validated first write, and finish.
         assert main(args + ["--fault-plan", "crash-after=3"]) == CRASH_EXIT_CODE
         assert main(args + ["--resume"]) == 0
         manifest = RunManifest.load(manifest_path(runs_dir, "r1"))
         computed = sum(fate == "computed" for fate in manifest.fates.values())
         assert computed > 0 and len(ResultCache(tmp_path / "cache").entries()) > 0
-        assert len(writes) == 5
+        assert len(writes) == 4
         assert synced == ["checkpoint"] * len(writes)
 
 class TestValidateResume:

@@ -105,7 +105,7 @@ class TestPatternTimeProperties:
     @given(errors=error_models(), costs=cost_bundles(), T=periods, P=processor_counts)
     @settings(max_examples=100, deadline=None)
     def test_decomposition(self, errors, costs, T, P):
-        from repro.core import expected_checkpoint_time, expected_work_time
+        from prop1_oracle import expected_checkpoint_time, expected_work_time
 
         E = expected_pattern_time(T, P, errors, costs)
         EA = expected_work_time(T, P, errors, costs)

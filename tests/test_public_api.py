@@ -11,7 +11,7 @@ import repro
 
 class TestTopLevel:
     def test_version(self):
-        assert repro.__version__ == "1.28.0"
+        assert repro.__version__ == "1.29.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -132,6 +132,57 @@ class TestTopLevel:
             inspect.signature(optimize_period_batch).parameters
         )
 
+    @pytest.mark.parametrize(
+        "module, name",
+        [(package, name)
+         for package in ("repro", "repro.core", "repro.core.first_order")
+         for name in ("case3_overhead", "case4_overhead", "asymptotic_orders",
+                      "overhead_at_optimal_period")]
+        + [(package, name)
+           for package in ("repro", "repro.core", "repro.core.pattern")
+           for name in ("expected_work_time", "expected_checkpoint_time",
+                        "expected_pattern_time_first_order")]
+        + [("repro", name) for name in ("check_pattern", "young_period", "daly_period",
+                                        "RelaxationResult", "relaxation_optimize")]
+        + [("repro.core", name) for name in (
+            "young_period", "daly_period", "young_period_for", "daly_period_for",
+            "generalized_period", "ValidityReport", "check_pattern",
+            "max_processor_order", "max_period_order", "processor_order",
+            "period_order")]
+        + [("repro.optimize", name) for name in ("RelaxationResult", "relaxation_optimize")]
+        + [(package, name)
+           for package in ("repro.analysis", "repro.analysis.asymptotics")
+           for name in ("estimate_order", "reference_power_law")]
+        + [("repro.analysis", name) for name in (
+            "RobustnessCurve", "period_robustness", "processor_robustness",
+            "first_order_gap")]
+        + [(package, "failstop_optimal_period")
+           for package in ("repro.baselines", "repro.baselines.failstop_only")]
+        + [(package, "optimal_segmented_pattern")
+           for package in ("repro.extensions", "repro.extensions.twolevel")]
+        + [("repro.units", name) for name in (
+            "to_hours", "to_days", "to_years", "mtbf_to_rate", "rate_to_mtbf",
+            "format_rate")],
+    )
+    def test_removed_unreached_names_are_gone(self, module, name):
+        """Only what a command, an example or a gate reaches since 1.29."""
+        module = importlib.import_module(module)
+        assert not hasattr(module, name)
+        assert name not in module.__all__
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.core.validity", "repro.core.young_daly", "repro.analysis.sensitivity",
+         "repro.optimize.relaxation"],
+    )
+    def test_removed_unreached_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_removed_pattern_model_methods_are_gone(self):
+        assert not hasattr(repro.PatternModel, "expected_time_first_order")
+        assert not hasattr(repro.PatternModel, "expected_work")
+
     def test_key_classes_importable_from_top(self):
         assert repro.PatternModel is not None
         assert repro.AmdahlSpeedup is not None
@@ -147,15 +198,12 @@ class TestTopLevel:
         "repro.core.errors",
         "repro.core.pattern",
         "repro.core.first_order",
-        "repro.core.young_daly",
-        "repro.core.validity",
         "repro.core.makespan",
         "repro.optimize",
         "repro.optimize.scalar",
         "repro.optimize.grid",
         "repro.optimize.period",
         "repro.optimize.allocation",
-        "repro.optimize.relaxation",
         "repro.platforms",
         "repro.platforms.catalog",
         "repro.platforms.scenarios",
@@ -172,7 +220,6 @@ class TestTopLevel:
         "repro.sim.nodes",
         "repro.analysis",
         "repro.analysis.asymptotics",
-        "repro.analysis.sensitivity",
         "repro.analysis.waste",
         "repro.io",
         "repro.io.tables",

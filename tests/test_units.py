@@ -22,40 +22,11 @@ class TestConversions:
     def test_years_julian_convention(self):
         assert units.years(1) == pytest.approx(365.25 * 86400)
 
-    def test_roundtrip_hours(self):
-        assert units.to_hours(units.hours(7.25)) == pytest.approx(7.25)
-
-    def test_roundtrip_days(self):
-        assert units.to_days(units.days(3.5)) == pytest.approx(3.5)
-
-    def test_roundtrip_years(self):
-        assert units.to_years(units.years(0.31)) == pytest.approx(0.31)
-
-
-class TestRates:
-    def test_mtbf_to_rate(self):
-        assert units.mtbf_to_rate(100.0) == pytest.approx(0.01)
-
-    def test_rate_to_mtbf(self):
-        assert units.rate_to_mtbf(0.02) == pytest.approx(50.0)
-
-    def test_roundtrip(self):
-        assert units.mtbf_to_rate(units.rate_to_mtbf(1e-8)) == pytest.approx(1e-8)
-
     def test_century_mtbf_matches_paper_intro(self):
         # The intro's example: 100k nodes with one-century MTBF fail every
         # ~9 hours on average.
-        rate = units.mtbf_to_rate(units.years(100))
-        platform_mtbf_hours = units.to_hours(1.0 / (rate * 100_000))
-        assert platform_mtbf_hours == pytest.approx(8.766, rel=1e-3)
-
-    def test_mtbf_to_rate_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            units.mtbf_to_rate(0.0)
-
-    def test_rate_to_mtbf_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            units.rate_to_mtbf(-1.0)
+        platform_mtbf = units.years(100) / 100_000
+        assert platform_mtbf / units.SECONDS_PER_HOUR == pytest.approx(8.766, rel=1e-3)
 
 
 class TestFormatting:
@@ -82,13 +53,6 @@ class TestFormatting:
 
     def test_format_duration_nonfinite(self):
         assert units.format_duration(math.inf) == "inf"
-
-    def test_format_rate_includes_mtbf(self):
-        text = units.format_rate(1e-8)
-        assert "/s" in text and "MTBF" in text
-
-    def test_format_rate_zero(self):
-        assert units.format_rate(0.0) == "0 /s"
 
     def test_format_si_large(self):
         assert units.format_si(1_200_000) == "1.2M"
